@@ -397,15 +397,10 @@ fn opt_stats_line(st: &OptStats) -> String {
 /// additionally cross-checks the replayed output against the plan
 /// engine bit-for-bit).
 fn run_graph(cli: &Cli) -> Result<String, CliError> {
+    use graphene_kernels::catalog::EncoderDims;
     use graphene_kernels::exec_lower::{lower_executable, ExecLowering};
-    use graphene_kernels::graph::encoder_graph;
 
-    let layers = cli.int("layers", 2)?;
-    let batch = cli.int("batch", 1)?;
-    let seq = cli.int("seq", 128)?;
-    let hidden = cli.int("hidden", 256)?;
-    let heads = cli.int("heads", 4)?;
-    let ffn = cli.int("ffn", 1024)?;
+    let dims = EncoderDims::from_options(&cli.options).map_err(CliError)?;
     let arch = cli.arch()?;
     let lowering = match cli.options.get("lowering").map(String::as_str) {
         None | Some("fused") => ExecLowering::Fused,
@@ -423,7 +418,7 @@ fn run_graph(cli: &Cli) -> Result<String, CliError> {
         Some(other) => return Err(CliError(format!("unknown emit `{other}` (text|json)"))),
     };
 
-    let graph = encoder_graph(layers, batch, seq, hidden, heads, ffn);
+    let graph = dims.graph();
     let eg = lower_executable(&graph, arch, lowering).map_err(CliError)?;
     let ws = eg.workspace();
 
@@ -503,12 +498,11 @@ fn run_graph(cli: &Cli) -> Result<String, CliError> {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"graph\":{{\"layers\":{layers},\"batch\":{batch},\"seq\":{seq},\
-             \"hidden\":{hidden},\"heads\":{heads},\"ffn\":{ffn},\"ops\":{}}},\
+            "{{\"graph\":{},\
              \"lowering\":{{\"mode\":\"{}\",\"launches\":{}}},\
              \"arena\":{{\"planned_bytes\":{},\"naive_bytes\":{},\"saving\":{:.4}}},\
              \"engine\":\"{}\",",
-            graph.ops.len(),
+            dims.to_json(graph.ops.len()),
             lowering.label(),
             eg.nodes.len(),
             ws.arena_bytes(),
@@ -558,6 +552,7 @@ fn run_graph(cli: &Cli) -> Result<String, CliError> {
         out
     } else {
         let mut out = String::new();
+        let EncoderDims { layers, batch, seq, hidden, heads, ffn } = dims;
         let _ = writeln!(
             out,
             "graph    : {layers}-layer encoder ({} ops), batch {batch}, seq {seq}, hidden {hidden}, {heads} heads, ffn {ffn}",

@@ -33,7 +33,7 @@ use crate::graph::{Graph, Op};
 use crate::layernorm::{build_layernorm, LayernormConfig};
 use crate::pointwise::{build_bias_add, build_head_merge, build_head_split, build_unary};
 use graphene_ir::{Arch, Kernel, UnaryOp};
-use graphene_sim::{ArgBinding, ExecGraph, ExecNode, KernelPlan};
+use graphene_sim::{ArgBinding, ExecGraph, ExecNode, GraphKey, KernelPlan};
 use std::sync::Arc;
 
 /// Which lowering strategy to make executable.
@@ -65,6 +65,22 @@ fn fnv1a(s: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The graph-trace cache key [`lower_executable`] stamps on its
+/// result, computed from the front-end graph alone — no lowering, no
+/// compilation — so a warm caller can look the trace up first and
+/// lower only on a miss. The signature is an FNV-1a hash of a
+/// canonical description: stable across runs, and it changes with
+/// ops, dims, lowering mode, or arch.
+pub fn graph_key(graph: &Graph, arch: Arch, lowering: ExecLowering) -> GraphKey {
+    let (rows, cols, ops) = (graph.rows, graph.cols, &graph.ops);
+    let desc = format!("{rows}x{cols}:{ops:?}:{}:{arch}", lowering.label());
+    GraphKey {
+        signature: format!("g{:016x}-{}", fnv1a(&desc), lowering.label()),
+        problem: format!("rows={rows} cols={cols} ops={}", ops.len()),
+        arch,
+    }
 }
 
 /// The GEMM tile ladder: the cuBLAS-like tile first, then smaller
@@ -133,7 +149,7 @@ pub fn lower_executable(
     arch: Arch,
     lowering: ExecLowering,
 ) -> Result<ExecGraph, String> {
-    let shapes = graph.infer_shapes()?;
+    graph.infer_shapes()?;
     let rows = graph.rows;
     let mut lw = Lowerer { arch, nodes: Vec::new(), temps: Vec::new() };
     let mut cur = ArgBinding::External("x".to_string());
@@ -295,11 +311,10 @@ pub fn lower_executable(
     let ArgBinding::TempIn(result) = cur else {
         return Err("graph has no ops: nothing to execute".to_string());
     };
-    let desc = format!("{rows}x{}:{:?}:{}:{arch}", graph.cols, ops, lowering.label());
-    let _ = &shapes; // shapes validated above; dims tracked inline
+    let GraphKey { signature, problem, arch } = graph_key(graph, arch, lowering);
     Ok(ExecGraph {
-        signature: format!("g{:016x}-{}", fnv1a(&desc), lowering.label()),
-        problem: format!("rows={rows} cols={} ops={}", graph.cols, ops.len()),
+        signature,
+        problem,
         arch,
         nodes: lw.nodes,
         temps: lw.temps,
@@ -334,6 +349,16 @@ mod tests {
         let c = lower_executable(&g2, Arch::Sm86, ExecLowering::Fused).unwrap();
         assert_ne!(a.signature, b.signature);
         assert_ne!(a.signature, c.signature);
+    }
+
+    #[test]
+    fn graph_key_equals_the_lowered_key() {
+        for g in [encoder_graph(1, 1, 64, 256, 4, 256), encoder_graph(2, 1, 128, 256, 4, 1024)] {
+            for mode in [ExecLowering::Fused, ExecLowering::Default] {
+                let eg = lower_executable(&g, Arch::Sm86, mode).unwrap();
+                assert_eq!(graph_key(&g, Arch::Sm86, mode), eg.key());
+            }
+        }
     }
 
     #[test]

@@ -13,10 +13,11 @@ use crate::proto::{err_envelope, ok_envelope, parse_request, Obj, Request};
 use crate::state::ServerState;
 use graphene_ir::Arch;
 use graphene_sim::{
-    execute_graph, execute_plan, execute_reference, replay_graph, replay_opt, ExecMode, HostTensor,
-    TraceKey,
+    execute_graph, execute_plan, execute_reference, record_graph, replay_graph, replay_opt,
+    ExecMode, HostTensor, TraceKey,
 };
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::Ordering;
 
 /// Parses one request line, routes it, and renders the response line.
@@ -70,16 +71,16 @@ fn flag(req: &Request, key: &str) -> bool {
     matches!(req.opt(key), Some("true" | "1" | "yes"))
 }
 
-/// Seeds kernel inputs exactly like `graphene run`: parameter `i`
-/// drawn from seed `1000 + i`.
-fn seeded_inputs(
-    params: &[(graphene_ir::TensorId, String, usize)],
-) -> HashMap<graphene_ir::TensorId, Vec<f32>> {
-    let mut inputs = HashMap::new();
-    for (i, (id, _, len)) in params.iter().enumerate() {
-        inputs.insert(*id, HostTensor::random(&[*len], 1000 + i as u64).as_slice().to_vec());
-    }
-    inputs
+/// Seeds inputs exactly like `graphene run`/`run-graph`: the `i`-th
+/// `(key, scalar length)` is drawn from seed `1000 + i`.
+fn seeded_inputs<K: Eq + Hash>(
+    params: impl IntoIterator<Item = (K, usize)>,
+) -> HashMap<K, Vec<f32>> {
+    params
+        .into_iter()
+        .enumerate()
+        .map(|(i, (k, len))| (k, HostTensor::random(&[len], 1000 + i as u64).as_slice().to_vec()))
+        .collect()
 }
 
 fn counters_json(c: &graphene_sim::Counters) -> String {
@@ -162,7 +163,7 @@ fn run(state: &ServerState, req: &Request) -> Result<Obj, String> {
         }
     };
     let (entry, plan_hit) = state.plan_for(name, arch, &req.opts)?;
-    let inputs = seeded_inputs(entry.plan.params());
+    let inputs = seeded_inputs(entry.plan.params().iter().map(|(id, _, len)| (*id, *len)));
     let bindings = HashMap::new();
     let mut trace_hit = false;
     let start = std::time::Instant::now();
@@ -219,15 +220,14 @@ fn run(state: &ServerState, req: &Request) -> Result<Obj, String> {
         .raw("checksum", &format!("{checksum:.6}")))
 }
 
-/// `run-graph`: build and execute a whole encoder graph; the replay
-/// engine serves from the resident graph-trace cache.
+/// `run-graph`: build and execute a whole encoder graph. The replay
+/// engine looks the graph trace up by a key computed from the
+/// front-end graph and lowers only on a miss, so a warm request
+/// compiles nothing.
 fn run_graph(state: &ServerState, req: &Request) -> Result<Obj, String> {
-    use graphene_kernels::exec_lower::{lower_executable, ExecLowering};
-    use graphene_kernels::graph::encoder_graph;
+    use graphene_kernels::exec_lower::{graph_key, lower_executable, ExecLowering};
 
-    let int = |key: &str, default: i64| graphene_kernels::catalog::opt_int(&req.opts, key, default);
-    let (layers, batch, seq) = (int("layers", 2)?, int("batch", 1)?, int("seq", 128)?);
-    let (hidden, heads, ffn) = (int("hidden", 256)?, int("heads", 4)?, int("ffn", 1024)?);
+    let dims = graphene_kernels::catalog::EncoderDims::from_options(&req.opts)?;
     let arch = arch_of(req)?;
     let lowering = match req.opt("lowering") {
         None | Some("fused") => ExecLowering::Fused,
@@ -240,24 +240,22 @@ fn run_graph(state: &ServerState, req: &Request) -> Result<Obj, String> {
         Some(other) => return Err(format!("unknown exec mode `{other}` (plan|replay)")),
     };
 
-    let graph = encoder_graph(layers, batch, seq, hidden, heads, ffn);
-    let eg = lower_executable(&graph, arch, lowering)?;
-    let ws = eg.workspace();
-    let mut inputs = HashMap::new();
-    for (i, (name, len)) in eg.externals().iter().enumerate() {
-        inputs
-            .insert(name.clone(), HostTensor::random(&[*len], 1000 + i as u64).as_slice().to_vec());
-    }
-
-    let mut graph_hit = false;
+    let graph = dims.graph();
+    let lower = || lower_executable(&graph, arch, lowering);
     let start = std::time::Instant::now();
-    let outcome = if replay_engine {
-        let hits_before = state.graphs.hits();
-        let gt = state.graphs.get_or_record(&eg, &state.traces).map_err(|e| e.to_string())?;
-        graph_hit = state.graphs.hits() > hits_before;
-        replay_graph(&gt, &inputs, ExecMode::Parallel).map_err(|e| e.to_string())?
+    let (launches, graph_hit, outcome) = if replay_engine {
+        let key = graph_key(&graph, arch, lowering);
+        let (gt, hit) = state.graphs.get_or_record_with(&key, || {
+            record_graph(&lower()?, &state.traces).map_err(|e| e.to_string())
+        })?;
+        let inputs = seeded_inputs(gt.externals());
+        let outcome = replay_graph(&gt, &inputs, ExecMode::Parallel).map_err(|e| e.to_string())?;
+        (gt.num_kernels(), Some(hit), outcome)
     } else {
-        execute_graph(&eg, &inputs, ExecMode::Parallel).map_err(|e| e.to_string())?
+        let eg = lower()?;
+        let inputs = seeded_inputs(eg.externals());
+        let outcome = execute_graph(&eg, &inputs, ExecMode::Parallel).map_err(|e| e.to_string())?;
+        (eg.nodes.len(), None, outcome)
     };
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let checksum: f64 = {
@@ -265,17 +263,11 @@ fn run_graph(state: &ServerState, req: &Request) -> Result<Obj, String> {
         temps.sort_by_key(|(t, _)| **t);
         temps.iter().flat_map(|(_, buf)| buf.iter()).map(|&x| f64::from(x)).sum()
     };
+    let ws = &outcome.workspace;
     let mut fields = Obj::new()
-        .raw(
-            "graph",
-            &format!(
-                "{{\"layers\":{layers},\"batch\":{batch},\"seq\":{seq},\"hidden\":{hidden},\
-                 \"heads\":{heads},\"ffn\":{ffn},\"ops\":{}}}",
-                graph.ops.len()
-            ),
-        )
+        .raw("graph", &dims.to_json(graph.ops.len()))
         .str("lowering", lowering.label())
-        .num("launches", eg.nodes.len() as u64)
+        .num("launches", launches as u64)
         .raw(
             "arena",
             &format!(
@@ -285,8 +277,8 @@ fn run_graph(state: &ServerState, req: &Request) -> Result<Obj, String> {
             ),
         )
         .str("engine", if replay_engine { "replay" } else { "plan" });
-    if replay_engine {
-        fields = fields.bool("graph_hit", graph_hit);
+    if let Some(hit) = graph_hit {
+        fields = fields.bool("graph_hit", hit);
     }
     Ok(fields
         .raw("wall_ms", &format!("{wall_ms:.3}"))
@@ -517,6 +509,54 @@ mod tests {
             parse(&dispatch(&state, r#"{"cmd":"run","kernel":"gemm","m":256,"n":256,"k":64}"#))
                 .unwrap();
         assert_eq!(get(&plan, &["checksum"]).as_f64(), get(&cold, &["checksum"]).as_f64());
+    }
+
+    #[test]
+    fn warm_run_graph_replays_the_cached_trace_bit_identically() {
+        let state = ServerState::new(None);
+        let line = r#"{"cmd":"run-graph","layers":1,"seq":64,"ffn":256,"exec":"replay"}"#;
+        let cold = parse(&dispatch(&state, line)).unwrap();
+        assert_eq!(cold.get("ok"), Some(&Json::Bool(true)), "{cold:?}");
+        assert_eq!(get(&cold, &["graph_hit"]), &Json::Bool(false));
+        let warm = parse(&dispatch(&state, line)).unwrap();
+        assert_eq!(get(&warm, &["graph_hit"]), &Json::Bool(true));
+        let sum = |v: &Json| get(v, &["checksum"]).as_f64().map(f64::to_bits);
+        assert_eq!(sum(&cold), sum(&warm), "warm replay must be bit-identical");
+        let st = parse(&dispatch(&state, r#"{"cmd":"stats"}"#)).unwrap();
+        assert_eq!(get(&st, &["caches", "graphs", "recordings"]).as_i64(), Some(1));
+        assert_eq!(get(&st, &["caches", "graphs", "hits"]).as_i64(), Some(1));
+        // The plan engine lowers the graph itself and agrees with the
+        // trace hit on the checksum and on what the hit rendered
+        // without a lowered graph.
+        let plan = parse(&dispatch(&state, &line.replace("replay", "plan"))).unwrap();
+        assert_eq!(sum(&plan), sum(&warm));
+        for field in ["launches", "arena", "graph"] {
+            assert_eq!(get(&plan, &[field]), get(&warm, &[field]), "{field}");
+        }
+    }
+
+    #[test]
+    fn edge_case_sizes_get_error_envelopes_not_panics() {
+        let state = ServerState::new(None);
+        let cases = [
+            (r#"{"cmd":"run","kernel":"gemm","m":0}"#, "--m must be a positive integer, got 0"),
+            (
+                r#"{"cmd":"run","kernel":"gemm","m":-128}"#,
+                "--m must be a positive integer, got -128",
+            ),
+            (r#"{"cmd":"run","kernel":"layernorm","rows":0}"#, "--rows must be a positive integer"),
+            (r#"{"cmd":"run","kernel":"mlp","layers":0}"#, "--layers must be a positive integer"),
+            (r#"{"cmd":"run","kernel":"lstm","hidden":0}"#, "--hidden must be a positive integer"),
+            (r#"{"cmd":"run-graph","batch":0}"#, "--batch must be a positive integer, got 0"),
+            (r#"{"cmd":"lint","kernel":"gemm","m":0}"#, "--m must be a positive integer, got 0"),
+        ];
+        for (line, want) in cases {
+            let resp = parse(&dispatch(&state, line)).unwrap();
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{line}: {resp:?}");
+            let err = get(&resp, &["error"]).as_str().unwrap();
+            assert!(err.contains(want), "{line}: {err}");
+        }
+        assert_eq!(state.plan_stats(), (0, 0, 0), "rejected requests must not touch the cache");
     }
 
     #[test]

@@ -82,15 +82,16 @@ impl ServerState {
         }
     }
 
-    /// The compiled plan for `(kernel, problem, arch)`, building the
-    /// kernel and compiling on first request. Compilation happens
-    /// outside the map lock, so a cold request never blocks warm ones
-    /// for other keys; two racing cold requests may both compile, and
-    /// the first insert wins.
+    /// The compiled plan for `(kernel, problem, arch)`. The key comes
+    /// from the options alone ([`graphene_kernels::catalog::resolve`]);
+    /// only a miss builds the kernel and compiles it. Building and
+    /// compiling happen outside the map lock, so a cold request never
+    /// blocks warm ones for other keys; two racing cold requests may
+    /// both compile, and the first insert wins.
     ///
     /// # Errors
     ///
-    /// Catalog build errors or plan-compilation errors, as one
+    /// Catalog option errors or plan-compilation errors, as one
     /// user-facing string.
     pub fn plan_for(
         &self,
@@ -98,19 +99,17 @@ impl ServerState {
         arch: Arch,
         opts: &HashMap<String, String>,
     ) -> Result<(Arc<PlanEntry>, bool), String> {
-        // The catalog is the cheap part and also computes the
-        // canonical problem key the cache is keyed by — so it runs
-        // unconditionally; only kernel *compilation* is memoized.
-        let nk = graphene_kernels::catalog::build_named(name, arch, opts)?;
-        let key: PlanKey = (name.to_string(), nk.problem.clone(), arch);
+        let resolved = graphene_kernels::catalog::resolve(name, arch, opts)?;
+        let key: PlanKey = (name.to_string(), resolved.problem.clone(), arch);
         if let Some(entry) = self.plans.lock().expect("plan cache poisoned").get(&key) {
             self.plan_hits.fetch_add(1, Ordering::Relaxed);
             return Ok((Arc::clone(entry), true));
         }
-        let plan = KernelPlan::compile(&nk.kernel, arch).map_err(|e| e.to_string())?;
+        let kernel = resolved.build();
+        let plan = KernelPlan::compile(&kernel, arch).map_err(|e| e.to_string())?;
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
         let entry =
-            Arc::new(PlanEntry { plan, kernel_name: nk.kernel.name.clone(), problem: nk.problem });
+            Arc::new(PlanEntry { plan, kernel_name: kernel.name, problem: resolved.problem });
         let mut plans = self.plans.lock().expect("plan cache poisoned");
         let entry = plans.entry(key).or_insert(entry);
         Ok((Arc::clone(entry), false))

@@ -175,18 +175,35 @@ impl ExecGraph {
     /// The graph's external inputs `(name, scalar length)`, deduped in
     /// first-use order — what a caller must (or may) supply.
     pub fn externals(&self) -> Vec<(String, usize)> {
-        let mut seen: Vec<(String, usize)> = Vec::new();
-        for node in &self.nodes {
-            for ((_, _, len), arg) in node.plan.params().iter().zip(&node.args) {
-                if let ArgBinding::External(name) = arg {
-                    if !seen.iter().any(|(n, _)| n == name) {
-                        seen.push((name.clone(), *len));
-                    }
+        externals(self.nodes.iter().map(|n| (n.plan.params(), n.args.as_slice())))
+    }
+
+    /// The [`GraphTraceCache`] key of this graph.
+    pub fn key(&self) -> GraphKey {
+        GraphKey {
+            signature: self.signature.clone(),
+            problem: self.problem.clone(),
+            arch: self.arch,
+        }
+    }
+}
+
+/// External inputs `(name, scalar length)` of a chain of
+/// `(params, bindings)` nodes, deduped in first-use order.
+fn externals<'a>(
+    nodes: impl Iterator<Item = (&'a [(TensorId, String, usize)], &'a [ArgBinding])>,
+) -> Vec<(String, usize)> {
+    let mut seen: Vec<(String, usize)> = Vec::new();
+    for (params, args) in nodes {
+        for ((_, _, len), arg) in params.iter().zip(args) {
+            if let ArgBinding::External(name) = arg {
+                if !seen.iter().any(|(n, _)| n == name) {
+                    seen.push((name.clone(), *len));
                 }
             }
         }
-        seen
     }
+    seen
 }
 
 /// The result of one graph execution (either engine).
@@ -320,6 +337,13 @@ impl GraphTrace {
     /// The workspace plan replay binds its slices from.
     pub fn workspace(&self) -> &WorkspacePlan {
         &self.workspace
+    }
+
+    /// The stitched chain's external inputs — identical to
+    /// [`ExecGraph::externals`] of the graph it was recorded from, so
+    /// a cache hit seeds inputs without the lowered graph.
+    pub fn externals(&self) -> Vec<(String, usize)> {
+        externals(self.nodes.iter().map(|(t, args)| (t.params.as_slice(), args.as_slice())))
     }
 
     /// Trace-optimizer stats aggregated over the stitched chain
@@ -459,8 +483,9 @@ impl GraphTraceCache {
     }
 
     /// Returns the stitched trace for `g`, recording and stitching on
-    /// first use. Like [`TraceCache::get_or_record`], recording
-    /// happens outside the map lock.
+    /// first use. Callers holding only the front-end graph should use
+    /// [`get_or_record_with`](Self::get_or_record_with) and lower on a
+    /// miss instead.
     ///
     /// # Errors
     ///
@@ -470,15 +495,30 @@ impl GraphTraceCache {
         g: &ExecGraph,
         traces: &TraceCache,
     ) -> Result<Arc<GraphTrace>, ExecError> {
-        let key =
-            GraphKey { signature: g.signature.clone(), problem: g.problem.clone(), arch: g.arch };
-        if let Some(t) = self.traces.lock().expect("graph-trace cache poisoned").get(&key) {
+        self.get_or_record_with(&g.key(), || record_graph(g, traces)).map(|(t, _)| t)
+    }
+
+    /// Returns the stitched trace under `key` and whether it was a hit.
+    /// Only a miss runs `record` — typically: lower the graph, then
+    /// [`record_graph`] — so a warm caller builds nothing. Recording
+    /// happens outside the map lock; when two misses race, the first
+    /// insert wins and both callers get that trace.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `record` returns; nothing is cached.
+    pub fn get_or_record_with<E>(
+        &self,
+        key: &GraphKey,
+        record: impl FnOnce() -> Result<GraphTrace, E>,
+    ) -> Result<(Arc<GraphTrace>, bool), E> {
+        if let Some(t) = self.traces.lock().expect("graph-trace cache poisoned").get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(t);
+            return Ok((t, true));
         }
-        let t = Arc::new(record_graph(g, traces)?);
+        let t = Arc::new(record()?);
         self.recordings.fetch_add(1, Ordering::Relaxed);
-        Ok(self.traces.lock().expect("graph-trace cache poisoned").insert(key, t))
+        Ok((self.traces.lock().expect("graph-trace cache poisoned").insert(key.clone(), t), false))
     }
 
     /// Replays served from an already-stitched graph trace.

@@ -153,22 +153,39 @@ impl Trace {
     /// and buffer metadata (length-based, so the figure is
     /// deterministic — the optimizer's before/after comparison).
     pub fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.steps.len() * std::mem::size_of::<TOp>()
-            + self.addrs.len() * std::mem::size_of::<u32>()
-            + self.blocks.len() * std::mem::size_of::<(u32, u32)>()
-            + self.buf_lens.len() * std::mem::size_of::<usize>()
-            + self
-                .params
-                .iter()
-                .map(|(_, name, _)| std::mem::size_of::<(TensorId, String, usize)>() + name.len())
-                .sum::<usize>()
+        raw_resident_bytes(
+            self.steps.len(),
+            self.addrs.len(),
+            self.blocks.len(),
+            &self.buf_lens,
+            &self.params,
+        )
     }
+}
+
+/// [`Trace::resident_bytes`] of a trace with these sizes, for callers
+/// that never hold the whole trace.
+pub(crate) fn raw_resident_bytes(
+    steps: usize,
+    addrs: usize,
+    blocks: usize,
+    buf_lens: &[usize],
+    params: &[(TensorId, String, usize)],
+) -> usize {
+    std::mem::size_of::<Trace>()
+        + steps * std::mem::size_of::<TOp>()
+        + addrs * std::mem::size_of::<u32>()
+        + blocks * std::mem::size_of::<(u32, u32)>()
+        + std::mem::size_of_val(buf_lens)
+        + params
+            .iter()
+            .map(|(_, name, _)| std::mem::size_of::<(TensorId, String, usize)>() + name.len())
+            .sum::<usize>()
 }
 
 /// Captures [`TOp`]s during one instrumented [`CtaRunner`] pass.
 ///
-/// Installed on the runner by [`record_trace`]; the runner calls back
+/// Installed on the runner by [`record_blocks`]; the runner calls back
 /// after each `Alloc` and after each successfully executed group, so a
 /// failing execution never leaves a partial step in a published trace.
 #[derive(Debug, Default)]
@@ -376,35 +393,54 @@ pub fn record_trace(
     plan: &KernelPlan,
     bindings: &HashMap<String, i64>,
 ) -> Result<Trace, ExecError> {
-    let init: Vec<Vec<f32>> = plan.globals.iter().map(|&(_, _, len)| vec![0.0; len]).collect();
-    let mut runner = CtaRunner::new(plan, init, bindings);
-    runner.rec = Some(Recorder::new(plan));
     let mut blocks = Vec::with_capacity(plan.grid.max(0) as usize);
-    for b in 0..plan.grid {
-        let start = runner.rec.as_ref().expect("recorder installed").steps.len();
-        runner.run_block(b)?;
-        let end = runner.rec.as_ref().expect("recorder installed").steps.len();
-        blocks.push((
-            u32::try_from(start).expect("trace exceeds u32 steps"),
-            u32::try_from(end).expect("trace exceeds u32 steps"),
-        ));
-    }
-    let mut counters = runner.counters;
-    counters.unique_global_read_bytes = plan.unique_read;
-    counters.unique_global_write_bytes = plan.unique_written;
-    let rec = runner.rec.take().expect("recorder installed");
-    let mut buf_lens: Vec<usize> = plan.globals.iter().map(|&(_, _, l)| l).collect();
-    buf_lens.extend(plan.shared.iter().map(|&(_, l)| l));
-    buf_lens.extend(plan.regs.iter().map(|&(_, l)| l * plan.block_threads as usize));
+    let mut start = 0;
+    let (rec, counters) = record_blocks(plan, bindings, |rec| {
+        let end = u32::try_from(rec.steps.len()).expect("trace exceeds u32 steps");
+        blocks.push((start, end));
+        start = end;
+    })?;
     Ok(Trace {
         steps: rec.steps,
         addrs: rec.addrs,
         blocks,
-        buf_lens,
+        buf_lens: trace_buf_lens(plan),
         n_globals: plan.globals.len(),
         params: plan.globals.clone(),
         counters,
     })
+}
+
+/// The recording run behind [`record_trace`]: runs every block of
+/// `plan` with a [`Recorder`] installed and hands it to `block_done`
+/// after each block. Steps the callback leaves in place accumulate; a
+/// streaming consumer drains them instead. Returns the recorder and the
+/// run's counters.
+pub(crate) fn record_blocks(
+    plan: &KernelPlan,
+    bindings: &HashMap<String, i64>,
+    mut block_done: impl FnMut(&mut Recorder),
+) -> Result<(Recorder, Counters), ExecError> {
+    let init: Vec<Vec<f32>> = plan.globals.iter().map(|&(_, _, len)| vec![0.0; len]).collect();
+    let mut runner = CtaRunner::new(plan, init, bindings);
+    runner.rec = Some(Recorder::new(plan));
+    for b in 0..plan.grid {
+        runner.run_block(b)?;
+        block_done(runner.rec.as_mut().expect("recorder installed"));
+    }
+    let mut counters = runner.counters;
+    counters.unique_global_read_bytes = plan.unique_read;
+    counters.unique_global_write_bytes = plan.unique_written;
+    Ok((runner.rec.take().expect("recorder installed"), counters))
+}
+
+/// Unified buffer-table lengths of `plan`'s traces: globals, then
+/// shared, then register files flattened to `len × block_threads`.
+pub(crate) fn trace_buf_lens(plan: &KernelPlan) -> Vec<usize> {
+    let mut buf_lens: Vec<usize> = plan.globals.iter().map(|&(_, _, l)| l).collect();
+    buf_lens.extend(plan.shared.iter().map(|&(_, l)| l));
+    buf_lens.extend(plan.regs.iter().map(|&(_, l)| l * plan.block_threads as usize));
+    buf_lens
 }
 
 /// Cache key: one trace per (kernel, problem, arch).

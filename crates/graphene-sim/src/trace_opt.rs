@@ -36,7 +36,7 @@
 use crate::counters::Counters;
 use crate::exec::ExecError;
 use crate::plan::KernelPlan;
-use crate::trace::{record_trace, TOp, Trace};
+use crate::trace::{raw_resident_bytes, record_blocks, trace_buf_lens, TOp, Trace};
 use graphene_ir::ops::{BinaryOp, ReduceOp, UnaryOp};
 use graphene_ir::tensor::TensorId;
 use std::collections::HashMap;
@@ -635,31 +635,38 @@ fn mma_dense(
     })
 }
 
-/// Lowers a recorded [`Trace`] into an [`OptTrace`]: classify every
-/// operand slice, fuse adjacent chained steps, drop dead fills.
-///
-/// The result replays bit-identically to the input trace: descriptors
-/// reproduce the exact recorded addresses (classification verifies
-/// every element), fusion preserves element order, and a dead fill is
-/// only removed when the buffer is fully overwritten before any read.
-#[must_use]
-pub fn optimize_trace(trace: &Trace) -> OptTrace {
-    let mut stats = OptStats {
-        steps_before: trace.steps.len(),
-        addrs_before: trace.addrs.len(),
-        bytes_before: trace.resident_bytes(),
-        ..OptStats::default()
-    };
-    let mut steps: Vec<OTp> = Vec::with_capacity(trace.steps.len());
-    let mut gather: Vec<u32> = Vec::new();
-    let mut blocks: Vec<(u32, u32)> = Vec::with_capacity(trace.blocks.len());
-    let ar = &trace.addrs;
-    let sl = |start: u32, n: u32| &ar[start as usize..(start + n) as usize];
-    let mut block_steps: Vec<OTp> = Vec::new();
-    for &(bs, be) in &trace.blocks {
-        block_steps.clear();
-        for step in &trace.steps[bs as usize..be as usize] {
-            let g = &mut gather;
+/// Optimizes a recorded trace one block at a time. Blocks share only
+/// the output step list and the residual gather arena, so a block can
+/// be optimized as soon as it is recorded and its raw steps dropped.
+struct BlockOptimizer {
+    buf_lens: Vec<usize>,
+    steps: Vec<OTp>,
+    gather: Vec<u32>,
+    blocks: Vec<(u32, u32)>,
+    block_steps: Vec<OTp>,
+    stats: OptStats,
+}
+
+impl BlockOptimizer {
+    fn new(buf_lens: Vec<usize>) -> Self {
+        BlockOptimizer {
+            buf_lens,
+            steps: Vec::new(),
+            gather: Vec::new(),
+            blocks: Vec::new(),
+            block_steps: Vec::new(),
+            stats: OptStats::default(),
+        }
+    }
+
+    /// Optimizes one block's raw steps, whose address operands index
+    /// `ar`, and appends the result.
+    fn push_block(&mut self, raw: &[TOp], ar: &[u32]) {
+        let sl = |start: u32, n: u32| &ar[start as usize..(start + n) as usize];
+        self.stats.steps_before += raw.len();
+        self.block_steps.clear();
+        for step in raw {
+            let g = &mut self.gather;
             let ot = match *step {
                 TOp::Fill { buf } => OTp::Fill { buf },
                 TOp::Copy { src, dst, sa, da, n } => OTp::Copy {
@@ -828,17 +835,18 @@ pub fn optimize_trace(trace: &Trace) -> OptTrace {
                     lanes,
                 },
             };
-            block_steps.push(ot);
+            self.block_steps.push(ot);
         }
-        fuse_block(&mut block_steps, &mut stats.fused_steps);
+        fuse_block(&mut self.block_steps, &mut self.stats.fused_steps);
         // Dead-fill elimination, then one more fusion sweep: removing a
         // fill can make its neighbours adjacent and chainable.
-        let dead: Vec<usize> = block_steps
+        let dead: Vec<usize> = self
+            .block_steps
             .iter()
             .enumerate()
             .filter_map(|(i, s)| match *s {
                 OTp::Fill { buf }
-                    if fill_is_dead(&block_steps, i, buf, trace.buf_lens[buf as usize]) =>
+                    if fill_is_dead(&self.block_steps, i, buf, self.buf_lens[buf as usize]) =>
                 {
                     Some(i)
                 }
@@ -846,10 +854,10 @@ pub fn optimize_trace(trace: &Trace) -> OptTrace {
             })
             .collect();
         if !dead.is_empty() {
-            stats.dead_fills += dead.len();
+            self.stats.dead_fills += dead.len();
             let mut keep = 0usize;
             let mut di = dead.iter().peekable();
-            block_steps.retain(|_| {
+            self.block_steps.retain(|_| {
                 let drop = di.peek().is_some_and(|&&d| d == keep);
                 if drop {
                     di.next();
@@ -857,27 +865,55 @@ pub fn optimize_trace(trace: &Trace) -> OptTrace {
                 keep += 1;
                 !drop
             });
-            fuse_block(&mut block_steps, &mut stats.fused_steps);
+            fuse_block(&mut self.block_steps, &mut self.stats.fused_steps);
         }
-        let start = u32::try_from(steps.len()).expect("optimized trace exceeds u32 steps");
-        steps.extend_from_slice(&block_steps);
-        let end = u32::try_from(steps.len()).expect("optimized trace exceeds u32 steps");
-        blocks.push((start, end));
+        let start = u32::try_from(self.steps.len()).expect("optimized trace exceeds u32 steps");
+        self.steps.extend_from_slice(&self.block_steps);
+        let end = u32::try_from(self.steps.len()).expect("optimized trace exceeds u32 steps");
+        self.blocks.push((start, end));
     }
-    stats.steps_after = steps.len();
-    stats.gather_addrs = gather.len();
-    let mut opt = OptTrace {
-        steps,
-        gather,
-        blocks,
-        buf_lens: trace.buf_lens.clone(),
-        n_globals: trace.n_globals,
-        params: trace.params.clone(),
-        counters: trace.counters,
-        stats,
-    };
-    opt.stats.bytes_after = opt.resident_bytes();
-    opt
+
+    /// The optimized trace; `addrs_before` and `bytes_before` describe
+    /// the raw trace the blocks came from.
+    fn finish(
+        self,
+        addrs_before: usize,
+        bytes_before: usize,
+        n_globals: usize,
+        params: Vec<(TensorId, String, usize)>,
+        counters: Counters,
+    ) -> OptTrace {
+        let BlockOptimizer { buf_lens, mut steps, mut gather, blocks, mut stats, .. } = self;
+        stats.addrs_before = addrs_before;
+        stats.bytes_before = bytes_before;
+        stats.steps_after = steps.len();
+        stats.gather_addrs = gather.len();
+        // Steps grow by doubling and fusion drops up to half of them:
+        // give the slack back before the trace goes resident.
+        steps.shrink_to_fit();
+        gather.shrink_to_fit();
+        let mut opt =
+            OptTrace { steps, gather, blocks, buf_lens, n_globals, params, counters, stats };
+        opt.stats.bytes_after = opt.resident_bytes();
+        opt
+    }
+}
+
+/// Lowers a recorded [`Trace`] into an [`OptTrace`]: classify every
+/// operand slice, fuse adjacent chained steps, drop dead fills.
+///
+/// The result replays bit-identically to the input trace: descriptors
+/// reproduce the exact recorded addresses (classification verifies
+/// every element), fusion preserves element order, and a dead fill is
+/// only removed when the buffer is fully overwritten before any read.
+#[must_use]
+pub fn optimize_trace(trace: &Trace) -> OptTrace {
+    let mut opt = BlockOptimizer::new(trace.buf_lens.clone());
+    for &(bs, be) in &trace.blocks {
+        opt.push_block(&trace.steps[bs as usize..be as usize], &trace.addrs);
+    }
+    let (addrs, bytes) = (trace.addrs.len(), trace.resident_bytes());
+    opt.finish(addrs, bytes, trace.n_globals, trace.params.clone(), trace.counters)
 }
 
 /// Records `plan` once and optimizes the trace in the same pass — the
@@ -891,7 +927,20 @@ pub fn record_opt_trace(
     plan: &KernelPlan,
     bindings: &HashMap<String, i64>,
 ) -> Result<OptTrace, ExecError> {
-    Ok(optimize_trace(&record_trace(plan, bindings)?))
+    // Each block is optimized as soon as it is recorded and its raw
+    // steps dropped, so the unoptimized trace — tens of times the
+    // optimized size — is never held whole.
+    let mut opt = BlockOptimizer::new(trace_buf_lens(plan));
+    let (mut addrs, mut blocks) = (0, 0);
+    let (_, counters) = record_blocks(plan, bindings, |rec| {
+        opt.push_block(&rec.steps, &rec.addrs);
+        (addrs, blocks) = (addrs + rec.addrs.len(), blocks + 1);
+        rec.steps.clear();
+        rec.addrs.clear();
+    })?;
+    let params = &plan.globals;
+    let bytes = raw_resident_bytes(opt.stats.steps_before, addrs, blocks, &opt.buf_lens, params);
+    Ok(opt.finish(addrs, bytes, params.len(), params.clone(), counters))
 }
 
 #[cfg(test)]

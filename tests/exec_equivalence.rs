@@ -9,8 +9,8 @@ use graphene::kernels::gemm::{build_gemm, build_gemm_double_buffered, Epilogue, 
 use graphene::kernels::layernorm::{build_layernorm, LayernormConfig};
 use graphene::sim::host::HostTensor;
 use graphene::sim::{
-    execute_reference, execute_with, optimize_trace, record_trace, replay_opt_with, replay_with,
-    ExecMode, KernelPlan,
+    execute_reference, execute_with, optimize_trace, record_opt_trace, record_trace,
+    replay_opt_with, replay_with, ExecMode, KernelPlan,
 };
 use std::collections::HashMap;
 
@@ -46,6 +46,11 @@ fn assert_equivalent(
     let plan = KernelPlan::compile(kernel, arch).unwrap_or_else(|e| panic!("{name}: plan: {e}"));
     let raw = record_trace(&plan, &bindings).unwrap_or_else(|e| panic!("{name}: record: {e}"));
     let opt = optimize_trace(&raw);
+    // Recording straight into the optimizer, block by block, must build
+    // the very same trace.
+    let streamed =
+        record_opt_trace(&plan, &bindings).unwrap_or_else(|e| panic!("{name}: record: {e}"));
+    assert_eq!(format!("{streamed:?}"), format!("{opt:?}"), "{name}: streamed trace differs");
     let raw_seq = replay_with(&raw, inputs, ExecMode::Sequential)
         .unwrap_or_else(|e| panic!("{name}: raw replay failed: {e}"));
     let opt_seq = replay_opt_with(&opt, inputs, ExecMode::Sequential)

@@ -9,7 +9,7 @@
 //! capacity bound.
 
 use graphene_ir::Arch;
-use graphene_kernels::exec_lower::{lower_executable, ExecLowering};
+use graphene_kernels::exec_lower::{graph_key, lower_executable, ExecLowering};
 use graphene_kernels::graph::encoder_graph;
 use graphene_sim::run::ExecMode;
 use graphene_sim::{
@@ -187,6 +187,42 @@ fn graph_trace_cache_hits_then_evicts() {
     // cached) rather than erroring.
     let _ = graphs.get_or_record(&eg1, &traces).expect("re-records");
     assert_eq!(graphs.recordings(), 3);
+}
+
+#[test]
+fn keyed_lookup_lowers_once_and_caches_no_failure() {
+    let g = test_encoder();
+    let (traces, graphs) = (TraceCache::new(), GraphTraceCache::new());
+    let key = graph_key(&g, Arch::Sm86, ExecLowering::Fused);
+    let mut lowered = Vec::new();
+    for i in 0..4 {
+        let (gt, hit) = graphs
+            .get_or_record_with(&key, || {
+                let eg = lower_executable(&g, Arch::Sm86, ExecLowering::Fused)?;
+                lowered.push(eg.externals());
+                record_graph(&eg, &traces).map_err(|e| e.to_string())
+            })
+            .expect("records");
+        assert_eq!(hit, i > 0, "lookup {i}");
+        // A hit seeds inputs from the trace alone.
+        assert_eq!(gt.externals(), lowered[0]);
+    }
+    assert_eq!(lowered.len(), 1, "only the miss lowers");
+    assert_eq!((graphs.recordings(), graphs.hits()), (1, 3));
+
+    // Attention cannot lower on Volta: the error comes back and no
+    // entry is cached, so the next request retries.
+    let volta = graph_key(&g, Arch::Sm70, ExecLowering::Fused);
+    for _ in 0..2 {
+        let err = graphs
+            .get_or_record_with(&volta, || {
+                record_graph(&lower_executable(&g, Arch::Sm70, ExecLowering::Fused)?, &traces)
+                    .map_err(|e| e.to_string())
+            })
+            .unwrap_err();
+        assert!(err.contains("Ampere"), "{err}");
+    }
+    assert_eq!((graphs.recordings(), graphs.hits(), graphs.len()), (1, 3, 1));
 }
 
 #[test]
