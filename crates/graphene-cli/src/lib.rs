@@ -309,17 +309,19 @@ fn exec_run(cli: &Cli) -> Result<String, CliError> {
                 arch,
             };
             let t0 = std::time::Instant::now();
-            let trace =
+            let (trace, _) =
                 cache.get_or_record(&key, &plan, &bindings).map_err(|e| CliError(e.to_string()))?;
             let record_ms = t0.elapsed().as_secs_f64() * 1e3;
             let st = trace.stats();
             trace_line = Some(format!(
-                "trace    : {} steps, {} residual addresses, recorded in {record_ms:.3} ms",
+                "trace    : {} steps, {} residual addresses in {} pattern entries, recorded in \
+                 {record_ms:.3} ms",
                 trace.num_steps(),
-                trace.num_addrs()
+                st.gather_addrs,
+                st.pattern_addrs
             ));
             opt_line = Some(opt_stats_line(st));
-            let trace =
+            let (trace, _) =
                 cache.get_or_record(&key, &plan, &bindings).map_err(|e| CliError(e.to_string()))?;
             let first = replay_opt(&trace, &inputs);
             let second = replay_opt(&trace, &inputs);

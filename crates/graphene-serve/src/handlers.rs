@@ -182,11 +182,11 @@ fn run(state: &ServerState, req: &Request) -> Result<Obj, String> {
                 problem: entry.problem.clone(),
                 arch,
             };
-            trace_hit = state.traces.contains(&key);
-            let trace = state
+            let (trace, hit) = state
                 .traces
                 .get_or_record(&key, &entry.plan, &bindings)
                 .map_err(|e| e.to_string())?;
+            trace_hit = hit;
             replay_opt(&trace, &inputs)
         }
     }

@@ -357,6 +357,7 @@ impl GraphTrace {
             agg.steps_after += s.steps_after;
             agg.addrs_before += s.addrs_before;
             agg.gather_addrs += s.gather_addrs;
+            agg.pattern_addrs += s.pattern_addrs;
             agg.dead_fills += s.dead_fills;
             agg.fused_steps += s.fused_steps;
             agg.bytes_before += s.bytes_before;
@@ -394,7 +395,7 @@ pub fn record_graph(g: &ExecGraph, traces: &TraceCache) -> Result<GraphTrace, Ex
     for node in &g.nodes {
         let key =
             TraceKey { kernel: node.kernel.clone(), problem: node.problem.clone(), arch: g.arch };
-        let t = traces.get_or_record(&key, &node.plan, &bindings)?;
+        let (t, _) = traces.get_or_record(&key, &node.plan, &bindings)?;
         nodes.push((t, node.args.clone()));
     }
     Ok(GraphTrace {

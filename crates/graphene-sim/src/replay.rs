@@ -489,6 +489,7 @@ impl Addrs for LanA {
 struct GatA<'g> {
     g: &'g [u32],
     i: usize,
+    base: usize,
 }
 
 impl Addrs for GatA<'_> {
@@ -496,7 +497,7 @@ impl Addrs for GatA<'_> {
     fn next_addr(&mut self) -> usize {
         let a = self.g[self.i];
         self.i += 1;
-        a as usize
+        self.base + a as usize
     }
 }
 
@@ -520,8 +521,8 @@ macro_rules! dispatch_span {
                 };
                 $body
             }
-            Span::Gather { start } => {
-                let mut $it = GatA { g: $g, i: start as usize };
+            Span::Gather { base, start } => {
+                let mut $it = GatA { g: $g, i: start as usize, base: base as usize };
                 $body
             }
         }
@@ -581,9 +582,9 @@ macro_rules! each_lane {
                     cur += step;
                 }
             }
-            LaneRef::Gat(row) => {
-                for ($v, &addr_raw) in row[..$cnt].iter().enumerate() {
-                    let $a = addr_raw as usize;
+            LaneRef::Gat { base, row } => {
+                for ($v, &rel) in row[..$cnt].iter().enumerate() {
+                    let $a = base + rel as usize;
                     $body
                 }
             }
@@ -661,9 +662,9 @@ fn chunks3<F: FnMut(usize, usize, usize, usize)>(
 }
 
 /// Fills a row-major matrix from a span's addresses. The gather case
-/// (the norm for composed MMA fragments) pre-slices the address table
-/// so the const-bound nested loop carries one bounds check per element
-/// and no division.
+/// (the norm for composed MMA fragments) pre-slices the pattern table
+/// and the buffer at the pattern's base, so the const-bound nested
+/// loop carries one bounds check per element and no division.
 #[inline(always)]
 fn load_mat<const R: usize, const C: usize>(
     dst: &mut [[f32; C]; R],
@@ -671,8 +672,9 @@ fn load_mat<const R: usize, const C: usize>(
     s: Span,
     g: &[u32],
 ) {
-    if let Span::Gather { start } = s {
+    if let Span::Gather { base, start } = s {
         let tbl = &g[start as usize..start as usize + R * C];
+        let buf = &buf[base as usize..];
         for (r, row) in dst.iter_mut().enumerate() {
             for (c, v) in row.iter_mut().enumerate() {
                 *v = buf[tbl[r * C + c] as usize];
@@ -774,8 +776,9 @@ impl OptCta<'_> {
             });
         } else {
             let cb = &mut self.bufs[c as usize];
-            if let Span::Gather { start } = cm {
+            if let Span::Gather { base, start } = cm {
                 let tbl = &g[start as usize..start as usize + M * N];
+                let cb = &mut cb[base as usize..];
                 for (r, row) in cmx.iter().enumerate() {
                     for (ni, v) in row.iter().enumerate() {
                         cb[tbl[r * N + ni] as usize] = *v;
@@ -1117,12 +1120,15 @@ impl OptCta<'_> {
                     }
                 }
                 OTp::Shfl { mask, src, dst, sa, da, lanes } => {
+                    // A warp has at most 32 lanes: stage on the stack.
                     let lanes = lanes as usize;
-                    let vals: Vec<f32> = (0..lanes).map(|li| self.get(src, sa.at(g, li))).collect();
+                    let mut vals = [0.0f32; 32];
+                    for (li, v) in vals[..lanes].iter_mut().enumerate() {
+                        *v = self.get(src, sa.at(g, li));
+                    }
                     for li in 0..lanes {
                         let peer = li ^ mask as usize;
-                        let v = vals[peer % vals.len()];
-                        self.put(dst, da.at(g, li), v);
+                        self.put(dst, da.at(g, li), vals[peer % lanes]);
                     }
                 }
             }

@@ -523,11 +523,6 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> LruMap<K, V> {
         self.map.values().map(|(v, _)| v)
     }
 
-    /// Membership test that does **not** bump recency.
-    pub(crate) fn contains(&self, k: &K) -> bool {
-        self.map.contains_key(k)
-    }
-
     pub(crate) fn evicted(&self) -> u64 {
         self.evicted
     }
@@ -583,12 +578,16 @@ impl TraceCache {
         }
     }
 
-    /// Returns the cached trace for `key`, recording it on first use.
+    /// Returns the cached trace for `key`, recording it on first use,
+    /// and whether this call was served from the cache — decided by
+    /// the lookup itself, so a concurrent recording or eviction can't
+    /// make the flag lie.
     ///
     /// Recording happens outside the map lock, so requests for
     /// *different* keys never serialize on a recording. Two racing
-    /// requests for the same cold key may both record; the first
-    /// insert wins and both callers get identical traces.
+    /// requests for the same cold key may both record (both report a
+    /// miss); the first insert wins and both callers get identical
+    /// traces.
     ///
     /// # Errors
     ///
@@ -598,14 +597,14 @@ impl TraceCache {
         key: &TraceKey,
         plan: &KernelPlan,
         bindings: &HashMap<String, i64>,
-    ) -> Result<Arc<OptTrace>, ExecError> {
+    ) -> Result<(Arc<OptTrace>, bool), ExecError> {
         if let Some(t) = self.traces.lock().expect("trace cache poisoned").get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(t);
+            return Ok((t, true));
         }
         let t = Arc::new(record_opt_trace(plan, bindings)?);
         self.recordings.fetch_add(1, Ordering::Relaxed);
-        Ok(self.traces.lock().expect("trace cache poisoned").insert(key.clone(), t))
+        Ok((self.traces.lock().expect("trace cache poisoned").insert(key.clone(), t), false))
     }
 
     /// Replays served from an already-recorded trace.
@@ -623,21 +622,13 @@ impl TraceCache {
         self.traces.lock().expect("trace cache poisoned").evicted()
     }
 
-    /// Whether a trace for `key` is currently resident. Unlike a
-    /// lookup this does not bump the entry's recency, so observers
-    /// (request handlers reporting hit-vs-record, tests asserting
-    /// eviction behavior) don't perturb the LRU order.
-    pub fn contains(&self, key: &TraceKey) -> bool {
-        self.traces.lock().expect("trace cache poisoned").contains(key)
-    }
-
     /// Number of distinct traces held.
     pub fn len(&self) -> usize {
         self.traces.lock().expect("trace cache poisoned").len()
     }
 
     /// Total resident payload bytes across all cached (optimized)
-    /// traces: step lists plus residual gather arenas plus metadata.
+    /// traces: step lists plus gather pattern tables plus metadata.
     pub fn resident_bytes(&self) -> usize {
         self.traces.lock().expect("trace cache poisoned").values().map(|t| t.resident_bytes()).sum()
     }

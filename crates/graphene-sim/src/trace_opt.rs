@@ -19,7 +19,10 @@
 //!    global loads, mma fragments), and [`Span::Gather`] for the
 //!    residue (e.g. XOR-swizzled shared memory). Classified slices are
 //!    dropped from the arena, shrinking the resident trace — and
-//!    therefore the `TraceCache`/`GraphTraceCache` footprint.
+//!    therefore the `TraceCache`/`GraphTraceCache` footprint. A
+//!    residual slice is stored as `base + pattern`: every distinct
+//!    base-relative pattern (one per fragment layout, reused at every
+//!    tile offset) is interned once in a per-trace table.
 //! 2. **Fuses** adjacent same-shape steps whose descriptors chain
 //!    (`base₂ = base₁ + n₁·stride`), within a block only.
 //! 3. **Eliminates dead fills**: a recorded `Alloc` zero-fill is
@@ -29,9 +32,10 @@
 //! The optimized replay ([`crate::replay::replay_opt`]) then runs
 //! contiguous copies as `copy_from_slice`, contiguous element-wise ops
 //! as tight auto-vectorizable slice loops, strided/lane spans as
-//! stepped loops with no arena traffic, and residual gathers exactly as
-//! before — bit-identical to the unoptimized replay by construction
-//! (element order and `f64` op semantics are preserved).
+//! stepped loops with no arena traffic, and residual gathers as `base`
+//! plus a pattern-table walk — bit-identical to the unoptimized replay
+//! by construction (element order and `f64` op semantics are
+//! preserved).
 
 use crate::counters::Counters;
 use crate::exec::ExecError;
@@ -51,13 +55,15 @@ pub(crate) enum Span {
     /// Lane-major 2D progression over `per`-element rows:
     /// `addr(i) = base + (i / per)·lane + (i % per)·stride`.
     Lanes { base: u32, lane: i32, stride: i32, per: u32 },
-    /// Residual irregular slice: `addr(i) = gather[start + i]` in the
-    /// [`OptTrace::gather`] arena.
-    Gather { start: u32 },
+    /// Residual irregular slice: `addr(i) = base + gather[start + i]`
+    /// in the [`OptTrace::gather`] pattern table. `base` is the slice
+    /// minimum, so pattern entries are non-negative offsets and one
+    /// entry serves every tile offset the same layout is used at.
+    Gather { base: u32, start: u32 },
 }
 
 impl Span {
-    /// The address of element `i`; `g` is the residual gather arena.
+    /// The address of element `i`; `g` is the gather pattern table.
     #[inline]
     pub(crate) fn at(&self, g: &[u32], i: usize) -> usize {
         match *self {
@@ -69,7 +75,7 @@ impl Span {
                 (i64::from(base) + li as i64 * i64::from(lane) + j as i64 * i64::from(stride))
                     as usize
             }
-            Span::Gather { start } => g[start as usize + i] as usize,
+            Span::Gather { base, start } => base as usize + g[start as usize + i] as usize,
         }
     }
 
@@ -86,20 +92,20 @@ impl Span {
                 start: i64::from(base) + li as i64 * i64::from(lane),
                 step: i64::from(stride),
             },
-            Span::Gather { start } => {
+            Span::Gather { base, start } => {
                 let s = start as usize + li * per;
-                LaneRef::Gat(&g[s..s + per])
+                LaneRef::Gat { base: base as usize, row: &g[s..s + per] }
             }
         }
     }
 }
 
 /// One lane of a lane-structured operand: an arithmetic progression or
-/// a residual gather row.
+/// a residual gather row (addresses `base + row[v]`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum LaneRef<'g> {
     Aff { start: i64, step: i64 },
-    Gat(&'g [u32]),
+    Gat { base: usize, row: &'g [u32] },
 }
 
 /// One optimized step: mirrors [`TOp`] with arena offsets replaced by
@@ -228,8 +234,12 @@ pub struct OptStats {
     pub steps_after: usize,
     /// Scalar addresses in the unoptimized arena.
     pub addrs_before: usize,
-    /// Addresses that stayed irregular (the residual gather arena).
+    /// Addresses that stayed irregular: the summed length of every
+    /// [`Span::Gather`] operand, before interning.
     pub gather_addrs: usize,
+    /// Entries of the interned gather pattern table that actually
+    /// holds them: each distinct base-relative pattern counted once.
+    pub pattern_addrs: usize,
     /// Zero-fill steps proven dead and removed.
     pub dead_fills: usize,
     /// Steps merged into a predecessor by adjacent-step fusion.
@@ -270,7 +280,8 @@ impl OptStats {
 #[derive(Debug)]
 pub struct OptTrace {
     pub(crate) steps: Vec<OTp>,
-    /// Residual irregular addresses ([`Span::Gather`] targets).
+    /// Interned base-relative gather patterns ([`Span::Gather`]
+    /// targets), each distinct pattern stored once.
     pub(crate) gather: Vec<u32>,
     pub(crate) blocks: Vec<(u32, u32)>,
     pub(crate) buf_lens: Vec<usize>,
@@ -285,12 +296,6 @@ impl OptTrace {
     #[must_use]
     pub fn num_steps(&self) -> usize {
         self.steps.len()
-    }
-
-    /// Number of residual gather addresses still held.
-    #[must_use]
-    pub fn num_addrs(&self) -> usize {
-        self.gather.len()
     }
 
     /// Number of thread blocks in the recorded grid.
@@ -311,7 +316,7 @@ impl OptTrace {
         &self.stats
     }
 
-    /// Resident payload bytes: step list, gather arena, block table and
+    /// Resident payload bytes: step list, pattern table, block table and
     /// buffer metadata (length-based, so the figure is deterministic).
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
@@ -326,18 +331,122 @@ impl OptTrace {
                 .map(|(_, name, _)| std::mem::size_of::<(TensorId, String, usize)>() + name.len())
                 .sum::<usize>()
     }
+
+    /// Checks the optimizer's address contract against `raw`, the
+    /// trace this one was optimized from: every operand span, decoded
+    /// element by element through the pattern table, yields exactly the
+    /// addresses `raw` recorded for it — concatenated across fused
+    /// steps, with the ldmatrix permutation composed, and in matrix
+    /// order for dense MMAs. Dead fills are the only raw steps that may
+    /// vanish.
+    ///
+    /// # Errors
+    ///
+    /// The first block and step whose decoded addresses differ.
+    pub fn check_addresses(&self, raw: &Trace) -> Result<(), String> {
+        if raw.blocks.len() != self.blocks.len() {
+            return Err(format!(
+                "{} raw blocks, {} optimized",
+                raw.blocks.len(),
+                self.blocks.len()
+            ));
+        }
+        for (b, (&(rs, re), &(os, oe))) in raw.blocks.iter().zip(&self.blocks).enumerate() {
+            let mut pending = raw.steps[rs as usize..re as usize].iter().peekable();
+            for (i, step) in self.steps[os as usize..oe as usize].iter().enumerate() {
+                let at = |what: &str| format!("block {b} step {i} ({step:?}): {what}");
+                let fill = match *step {
+                    OTp::Fill { buf } => Some(buf),
+                    _ => None,
+                };
+                let (mut got, mut spans) = (Vec::new(), *step);
+                for_each_span(&mut spans, |span, n| {
+                    got.push((0..n as usize).map(|e| span.at(&self.gather, e) as u32).collect());
+                });
+                // Consume raw steps until they cover this step's operands,
+                // skipping fills that dead-fill elimination dropped.
+                let mut want: Vec<Vec<u32>> = Vec::new();
+                loop {
+                    while let Some(&&TOp::Fill { buf }) = pending.peek() {
+                        if fill == Some(buf) {
+                            break;
+                        }
+                        pending.next();
+                    }
+                    let next = pending.next().ok_or_else(|| at("raw steps exhausted"))?;
+                    let dense = matches!(step, OTp::MmaDense { .. });
+                    let ops =
+                        raw_operands(next, &raw.addrs, dense).ok_or_else(|| at("partial warp"))?;
+                    if want.is_empty() {
+                        want = ops;
+                    } else if ops.len() == want.len() {
+                        want.iter_mut().zip(ops).for_each(|(w, o)| w.extend(o));
+                    } else {
+                        return Err(at("fused across different step kinds"));
+                    }
+                    if want.first().map_or(0, Vec::len) >= got.first().map_or(0, Vec::len) {
+                        break;
+                    }
+                }
+                if want != got {
+                    return Err(at("decoded addresses differ from the recording"));
+                }
+            }
+            if pending.any(|r| !matches!(r, TOp::Fill { .. })) {
+                return Err(format!("block {b}: raw steps left over"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The address vectors raw `step` contributes, operand by operand, in
+/// the shape its optimized form decodes them (`dense`: the step became
+/// an [`OTp::MmaDense`]); `None` for a partial warp asked to be dense.
+fn raw_operands(step: &TOp, ar: &[u32], dense: bool) -> Option<Vec<Vec<u32>>> {
+    let sl = |start: u32, n: u32| ar[start as usize..(start + n) as usize].to_vec();
+    Some(match *step {
+        TOp::Fill { .. } => Vec::new(),
+        TOp::Copy { sa, da, n, .. }
+        | TOp::Unary { sa, da, n, .. }
+        | TOp::Shfl { sa, da, lanes: n, .. } => vec![sl(sa, n), sl(da, n)],
+        TOp::Binary { aa, ba, da: ca, n, .. } | TOp::Fma { aa, ba, ca, n, .. } => {
+            vec![sl(aa, n), sl(ba, n), sl(ca, n)]
+        }
+        TOp::Init { da, n, .. } => vec![sl(da, n)],
+        TOp::Reduce { sa, da, groups, per, .. } => vec![sl(sa, groups * per), sl(da, groups)],
+        TOp::LdMatrix { num, trans, src, dst, sa, sper, da, dper, lanes } if src != dst => {
+            let (sv, dv) = ldmatrix_copy(ar, (num, trans), (sa, sper), (da, dper), lanes);
+            vec![sv, dv]
+        }
+        TOp::LdMatrix { sa, sper, da, dper, lanes, .. } => {
+            vec![sl(sa, lanes * sper), sl(da, lanes * dper)]
+        }
+        TOp::Mma16816 { aa, aper, ba, bper, ca, cper, lanes, .. }
+        | TOp::Mma884 { aa, aper, ba, bper, ca, cper, lanes, .. }
+            if !dense =>
+        {
+            vec![sl(aa, lanes * aper), sl(ba, lanes * bper), sl(ca, lanes * cper)]
+        }
+        TOp::Mma16816 { aa, aper, ba, bper, ca, cper, lanes, .. } => {
+            dense_addrs(ar, true, (aa, aper, ba, bper, ca, cper), lanes)?.into()
+        }
+        TOp::Mma884 { aa, aper, ba, bper, ca, cper, lanes, .. } => {
+            dense_addrs(ar, false, (aa, aper, ba, bper, ca, cper), lanes)?.into()
+        }
+    })
 }
 
 /// Classifies a flat (lane-major flattened) address slice, falling back
-/// to the residual gather arena.
-fn classify_flat(addrs: &[u32], gather: &mut Vec<u32>) -> Span {
+/// to a staged gather.
+fn classify_flat(addrs: &[u32], stage: &mut Vec<u32>) -> Span {
     if let Some(s) = affine_1d(addrs) {
         return s;
     }
     if let Some(s) = affine_periodic(addrs) {
         return s;
     }
-    push_gather(addrs, gather)
+    stage_gather(addrs, stage)
 }
 
 /// Flat ops lose their lane structure when the recorder flattens
@@ -360,20 +469,79 @@ fn affine_periodic(a: &[u32]) -> Option<Span> {
 /// Classifies a lane-structured slice (`lanes` rows of `per`): 1D
 /// affine first (it subsumes the 2D form when `lane == per·stride`),
 /// then lane-major 2D, then gather.
-fn classify_lanes(addrs: &[u32], lanes: usize, per: usize, gather: &mut Vec<u32>) -> Span {
+fn classify_lanes(addrs: &[u32], lanes: usize, per: usize, stage: &mut Vec<u32>) -> Span {
     if let Some(s) = affine_1d(addrs) {
         return s;
     }
     if let Some(s) = affine_2d(addrs, lanes, per) {
         return s;
     }
-    push_gather(addrs, gather)
+    stage_gather(addrs, stage)
 }
 
-fn push_gather(addrs: &[u32], gather: &mut Vec<u32>) -> Span {
-    let start = u32::try_from(gather.len()).expect("gather arena exceeds u32 range");
-    gather.extend_from_slice(addrs);
-    Span::Gather { start }
+/// Appends a residual slice to the block's staging buffer verbatim.
+/// The staged span (`start` into the staging buffer, `base` 0) lives
+/// only until the block's peepholes have run; then
+/// [`Patterns::intern`] rewrites it to its table pattern.
+fn stage_gather(addrs: &[u32], stage: &mut Vec<u32>) -> Span {
+    let start = u32::try_from(stage.len()).expect("block staging exceeds u32 range");
+    stage.extend_from_slice(addrs);
+    Span::Gather { base: 0, start }
+}
+
+/// The per-trace gather pattern table: every distinct base-relative
+/// residual slice is stored once, however many blocks and tile offsets
+/// reuse it.
+#[derive(Default)]
+struct Patterns {
+    table: Vec<u32>,
+    /// Pattern hash → its start in `table`. A hit is verified entry by
+    /// entry, so a hash collision only stores a duplicate pattern; it
+    /// never yields a wrong address.
+    index: HashMap<u64, u32>,
+}
+
+impl Patterns {
+    /// The interned span for `addrs`: `base` is the slice minimum and
+    /// the table holds `addrs[i] - base`. Allocates only when the
+    /// pattern is new.
+    fn intern(&mut self, addrs: &[u32]) -> Span {
+        let base = addrs.iter().copied().min().unwrap_or(0);
+        let hash = pattern_hash(addrs, base);
+        if let Some(&start) = self.index.get(&hash) {
+            let s = start as usize;
+            let same = self
+                .table
+                .get(s..s + addrs.len())
+                .is_some_and(|p| p.iter().zip(addrs).all(|(&rel, &a)| rel == a - base));
+            if same {
+                return Span::Gather { base, start };
+            }
+        }
+        let start = u32::try_from(self.table.len()).expect("pattern table exceeds u32 range");
+        self.table.extend(addrs.iter().map(|&a| a - base));
+        self.index.insert(hash, start);
+        Span::Gather { base, start }
+    }
+}
+
+/// Multiply-rotate hash of `addrs - base` and its length, over four
+/// independent lanes so the multiply latency overlaps (recording time
+/// scans every residual address once through here).
+fn pattern_hash(addrs: &[u32], base: u32) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mix = |h: u64, v: u64| (h.rotate_left(5) ^ v).wrapping_mul(K);
+    let mut lanes = [addrs.len() as u64, 1, 2, 3];
+    let mut quads = addrs.chunks_exact(4);
+    for q in &mut quads {
+        for (h, &a) in lanes.iter_mut().zip(q) {
+            *h = mix(*h, u64::from(a - base));
+        }
+    }
+    for (h, &a) in lanes.iter_mut().zip(quads.remainder()) {
+        *h = mix(*h, u64::from(a - base));
+    }
+    lanes.iter().fold(0, |acc, &h| mix(acc, h))
 }
 
 /// `Some(Affine)` iff the whole slice is one arithmetic progression.
@@ -415,14 +583,15 @@ fn affine_2d(a: &[u32], lanes: usize, per: usize) -> Option<Span> {
 }
 
 /// Whether span `b` continues span `a` after `n` elements — the fusion
-/// precondition. Gather spans chain when their arena runs are adjacent
-/// (classification appends them in step order, so this is exact).
+/// precondition. Staged gather spans chain when their staging runs are
+/// adjacent (classification appends them in step order, so this is
+/// exact).
 fn chains(a: Span, b: Span, n: u32) -> bool {
     match (a, b) {
         (Span::Affine { base: b1, stride: s1 }, Span::Affine { base: b2, stride: s2 }) => {
             s1 == s2 && i64::from(b2) == i64::from(b1) + i64::from(n) * i64::from(s1)
         }
-        (Span::Gather { start: g1 }, Span::Gather { start: g2 }) => g2 == g1 + n,
+        (Span::Gather { start: g1, .. }, Span::Gather { start: g2, .. }) => g2 == g1 + n,
         _ => false,
     }
 }
@@ -588,22 +757,47 @@ fn fuse_block(steps: &mut Vec<OTp>, fused: &mut usize) {
     *steps = out;
 }
 
+/// The ldmatrix load/shuffle/store as one flat permuted copy: store
+/// `(li, v)` takes matrix element (p=v/2, c=v%2, row/col from `trans`),
+/// which was loaded from source lane p*8+row element col. Returns the
+/// composed `(source, destination)` address vectors.
+fn ldmatrix_copy(
+    ar: &[u32],
+    (num, trans): (u8, bool),
+    (sa, sper): (u32, u32),
+    (da, dper): (u32, u32),
+    lanes: u32,
+) -> (Vec<u32>, Vec<u32>) {
+    let numu = num as usize;
+    let n = lanes as usize * 2 * numu;
+    let mut sv = Vec::with_capacity(n);
+    let mut dv = Vec::with_capacity(n);
+    for li in 0..lanes as usize {
+        for v in 0..2 * numu {
+            let (p, cc) = (v / 2, v % 2);
+            let (row, col) =
+                if trans { (2 * (li % 4) + cc, li / 4) } else { (li / 4, 2 * (li % 4) + cc) };
+            sv.push(ar[sa as usize + (p * 8 + row) * sper as usize + col]);
+            dv.push(ar[da as usize + li * dper as usize + v]);
+        }
+    }
+    (sv, dv)
+}
+
 /// Composes a full-warp MMA's fragment shuffle into matrix-order
-/// address vectors and classifies them — `None` when the warp is
-/// partial (some matrix slot unwritten), which keeps the lane-order
-/// step in place. Slots are filled in the raw interpreter's lane-major
-/// load order, so a hypothetical duplicate slot resolves to the same
-/// last writer.
-fn mma_dense(
+/// `[A, B, C]` address vectors — `None` when the warp is partial (some
+/// matrix slot unwritten), which keeps the lane-order step in place.
+/// Slots are filled in the raw interpreter's lane-major load order, so
+/// a hypothetical duplicate slot resolves to the same last writer.
+fn dense_addrs(
     ar: &[u32],
     m16: bool,
-    (a, b, c): (u32, u32, u32),
     (aa, aper, ba, bper, ca, cper): (u32, u32, u32, u32, u32, u32),
     lanes: u32,
-    g: &mut Vec<u32>,
-) -> Option<OTp> {
+) -> Option<[Vec<u32>; 3]> {
     use graphene_ir::atomic::fragments as frag;
-    let (m, n, k, an, bn, cn) = if m16 { (16, 8, 16, 8, 4, 4) } else { (8, 8, 4, 4, 4, 8) };
+    let (m, n, k) = dense_dims(m16);
+    let (an, bn, cn) = if m16 { (8, 4, 4) } else { (4, 4, 8) };
     let mut av = vec![u32::MAX; m * k];
     let mut bv = vec![u32::MAX; k * n];
     let mut cv = vec![u32::MAX; m * n];
@@ -624,6 +818,19 @@ fn mma_dense(
     if av.contains(&u32::MAX) || bv.contains(&u32::MAX) || cv.contains(&u32::MAX) {
         return None;
     }
+    Some([av, bv, cv])
+}
+
+/// [`dense_addrs`] classified into an [`OTp::MmaDense`] step.
+fn mma_dense(
+    ar: &[u32],
+    m16: bool,
+    (a, b, c): (u32, u32, u32),
+    addrs: (u32, u32, u32, u32, u32, u32),
+    lanes: u32,
+    g: &mut Vec<u32>,
+) -> Option<OTp> {
+    let [av, bv, cv] = dense_addrs(ar, m16, addrs, lanes)?;
     Some(OTp::MmaDense {
         m16,
         a,
@@ -635,28 +842,73 @@ fn mma_dense(
     })
 }
 
+/// `(M, N, K)` of a dense tensor-core step: m16n8k16 or m8n8k4.
+fn dense_dims(m16: bool) -> (usize, usize, usize) {
+    if m16 {
+        (16, 8, 16)
+    } else {
+        (8, 8, 4)
+    }
+}
+
+/// Visits every address operand of `step` with its element count.
+fn for_each_span(step: &mut OTp, mut f: impl FnMut(&mut Span, u32)) {
+    match step {
+        OTp::Fill { .. } => {}
+        OTp::Copy { sa, da, n, .. }
+        | OTp::Unary { sa, da, n, .. }
+        | OTp::Shfl { sa, da, lanes: n, .. } => {
+            f(sa, *n);
+            f(da, *n);
+        }
+        OTp::Binary { aa, ba, da: ca, n, .. } | OTp::Fma { aa, ba, ca, n, .. } => {
+            f(aa, *n);
+            f(ba, *n);
+            f(ca, *n);
+        }
+        OTp::Init { da, n, .. } => f(da, *n),
+        OTp::Reduce { sa, da, groups, per, .. } => {
+            f(sa, *groups * *per);
+            f(da, *groups);
+        }
+        OTp::LdMatrix { sa, sper, da, dper, lanes, .. } => {
+            f(sa, *lanes * *sper);
+            f(da, *lanes * *dper);
+        }
+        OTp::Mma16816 { aa, aper, ba, bper, ca, cper, lanes, .. }
+        | OTp::Mma884 { aa, aper, ba, bper, ca, cper, lanes, .. } => {
+            f(aa, *lanes * *aper);
+            f(ba, *lanes * *bper);
+            f(ca, *lanes * *cper);
+        }
+        OTp::MmaDense { m16, am, bm, cm, .. } => {
+            let (m, n, k) = dense_dims(*m16);
+            f(am, (m * k) as u32);
+            f(bm, (k * n) as u32);
+            f(cm, (m * n) as u32);
+        }
+    }
+}
+
 /// Optimizes a recorded trace one block at a time. Blocks share only
-/// the output step list and the residual gather arena, so a block can
+/// the output step list and the gather pattern table, so a block can
 /// be optimized as soon as it is recorded and its raw steps dropped.
+#[derive(Default)]
 struct BlockOptimizer {
     buf_lens: Vec<usize>,
     steps: Vec<OTp>,
-    gather: Vec<u32>,
+    patterns: Patterns,
     blocks: Vec<(u32, u32)>,
     block_steps: Vec<OTp>,
+    /// The current block's residual slices, verbatim (see
+    /// [`stage_gather`]).
+    stage: Vec<u32>,
     stats: OptStats,
 }
 
 impl BlockOptimizer {
     fn new(buf_lens: Vec<usize>) -> Self {
-        BlockOptimizer {
-            buf_lens,
-            steps: Vec::new(),
-            gather: Vec::new(),
-            blocks: Vec::new(),
-            block_steps: Vec::new(),
-            stats: OptStats::default(),
-        }
+        BlockOptimizer { buf_lens, ..BlockOptimizer::default() }
     }
 
     /// Optimizes one block's raw steps, whose address operands index
@@ -666,7 +918,7 @@ impl BlockOptimizer {
         self.stats.steps_before += raw.len();
         self.block_steps.clear();
         for step in raw {
-            let g = &mut self.gather;
+            let g = &mut self.stage;
             let ot = match *step {
                 TOp::Fill { buf } => OTp::Fill { buf },
                 TOp::Copy { src, dst, sa, da, n } => OTp::Copy {
@@ -716,36 +968,19 @@ impl BlockOptimizer {
                     per,
                 },
                 // The ldmatrix load/shuffle/store is a fixed permutation:
-                // store (li, v) takes matrix element (p=v/2, c=v%2,
-                // row/col from `trans`), which was loaded from source
-                // lane p*8+row element col. Composing it at optimize
-                // time turns the whole collective into one flat permuted
-                // copy the bulk arms (and the classifier) can chew on.
-                // Same-buffer steps keep the two-phase lane form: a
-                // fused copy would interleave loads with stores.
+                // composing it at optimize time turns the whole
+                // collective into one flat permuted copy the bulk arms
+                // (and the classifier) can chew on. Same-buffer steps
+                // keep the two-phase lane form: a fused copy would
+                // interleave loads with stores.
                 TOp::LdMatrix { num, trans, src, dst, sa, sper, da, dper, lanes } if src != dst => {
-                    let numu = num as usize;
-                    let n = lanes as usize * 2 * numu;
-                    let mut sv = Vec::with_capacity(n);
-                    let mut dv = Vec::with_capacity(n);
-                    for li in 0..lanes as usize {
-                        for v in 0..2 * numu {
-                            let (p, cc) = (v / 2, v % 2);
-                            let (row, col) = if trans {
-                                (2 * (li % 4) + cc, li / 4)
-                            } else {
-                                (li / 4, 2 * (li % 4) + cc)
-                            };
-                            sv.push(ar[sa as usize + (p * 8 + row) * sper as usize + col]);
-                            dv.push(ar[da as usize + li * dper as usize + v]);
-                        }
-                    }
+                    let (sv, dv) = ldmatrix_copy(ar, (num, trans), (sa, sper), (da, dper), lanes);
                     OTp::Copy {
                         src,
                         dst,
                         sa: classify_flat(&sv, g),
                         da: classify_flat(&dv, g),
-                        n: u32::try_from(n).expect("ldmatrix width fits u32"),
+                        n: u32::try_from(sv.len()).expect("ldmatrix width fits u32"),
                     }
                 }
                 TOp::LdMatrix { num, trans, src, dst, sa, sper, da, dper, lanes } => {
@@ -867,6 +1102,19 @@ impl BlockOptimizer {
             });
             fuse_block(&mut self.block_steps, &mut self.stats.fused_steps);
         }
+        // Only now, with staged runs concatenated by fusion, does each
+        // residual slice meet the shared pattern table.
+        self.stats.gather_addrs += self.stage.len();
+        let (stage, patterns) = (&self.stage, &mut self.patterns);
+        for step in &mut self.block_steps {
+            for_each_span(step, |span, n| {
+                if let Span::Gather { start, .. } = *span {
+                    let s = start as usize;
+                    *span = patterns.intern(&stage[s..s + n as usize]);
+                }
+            });
+        }
+        self.stage.clear();
         let start = u32::try_from(self.steps.len()).expect("optimized trace exceeds u32 steps");
         self.steps.extend_from_slice(&self.block_steps);
         let end = u32::try_from(self.steps.len()).expect("optimized trace exceeds u32 steps");
@@ -883,11 +1131,12 @@ impl BlockOptimizer {
         params: Vec<(TensorId, String, usize)>,
         counters: Counters,
     ) -> OptTrace {
-        let BlockOptimizer { buf_lens, mut steps, mut gather, blocks, mut stats, .. } = self;
+        let BlockOptimizer { buf_lens, mut steps, patterns, blocks, mut stats, .. } = self;
+        let mut gather = patterns.table;
         stats.addrs_before = addrs_before;
         stats.bytes_before = bytes_before;
         stats.steps_after = steps.len();
-        stats.gather_addrs = gather.len();
+        stats.pattern_addrs = gather.len();
         // Steps grow by doubling and fusion drops up to half of them:
         // give the slack back before the trace goes resident.
         steps.shrink_to_fit();
@@ -971,7 +1220,7 @@ mod tests {
         let addrs: Vec<u32> = (0..64).chain(0..64).collect();
         let t = plant(vec![TOp::Copy { src: 0, dst: 1, sa: 0, da: 64, n: 64 }], addrs, 64);
         let o = optimize_trace(&t);
-        assert_eq!(o.gather.len(), 0, "affine slices must not reach the gather arena");
+        assert_eq!(o.gather.len(), 0, "affine slices must not reach the pattern table");
         assert!(matches!(
             o.steps[0],
             OTp::Copy {
@@ -985,19 +1234,52 @@ mod tests {
     }
 
     #[test]
-    fn pure_gather_trace_keeps_the_old_path() {
-        // A swizzle-like permutation on both sides: nothing affine.
+    fn pure_gather_pattern_is_stored_once() {
+        // A swizzle-like permutation on both sides of one block's copy,
+        // and again 8 elements further on in a second block: nothing
+        // affine, one fragment layout used at two offsets.
         let perm: Vec<u32> = vec![0, 3, 1, 2, 7, 4, 6, 5];
-        let mut addrs = perm.clone();
-        addrs.extend(&perm);
-        let t = plant(vec![TOp::Copy { src: 0, dst: 1, sa: 0, da: 8, n: 8 }], addrs.clone(), 8);
+        let shifted: Vec<u32> = perm.iter().map(|a| a + 8).collect();
+        let addrs: Vec<u32> = [perm.as_slice(), &perm, &shifted, &shifted].concat();
+        let mut t = plant(
+            vec![
+                TOp::Copy { src: 0, dst: 1, sa: 0, da: 8, n: 8 },
+                TOp::Copy { src: 0, dst: 1, sa: 16, da: 24, n: 8 },
+            ],
+            addrs,
+            16,
+        );
+        t.blocks = vec![(0, 1), (1, 2)];
         let o = optimize_trace(&t);
-        assert_eq!(o.gather, addrs, "irregular slices must be preserved verbatim");
+        o.check_addresses(&t).expect("every operand decodes to its recorded addresses");
+        assert_eq!(o.gather, perm, "the shared pattern must be stored once");
         assert!(matches!(
             o.steps[0],
-            OTp::Copy { sa: Span::Gather { start: 0 }, da: Span::Gather { start: 8 }, .. }
+            OTp::Copy {
+                sa: Span::Gather { base: 0, start: 0 },
+                da: Span::Gather { base: 0, start: 0 },
+                ..
+            }
         ));
+        assert!(matches!(o.steps[1], OTp::Copy { sa: Span::Gather { base: 8, start: 0 }, .. }));
+        assert_eq!((o.stats().gather_addrs, o.stats().pattern_addrs), (32, 8));
         assert!(o.stats().coalesced_fraction() < 1e-12);
+    }
+
+    #[test]
+    fn interning_verifies_entries_not_just_hashes() {
+        let mut p = Patterns::default();
+        let a = p.intern(&[5, 9, 6, 7]);
+        assert_eq!(a, Span::Gather { base: 5, start: 0 });
+        // Plant a colliding index entry: a differing pattern whose hash
+        // slot points at `a` must still get its own entries.
+        p.index.insert(pattern_hash(&[1, 0, 2, 3], 0), 0);
+        let b = p.intern(&[1, 0, 2, 3]);
+        assert_eq!(b, Span::Gather { base: 0, start: 4 });
+        assert_eq!(p.table, vec![0, 4, 1, 2, 1, 0, 2, 3]);
+        // Relative-pattern reuse at a new base, and an empty slice.
+        assert_eq!(p.intern(&[105, 109, 106, 107]), Span::Gather { base: 105, start: 0 });
+        assert!(matches!(p.intern(&[]), Span::Gather { base: 0, .. }));
     }
 
     #[test]
@@ -1011,7 +1293,7 @@ mod tests {
             o.steps[0],
             OTp::Copy {
                 sa: Span::Affine { base: 0, stride: 1 },
-                da: Span::Gather { start: 0 },
+                da: Span::Gather { base: 0, start: 0 },
                 ..
             }
         ));

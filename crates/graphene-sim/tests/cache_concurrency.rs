@@ -14,6 +14,7 @@ use graphene_sim::{
     KernelPlan, TraceCache, TraceKey,
 };
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A single-block copy kernel of `len` threads: `out[i] = in[i]`.
@@ -44,6 +45,24 @@ fn input_for(i: usize, len: usize) -> Vec<f32> {
 }
 
 #[test]
+fn trace_cache_hit_flag_comes_from_its_own_lookup() {
+    let cache = TraceCache::with_capacity(1);
+    let bindings = HashMap::new();
+    let (a, b) = (copy_plan(32).0, copy_plan(64).0);
+    let key =
+        |kernel: &str| TraceKey { kernel: kernel.into(), problem: String::new(), arch: Arch::Sm86 };
+    let (_, hit) = cache.get_or_record(&key("a"), &a, &bindings).expect("record");
+    assert!(!hit, "the recording call is a miss");
+    let (_, hit) = cache.get_or_record(&key("a"), &a, &bindings).expect("hit");
+    assert!(hit, "the next call is served from the cache");
+    // Evict `a` (capacity 1): its next request records again.
+    let (_, hit) = cache.get_or_record(&key("b"), &b, &bindings).expect("record b");
+    assert!(!hit);
+    let (_, hit) = cache.get_or_record(&key("a"), &a, &bindings).expect("re-record");
+    assert!(!hit, "an evicted key must report a miss");
+}
+
+#[test]
 fn trace_cache_survives_concurrent_hammering_past_capacity() {
     const KEYS: usize = 6;
     const THREADS: usize = 8;
@@ -63,16 +82,19 @@ fn trace_cache_survives_concurrent_hammering_past_capacity() {
         })
         .collect();
 
+    let reported_hits = AtomicU64::new(0);
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let cache = &cache;
             let problems = &problems;
+            let reported_hits = &reported_hits;
             s.spawn(move || {
                 let bindings = HashMap::new();
                 for iter in 0..ITERS {
                     let i = (t + iter) % KEYS;
                     let (key, plan, src, input) = &problems[i];
-                    let trace = cache.get_or_record(key, plan, &bindings).expect("record");
+                    let (trace, hit) = cache.get_or_record(key, plan, &bindings).expect("record");
+                    reported_hits.fetch_add(u64::from(hit), Ordering::Relaxed);
                     let mut inputs = HashMap::new();
                     inputs.insert(*src, input.clone());
                     let out =
@@ -89,8 +111,10 @@ fn trace_cache_survives_concurrent_hammering_past_capacity() {
     });
 
     let total = (THREADS * ITERS) as u64;
-    // Every get_or_record is exactly one hit or one recording.
+    // Every get_or_record is exactly one hit or one recording, and the
+    // hit flag each caller got agrees with the cache's own count.
     assert_eq!(cache.hits() + cache.recordings(), total, "counter drift");
+    assert_eq!(reported_hits.load(Ordering::Relaxed), cache.hits(), "hit flags lie");
     // 6 keys cycling through 3 slots must evict continuously.
     assert!(cache.evictions() > 0, "expected evictions past capacity");
     assert!(cache.len() <= 3, "capacity bound violated: {}", cache.len());

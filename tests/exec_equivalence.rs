@@ -46,6 +46,7 @@ fn assert_equivalent(
     let plan = KernelPlan::compile(kernel, arch).unwrap_or_else(|e| panic!("{name}: plan: {e}"));
     let raw = record_trace(&plan, &bindings).unwrap_or_else(|e| panic!("{name}: record: {e}"));
     let opt = optimize_trace(&raw);
+    opt.check_addresses(&raw).unwrap_or_else(|e| panic!("{name}: {e}"));
     // Recording straight into the optimizer, block by block, must build
     // the very same trace.
     let streamed =
@@ -235,8 +236,9 @@ fn trace_cache_records_once() {
         arch: Arch::Sm86,
     };
     let bindings = HashMap::new();
-    let first = cache.get_or_record(&key, &plan, &bindings).expect("record");
-    let second = cache.get_or_record(&key, &plan, &bindings).expect("hit");
+    let (first, first_hit) = cache.get_or_record(&key, &plan, &bindings).expect("record");
+    let (second, second_hit) = cache.get_or_record(&key, &plan, &bindings).expect("hit");
+    assert!(!first_hit && second_hit, "the recording call misses, the next one hits");
     assert!(std::sync::Arc::ptr_eq(&first, &second), "second request must share the trace");
     assert_eq!(cache.recordings(), 1);
     assert_eq!(cache.hits(), 1);
@@ -255,5 +257,69 @@ fn layernorm_equivalent() {
         inputs.insert(kernel.params[1], HostTensor::random(&[hidden], 322).as_slice().to_vec());
         inputs.insert(kernel.params[2], HostTensor::random(&[hidden], 323).as_slice().to_vec());
         assert_equivalent("layernorm", &kernel, arch, &inputs);
+    }
+}
+
+/// Records and optimizes `plan`, then checks that every operand span
+/// decodes through the interned pattern table to exactly the recorded
+/// addresses.
+fn check_decodes(name: &str, plan: &KernelPlan) -> graphene::sim::OptStats {
+    let raw = record_trace(plan, &HashMap::new()).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let opt = optimize_trace(&raw);
+    opt.check_addresses(&raw).unwrap_or_else(|e| panic!("{name}: {e}"));
+    *opt.stats()
+}
+
+/// Address-decode equivalence over every catalog kernel and every
+/// distinct node of a lowered encoder, plus the interning shrink bound:
+/// GEMM's residual addresses are one fragment layout reused at every
+/// tile offset, so the pattern table is a small fraction of them.
+#[test]
+fn optimized_spans_decode_to_recorded_addresses() {
+    use graphene::kernels::catalog::build_named;
+    use graphene::kernels::exec_lower::{lower_executable, ExecLowering};
+    use graphene::kernels::graph::encoder_graph;
+    let opts = |pairs: &[(&str, i64)]| -> HashMap<String, String> {
+        pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
+    };
+    let gemm = opts(&[("m", 256), ("n", 256), ("k", 64)]);
+    let cases = [
+        ("gemm", Arch::Sm86, gemm.clone()),
+        ("gemm", Arch::Sm70, gemm.clone()),
+        ("gemm-db", Arch::Sm86, opts(&[("m", 128), ("n", 128), ("k", 128)])),
+        ("mlp", Arch::Sm86, opts(&[("m", 128), ("layers", 2)])),
+        ("lstm", Arch::Sm86, opts(&[("m", 128)])),
+        ("layernorm", Arch::Sm86, opts(&[("rows", 8), ("hidden", 256)])),
+        ("softmax", Arch::Sm86, opts(&[("rows", 8), ("cols", 256)])),
+        ("fmha", Arch::Sm86, opts(&[("heads", 1), ("seq", 128), ("d", 64)])),
+    ];
+    for (name, arch, o) in &cases {
+        let nk = build_named(name, *arch, o).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let plan = KernelPlan::compile(&nk.kernel, *arch).expect("plan");
+        let st = check_decodes(name, &plan);
+        if *name == "gemm" && *arch == Arch::Sm86 {
+            assert!(
+                st.pattern_addrs * 50 <= st.gather_addrs,
+                "gemm: {} residual addresses should intern into at most 1/50 as many \
+                 pattern entries, got {}",
+                st.gather_addrs,
+                st.pattern_addrs
+            );
+        }
+    }
+    let mut seen = Vec::new();
+    for lowering in [ExecLowering::Fused, ExecLowering::Default] {
+        let eg = lower_executable(&encoder_graph(1, 1, 64, 256, 4, 256), Arch::Sm86, lowering)
+            .expect("encoder lowers");
+        for node in &eg.nodes {
+            let key = (node.kernel.clone(), node.problem.clone());
+            if !seen.contains(&key) {
+                check_decodes(&node.kernel, &node.plan);
+                seen.push(key);
+            }
+        }
+    }
+    for kind in ["gemm", "fmha"] {
+        assert!(seen.iter().any(|(k, _)| k.contains(kind)), "no encoder {kind} node checked");
     }
 }
