@@ -55,7 +55,7 @@ pub fn opt_int(opts: &HashMap<String, String>, key: &str, default: i64) -> Resul
 /// # Errors
 ///
 /// Non-integer or non-positive values, naming the option.
-fn opt_dim(opts: &HashMap<String, String>, key: &str, default: i64) -> Result<i64, String> {
+pub fn opt_dim(opts: &HashMap<String, String>, key: &str, default: i64) -> Result<i64, String> {
     let v = opt_int(opts, key, default)?;
     if v <= 0 {
         return Err(format!("--{key} must be a positive integer, got {v}"));

@@ -549,6 +549,15 @@ mod tests {
             (r#"{"cmd":"run","kernel":"lstm","hidden":0}"#, "--hidden must be a positive integer"),
             (r#"{"cmd":"run-graph","batch":0}"#, "--batch must be a positive integer, got 0"),
             (r#"{"cmd":"lint","kernel":"gemm","m":0}"#, "--m must be a positive integer, got 0"),
+            (r#"{"cmd":"tune","kernel":"gemm","m":0}"#, "--m must be a positive integer, got 0"),
+            (
+                r#"{"cmd":"tune","kernel":"layernorm","rows":0}"#,
+                "--rows must be a positive integer, got 0",
+            ),
+            (
+                r#"{"cmd":"tune","kernel":"fmha","seq":0}"#,
+                "--seq must be a positive integer, got 0",
+            ),
         ];
         for (line, want) in cases {
             let resp = parse(&dispatch(&state, line)).unwrap();
@@ -557,6 +566,8 @@ mod tests {
             assert!(err.contains(want), "{line}: {err}");
         }
         assert_eq!(state.plan_stats(), (0, 0, 0), "rejected requests must not touch the cache");
+        assert_eq!(state.costs.recordings(), 0, "rejected tunes must cost no candidate");
+        assert_eq!(state.db.len(), 0, "rejected tunes must record no winner");
     }
 
     #[test]

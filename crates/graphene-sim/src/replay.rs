@@ -661,10 +661,11 @@ fn chunks3<F: FnMut(usize, usize, usize, usize)>(
     true
 }
 
-/// Fills a row-major matrix from a span's addresses. The gather case
-/// (the norm for composed MMA fragments) pre-slices the pattern table
-/// and the buffer at the pattern's base, so the const-bound nested
-/// loop carries one bounds check per element and no division.
+/// Fills a row-major matrix from a span's addresses. A contiguous span
+/// (the norm for private operands laid out in MMA order) is one row
+/// copy. The gather case pre-slices the pattern table and the buffer
+/// at the pattern's base, so the const-bound nested loop carries one
+/// bounds check per element and no division.
 #[inline(always)]
 fn load_mat<const R: usize, const C: usize>(
     dst: &mut [[f32; C]; R],
@@ -672,20 +673,27 @@ fn load_mat<const R: usize, const C: usize>(
     s: Span,
     g: &[u32],
 ) {
-    if let Span::Gather { base, start } = s {
-        let tbl = &g[start as usize..start as usize + R * C];
-        let buf = &buf[base as usize..];
-        for (r, row) in dst.iter_mut().enumerate() {
-            for (c, v) in row.iter_mut().enumerate() {
-                *v = buf[tbl[r * C + c] as usize];
+    match s {
+        Span::Affine { base, stride: 1 } => {
+            let b = base as usize;
+            dst.as_flattened_mut().copy_from_slice(&buf[b..b + R * C]);
+        }
+        Span::Gather { base, start } => {
+            let tbl = &g[start as usize..start as usize + R * C];
+            let buf = &buf[base as usize..];
+            for (r, row) in dst.iter_mut().enumerate() {
+                for (c, v) in row.iter_mut().enumerate() {
+                    *v = buf[tbl[r * C + c] as usize];
+                }
             }
         }
-    } else {
-        let mut i = 0;
-        each1!(s, g, R * C, |addr| {
-            dst[i / C][i % C] = buf[addr];
-            i += 1;
-        });
+        _ => {
+            let mut i = 0;
+            each1!(s, g, R * C, |addr| {
+                dst[i / C][i % C] = buf[addr];
+                i += 1;
+            });
+        }
     }
 }
 
@@ -776,20 +784,27 @@ impl OptCta<'_> {
             });
         } else {
             let cb = &mut self.bufs[c as usize];
-            if let Span::Gather { base, start } = cm {
-                let tbl = &g[start as usize..start as usize + M * N];
-                let cb = &mut cb[base as usize..];
-                for (r, row) in cmx.iter().enumerate() {
-                    for (ni, v) in row.iter().enumerate() {
-                        cb[tbl[r * N + ni] as usize] = *v;
+            match cm {
+                Span::Affine { base, stride: 1 } => {
+                    let b = base as usize;
+                    cb[b..b + M * N].copy_from_slice(cmx.as_flattened());
+                }
+                Span::Gather { base, start } => {
+                    let tbl = &g[start as usize..start as usize + M * N];
+                    let cb = &mut cb[base as usize..];
+                    for (r, row) in cmx.iter().enumerate() {
+                        for (ni, v) in row.iter().enumerate() {
+                            cb[tbl[r * N + ni] as usize] = *v;
+                        }
                     }
                 }
-            } else {
-                let mut i = 0;
-                each1!(cm, g, M * N, |addr| {
-                    cb[addr] = cmx[i / N][i % N];
-                    i += 1;
-                });
+                _ => {
+                    let mut i = 0;
+                    each1!(cm, g, M * N, |addr| {
+                        cb[addr] = cmx[i / N][i % N];
+                        i += 1;
+                    });
+                }
             }
         }
     }

@@ -12,6 +12,9 @@
 //! an arithmetic progression (or a lane-major grid of them). This pass
 //! runs **once at record time** and:
 //!
+//! 0. **Renames** the CTA-private buffers that full-warp dense MMAs
+//!    touch into MMA order ([`Renaming`]), so every dense operand is
+//!    one contiguous row. No output can observe private numbering.
 //! 1. **Classifies** each operand slice by scanning the arena:
 //!    [`Span::Affine`] `(base, stride)` for 1D progressions,
 //!    [`Span::Lanes`] `(base, lane, stride, per)` for lane-major 2D
@@ -175,29 +178,32 @@ pub(crate) enum OTp {
         dper: u32,
         lanes: u32,
     },
+    /// Lane-order tensor-core MMA (a partial warp): per-lane address
+    /// counts are fragment sizes and a warp has at most 32 lanes, so
+    /// they are stored narrow — this is the widest step variant.
     Mma16816 {
         a: u32,
         b: u32,
         c: u32,
         aa: Span,
-        aper: u32,
+        aper: u8,
         ba: Span,
-        bper: u32,
+        bper: u8,
         ca: Span,
-        cper: u32,
-        lanes: u32,
+        cper: u8,
+        lanes: u8,
     },
     Mma884 {
         a: u32,
         b: u32,
         c: u32,
         aa: Span,
-        aper: u32,
+        aper: u8,
         ba: Span,
-        bper: u32,
+        bper: u8,
         ca: Span,
-        cper: u32,
-        lanes: u32,
+        cper: u8,
+        lanes: u8,
     },
     /// Full-warp tensor-core MMA with the fragment shuffle composed
     /// away at optimize time: `am.at(i)` addresses `A[m][k]` at
@@ -316,6 +322,19 @@ impl OptTrace {
         &self.stats
     }
 
+    /// `(contiguous, total)` dense-MMA operands: how many of them replay
+    /// as one contiguous row ([`Span::Affine`] with stride 1).
+    #[must_use]
+    pub fn dense_operand_rows(&self) -> (usize, usize) {
+        self.steps.iter().fold((0, 0), |(rows, total), step| match *step {
+            OTp::MmaDense { am, bm, cm, .. } => {
+                let row = |s: Span| usize::from(matches!(s, Span::Affine { stride: 1, .. }));
+                (rows + row(am) + row(bm) + row(cm), total + 3)
+            }
+            _ => (rows, total),
+        })
+    }
+
     /// Resident payload bytes: step list, pattern table, block table and
     /// buffer metadata (length-based, so the figure is deterministic).
     #[must_use]
@@ -333,8 +352,10 @@ impl OptTrace {
     }
 
     /// Checks the optimizer's address contract against `raw`, the
-    /// trace this one was optimized from: every operand span, decoded
-    /// element by element through the pattern table, yields exactly the
+    /// trace this one was optimized from. The private-buffer renaming
+    /// π is recomputed from `raw`'s first block and must permute every
+    /// buffer's addresses. Then every operand span, decoded element by
+    /// element through the pattern table, must yield exactly π of the
     /// addresses `raw` recorded for it — concatenated across fused
     /// steps, with the ldmatrix permutation composed, and in matrix
     /// order for dense MMAs. Dead fills are the only raw steps that may
@@ -342,7 +363,8 @@ impl OptTrace {
     ///
     /// # Errors
     ///
-    /// The first block and step whose decoded addresses differ.
+    /// A non-bijective π, or the first block and step whose decoded
+    /// addresses differ.
     pub fn check_addresses(&self, raw: &Trace) -> Result<(), String> {
         if raw.blocks.len() != self.blocks.len() {
             return Err(format!(
@@ -351,6 +373,10 @@ impl OptTrace {
                 self.blocks.len()
             ));
         }
+        let first =
+            raw.blocks.first().map_or(&[][..], |&(s, e)| &raw.steps[s as usize..e as usize]);
+        let rename = Renaming::of_block(first, &raw.addrs, &raw.buf_lens, raw.n_globals);
+        rename.check_bijection(&raw.buf_lens)?;
         for (b, (&(rs, re), &(os, oe))) in raw.blocks.iter().zip(&self.blocks).enumerate() {
             let mut pending = raw.steps[rs as usize..re as usize].iter().peekable();
             for (i, step) in self.steps[os as usize..oe as usize].iter().enumerate() {
@@ -375,8 +401,8 @@ impl OptTrace {
                     }
                     let next = pending.next().ok_or_else(|| at("raw steps exhausted"))?;
                     let dense = matches!(step, OTp::MmaDense { .. });
-                    let ops =
-                        raw_operands(next, &raw.addrs, dense).ok_or_else(|| at("partial warp"))?;
+                    let ops = raw_operands(next, &raw.addrs, dense, &rename)
+                        .ok_or_else(|| at("partial warp"))?;
                     if want.is_empty() {
                         want = ops;
                     } else if ops.len() == want.len() {
@@ -400,41 +426,52 @@ impl OptTrace {
     }
 }
 
-/// The address vectors raw `step` contributes, operand by operand, in
-/// the shape its optimized form decodes them (`dense`: the step became
-/// an [`OTp::MmaDense`]); `None` for a partial warp asked to be dense.
-fn raw_operands(step: &TOp, ar: &[u32], dense: bool) -> Option<Vec<Vec<u32>>> {
-    let sl = |start: u32, n: u32| ar[start as usize..(start + n) as usize].to_vec();
-    Some(match *step {
+/// The address vectors raw `step` contributes, operand by operand and
+/// renamed by `rn`, in the shape its optimized form decodes them
+/// (`dense`: the step became an [`OTp::MmaDense`]); `None` for a
+/// partial warp asked to be dense.
+fn raw_operands(step: &TOp, ar: &[u32], dense: bool, rn: &Renaming) -> Option<Vec<Vec<u32>>> {
+    let sl =
+        |buf: u32, start: u32, n: u32| (buf, ar[start as usize..(start + n) as usize].to_vec());
+    let ops = match *step {
         TOp::Fill { .. } => Vec::new(),
-        TOp::Copy { sa, da, n, .. }
-        | TOp::Unary { sa, da, n, .. }
-        | TOp::Shfl { sa, da, lanes: n, .. } => vec![sl(sa, n), sl(da, n)],
-        TOp::Binary { aa, ba, da: ca, n, .. } | TOp::Fma { aa, ba, ca, n, .. } => {
-            vec![sl(aa, n), sl(ba, n), sl(ca, n)]
+        TOp::Copy { src, dst, sa, da, n, .. }
+        | TOp::Unary { src, dst, sa, da, n, .. }
+        | TOp::Shfl { src, dst, sa, da, lanes: n, .. } => vec![sl(src, sa, n), sl(dst, da, n)],
+        TOp::Binary { a, b, dst: c, aa, ba, da: ca, n, .. }
+        | TOp::Fma { a, b, c, aa, ba, ca, n } => vec![sl(a, aa, n), sl(b, ba, n), sl(c, ca, n)],
+        TOp::Init { dst, da, n, .. } => vec![sl(dst, da, n)],
+        TOp::Reduce { src, dst, sa, da, groups, per, .. } => {
+            vec![sl(src, sa, groups * per), sl(dst, da, groups)]
         }
-        TOp::Init { da, n, .. } => vec![sl(da, n)],
-        TOp::Reduce { sa, da, groups, per, .. } => vec![sl(sa, groups * per), sl(da, groups)],
         TOp::LdMatrix { num, trans, src, dst, sa, sper, da, dper, lanes } if src != dst => {
             let (sv, dv) = ldmatrix_copy(ar, (num, trans), (sa, sper), (da, dper), lanes);
-            vec![sv, dv]
+            vec![(src, sv), (dst, dv)]
         }
-        TOp::LdMatrix { sa, sper, da, dper, lanes, .. } => {
-            vec![sl(sa, lanes * sper), sl(da, lanes * dper)]
+        TOp::LdMatrix { src, dst, sa, sper, da, dper, lanes, .. } => {
+            vec![sl(src, sa, lanes * sper), sl(dst, da, lanes * dper)]
         }
-        TOp::Mma16816 { aa, aper, ba, bper, ca, cper, lanes, .. }
-        | TOp::Mma884 { aa, aper, ba, bper, ca, cper, lanes, .. }
+        TOp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes }
+        | TOp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes }
             if !dense =>
         {
-            vec![sl(aa, lanes * aper), sl(ba, lanes * bper), sl(ca, lanes * cper)]
+            vec![sl(a, aa, lanes * aper), sl(b, ba, lanes * bper), sl(c, ca, lanes * cper)]
         }
-        TOp::Mma16816 { aa, aper, ba, bper, ca, cper, lanes, .. } => {
-            dense_addrs(ar, true, (aa, aper, ba, bper, ca, cper), lanes)?.into()
+        TOp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes }
+        | TOp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
+            let m16 = matches!(step, TOp::Mma16816 { .. });
+            let [av, bv, cv] = dense_addrs(ar, m16, (aa, aper, ba, bper, ca, cper), lanes)?;
+            vec![(a, av), (b, bv), (c, cv)]
         }
-        TOp::Mma884 { aa, aper, ba, bper, ca, cper, lanes, .. } => {
-            dense_addrs(ar, false, (aa, aper, ba, bper, ca, cper), lanes)?.into()
-        }
-    })
+    };
+    Some(
+        ops.into_iter()
+            .map(|(buf, mut addrs)| {
+                rn.apply(buf, &mut addrs);
+                addrs
+            })
+            .collect(),
+    )
 }
 
 /// Classifies a flat (lane-major flattened) address slice, falling back
@@ -821,25 +858,9 @@ fn dense_addrs(
     Some([av, bv, cv])
 }
 
-/// [`dense_addrs`] classified into an [`OTp::MmaDense`] step.
-fn mma_dense(
-    ar: &[u32],
-    m16: bool,
-    (a, b, c): (u32, u32, u32),
-    addrs: (u32, u32, u32, u32, u32, u32),
-    lanes: u32,
-    g: &mut Vec<u32>,
-) -> Option<OTp> {
-    let [av, bv, cv] = dense_addrs(ar, m16, addrs, lanes)?;
-    Some(OTp::MmaDense {
-        m16,
-        a,
-        b,
-        c,
-        am: classify_flat(&av, g),
-        bm: classify_flat(&bv, g),
-        cm: classify_flat(&cv, g),
-    })
+/// A lane-order MMA's per-lane count or lane count, stored narrow.
+fn narrow(v: u32) -> u8 {
+    u8::try_from(v).expect("an MMA warp holds at most 32 lanes of small fragments")
 }
 
 /// `(M, N, K)` of a dense tensor-core step: m16n8k16 or m8n8k4.
@@ -877,9 +898,10 @@ fn for_each_span(step: &mut OTp, mut f: impl FnMut(&mut Span, u32)) {
         }
         OTp::Mma16816 { aa, aper, ba, bper, ca, cper, lanes, .. }
         | OTp::Mma884 { aa, aper, ba, bper, ca, cper, lanes, .. } => {
-            f(aa, *lanes * *aper);
-            f(ba, *lanes * *bper);
-            f(ca, *lanes * *cper);
+            let lanes = u32::from(*lanes);
+            f(aa, lanes * u32::from(*aper));
+            f(ba, lanes * u32::from(*bper));
+            f(ca, lanes * u32::from(*cper));
         }
         OTp::MmaDense { m16, am, bm, cm, .. } => {
             let (m, n, k) = dense_dims(*m16);
@@ -890,12 +912,178 @@ fn for_each_span(step: &mut OTp, mut f: impl FnMut(&mut Span, u32)) {
     }
 }
 
+/// The optimize-time renaming π of CTA-private buffers. Shared and
+/// register numbering never leaves a CTA — replay returns only the
+/// globals, and counters were captured at record time — so any
+/// per-buffer bijection replays bit-identically. π lays out every
+/// private buffer a full-warp dense MMA touches in MMA order: the
+/// matrix-order operand addresses ([`dense_addrs`]) of the first block
+/// take consecutive slots in first-use order, so each dense operand
+/// becomes one contiguous row. Unused addresses follow in ascending
+/// order; every other buffer keeps the identity.
+#[derive(Debug, Default)]
+struct Renaming {
+    /// `slot[buf][addr]` = π(addr); empty for an identity buffer.
+    slot: Vec<Vec<u32>>,
+}
+
+impl Renaming {
+    /// π derived from one block's raw steps (`ar` their arena).
+    fn of_block(raw: &[TOp], ar: &[u32], buf_lens: &[usize], n_globals: usize) -> Self {
+        let mut slot: Vec<Vec<u32>> = vec![Vec::new(); buf_lens.len()];
+        let mut next = vec![0u32; buf_lens.len()];
+        for step in raw {
+            let (m16, bufs, addrs, lanes) = match *step {
+                TOp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
+                    (true, [a, b, c], (aa, aper, ba, bper, ca, cper), lanes)
+                }
+                TOp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
+                    (false, [a, b, c], (aa, aper, ba, bper, ca, cper), lanes)
+                }
+                _ => continue,
+            };
+            let Some(ops) = dense_addrs(ar, m16, addrs, lanes) else { continue };
+            for (buf, addrs) in bufs.into_iter().zip(ops) {
+                let b = buf as usize;
+                if b < n_globals {
+                    continue;
+                }
+                let map = &mut slot[b];
+                if map.is_empty() {
+                    *map = vec![u32::MAX; buf_lens[b]];
+                }
+                for a in addrs {
+                    let e = &mut map[a as usize];
+                    if *e == u32::MAX {
+                        *e = next[b];
+                        next[b] += 1;
+                    }
+                }
+            }
+        }
+        for (map, n) in slot.iter_mut().zip(&mut next) {
+            for e in map.iter_mut().filter(|e| **e == u32::MAX) {
+                *e = *n;
+                *n += 1;
+            }
+        }
+        Renaming { slot }
+    }
+
+    /// π of buffer `buf`, or `None` for the identity.
+    fn map(&self, buf: u32) -> Option<&[u32]> {
+        self.slot.get(buf as usize).map(Vec::as_slice).filter(|m| !m.is_empty())
+    }
+
+    /// Renames `addrs`, addresses into `buf`, in place.
+    fn apply(&self, buf: u32, addrs: &mut [u32]) {
+        if let Some(map) = self.map(buf) {
+            addrs.iter_mut().for_each(|a| *a = map[*a as usize]);
+        }
+    }
+
+    /// `raw`, addresses into `buf`, renamed — through `scratch` unless
+    /// `buf` keeps the identity.
+    fn renamed<'s>(&self, buf: u32, raw: &'s [u32], scratch: &'s mut Vec<u32>) -> &'s [u32] {
+        match self.map(buf) {
+            None => raw,
+            Some(map) => {
+                scratch.clear();
+                scratch.extend(raw.iter().map(|&a| map[a as usize]));
+                scratch
+            }
+        }
+    }
+
+    /// Checks that every buffer's π permutes `0..len`.
+    fn check_bijection(&self, buf_lens: &[usize]) -> Result<(), String> {
+        for (b, map) in self.slot.iter().enumerate().filter(|(_, m)| !m.is_empty()) {
+            if map.len() != buf_lens[b] {
+                return Err(format!(
+                    "buffer {b}: renames {} of {} addresses",
+                    map.len(),
+                    buf_lens[b]
+                ));
+            }
+            let mut seen = vec![false; map.len()];
+            for (a, &p) in map.iter().enumerate() {
+                match seen.get_mut(p as usize) {
+                    Some(s) if !*s => *s = true,
+                    _ => {
+                        return Err(format!(
+                            "buffer {b}: address {a} renames to a taken or out-of-range slot {p}"
+                        ))
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Renames, then classifies, one block's operand address slices.
+struct Classifier<'a> {
+    ar: &'a [u32],
+    rename: &'a Renaming,
+    /// Holds a renamed slice while it is classified.
+    scratch: &'a mut Vec<u32>,
+    stage: &'a mut Vec<u32>,
+}
+
+impl Classifier<'_> {
+    /// A flat operand: `n` addresses into `buf` recorded at arena
+    /// offset `start` (see [`classify_flat`]).
+    fn flat(&mut self, buf: u32, start: u32, n: u32) -> Span {
+        let raw = &self.ar[start as usize..(start + n) as usize];
+        classify_flat(self.rename.renamed(buf, raw, self.scratch), self.stage)
+    }
+
+    /// A lane-structured operand of `lanes` rows of `per` (see
+    /// [`classify_lanes`]).
+    fn lanes(&mut self, buf: u32, start: u32, lanes: u32, per: u32) -> Span {
+        let raw = &self.ar[start as usize..(start + lanes * per) as usize];
+        let addrs = self.rename.renamed(buf, raw, self.scratch);
+        classify_lanes(addrs, lanes as usize, per as usize, self.stage)
+    }
+
+    /// An operand composed at optimize time (ldmatrix, dense MMA),
+    /// classified flat.
+    fn composed(&mut self, buf: u32, mut addrs: Vec<u32>) -> Span {
+        self.rename.apply(buf, &mut addrs);
+        classify_flat(&addrs, self.stage)
+    }
+
+    /// [`dense_addrs`] classified into an [`OTp::MmaDense`] step.
+    fn mma_dense(
+        &mut self,
+        m16: bool,
+        (a, b, c): (u32, u32, u32),
+        addrs: (u32, u32, u32, u32, u32, u32),
+        lanes: u32,
+    ) -> Option<OTp> {
+        let [av, bv, cv] = dense_addrs(self.ar, m16, addrs, lanes)?;
+        Some(OTp::MmaDense {
+            m16,
+            a,
+            b,
+            c,
+            am: self.composed(a, av),
+            bm: self.composed(b, bv),
+            cm: self.composed(c, cv),
+        })
+    }
+}
+
 /// Optimizes a recorded trace one block at a time. Blocks share only
 /// the output step list and the gather pattern table, so a block can
 /// be optimized as soon as it is recorded and its raw steps dropped.
 #[derive(Default)]
 struct BlockOptimizer {
     buf_lens: Vec<usize>,
+    n_globals: usize,
+    /// Fixed by the first block; transient (not part of the result).
+    rename: Renaming,
+    scratch: Vec<u32>,
     steps: Vec<OTp>,
     patterns: Patterns,
     blocks: Vec<(u32, u32)>,
@@ -907,33 +1095,37 @@ struct BlockOptimizer {
 }
 
 impl BlockOptimizer {
-    fn new(buf_lens: Vec<usize>) -> Self {
-        BlockOptimizer { buf_lens, ..BlockOptimizer::default() }
+    fn new(buf_lens: Vec<usize>, n_globals: usize) -> Self {
+        BlockOptimizer { buf_lens, n_globals, ..BlockOptimizer::default() }
     }
 
     /// Optimizes one block's raw steps, whose address operands index
-    /// `ar`, and appends the result.
+    /// `ar`, and appends the result. The first block fixes the
+    /// [`Renaming`] every block's operands go through.
     fn push_block(&mut self, raw: &[TOp], ar: &[u32]) {
-        let sl = |start: u32, n: u32| &ar[start as usize..(start + n) as usize];
+        if self.blocks.is_empty() {
+            self.rename = Renaming::of_block(raw, ar, &self.buf_lens, self.n_globals);
+        }
         self.stats.steps_before += raw.len();
         self.block_steps.clear();
+        let mut cls = Classifier {
+            ar,
+            rename: &self.rename,
+            scratch: &mut self.scratch,
+            stage: &mut self.stage,
+        };
         for step in raw {
-            let g = &mut self.stage;
             let ot = match *step {
                 TOp::Fill { buf } => OTp::Fill { buf },
-                TOp::Copy { src, dst, sa, da, n } => OTp::Copy {
-                    src,
-                    dst,
-                    sa: classify_flat(sl(sa, n), g),
-                    da: classify_flat(sl(da, n), g),
-                    n,
-                },
+                TOp::Copy { src, dst, sa, da, n } => {
+                    OTp::Copy { src, dst, sa: cls.flat(src, sa, n), da: cls.flat(dst, da, n), n }
+                }
                 TOp::Unary { op, src, dst, sa, da, n } => OTp::Unary {
                     op,
                     src,
                     dst,
-                    sa: classify_flat(sl(sa, n), g),
-                    da: classify_flat(sl(da, n), g),
+                    sa: cls.flat(src, sa, n),
+                    da: cls.flat(dst, da, n),
                     n,
                 },
                 TOp::Binary { op, a, b, dst, aa, ba, da, n } => OTp::Binary {
@@ -941,29 +1133,29 @@ impl BlockOptimizer {
                     a,
                     b,
                     dst,
-                    aa: classify_flat(sl(aa, n), g),
-                    ba: classify_flat(sl(ba, n), g),
-                    da: classify_flat(sl(da, n), g),
+                    aa: cls.flat(a, aa, n),
+                    ba: cls.flat(b, ba, n),
+                    da: cls.flat(dst, da, n),
                     n,
                 },
                 TOp::Fma { a, b, c, aa, ba, ca, n } => OTp::Fma {
                     a,
                     b,
                     c,
-                    aa: classify_flat(sl(aa, n), g),
-                    ba: classify_flat(sl(ba, n), g),
-                    ca: classify_flat(sl(ca, n), g),
+                    aa: cls.flat(a, aa, n),
+                    ba: cls.flat(b, ba, n),
+                    ca: cls.flat(c, ca, n),
                     n,
                 },
                 TOp::Init { value, dst, da, n } => {
-                    OTp::Init { value, dst, da: classify_flat(sl(da, n), g), n }
+                    OTp::Init { value, dst, da: cls.flat(dst, da, n), n }
                 }
                 TOp::Reduce { op, src, dst, sa, da, groups, per } => OTp::Reduce {
                     op,
                     src,
                     dst,
-                    sa: classify_lanes(sl(sa, groups * per), groups as usize, per as usize, g),
-                    da: classify_flat(sl(da, groups), g),
+                    sa: cls.lanes(src, sa, groups, per),
+                    da: cls.flat(dst, da, groups),
                     groups,
                     per,
                 },
@@ -975,13 +1167,8 @@ impl BlockOptimizer {
                 // interleave loads with stores.
                 TOp::LdMatrix { num, trans, src, dst, sa, sper, da, dper, lanes } if src != dst => {
                     let (sv, dv) = ldmatrix_copy(ar, (num, trans), (sa, sper), (da, dper), lanes);
-                    OTp::Copy {
-                        src,
-                        dst,
-                        sa: classify_flat(&sv, g),
-                        da: classify_flat(&dv, g),
-                        n: u32::try_from(sv.len()).expect("ldmatrix width fits u32"),
-                    }
+                    let n = u32::try_from(sv.len()).expect("ldmatrix width fits u32");
+                    OTp::Copy { src, dst, sa: cls.composed(src, sv), da: cls.composed(dst, dv), n }
                 }
                 TOp::LdMatrix { num, trans, src, dst, sa, sper, da, dper, lanes } => {
                     OTp::LdMatrix {
@@ -989,75 +1176,46 @@ impl BlockOptimizer {
                         trans,
                         src,
                         dst,
-                        sa: classify_lanes(sl(sa, lanes * sper), lanes as usize, sper as usize, g),
+                        sa: cls.lanes(src, sa, lanes, sper),
                         sper,
-                        da: classify_lanes(sl(da, lanes * dper), lanes as usize, dper as usize, g),
+                        da: cls.lanes(dst, da, lanes, dper),
                         dper,
                         lanes,
                     }
                 }
                 TOp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
-                    match mma_dense(ar, true, (a, b, c), (aa, aper, ba, bper, ca, cper), lanes, g) {
+                    let addrs = (aa, aper, ba, bper, ca, cper);
+                    match cls.mma_dense(true, (a, b, c), addrs, lanes) {
                         Some(ot) => ot,
                         None => OTp::Mma16816 {
                             a,
                             b,
                             c,
-                            aa: classify_lanes(
-                                sl(aa, lanes * aper),
-                                lanes as usize,
-                                aper as usize,
-                                g,
-                            ),
-                            aper,
-                            ba: classify_lanes(
-                                sl(ba, lanes * bper),
-                                lanes as usize,
-                                bper as usize,
-                                g,
-                            ),
-                            bper,
-                            ca: classify_lanes(
-                                sl(ca, lanes * cper),
-                                lanes as usize,
-                                cper as usize,
-                                g,
-                            ),
-                            cper,
-                            lanes,
+                            aa: cls.lanes(a, aa, lanes, aper),
+                            aper: narrow(aper),
+                            ba: cls.lanes(b, ba, lanes, bper),
+                            bper: narrow(bper),
+                            ca: cls.lanes(c, ca, lanes, cper),
+                            cper: narrow(cper),
+                            lanes: narrow(lanes),
                         },
                     }
                 }
                 TOp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
-                    match mma_dense(ar, false, (a, b, c), (aa, aper, ba, bper, ca, cper), lanes, g)
-                    {
+                    let addrs = (aa, aper, ba, bper, ca, cper);
+                    match cls.mma_dense(false, (a, b, c), addrs, lanes) {
                         Some(ot) => ot,
                         None => OTp::Mma884 {
                             a,
                             b,
                             c,
-                            aa: classify_lanes(
-                                sl(aa, lanes * aper),
-                                lanes as usize,
-                                aper as usize,
-                                g,
-                            ),
-                            aper,
-                            ba: classify_lanes(
-                                sl(ba, lanes * bper),
-                                lanes as usize,
-                                bper as usize,
-                                g,
-                            ),
-                            bper,
-                            ca: classify_lanes(
-                                sl(ca, lanes * cper),
-                                lanes as usize,
-                                cper as usize,
-                                g,
-                            ),
-                            cper,
-                            lanes,
+                            aa: cls.lanes(a, aa, lanes, aper),
+                            aper: narrow(aper),
+                            ba: cls.lanes(b, ba, lanes, bper),
+                            bper: narrow(bper),
+                            ca: cls.lanes(c, ca, lanes, cper),
+                            cper: narrow(cper),
+                            lanes: narrow(lanes),
                         },
                     }
                 }
@@ -1065,8 +1223,8 @@ impl BlockOptimizer {
                     mask,
                     src,
                     dst,
-                    sa: classify_flat(sl(sa, lanes), g),
-                    da: classify_flat(sl(da, lanes), g),
+                    sa: cls.flat(src, sa, lanes),
+                    da: cls.flat(dst, da, lanes),
                     lanes,
                 },
             };
@@ -1127,11 +1285,11 @@ impl BlockOptimizer {
         self,
         addrs_before: usize,
         bytes_before: usize,
-        n_globals: usize,
         params: Vec<(TensorId, String, usize)>,
         counters: Counters,
     ) -> OptTrace {
-        let BlockOptimizer { buf_lens, mut steps, patterns, blocks, mut stats, .. } = self;
+        let BlockOptimizer { buf_lens, n_globals, mut steps, patterns, blocks, mut stats, .. } =
+            self;
         let mut gather = patterns.table;
         stats.addrs_before = addrs_before;
         stats.bytes_before = bytes_before;
@@ -1157,12 +1315,12 @@ impl BlockOptimizer {
 /// only removed when the buffer is fully overwritten before any read.
 #[must_use]
 pub fn optimize_trace(trace: &Trace) -> OptTrace {
-    let mut opt = BlockOptimizer::new(trace.buf_lens.clone());
+    let mut opt = BlockOptimizer::new(trace.buf_lens.clone(), trace.n_globals);
     for &(bs, be) in &trace.blocks {
         opt.push_block(&trace.steps[bs as usize..be as usize], &trace.addrs);
     }
     let (addrs, bytes) = (trace.addrs.len(), trace.resident_bytes());
-    opt.finish(addrs, bytes, trace.n_globals, trace.params.clone(), trace.counters)
+    opt.finish(addrs, bytes, trace.params.clone(), trace.counters)
 }
 
 /// Records `plan` once and optimizes the trace in the same pass — the
@@ -1179,7 +1337,7 @@ pub fn record_opt_trace(
     // Each block is optimized as soon as it is recorded and its raw
     // steps dropped, so the unoptimized trace — tens of times the
     // optimized size — is never held whole.
-    let mut opt = BlockOptimizer::new(trace_buf_lens(plan));
+    let mut opt = BlockOptimizer::new(trace_buf_lens(plan), plan.globals.len());
     let (mut addrs, mut blocks) = (0, 0);
     let (_, counters) = record_blocks(plan, bindings, |rec| {
         opt.push_block(&rec.steps, &rec.addrs);
@@ -1189,7 +1347,7 @@ pub fn record_opt_trace(
     })?;
     let params = &plan.globals;
     let bytes = raw_resident_bytes(opt.stats.steps_before, addrs, blocks, &opt.buf_lens, params);
-    Ok(opt.finish(addrs, bytes, params.len(), params.clone(), counters))
+    Ok(opt.finish(addrs, bytes, params.clone(), counters))
 }
 
 #[cfg(test)]
@@ -1280,6 +1438,17 @@ mod tests {
         // Relative-pattern reuse at a new base, and an empty slice.
         assert_eq!(p.intern(&[105, 109, 106, 107]), Span::Gather { base: 105, start: 0 });
         assert!(matches!(p.intern(&[]), Span::Gather { base: 0, .. }));
+    }
+
+    #[test]
+    fn renaming_must_permute_each_buffer() {
+        let ok = Renaming { slot: vec![Vec::new(), vec![2, 0, 1]] };
+        assert!(ok.check_bijection(&[4, 3]).is_ok());
+        let merged = Renaming { slot: vec![Vec::new(), vec![1, 0, 1]] };
+        let err = merged.check_bijection(&[4, 3]).expect_err("two addresses share slot 1");
+        assert!(err.contains("address 2 renames to a taken or out-of-range slot 1"), "{err}");
+        let out_of_range = Renaming { slot: vec![Vec::new(), vec![0, 3, 1]] };
+        assert!(out_of_range.check_bijection(&[4, 3]).is_err());
     }
 
     #[test]

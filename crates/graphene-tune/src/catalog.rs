@@ -7,7 +7,7 @@
 use crate::space::{FmhaSpace, GemmSpace, LayernormSpace, MlpSpace, SearchSpace};
 use crate::tuner::{Search, TuneOptions};
 use graphene_ir::Arch;
-use graphene_kernels::catalog::{opt_int, parse_epilogue};
+use graphene_kernels::catalog::{opt_dim, opt_int, parse_epilogue};
 use graphene_kernels::fmha::FmhaConfig;
 use std::collections::HashMap;
 
@@ -17,35 +17,36 @@ use std::collections::HashMap;
 ///
 /// # Errors
 ///
-/// A user-facing message for unknown names or malformed options.
+/// A user-facing message for unknown names, malformed options or
+/// non-positive sizes.
 pub fn space_from_options(
     kernel: &str,
     arch: Arch,
     opts: &HashMap<String, String>,
 ) -> Result<Box<dyn SearchSpace>, String> {
-    let int = |key: &str, default: i64| opt_int(opts, key, default);
+    let dim = |key: &str, default: i64| opt_dim(opts, key, default);
     match kernel {
         "gemm" => {
-            let (m, n, k) = (int("m", 4096)?, int("n", 4096)?, int("k", 1024)?);
+            let (m, n, k) = (dim("m", 4096)?, dim("n", 4096)?, dim("k", 1024)?);
             let epilogue = parse_epilogue(opts.get("epilogue").map(String::as_str))?;
             Ok(Box::new(GemmSpace::new(arch, m, n, k, epilogue)))
         }
         "fmha" => {
             let base = FmhaConfig::mlperf_bert();
             Ok(Box::new(FmhaSpace::new(
-                int("heads", base.heads)?,
-                int("seq", base.seq)?,
-                int("d", base.d)?,
+                dim("heads", base.heads)?,
+                dim("seq", base.seq)?,
+                dim("d", base.d)?,
             )))
         }
         "layernorm" => {
-            Ok(Box::new(LayernormSpace::new(arch, int("rows", 4096)?, int("hidden", 1024)?)))
+            Ok(Box::new(LayernormSpace::new(arch, dim("rows", 4096)?, dim("hidden", 1024)?)))
         }
         "mlp" => Ok(Box::new(MlpSpace::new(
             arch,
-            int("m", 4096)?,
-            int("hidden", 128)?,
-            int("layers", 4)?,
+            dim("m", 4096)?,
+            dim("hidden", 128)?,
+            dim("layers", 4)?,
         ))),
         other => Err(format!("unknown tunable kernel `{other}` (gemm|fmha|layernorm|mlp)")),
     }
@@ -120,6 +121,29 @@ mod tests {
             .err()
             .expect("unknown kernel must error");
         assert!(err.contains("unknown tunable"));
+    }
+
+    #[test]
+    fn non_positive_sizes_are_rejected_before_any_build() {
+        let cases = [
+            ("gemm", "m", "0"),
+            ("gemm", "n", "-64"),
+            ("gemm", "k", "0"),
+            ("fmha", "heads", "0"),
+            ("fmha", "seq", "0"),
+            ("fmha", "d", "-1"),
+            ("layernorm", "rows", "0"),
+            ("layernorm", "hidden", "0"),
+            ("mlp", "m", "0"),
+            ("mlp", "hidden", "-128"),
+            ("mlp", "layers", "0"),
+        ];
+        for (kernel, key, value) in cases {
+            let err = space_from_options(kernel, Arch::Sm86, &opts(&[(key, value)]))
+                .err()
+                .unwrap_or_else(|| panic!("{kernel} --{key} {value} must not build a space"));
+            assert_eq!(err, format!("--{key} must be a positive integer, got {value}"), "{kernel}");
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@ use graphene::sim::{
     replay_opt_with, replay_with, ExecMode, KernelPlan,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Runs `kernel` through every engine — sequential / parallel / forced
 /// 3-worker plan execution, raw trace replay, optimized trace replay
@@ -239,7 +240,7 @@ fn trace_cache_records_once() {
     let (first, first_hit) = cache.get_or_record(&key, &plan, &bindings).expect("record");
     let (second, second_hit) = cache.get_or_record(&key, &plan, &bindings).expect("hit");
     assert!(!first_hit && second_hit, "the recording call misses, the next one hits");
-    assert!(std::sync::Arc::ptr_eq(&first, &second), "second request must share the trace");
+    assert!(Arc::ptr_eq(&first, &second), "second request must share the trace");
     assert_eq!(cache.recordings(), 1);
     assert_eq!(cache.hits(), 1);
     assert_eq!(cache.len(), 1);
@@ -262,20 +263,17 @@ fn layernorm_equivalent() {
 
 /// Records and optimizes `plan`, then checks that every operand span
 /// decodes through the interned pattern table to exactly the recorded
-/// addresses.
-fn check_decodes(name: &str, plan: &KernelPlan) -> graphene::sim::OptStats {
+/// addresses, renamed.
+fn check_decodes(name: &str, plan: &KernelPlan) -> graphene::sim::OptTrace {
     let raw = record_trace(plan, &HashMap::new()).unwrap_or_else(|e| panic!("{name}: {e}"));
     let opt = optimize_trace(&raw);
     opt.check_addresses(&raw).unwrap_or_else(|e| panic!("{name}: {e}"));
-    *opt.stats()
+    opt
 }
 
-/// Address-decode equivalence over every catalog kernel and every
-/// distinct node of a lowered encoder, plus the interning shrink bound:
-/// GEMM's residual addresses are one fragment layout reused at every
-/// tile offset, so the pattern table is a small fraction of them.
-#[test]
-fn optimized_spans_decode_to_recorded_addresses() {
+/// Every catalog kernel at a small size, then every distinct node of a
+/// lowered one-layer encoder in both lowerings: `(name, arch, plan)`.
+fn catalog_and_encoder_plans() -> Vec<(String, Arch, Arc<KernelPlan>)> {
     use graphene::kernels::catalog::build_named;
     use graphene::kernels::exec_lower::{lower_executable, ExecLowering};
     use graphene::kernels::graph::encoder_graph;
@@ -293,33 +291,69 @@ fn optimized_spans_decode_to_recorded_addresses() {
         ("softmax", Arch::Sm86, opts(&[("rows", 8), ("cols", 256)])),
         ("fmha", Arch::Sm86, opts(&[("heads", 1), ("seq", 128), ("d", 64)])),
     ];
+    let mut plans = Vec::new();
     for (name, arch, o) in &cases {
         let nk = build_named(name, *arch, o).unwrap_or_else(|e| panic!("{name}: {e}"));
         let plan = KernelPlan::compile(&nk.kernel, *arch).expect("plan");
-        let st = check_decodes(name, &plan);
-        if *name == "gemm" && *arch == Arch::Sm86 {
-            assert!(
-                st.pattern_addrs * 50 <= st.gather_addrs,
-                "gemm: {} residual addresses should intern into at most 1/50 as many \
-                 pattern entries, got {}",
-                st.gather_addrs,
-                st.pattern_addrs
-            );
-        }
+        plans.push((name.to_string(), *arch, Arc::new(plan)));
     }
     let mut seen = Vec::new();
     for lowering in [ExecLowering::Fused, ExecLowering::Default] {
         let eg = lower_executable(&encoder_graph(1, 1, 64, 256, 4, 256), Arch::Sm86, lowering)
             .expect("encoder lowers");
-        for node in &eg.nodes {
+        for node in eg.nodes {
             let key = (node.kernel.clone(), node.problem.clone());
             if !seen.contains(&key) {
-                check_decodes(&node.kernel, &node.plan);
                 seen.push(key);
+                plans.push((node.kernel, Arch::Sm86, node.plan));
             }
         }
     }
     for kind in ["gemm", "fmha"] {
-        assert!(seen.iter().any(|(k, _)| k.contains(kind)), "no encoder {kind} node checked");
+        assert!(seen.iter().any(|(k, _)| k.contains(kind)), "no encoder {kind} node");
+    }
+    plans
+}
+
+/// Address-decode equivalence over every catalog kernel and every
+/// distinct node of a lowered encoder, plus the interning shrink bound:
+/// GEMM's residual addresses are one fragment layout reused at every
+/// tile offset, so the pattern table is a small fraction of them.
+#[test]
+fn optimized_spans_decode_to_recorded_addresses() {
+    for (name, arch, plan) in &catalog_and_encoder_plans() {
+        let st = *check_decodes(name, plan).stats();
+        if name == "gemm" && *arch == Arch::Sm86 {
+            assert!(
+                st.pattern_addrs * 16 <= st.gather_addrs,
+                "gemm: {} residual addresses should intern into at most 1/16 as many \
+                 pattern entries, got {}",
+                st.gather_addrs,
+                st.pattern_addrs
+            );
+            assert!(
+                st.gather_addrs <= 450_000,
+                "gemm: MMA-order registers should leave at most 450000 residual addresses, got {}",
+                st.gather_addrs
+            );
+        }
+    }
+}
+
+/// Private buffers laid out in MMA order: every dense tensor-core
+/// operand of every MMA kernel replays as one contiguous row, and the
+/// kernels without MMAs keep their identity layout (no gathers at all).
+#[test]
+fn dense_mma_operands_replay_as_contiguous_rows() {
+    for (name, arch, plan) in &catalog_and_encoder_plans() {
+        let opt = record_opt_trace(plan, &HashMap::new()).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (rows, total) = opt.dense_operand_rows();
+        if name == "layernorm" || name == "softmax" {
+            assert_eq!(total, 0, "{name}: no MMAs expected");
+            assert_eq!(opt.stats().gather_addrs, 0, "{name}: identity layout must stay affine");
+        } else if ["gemm", "mlp", "lstm", "fmha"].iter().any(|k| name.contains(k)) {
+            assert!(total > 0, "{name} ({arch:?}): no dense MMA steps");
+            assert_eq!(rows, total, "{name} ({arch:?}): {rows} of {total} operands contiguous");
+        }
     }
 }
