@@ -126,7 +126,7 @@ pub fn check_bank_conflicts_cached(
 
 struct BankCx<'m, 'p> {
     module: &'m Module,
-    reg: Vec<graphene_ir::AtomicSpec>,
+    reg: &'static [graphene_ir::AtomicSpec],
     /// Compiled address plans, shared across every access site.
     plans: &'p mut PlanCache,
     /// Reusable fixed 32-entry conflict tally.
@@ -164,7 +164,7 @@ impl BankCx<'_, '_> {
         let module = self.module;
         let Some(&exec) = spec.exec.last() else { return };
         let tt = &module[exec];
-        if tt.level != ThreadLevel::Thread || match_atomic(spec, module, &self.reg).is_none() {
+        if tt.level != ThreadLevel::Thread || match_atomic(spec, module, self.reg).is_none() {
             return;
         }
         for &id in spec.ins.iter().chain(spec.outs.iter()) {
@@ -217,7 +217,7 @@ mod tests {
     fn assert_proofs_match_sampling(kernel: &Kernel, arch: Arch) {
         struct Cx<'m, 'p> {
             module: &'m Module,
-            reg: Vec<graphene_ir::AtomicSpec>,
+            reg: &'static [graphene_ir::AtomicSpec],
             plans: &'p mut PlanCache,
             tally: BankTally,
             env: HashMap<String, i64>,
@@ -249,8 +249,7 @@ mod tests {
                 let module = self.module;
                 let Some(&exec) = spec.exec.last() else { return };
                 let tt = &module[exec];
-                if tt.level != ThreadLevel::Thread
-                    || match_atomic(spec, module, &self.reg).is_none()
+                if tt.level != ThreadLevel::Thread || match_atomic(spec, module, self.reg).is_none()
                 {
                     return;
                 }

@@ -68,14 +68,19 @@ fn xor_decompose(adj: &[i64]) -> Option<Vec<i64>> {
 
 /// One access abstracted for the pair solver: its tid-bit columns
 /// (length `n`, zero-padded), vector deltas, and base address.
-struct SideForm {
+///
+/// A pure function of the view's offset, its relative scalar offsets
+/// and the lane span `n`, so a walk may build it once per `(view, n)`
+/// and reuse it for every pair the view takes part in.
+#[derive(Debug)]
+pub(crate) struct SideForm {
     tid_cols: Vec<i64>,
     deltas: Vec<i64>,
     base: i64,
 }
 
 /// Abstracts one side. `None` when outside the F₂ fragment.
-fn side_form(offset: &IntExpr, rel: &[i64], n: u32) -> Option<SideForm> {
+pub(crate) fn side_form(offset: &IntExpr, rel: &[i64], n: u32) -> Option<SideForm> {
     let form: XorForm = linearize(offset)?;
     // The offset must be a function of the thread id alone — loop
     // counters or block ids would make the two sides share variables.
@@ -119,12 +124,18 @@ pub fn prove_pair_disjoint(
     rel_b: &[i64],
     n: u32,
 ) -> PairProof {
+    match (side_form(offset_a, rel_a, n), side_form(offset_b, rel_b, n)) {
+        (Some(a), Some(b)) => prove_sides_disjoint(&a, &b, n),
+        _ => PairProof::NotLinear,
+    }
+}
+
+/// [`prove_pair_disjoint`] over two sides already abstracted by
+/// [`side_form`] with the same `n`.
+pub(crate) fn prove_sides_disjoint(a: &SideForm, b: &SideForm, n: u32) -> PairProof {
     if n == 0 || n > 16 {
         return PairProof::NotLinear; // 2n tid columns must fit the solver
     }
-    let (Some(a), Some(b)) = (side_form(offset_a, rel_a, n), side_form(offset_b, rel_b, n)) else {
-        return PairProof::NotLinear;
-    };
     let mut columns = Vec::with_capacity(2 * n as usize + a.deltas.len() + b.deltas.len());
     columns.extend_from_slice(&a.tid_cols);
     columns.extend_from_slice(&b.tid_cols);

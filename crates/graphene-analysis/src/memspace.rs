@@ -9,7 +9,7 @@
 //! relaxed and, when exactly that relaxation makes a match, pinpoints
 //! the offending operand and the space the instruction requires.
 
-use graphene_ir::atomic::{match_atomic, registry, AtomicSpec};
+use graphene_ir::atomic::{match_atomic, match_relaxed, registry};
 use graphene_ir::body::Stmt;
 use graphene_ir::printer::render_spec_header;
 use graphene_ir::{Arch, Diagnostic, Kernel};
@@ -18,29 +18,17 @@ use graphene_ir::{Arch, Diagnostic, Kernel};
 /// spaces.
 pub fn check_memspace(kernel: &Kernel, arch: Arch) -> Vec<Diagnostic> {
     let reg = registry(arch);
-    let relaxed_reg: Vec<AtomicSpec> = reg
-        .iter()
-        .map(|a| {
-            let mut r = a.clone();
-            for p in r.ins.iter_mut().chain(r.outs.iter_mut()) {
-                p.any_mem = true;
-            }
-            r
-        })
-        .collect();
     let module = &kernel.module;
     let mut diags = Vec::new();
 
     kernel.body.visit(&mut |stmt| {
         let Stmt::Spec(spec) = stmt else { return };
-        if !spec.is_undecomposed() || match_atomic(spec, module, &reg).is_some() {
+        if !spec.is_undecomposed() || match_atomic(spec, module, reg).is_some() {
             return;
         }
         // Find the first atomic spec that matches once memory-space
         // requirements are dropped: the mismatch is purely a space one.
-        let Some((atomic, _)) =
-            reg.iter().zip(&relaxed_reg).find(|(_, relaxed)| relaxed.matches(spec, module))
-        else {
+        let Some(atomic) = match_relaxed(spec, module, arch) else {
             return; // a deeper mismatch; GRA002 already covers it
         };
         let header = render_spec_header(module, spec);

@@ -266,7 +266,7 @@ pub fn bounds_checks_cached(
 struct BoundsCx<'k, 'p> {
     kernel: &'k Kernel,
     module: &'k Module,
-    reg: Vec<AtomicSpec>,
+    reg: &'static [AtomicSpec],
     plans: &'p mut PlanCache,
     /// Enclosing `for` nesting as `(var, extent)`.
     loops: Vec<(String, i64)>,
@@ -302,7 +302,7 @@ impl BoundsCx<'_, '_> {
         let module = self.module;
         let Some(&exec) = spec.exec.last() else { return };
         let tt = &module[exec];
-        if tt.level != ThreadLevel::Thread || match_atomic(spec, module, &self.reg).is_none() {
+        if tt.level != ThreadLevel::Thread || match_atomic(spec, module, self.reg).is_none() {
             return;
         }
         for &id in spec.ins.iter().chain(spec.outs.iter()) {
@@ -495,7 +495,7 @@ pub fn synthesize_for_root(
                         let Some(&exec) = spec.exec.last() else { continue };
                         let tt = &module[exec];
                         if tt.level != ThreadLevel::Thread
-                            || match_atomic(spec, module, &reg).is_none()
+                            || match_atomic(spec, module, reg).is_none()
                         {
                             continue;
                         }

@@ -26,10 +26,11 @@
 //! (symbolic guards are assumed taken); thread-dependent guards filter
 //! the active lanes per thread.
 
-use crate::linear::{prove_pair_disjoint, PairProof};
+use crate::linear::{prove_sides_disjoint, side_form, PairProof, SideForm};
 use crate::walk::{eval_guard, shared_accesses, thread_dependent, SharedAccess};
 use graphene_ir::atomic::{registry, AtomicSpec};
 use graphene_ir::body::{Predicate, Stmt, SyncScope};
+use graphene_ir::printer::render_spec_header;
 use graphene_ir::tensor::TensorId;
 use graphene_ir::{Arch, Diagnostic, Kernel, MemSpace, Module};
 use graphene_sim::PlanCache;
@@ -95,6 +96,7 @@ pub fn check_races_summary(
         path: vec!["body".into()],
         guards: Vec::new(),
         pending: HashMap::new(),
+        sides: HashMap::new(),
         reported: HashSet::new(),
         diags: Vec::new(),
         summary: RaceSummary::default(),
@@ -103,29 +105,34 @@ pub fn check_races_summary(
     (cx.diags, cx.summary)
 }
 
-struct PendingAccess {
-    access: SharedAccess,
+struct PendingAccess<'m> {
+    access: SharedAccess<'m>,
     /// A warp-scope barrier was executed after this access.
     warp_synced: bool,
 }
 
 struct RaceCx<'m, 'p> {
     module: &'m Module,
-    reg: Vec<AtomicSpec>,
+    reg: &'static [AtomicSpec],
     /// Compiled address plans, shared across every access site of the
     /// walk (and with the simulator's representation of addressing).
     plans: &'p mut PlanCache,
     env: HashMap<String, i64>,
     path: Vec<String>,
     guards: Vec<Predicate>,
-    pending: HashMap<TensorId, Vec<PendingAccess>>,
+    pending: HashMap<TensorId, Vec<PendingAccess<'m>>>,
+    /// F₂ abstraction of each view at each lane span, built on the
+    /// view's first proof attempt: a side depends only on the view's
+    /// offset, its relative offsets and `n`, none of which the walk
+    /// changes.
+    sides: HashMap<(TensorId, u32), Option<SideForm>>,
     reported: HashSet<(TensorId, String, String)>,
     diags: Vec<Diagnostic>,
     summary: RaceSummary,
 }
 
-impl RaceCx<'_, '_> {
-    fn walk(&mut self, stmts: &[Stmt]) {
+impl<'m> RaceCx<'m, '_> {
+    fn walk(&mut self, stmts: &'m [Stmt]) {
         for s in stmts {
             match s {
                 Stmt::For { var, extent, body, .. } => {
@@ -162,7 +169,7 @@ impl RaceCx<'_, '_> {
                         for acc in shared_accesses(
                             spec,
                             self.module,
-                            &self.reg,
+                            self.reg,
                             self.plans,
                             &mut self.env,
                             &self.guards,
@@ -193,14 +200,21 @@ impl RaceCx<'_, '_> {
         if na != nb {
             return false;
         }
-        let module = self.module;
-        let rel_a = self.plans.plan(a.view, module).rel.clone();
-        let rel_b = self.plans.plan(b.view, module).rel.clone();
-        prove_pair_disjoint(&module[a.view].offset, &rel_a, &module[b.view].offset, &rel_b, na)
-            == PairProof::RaceFree
+        for view in [a.view, b.view] {
+            if !self.sides.contains_key(&(view, na)) {
+                let rel = &self.plans.plan(view, self.module).rel;
+                let side = side_form(&self.module[view].offset, rel, na);
+                self.sides.insert((view, na), side);
+            }
+        }
+        let (Some(side_a), Some(side_b)) = (&self.sides[&(a.view, na)], &self.sides[&(b.view, na)])
+        else {
+            return false;
+        };
+        prove_sides_disjoint(side_a, side_b, na) == PairProof::RaceFree
     }
 
-    fn record(&mut self, acc: SharedAccess) {
+    fn record(&mut self, acc: SharedAccess<'m>) {
         let mut pend = self.pending.remove(&acc.root).unwrap_or_default();
         for prev in &pend {
             let p = &prev.access;
@@ -218,12 +232,15 @@ impl RaceCx<'_, '_> {
                 if adequately_warp_synced {
                     continue;
                 }
-                let key = (acc.root, p.desc.clone(), acc.desc.clone());
-                if !self.reported.insert(key) {
+                let descs = (
+                    render_spec_header(self.module, p.spec),
+                    render_spec_header(self.module, acc.spec),
+                );
+                if !self.reported.insert((acc.root, descs.0.clone(), descs.1.clone())) {
                     continue;
                 }
                 self.summary.races_reported += 1;
-                let d = self.race_diag(prev, &acc, conflict);
+                let d = self.race_diag(prev, &acc, &descs, conflict);
                 self.diags.push(d);
             } else if p.loop_free && acc.loop_free {
                 // Both address sets are iteration-independent, so the
@@ -243,6 +260,7 @@ impl RaceCx<'_, '_> {
         &self,
         prev: &PendingAccess,
         acc: &SharedAccess,
+        (prev_desc, acc_desc): &(String, String),
         c: (i64, i64, i64),
     ) -> Diagnostic {
         let (addr, t1, t2) = c;
@@ -263,9 +281,9 @@ impl RaceCx<'_, '_> {
                 "shared-memory race on %{name}: {} by `{}` conflicts with {} by `{}` \
                  at offset {addr} (threads {t1} and {t2}); {remedy}",
                 rw(p.write),
-                p.desc,
+                prev_desc,
                 rw(acc.write),
-                acc.desc,
+                acc_desc,
             ),
         )
         .at(acc.path.clone())
@@ -276,10 +294,10 @@ impl RaceCx<'_, '_> {
 /// threads touch the same address.
 fn first_conflict(a: &SharedAccess, b: &SharedAccess) -> Option<(i64, i64, i64)> {
     let (small, big, swapped) =
-        if a.lanes_at.len() <= b.lanes_at.len() { (a, b, false) } else { (b, a, true) };
+        if a.lanes_at().len() <= b.lanes_at().len() { (a, b, false) } else { (b, a, true) };
     let mut best: Option<(i64, i64, i64)> = None;
-    for (&addr, lanes) in &small.lanes_at {
-        if let Some(other) = big.lanes_at.get(&addr) {
+    for (&addr, lanes) in small.lanes_at() {
+        if let Some(other) = big.lanes_at().get(&addr) {
             for &t1 in lanes {
                 for &t2 in other {
                     if t1 != t2 && best.is_none_or(|(ba, ..)| addr < ba) {
@@ -295,8 +313,8 @@ fn first_conflict(a: &SharedAccess, b: &SharedAccess) -> Option<(i64, i64, i64)>
 /// Every conflicting thread pair lies within one warp (so a warp-scope
 /// barrier can order it).
 fn conflicts_within_one_warp(a: &SharedAccess, b: &SharedAccess) -> bool {
-    for (&addr, lanes) in &a.lanes_at {
-        if let Some(other) = b.lanes_at.get(&addr) {
+    for (&addr, lanes) in a.lanes_at() {
+        if let Some(other) = b.lanes_at().get(&addr) {
             for &t1 in lanes {
                 for &t2 in other {
                     if t1 != t2 && t1 / 32 != t2 / 32 {
@@ -393,5 +411,48 @@ fn touches_shared(s: &Stmt, module: &Module) -> bool {
             body.iter().any(|st| touches_shared(st, module))
         }
         _ => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use graphene_ir::builder::KernelBuilder;
+    use graphene_ir::spec::SpecKind;
+    use graphene_ir::{ScalarType, TensorType};
+    use graphene_layout::Layout;
+    use graphene_sym::IntExpr;
+
+    /// One shared view stored twice by all 32 lanes, then twice more by
+    /// lanes `[0, 16)` only. Each pair collides only within a thread, so
+    /// both are proven by F₂ — but at lane spans 5 and 4, whose side
+    /// forms differ in their thread-bit columns. A side reused across
+    /// spans would misalign the guarded pair's columns and demote it to
+    /// enumeration.
+    #[test]
+    fn side_forms_are_cached_per_lane_span() {
+        let mut kb = KernelBuilder::new("two_spans", &[1], &[32]);
+        let s = kb.alloc_shared("s", TensorType::row_major(&[32], ScalarType::F32));
+        let r = kb.alloc_reg("r", TensorType::scalar(Layout::contiguous(1), ScalarType::F32));
+        let block = kb.block();
+        let tid = kb.module()[block].hw_var();
+        let slot = kb.index(s, std::slice::from_ref(&tid));
+        let ts = kb.thread_scalar(block);
+        let store = |kb: &mut KernelBuilder| kb.spec(SpecKind::Move, vec![ts], vec![r], vec![slot]);
+        store(&mut kb);
+        store(&mut kb);
+        kb.sync();
+        kb.if_lt(tid, IntExpr::constant(16), |kb| {
+            store(kb);
+            store(kb);
+        });
+        let kernel = kb.build();
+        let (diags, summary) = check_races_summary(&kernel, Arch::Sm86, &mut PlanCache::new());
+        assert!(diags.is_empty(), "{diags:#?}");
+        assert_eq!(
+            summary,
+            RaceSummary { pairs_proven_linear: 2, ..RaceSummary::default() },
+            "both store pairs are proven symbolically"
+        );
     }
 }

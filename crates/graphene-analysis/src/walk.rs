@@ -2,25 +2,25 @@
 
 use graphene_ir::atomic::{match_atomic, AtomicSpec};
 use graphene_ir::body::Predicate;
-use graphene_ir::printer::render_spec_header;
 use graphene_ir::spec::Spec;
 use graphene_ir::tensor::TensorId;
 use graphene_ir::threads::ThreadLevel;
 use graphene_ir::{MemSpace, Module};
 use graphene_sim::{exec_lanes, lane_addresses_cached, PlanCache};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 /// One shared-memory operand access of one undecomposed spec, with the
 /// concrete per-thread addresses it touches.
 #[derive(Debug, Clone)]
-pub struct SharedAccess {
+pub struct SharedAccess<'m> {
     /// Root shared tensor being accessed.
     pub root: TensorId,
     /// The operand view whose offset expression addresses the root
     /// (input to the symbolic disjointness prover).
     pub view: TensorId,
-    /// Rendered spec header (for diagnostics).
-    pub desc: String,
+    /// The accessing spec; its header is rendered only for a report.
+    pub spec: &'m Spec,
     /// Statement path of the spec.
     pub path: Vec<String>,
     /// Write access (the operand is an output).
@@ -38,8 +38,26 @@ pub struct SharedAccess {
     /// exactly `[0, 2^n)` — the precondition for the symbolic
     /// disjointness proof, which models the thread id as `n` free bits.
     pub lane_span: Option<u32>,
+    /// `(thread, scalar addresses)` for every executing lane.
+    per_lane: Vec<(i64, Vec<i64>)>,
+    /// `address -> threads touching it`, built from `per_lane` on first
+    /// use: only a pair the F₂ prover cannot clear enumerates.
+    lanes_at: OnceCell<HashMap<i64, Vec<i64>>>,
+}
+
+impl SharedAccess<'_> {
     /// `address -> threads touching it` for every scalar address.
-    pub lanes_at: HashMap<i64, Vec<i64>>,
+    pub fn lanes_at(&self) -> &HashMap<i64, Vec<i64>> {
+        self.lanes_at.get_or_init(|| {
+            let mut lanes_at: HashMap<i64, Vec<i64>> = HashMap::new();
+            for (t, addrs) in &self.per_lane {
+                for &a in addrs {
+                    lanes_at.entry(a).or_default().push(*t);
+                }
+            }
+            lanes_at
+        })
+    }
 }
 
 /// Whether a predicate mentions `threadIdx.x` (so its outcome differs
@@ -67,15 +85,15 @@ pub fn eval_guard(cond: &Predicate, env: &HashMap<String, i64>) -> Option<bool> 
 /// Returns nothing when the spec matches no atomic spec (reported
 /// separately as `GRA002`), has no thread-level execution config, or
 /// its addresses cannot be evaluated (unbound dynamic parameters).
-pub fn shared_accesses(
-    spec: &Spec,
+pub fn shared_accesses<'m>(
+    spec: &'m Spec,
     module: &Module,
     reg: &[AtomicSpec],
     plans: &mut PlanCache,
     env: &mut HashMap<String, i64>,
     guards: &[Predicate],
     path: &[String],
-) -> Vec<SharedAccess> {
+) -> Vec<SharedAccess<'m>> {
     let Some(atomic) = match_atomic(spec, module, reg) else { return Vec::new() };
     let Some(&exec) = spec.exec.last() else { return Vec::new() };
     let tt = &module[exec];
@@ -112,7 +130,6 @@ pub fn shared_accesses(
     let tid_only = |e: &graphene_sym::IntExpr| e.free_vars().iter().all(|v| v == "threadIdx.x");
     let guards_tid_only = guards.iter().all(|g| tid_only(&g.lhs) && tid_only(&g.rhs));
 
-    let desc = render_spec_header(module, spec);
     let mut out = Vec::new();
     for (&id, write) in
         spec.ins.iter().map(|i| (i, false)).chain(spec.outs.iter().map(|o| (o, true)))
@@ -122,22 +139,17 @@ pub fn shared_accesses(
             continue;
         }
         let Ok(per_lane) = lane_addresses_cached(plans, id, module, &lanes, env) else { continue };
-        let mut lanes_at: HashMap<i64, Vec<i64>> = HashMap::new();
-        for (t, addrs) in per_lane {
-            for a in addrs {
-                lanes_at.entry(a).or_default().push(t);
-            }
-        }
         out.push(SharedAccess {
             root,
             view: id,
-            desc: desc.clone(),
+            spec,
             path: path.to_vec(),
             write,
             cp_async: cp_async && write,
             loop_free: guards_tid_only && tid_only(&module[id].offset),
             lane_span,
-            lanes_at,
+            per_lane,
+            lanes_at: OnceCell::new(),
         });
     }
     out

@@ -14,7 +14,9 @@ use crate::ops::{BinaryOp, ReduceOp, UnaryOp};
 use crate::spec::{Spec, SpecKind};
 use crate::tensor::TensorType;
 use graphene_layout::{coalesce, it, Layout};
+use std::cell::OnceCell;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Target GPU architectures.
 ///
@@ -158,23 +160,73 @@ impl TensorPattern {
         self
     }
 
-    /// Does a concrete tensor type in `mem` match this pattern?
-    pub fn matches(&self, ty: &TensorType, mem: MemSpace) -> bool {
-        if (!self.any_mem && mem != self.mem) || ty.scalar_type() != self.scalar {
-            return false;
+    /// Does an operand with these features match this pattern?
+    fn accepts(&self, op: &Operand<'_>) -> bool {
+        (self.any_mem || op.mem == self.mem)
+            && op.scalar == self.scalar
+            && (self.any_shape || op.signature == self.levels)
+            && self.scalars.is_none_or(|n| op.scalars == n)
+            && (!self.contiguous || *op.contiguous.get_or_init(|| is_contiguous(op.ty)))
+    }
+}
+
+/// The features of one operand that [`TensorPattern`]s compare, taken
+/// once per match rather than once per registry entry tried.
+struct Operand<'a> {
+    ty: &'a TensorType,
+    mem: MemSpace,
+    scalar: ScalarType,
+    signature: Vec<Vec<i64>>,
+    scalars: i64,
+    /// Only vectorised moves ask, so it is computed on first use.
+    contiguous: OnceCell<bool>,
+}
+
+impl<'a> Operand<'a> {
+    fn new(ty: &'a TensorType, mem: MemSpace) -> Self {
+        Operand {
+            ty,
+            mem,
+            scalar: ty.scalar_type(),
+            signature: type_signature(ty),
+            scalars: ty.num_scalars(),
+            contiguous: OnceCell::new(),
         }
-        if !self.any_shape && type_signature(ty) != self.levels {
-            return false;
+    }
+}
+
+/// The features of an undecomposed spec that atomic specs compare.
+struct SpecFeatures<'a> {
+    kind: &'a SpecKind,
+    /// The innermost exec entry's local layout, coalesced.
+    exec: Layout,
+    ins: Vec<Operand<'a>>,
+    outs: Vec<Operand<'a>>,
+}
+
+impl<'a> SpecFeatures<'a> {
+    /// `None` when no atomic spec can match: the spec has no exec entry
+    /// or its innermost one is not thread-level.
+    fn of(spec: &'a Spec, module: &'a Module) -> Option<Self> {
+        let &exec = spec.exec.last()?;
+        let tt = &module[exec];
+        if tt.level != crate::threads::ThreadLevel::Thread {
+            return None;
         }
-        if let Some(n) = self.scalars {
-            if ty.num_scalars() != n {
-                return false;
-            }
-        }
-        if self.contiguous && !is_contiguous(ty) {
-            return false;
-        }
-        true
+        let operands = |ids: &[crate::tensor::TensorId]| {
+            ids.iter()
+                .map(|&id| {
+                    let d = &module[id];
+                    Operand::new(&d.ty, d.mem)
+                })
+                .collect()
+        };
+        Some(SpecFeatures {
+            kind: &spec.kind,
+            exec: coalesce(&tt.local),
+            ins: operands(&spec.ins),
+            outs: operands(&spec.outs),
+        })
     }
 }
 
@@ -234,7 +286,8 @@ pub struct AtomicSpec {
     pub kind: SpecKind,
     /// Required *local* thread-group layout (Table 2 "Threads" column):
     /// `[1]` for per-thread instructions, `[32:1]` for warp-wide,
-    /// `[(4,2):(1,16)]` for quad-pairs.
+    /// `[(4,2):(1,16)]` for quad-pairs. [`registry`] stores it
+    /// coalesced, the form a spec's exec layout is compared in.
     pub exec_local: Layout,
     /// Per-thread input operand patterns.
     pub ins: Vec<TensorPattern>,
@@ -249,28 +302,19 @@ pub struct AtomicSpec {
 impl AtomicSpec {
     /// Does `spec` (undecomposed, in `module`) match this atomic spec?
     pub fn matches(&self, spec: &Spec, module: &Module) -> bool {
-        if !self.kind.same_family(&spec.kind) {
-            return false;
-        }
-        // Match the innermost exec entry's local layout.
-        let Some(&exec) = spec.exec.last() else { return false };
-        let tt = &module[exec];
-        if tt.level != crate::threads::ThreadLevel::Thread {
-            return false;
-        }
-        if coalesce(&tt.local) != coalesce(&self.exec_local) {
-            return false;
-        }
-        if spec.ins.len() != self.ins.len() || spec.outs.len() != self.outs.len() {
-            return false;
-        }
-        let operands_ok = |ids: &[crate::tensor::TensorId], pats: &[TensorPattern]| {
-            ids.iter().zip(pats).all(|(&id, pat)| {
-                let d = &module[id];
-                pat.matches(&d.ty, d.mem)
-            })
+        SpecFeatures::of(spec, module).is_some_and(|f| self.accepts(&f))
+    }
+
+    fn accepts(&self, f: &SpecFeatures<'_>) -> bool {
+        let all = |ops: &[Operand<'_>], pats: &[TensorPattern]| {
+            ops.iter().zip(pats).all(|(op, pat)| pat.accepts(op))
         };
-        operands_ok(&spec.ins, &self.ins) && operands_ok(&spec.outs, &self.outs)
+        self.kind.same_family(f.kind)
+            && f.exec == self.exec_local
+            && f.ins.len() == self.ins.len()
+            && f.outs.len() == self.outs.len()
+            && all(&f.ins, &self.ins)
+            && all(&f.outs, &self.outs)
     }
 }
 
@@ -280,13 +324,37 @@ pub fn quad_pair_layout() -> Layout {
     Layout::new(it![4, 2], it![1, 16])
 }
 
-/// Builds the atomic-spec registry for an architecture.
+/// The atomic-spec registry for an architecture, built once per
+/// process.
 ///
 /// Rows mirror and extend the paper's Table 2. Volta (SM70) exposes the
 /// quad-pair `mma.m8n8k4`; Ampere (SM86) exposes `ldmatrix` and
 /// `mma.m16n8k16`; scalar/vector moves and pointwise instructions are
 /// common to both.
-pub fn registry(arch: Arch) -> Vec<AtomicSpec> {
+pub fn registry(arch: Arch) -> &'static [AtomicSpec] {
+    static REGISTRY: [OnceLock<Vec<AtomicSpec>>; 2] = [OnceLock::new(), OnceLock::new()];
+    REGISTRY[arch as usize].get_or_init(|| build_registry(arch))
+}
+
+/// [`registry`] with every operand's memory-space requirement dropped,
+/// entry for entry.
+fn relaxed_registry(arch: Arch) -> &'static [AtomicSpec] {
+    static RELAXED: [OnceLock<Vec<AtomicSpec>>; 2] = [OnceLock::new(), OnceLock::new()];
+    RELAXED[arch as usize].get_or_init(|| {
+        registry(arch)
+            .iter()
+            .map(|a| {
+                let mut r = a.clone();
+                for p in r.ins.iter_mut().chain(r.outs.iter_mut()) {
+                    p.any_mem = true;
+                }
+                r
+            })
+            .collect()
+    })
+}
+
+fn build_registry(arch: Arch) -> Vec<AtomicSpec> {
     use MemSpace::{Global, Register, Shared};
     use ScalarType::{BF16, F16, F32};
 
@@ -778,16 +846,33 @@ pub fn registry(arch: Arch) -> Vec<AtomicSpec> {
         }
     }
 
+    for a in &mut specs {
+        a.exec_local = coalesce(&a.exec_local);
+    }
     specs
 }
 
-/// Finds the first atomic spec of `arch` matching an undecomposed spec.
+/// Finds the first atomic spec of `reg` matching an undecomposed spec.
+///
+/// The spec's features (coalesced exec layout, operand types, memory
+/// spaces and shape signatures) are taken once, then compared against
+/// each entry in registry order.
 pub fn match_atomic<'a>(
     spec: &Spec,
     module: &Module,
     reg: &'a [AtomicSpec],
 ) -> Option<&'a AtomicSpec> {
-    reg.iter().find(|a| a.matches(spec, module))
+    let f = SpecFeatures::of(spec, module)?;
+    reg.iter().find(|a| a.accepts(&f))
+}
+
+/// Finds the first atomic spec of `arch` that `spec` would match if
+/// operand memory spaces were not checked — the instruction a
+/// memory-space mistake was most likely aimed at.
+pub fn match_relaxed(spec: &Spec, module: &Module, arch: Arch) -> Option<&'static AtomicSpec> {
+    let f = SpecFeatures::of(spec, module)?;
+    let i = relaxed_registry(arch).iter().position(|a| a.accepts(&f))?;
+    Some(&registry(arch)[i])
 }
 
 /// Fragment coordinate maps for collective tensor instructions.
@@ -910,7 +995,7 @@ mod tests {
         let t = m.declare_threads(threads.scalar("ts"));
         let spec = Spec::atomic(SpecKind::Move, vec![t], vec![src], vec![dst]);
         let reg = registry(Arch::Sm86);
-        let found = match_atomic(&spec, &m, &reg).expect("should match");
+        let found = match_atomic(&spec, &m, reg).expect("should match");
         assert_eq!(found.ptx, "ld.global.u32");
     }
 
@@ -931,7 +1016,7 @@ mod tests {
         let t = m.declare_threads(ThreadTensor::new("t", ThreadLevel::Thread, &[256]).scalar("ts"));
         let spec = Spec::atomic(SpecKind::Move, vec![t], vec![src], vec![dst]);
         let reg = registry(Arch::Sm86);
-        assert_eq!(match_atomic(&spec, &m, &reg).unwrap().ptx, "ld.global.v4.u32");
+        assert_eq!(match_atomic(&spec, &m, reg).unwrap().ptx, "ld.global.v4.u32");
     }
 
     #[test]
@@ -951,7 +1036,7 @@ mod tests {
         let t = m.declare_threads(ThreadTensor::new("t", ThreadLevel::Thread, &[256]).scalar("ts"));
         let spec = Spec::atomic(SpecKind::Move, vec![t], vec![src], vec![dst]);
         let reg = registry(Arch::Sm86);
-        assert!(match_atomic(&spec, &m, &reg).is_none());
+        assert!(match_atomic(&spec, &m, reg).is_none());
     }
 
     #[test]
@@ -973,11 +1058,11 @@ mod tests {
         let warp = m.declare_threads(ThreadTensor::new("w", ThreadLevel::Thread, &[32]));
         let spec = Spec::atomic(SpecKind::Move, vec![warp], vec![src], vec![dst]);
         let reg = registry(Arch::Sm86);
-        let found = match_atomic(&spec, &m, &reg).expect("ldmatrix should match");
+        let found = match_atomic(&spec, &m, reg).expect("ldmatrix should match");
         assert_eq!(found.name, "ldmatrix.x4");
         // On Volta the same spec must NOT match (no ldmatrix).
         let reg70 = registry(Arch::Sm70);
-        assert!(match_atomic(&spec, &m, &reg70).is_none());
+        assert!(match_atomic(&spec, &m, reg70).is_none());
     }
 
     #[test]
@@ -1003,7 +1088,7 @@ mod tests {
         let qp_id = m.declare_threads(qp);
         let spec = Spec::atomic(SpecKind::MatMul, vec![qp_id], vec![a, b], vec![c]);
         let reg = registry(Arch::Sm70);
-        let found = match_atomic(&spec, &m, &reg).expect("quad-pair mma");
+        let found = match_atomic(&spec, &m, reg).expect("quad-pair mma");
         assert_eq!(found.ptx, "mma.sync.aligned.m8n8k4.row.col.f32.f16.f16.f32");
         assert_eq!(found.cost.flops, 512);
         assert!(found.cost.tensor_core);
@@ -1014,7 +1099,7 @@ mod tests {
                 .unwrap(),
         );
         let spec2 = Spec::atomic(SpecKind::MatMul, vec![wrong], vec![a, b], vec![c]);
-        assert!(match_atomic(&spec2, &m, &reg).is_none());
+        assert!(match_atomic(&spec2, &m, reg).is_none());
     }
 
     #[test]
@@ -1030,7 +1115,7 @@ mod tests {
         let spec = Spec::atomic(SpecKind::MatMul, vec![t], vec![a, b], vec![c]);
         for arch in [Arch::Sm70, Arch::Sm86] {
             let reg = registry(arch);
-            assert_eq!(match_atomic(&spec, &m, &reg).unwrap().name, "hfma");
+            assert_eq!(match_atomic(&spec, &m, reg).unwrap().name, "hfma");
         }
     }
 

@@ -46,7 +46,7 @@ pub fn check(kernel: &Kernel, arch: Arch) -> Vec<Diagnostic> {
                 }
             }
             // Undecomposed specs must be atomic.
-            if spec.is_undecomposed() && match_atomic(spec, module, &reg).is_none() {
+            if spec.is_undecomposed() && match_atomic(spec, module, reg).is_none() {
                 diags.push(Diagnostic::error(
                     "GRA002",
                     format!(

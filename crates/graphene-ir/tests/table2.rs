@@ -76,7 +76,7 @@ impl Ctx {
     ) {
         let spec = Spec::atomic(kind, vec![exec], ins, outs);
         let reg = registry(arch);
-        let found = match_atomic(&spec, &self.module, &reg)
+        let found = match_atomic(&spec, &self.module, reg)
             .unwrap_or_else(|| panic!("no atomic match for expected `{want_ptx}`"));
         assert_eq!(found.ptx, want_ptx);
     }
@@ -244,7 +244,7 @@ fn wrong_thread_arrangement_rejected() {
             .unwrap(),
     );
     let spec = Spec::atomic(SpecKind::MatMul, vec![wrong], vec![a, b], vec![d]);
-    assert!(match_atomic(&spec, &c.module, &registry(Arch::Sm70)).is_none());
+    assert!(match_atomic(&spec, &c.module, registry(Arch::Sm70)).is_none());
 }
 
 #[test]
@@ -269,7 +269,7 @@ fn figure8_inner_matmul_matches_hfma_via_builder() {
     let ts = kb.thread_scalar(block);
     let spec = Spec::atomic(SpecKind::MatMul, vec![ts], vec![ae, ae], vec![ae]);
     let reg = registry(Arch::Sm86);
-    let found = match_atomic(&spec, kb.module(), &reg).expect("hfma");
+    let found = match_atomic(&spec, kb.module(), reg).expect("hfma");
     assert_eq!(found.name, "hfma");
 }
 
@@ -299,7 +299,7 @@ fn bf16_tensor_cores_ampere_only() {
         "mma.sync.aligned.m16n8k16.row.col.f32.bf16.bf16.f32",
     );
     let spec = Spec::atomic(SpecKind::MatMul, vec![w], vec![a, b], vec![d]);
-    assert!(match_atomic(&spec, &c.module, &registry(Arch::Sm70)).is_none());
+    assert!(match_atomic(&spec, &c.module, registry(Arch::Sm70)).is_none());
 }
 
 #[test]

@@ -31,9 +31,7 @@ pub fn dispatch(state: &ServerState, line: &str) -> String {
             return err_envelope(0, &e);
         }
     };
-    state.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
-    let start = std::time::Instant::now();
-    let result = match req.cmd.as_str() {
+    guarded(state, &req, || match req.cmd.as_str() {
         "lint" => lint(&req),
         "run" => run(state, &req),
         "run-graph" => run_graph(state, &req),
@@ -48,7 +46,28 @@ pub fn dispatch(state: &ServerState, line: &str) -> String {
         other => Err(format!(
             "unknown cmd `{other}` (lint|run|run-graph|tune|poll|cancel|stats|shutdown)"
         )),
-    };
+    })
+}
+
+/// Runs one parsed request's handler, counted in `in_flight` and the
+/// latency histograms, and renders its envelope. A panicking handler
+/// answers `internal error: <cmd> panicked` and is counted in `panics`
+/// instead of unwinding through the worker thread.
+fn guarded(
+    state: &ServerState,
+    req: &Request,
+    handler: impl FnOnce() -> Result<Obj, String>,
+) -> String {
+    state.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
+    let start = std::time::Instant::now();
+    // Unwind safety: handlers share state only through atomics and the
+    // caches' mutexes. A panic under a lock poisons it, and a later
+    // request that takes that lock panics and is answered here too.
+    let result =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)).unwrap_or_else(|_| {
+            state.metrics.panics.fetch_add(1, Ordering::Relaxed);
+            Err(format!("internal error: {} panicked", req.cmd))
+        });
     let us = start.elapsed().as_micros() as u64;
     state.metrics.record(&req.cmd, us);
     state.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
@@ -477,6 +496,7 @@ fn stats(state: &ServerState) -> Obj {
         .num("busy_rejected", m.busy_rejected.load(Ordering::Relaxed))
         .num("deadline_rejected", m.deadline_rejected.load(Ordering::Relaxed))
         .num("malformed", m.malformed.load(Ordering::Relaxed))
+        .num("panics", m.panics.load(Ordering::Relaxed))
         .bool("draining", state.is_draining())
 }
 
@@ -487,6 +507,26 @@ mod tests {
 
     fn get<'j>(v: &'j Json, path: &[&str]) -> &'j Json {
         path.iter().fold(v, |v, k| v.get(k).unwrap_or_else(|| panic!("missing field {k}")))
+    }
+
+    #[test]
+    fn panicking_handler_answers_an_error_envelope_and_is_counted() {
+        let state = ServerState::new(None);
+        let req = parse_request(r#"{"id":7,"cmd":"lint"}"#).unwrap();
+        let resp = parse(&guarded(&state, &req, || panic!("planted handler panic"))).unwrap();
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{resp:?}");
+        assert_eq!(get(&resp, &["id"]).as_i64(), Some(7));
+        assert_eq!(get(&resp, &["error"]).as_str(), Some("internal error: lint panicked"));
+        assert_eq!(state.metrics.panics.load(Ordering::Relaxed), 1);
+        assert_eq!(state.metrics.in_flight.load(Ordering::Relaxed), 0);
+        assert_eq!(state.metrics.count("lint"), 1);
+        let stats = parse(&dispatch(&state, r#"{"cmd":"stats"}"#)).unwrap();
+        assert_eq!(get(&stats, &["panics"]).as_i64(), Some(1));
+        // The same state keeps serving.
+        let ok =
+            parse(&dispatch(&state, r#"{"cmd":"lint","kernel":"softmax","rows":4,"cols":256}"#))
+                .unwrap();
+        assert_eq!(ok.get("ok"), Some(&Json::Bool(true)), "{ok:?}");
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub fn analyze_cached(
     env.insert("blockIdx.x".into(), 0);
     let mut c = Counters::default();
     let mut cx = SampleCx { plans, tally: BankTally::new() };
-    walk(&kernel.body.stmts, module, &reg, &mut env, 1, &mut c, &mut cx)?;
+    walk(&kernel.body.stmts, module, reg, &mut env, 1, &mut c, &mut cx)?;
     // Whole-kernel scaling: every block executes the body.
     let mut total = c.scaled(kernel.grid_size() as u64);
 

@@ -171,7 +171,7 @@ type LaneAddrs = (Vec<(TensorId, Vec<i64>)>, Vec<(TensorId, Vec<i64>)>);
 struct Interp<'k> {
     kernel: &'k Kernel,
     module: &'k Module,
-    registry: Vec<AtomicSpec>,
+    registry: &'static [AtomicSpec],
     global: HashMap<TensorId, Vec<f32>>,
     shared: HashMap<TensorId, Vec<f32>>,
     regs: HashMap<(TensorId, i64), Vec<f32>>,
@@ -370,7 +370,7 @@ impl<'k> Interp<'k> {
             let stmts = body.stmts.clone();
             return self.exec_stmts(&stmts, env);
         }
-        let atomic = match_atomic(spec, self.module, &self.registry)
+        let atomic = match_atomic(spec, self.module, self.registry)
             .ok_or_else(|| ExecError::NoAtomicMatch(render_spec_header(self.module, spec)))?
             .clone();
 

@@ -345,7 +345,7 @@ pub struct KernelPlan {
 
 struct PlanBuilder<'k> {
     module: &'k Module,
-    registry: Vec<graphene_ir::AtomicSpec>,
+    registry: &'static [graphene_ir::AtomicSpec],
     slots: SlotMap,
     memo: RelOffsetsMemo,
     buf_of: HashMap<TensorId, BufRef>,
@@ -480,7 +480,7 @@ impl<'k> PlanBuilder<'k> {
     }
 
     fn compile_spec(&mut self, spec: &Spec) -> Result<CSpec, ExecError> {
-        let atomic = match_atomic(spec, self.module, &self.registry)
+        let atomic = match_atomic(spec, self.module, self.registry)
             .ok_or_else(|| ExecError::NoAtomicMatch(render_spec_header(self.module, spec)))?
             .clone();
         let exec = *spec.exec.last().expect("spec has an execution config");
