@@ -12,16 +12,23 @@
 //! graphene layernorm --rows 16384 --hidden 1024 --emit ir
 //! graphene lint gemm --emit=json
 //! graphene lint fmha --prove
+//! graphene run gemm --m 256 --n 256 --k 64 --exec replay
 //! graphene table2 --arch sm86
 //! ```
+//!
+//! `lint`, `run`, `run-graph` and `tune` have one implementation, the
+//! serve daemon's: a one-shot builds the request `graphene client`
+//! would send and dispatches it on a fresh in-process
+//! [`graphene_serve::ServerState`], so both front doors answer alike by
+//! construction.
 
 #![warn(missing_docs)]
 
 use graphene_ir::{Arch, Kernel};
-use graphene_sim::{
-    analyze, execute_graph, execute_plan, execute_reference, machine_for, replay_graph, replay_opt,
-    time_kernel, ExecMode, GraphTraceCache, HostTensor, KernelPlan, OptStats, TraceCache, TraceKey,
-};
+use graphene_kernels::catalog;
+use graphene_serve::ServerState;
+use graphene_sim::{analyze, machine_for, time_kernel};
+use graphene_tune::json::{escape, parse, Json};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -97,11 +104,7 @@ impl Cli {
     }
 
     fn arch(&self) -> Result<Arch, CliError> {
-        match self.options.get("arch").map(String::as_str) {
-            None | Some("sm86") | Some("ampere") => Ok(Arch::Sm86),
-            Some("sm70") | Some("volta") => Ok(Arch::Sm70),
-            Some(other) => Err(CliError(format!("unknown arch `{other}` (sm70|sm86)"))),
-        }
+        catalog::opt_arch(&self.options).map_err(CliError)
     }
 
     fn emit(&self) -> Result<Emit, CliError> {
@@ -113,17 +116,8 @@ impl Cli {
         }
     }
 
-    fn flag(&self, key: &str) -> bool {
-        matches!(self.options.get(key).map(String::as_str), Some("true" | "1" | "yes"))
-    }
-
     fn int(&self, key: &str, default: i64) -> Result<i64, CliError> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(v) => {
-                v.parse().map_err(|_| CliError(format!("--{key} expects an integer, got `{v}`")))
-            }
-        }
+        catalog::opt_int(&self.options, key, default).map_err(CliError)
     }
 }
 
@@ -137,14 +131,18 @@ pub fn usage() -> String {
        layernorm  --rows --hidden [--emit ...]\n\
        softmax    --rows --cols [--emit ...]\n\
        fmha       --heads --seq --d [--emit ...]   (Ampere only)\n\
-       run        <kernel> [--arch ...] [--exec reference|sequential|parallel|replay] [sizes]  (execute on the functional simulator)\n\
+       run        <kernel> [--arch ...] [--exec reference|sequential|parallel|replay] [sizes] [--emit text|json]\n\
+                  (execute on the functional simulator)\n\
        run-graph  [--layers N] [--batch N] [--seq N] [--hidden N] [--heads N] [--ffn N]\n\
-                  [--lowering default|fused] [--exec plan|replay]  (execute a whole encoder graph in one arena)\n\
-       tune       [--kernel gemm|fmha|layernorm|mlp] [--arch ...] [sizes] [--search exhaustive|random|beam]\n\
+                  [--lowering default|fused] [--exec plan|replay] [--emit text|json]\n\
+                  (execute a whole encoder graph in one arena)\n\
+       tune       [<kernel>|--kernel gemm|fmha|layernorm|mlp] [--arch ...] [sizes] [--search exhaustive|random|beam]\n\
                   [--budget N] [--seed N] [--samples N] [--width N] [--patience N]\n\
                   [--cache tune-cache.json] [--top N] [--emit text|json]  (schedule search)\n\
        lint       <kernel> [--arch ...] [--prove] [--emit text|json]  (static analysis; kernel = gemm|gemm-db|mlp|lstm|layernorm|softmax|fmha;\n\
                   --prove appends the F2 symbolic proof report: conflict/race/bounds provenance)\n\
+                  run, run-graph, tune and lint send the request `client` would to a fresh in-process\n\
+                  daemon state: --emit json prints its response line, text one `key : value` per field\n\
        serve      [--addr HOST:PORT] [--workers N] [--queue N] [--deadline-ms N] [--sync-tune-limit N]\n\
                   [--job-workers N] [--cache tune-cache.json] [--ready-file PATH]\n\
                   (persistent daemon: resident plan/trace/tune caches, newline-JSON over TCP)\n\
@@ -164,13 +162,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let cli = Cli::parse(args)?;
     match cli.command.as_str() {
         "gemm" | "mlp" | "lstm" | "layernorm" | "softmax" | "fmha" => {
-            let (arch, kernel) = build_named_kernel(&cli, &cli.command)?;
-            render(cli.emit()?, arch, &kernel)
+            let arch = cli.arch()?;
+            let nk = catalog::build_named(&cli.command, arch, &cli.options).map_err(CliError)?;
+            render(cli.emit()?, arch, &nk.kernel)
         }
-        "lint" => lint(&cli),
-        "run" => exec_run(&cli),
-        "run-graph" => run_graph(&cli),
-        "tune" => tune_cmd(&cli),
+        "lint" | "run" | "run-graph" | "tune" => one_shot(&cli),
         "serve" => serve_cmd(&cli),
         "client" => client_cmd(&cli),
         "table2" => {
@@ -194,554 +190,90 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-/// Builds the kernel a sub-command (or `lint` target) names by
-/// delegating to the shared [`graphene_kernels::catalog`] — the same
-/// front door the serve daemon uses, so both surfaces build identical
-/// kernels from identical options by construction.
-fn build_named_kernel(cli: &Cli, name: &str) -> Result<(Arch, Kernel), CliError> {
-    let arch = cli.arch()?;
-    let nk = graphene_kernels::catalog::build_named(name, arch, &cli.options).map_err(CliError)?;
-    Ok((arch, nk.kernel))
-}
-
-/// The `lint` sub-command: run the full static-analysis pipeline of
-/// `graphene-analysis` over a named kernel and render the diagnostics.
+/// A one-shot `lint`/`run`/`run-graph`/`tune`: the request `client`
+/// would send, dispatched in process on a fresh daemon state, so the
+/// two front doors compute the same response by construction.
 ///
-/// Returns `Err` when any error-severity diagnostic is present, so the
-/// binary exits non-zero — this is what CI's lint-selfcheck keys on.
-fn lint(cli: &Cli) -> Result<String, CliError> {
-    let Some(name) = cli.positional.first() else {
-        return Err(CliError(
-            "lint needs a kernel name: lint <gemm|gemm-db|mlp|lstm|layernorm|softmax|fmha>".into(),
-        ));
-    };
-    let (arch, kernel) = build_named_kernel(cli, name)?;
-    let mut plans = graphene_sim::PlanCache::new();
-    let diags = graphene_analysis::analyze_kernel_cached(&kernel, arch, &mut plans);
-    let errors = graphene_analysis::error_count(&diags);
-    let report = cli
-        .flag("prove")
-        .then(|| graphene_analysis::prove::prove_kernel_cached(&kernel, arch, &mut plans));
-    let out = match cli.options.get("emit").map(String::as_str) {
-        None | Some("text") => {
-            let mut out = String::new();
-            let _ = writeln!(
-                out,
-                "lint {} ({arch}): {} diagnostics, {errors} errors",
-                kernel.name,
-                diags.len()
-            );
-            for d in &diags {
-                let _ = writeln!(out, "  {d}");
-            }
-            if let Some(r) = &report {
-                out.push_str(&r.render_text());
-            }
-            out
-        }
-        Some("json") => {
-            let mut json = graphene_analysis::render_json(&kernel.name, &diags);
-            if let Some(r) = &report {
-                // Splice the proof object into the lint JSON document.
-                let trimmed = json.trim_end().strip_suffix('}').map(str::to_string);
-                json = trimmed.unwrap_or(json);
-                json.push_str(&format!(",\"proof\":{}}}\n", r.render_json()));
-            }
-            json
-        }
-        Some(other) => return Err(CliError(format!("unknown emit `{other}` (text|json)"))),
-    };
-    if errors > 0 {
-        Err(CliError(out))
-    } else {
-        Ok(out)
-    }
-}
-
-/// The `run` sub-command: execute a kernel on the functional simulator
-/// with seeded random inputs and report wall time, counters, and an
-/// output checksum (identical across all three engines by construction).
-fn exec_run(cli: &Cli) -> Result<String, CliError> {
-    let Some(name) = cli.positional.first() else {
-        return Err(CliError(
-            "run needs a kernel name: run <gemm|gemm-db|mlp|lstm|layernorm|softmax|fmha>".into(),
-        ));
-    };
-    let (arch, kernel) = build_named_kernel(cli, name)?;
-    #[derive(PartialEq)]
-    enum Engine {
-        Reference,
-        Plan(ExecMode),
-        Replay,
-    }
-    let engine = match cli.options.get("exec").map(String::as_str) {
-        None | Some("parallel") => Engine::Plan(ExecMode::Parallel),
-        Some("sequential") => Engine::Plan(ExecMode::Sequential),
-        Some("reference") => Engine::Reference,
-        Some("replay") => Engine::Replay,
-        Some(other) => {
-            return Err(CliError(format!(
-                "unknown exec mode `{other}` (reference|sequential|parallel|replay)"
-            )))
-        }
-    };
-    let plan = KernelPlan::compile(&kernel, arch).map_err(|e| CliError(e.to_string()))?;
-    let mut inputs = HashMap::new();
-    for (i, (id, _, len)) in plan.params().iter().enumerate() {
-        inputs.insert(*id, HostTensor::random(&[*len], 1000 + i as u64).as_slice().to_vec());
-    }
-    let bindings = HashMap::new();
-    // Replay: record once into a trace cache, then serve two replay
-    // requests from it — the second cache lookup and the reported
-    // hit/re-interpretation stats demonstrate the record-once contract.
-    let mut trace_line = None;
-    let mut opt_line = None;
-    let mut cache_line = None;
-    let start = std::time::Instant::now();
-    let outcome = match &engine {
-        Engine::Plan(m) => execute_plan(&plan, &inputs, &bindings, *m),
-        Engine::Reference => execute_reference(&kernel, arch, &inputs),
-        Engine::Replay => {
-            let cache = TraceCache::new();
-            let key = TraceKey {
-                kernel: kernel.name.clone(),
-                problem: format!("{} blocks x {} threads", plan.grid_size(), plan.block_size()),
-                arch,
-            };
-            let t0 = std::time::Instant::now();
-            let (trace, _) =
-                cache.get_or_record(&key, &plan, &bindings).map_err(|e| CliError(e.to_string()))?;
-            let record_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let st = trace.stats();
-            trace_line = Some(format!(
-                "trace    : {} steps, {} residual addresses in {} pattern entries, recorded in \
-                 {record_ms:.3} ms",
-                trace.num_steps(),
-                st.gather_addrs,
-                st.pattern_addrs
-            ));
-            opt_line = Some(opt_stats_line(st));
-            let (trace, _) =
-                cache.get_or_record(&key, &plan, &bindings).map_err(|e| CliError(e.to_string()))?;
-            let first = replay_opt(&trace, &inputs);
-            let second = replay_opt(&trace, &inputs);
-            cache_line = Some(format!(
-                "trace-cache : {} recording(s), {} hit(s), re-interpretations : {}",
-                cache.recordings(),
-                cache.hits(),
-                cache.recordings().saturating_sub(1)
-            ));
-            first.and(second)
-        }
-    }
-    .map_err(|e| CliError(e.to_string()))?;
-    let wall = start.elapsed().as_secs_f64();
-    let checksum: f64 =
-        outcome.globals.values().flat_map(|buf| buf.iter()).map(|&x| f64::from(x)).sum();
-    let c = &outcome.counters;
-    let mut out = String::new();
-    let _ = writeln!(out, "kernel   : {}", kernel.name);
-    let _ = writeln!(
-        out,
-        "engine   : {}",
-        match &engine {
-            Engine::Reference => "reference interpreter",
-            Engine::Plan(ExecMode::Sequential) => "compiled (sequential) interpreter",
-            Engine::Plan(_) => "compiled (parallel) interpreter",
-            Engine::Replay => "trace replay",
-        }
-    );
-    let _ = writeln!(out, "launch   : {} blocks x {} threads", plan.grid_size(), plan.block_size());
-    if let Some(l) = &trace_line {
-        let _ = writeln!(out, "{l}");
-    }
-    if let Some(l) = &opt_line {
-        let _ = writeln!(out, "{l}");
-    }
-    if let Some(l) = &cache_line {
-        let _ = writeln!(out, "{l}");
-    }
-    let _ = writeln!(out, "wall     : {:.3} ms", wall * 1e3);
-    let _ = writeln!(
-        out,
-        "counters : {} instructions, {} TC flops, {} FMA flops, {} syncs",
-        c.instructions, c.flops_tc, c.flops_fma, c.syncs
-    );
-    let _ = writeln!(
-        out,
-        "traffic  : {} B global read, {} B global written, {} smem transactions",
-        c.global_read_bytes, c.global_write_bytes, c.smem_transactions
-    );
-    let _ = writeln!(out, "checksum : {checksum:.6}");
-    Ok(out)
-}
-
-/// Renders one trace-optimizer stats line (`run --exec replay` and
-/// `run-graph --exec replay` share the format).
-fn opt_stats_line(st: &OptStats) -> String {
-    format!(
-        "trace-opt : {:.1}% coalesced, {} -> {} trace bytes ({:.1}% smaller), {} -> {} steps ({} dead fills, {} fused)",
-        st.coalesced_fraction() * 100.0,
-        st.bytes_before,
-        st.bytes_after,
-        st.bytes_saved_fraction() * 100.0,
-        st.steps_before,
-        st.steps_after,
-        st.dead_fills,
-        st.fused_steps
-    )
-}
-
-/// The `run-graph` sub-command: build a transformer encoder graph,
-/// lower it to an executable kernel sequence sharing one liveness-
-/// planned arena, and run it end to end — either through the
-/// compiled-plan engine or through whole-graph trace replay (which
-/// additionally cross-checks the replayed output against the plan
-/// engine bit-for-bit).
-fn run_graph(cli: &Cli) -> Result<String, CliError> {
-    use graphene_kernels::catalog::EncoderDims;
-    use graphene_kernels::exec_lower::{lower_executable, ExecLowering};
-
-    let dims = EncoderDims::from_options(&cli.options).map_err(CliError)?;
-    let arch = cli.arch()?;
-    let lowering = match cli.options.get("lowering").map(String::as_str) {
-        None | Some("fused") => ExecLowering::Fused,
-        Some("default") => ExecLowering::Default,
-        Some(other) => return Err(CliError(format!("unknown lowering `{other}` (default|fused)"))),
-    };
-    let replay_engine = match cli.options.get("exec").map(String::as_str) {
-        None | Some("plan") => false,
-        Some("replay") => true,
-        Some(other) => return Err(CliError(format!("unknown exec mode `{other}` (plan|replay)"))),
-    };
+/// `lint` prints the report its `output` field carries and fails when
+/// it counts errors (CI's lint-selfcheck keys on the exit status).
+/// Every other command prints the response envelope under
+/// `--emit json`, and under `--emit text` one `key : value` line per
+/// field ([`render_text`]).
+fn one_shot(cli: &Cli) -> Result<String, CliError> {
     let json = match cli.options.get("emit").map(String::as_str) {
         None | Some("text") => false,
         Some("json") => true,
         Some(other) => return Err(CliError(format!("unknown emit `{other}` (text|json)"))),
     };
-
-    let graph = dims.graph();
-    let eg = lower_executable(&graph, arch, lowering).map_err(CliError)?;
-    let ws = eg.workspace();
-
-    let mut inputs = HashMap::new();
-    for (i, (name, len)) in eg.externals().iter().enumerate() {
-        inputs
-            .insert(name.clone(), HostTensor::random(&[*len], 1000 + i as u64).as_slice().to_vec());
+    let mut state = ServerState::new(cli.options.get("cache").map(String::as_str));
+    // Nobody polls a one-shot's job id: every tune runs inline.
+    state.sync_tune_limit = usize::MAX;
+    let resp = graphene_serve::handlers::dispatch(&state, &request_line(cli)?);
+    let v = parse(&resp).map_err(|e| CliError(format!("malformed response: {e}")))?;
+    if v.get("ok") != Some(&Json::Bool(true)) {
+        return Err(CliError(v.get("error").and_then(Json::as_str).unwrap_or(&resp).to_string()));
     }
-
-    let checksum = |o: &GraphOutcomeOutputs| -> f64 {
-        let mut temps: Vec<_> = o.iter().collect();
-        temps.sort_by_key(|(t, _)| **t);
-        temps.iter().flat_map(|(_, buf)| buf.iter()).map(|&x| f64::from(x)).sum()
-    };
-
-    // Execute first, collecting everything both renderings need; the
-    // replay path also captures cache counters and the bit-comparison.
-    struct ReplayInfo {
-        kernels: usize,
-        steps: usize,
-        record_ms: f64,
-        replay_ms: f64,
-        graph_stats: (u64, u64, u64),
-        trace_stats: (u64, u64),
-        opt: OptStats,
-        same: bool,
-    }
-    let start = std::time::Instant::now();
-    let (outcome, replay_info) = if replay_engine {
-        let traces = TraceCache::new();
-        let graphs = GraphTraceCache::new();
-        let t0 = std::time::Instant::now();
-        graphs.get_or_record(&eg, &traces).map_err(|e| CliError(e.to_string()))?;
-        let record_ms = t0.elapsed().as_secs_f64() * 1e3;
-        // A second request must come back from the cache: the printed
-        // hit count is the record-once contract made visible.
-        let gt = graphs.get_or_record(&eg, &traces).map_err(|e| CliError(e.to_string()))?;
-        let t1 = std::time::Instant::now();
-        let replayed =
-            replay_graph(&gt, &inputs, ExecMode::Parallel).map_err(|e| CliError(e.to_string()))?;
-        let replay_ms = t1.elapsed().as_secs_f64() * 1e3;
-        let plan_out =
-            execute_graph(&eg, &inputs, ExecMode::Parallel).map_err(|e| CliError(e.to_string()))?;
-        let same = {
-            let b = |o: &GraphOutcomeOutputs| -> Vec<Vec<u32>> {
-                let mut v: Vec<_> = o
-                    .iter()
-                    .map(|(t, xs)| (*t, xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()))
-                    .collect();
-                v.sort_by_key(|(t, _)| *t);
-                v.into_iter().map(|(_, bits)| bits).collect()
-            };
-            b(&replayed.outputs) == b(&plan_out.outputs)
+    if cli.command == "lint" {
+        let output = v.get("output").and_then(Json::as_str).unwrap_or_default().to_string();
+        return match v.get("errors").and_then(Json::as_i64) {
+            Some(0) => Ok(output),
+            _ => Err(CliError(output)),
         };
-        let info = ReplayInfo {
-            kernels: gt.num_kernels(),
-            steps: gt.num_steps(),
-            record_ms,
-            replay_ms,
-            graph_stats: (graphs.recordings(), graphs.hits(), graphs.evictions()),
-            trace_stats: (traces.recordings(), traces.hits()),
-            opt: gt.opt_stats(),
-            same,
-        };
-        (replayed, Some(info))
-    } else {
-        let outcome =
-            execute_graph(&eg, &inputs, ExecMode::Parallel).map_err(|e| CliError(e.to_string()))?;
-        (outcome, None)
-    };
-    let wall = start.elapsed().as_secs_f64();
-    let c = &outcome.counters;
-    let sum = checksum(&outcome.outputs);
-    let diverged = replay_info.as_ref().is_some_and(|r| !r.same);
-
-    let out = if json {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"graph\":{},\
-             \"lowering\":{{\"mode\":\"{}\",\"launches\":{}}},\
-             \"arena\":{{\"planned_bytes\":{},\"naive_bytes\":{},\"saving\":{:.4}}},\
-             \"engine\":\"{}\",",
-            dims.to_json(graph.ops.len()),
-            lowering.label(),
-            eg.nodes.len(),
-            ws.arena_bytes(),
-            ws.naive_bytes(),
-            ws.saving(),
-            if replay_engine { "replay" } else { "plan" },
-        );
-        if let Some(r) = &replay_info {
-            let _ = write!(
-                out,
-                "\"trace\":{{\"kernels\":{},\"steps\":{},\"record_ms\":{:.3},\"replay_ms\":{:.3}}},\
-                 \"trace_opt\":{{\"coalesced_fraction\":{:.4},\"bytes_before\":{},\
-                 \"bytes_after\":{},\"steps_before\":{},\"steps_after\":{},\
-                 \"dead_fills\":{},\"fused_steps\":{}}},\
-                 \"graph_cache\":{{\"recordings\":{},\"hits\":{},\"evictions\":{}}},\
-                 \"trace_cache\":{{\"recordings\":{},\"hits\":{}}},\
-                 \"plan_vs_replay\":\"{}\",",
-                r.kernels,
-                r.steps,
-                r.record_ms,
-                r.replay_ms,
-                r.opt.coalesced_fraction(),
-                r.opt.bytes_before,
-                r.opt.bytes_after,
-                r.opt.steps_before,
-                r.opt.steps_after,
-                r.opt.dead_fills,
-                r.opt.fused_steps,
-                r.graph_stats.0,
-                r.graph_stats.1,
-                r.graph_stats.2,
-                r.trace_stats.0,
-                r.trace_stats.1,
-                if r.same { "match" } else { "mismatch" },
-            );
-        }
-        let _ = writeln!(
-            out,
-            "\"wall_ms\":{:.3},\"counters\":{{\"instructions\":{},\"flops_tc\":{},\
-             \"flops_fma\":{},\"syncs\":{}}},\"checksum\":{sum:.6}}}",
-            wall * 1e3,
-            c.instructions,
-            c.flops_tc,
-            c.flops_fma,
-            c.syncs,
-        );
-        out
-    } else {
-        let mut out = String::new();
-        let EncoderDims { layers, batch, seq, hidden, heads, ffn } = dims;
-        let _ = writeln!(
-            out,
-            "graph    : {layers}-layer encoder ({} ops), batch {batch}, seq {seq}, hidden {hidden}, {heads} heads, ffn {ffn}",
-            graph.ops.len()
-        );
-        let _ =
-            writeln!(out, "lowering : {} ({} kernel launches)", lowering.label(), eg.nodes.len());
-        let _ = writeln!(
-            out,
-            "arena    : {} B planned vs {} B naive ({:.1}% saved)",
-            ws.arena_bytes(),
-            ws.naive_bytes(),
-            ws.saving() * 100.0
-        );
-        if let Some(r) = &replay_info {
-            let _ = writeln!(
-                out,
-                "trace    : {} kernels, {} steps, recorded in {:.3} ms",
-                r.kernels, r.steps, r.record_ms
-            );
-            let _ = writeln!(out, "{}", opt_stats_line(&r.opt));
-            let _ = writeln!(
-                out,
-                "graph-cache : {} recording(s), {} hit(s), evictions : {}",
-                r.graph_stats.0, r.graph_stats.1, r.graph_stats.2
-            );
-            let _ = writeln!(
-                out,
-                "trace-cache : {} recording(s), {} hit(s)",
-                r.trace_stats.0, r.trace_stats.1
-            );
-            let _ = writeln!(out, "engine   : graph trace replay ({:.3} ms replay)", r.replay_ms);
-            let _ = writeln!(out, "plan-vs-replay : {}", if r.same { "match" } else { "MISMATCH" });
-        } else {
-            let _ = writeln!(out, "engine   : compiled-plan graph executor");
-        }
-        let _ = writeln!(out, "wall     : {:.3} ms", wall * 1e3);
-        let _ = writeln!(
-            out,
-            "counters : {} instructions, {} TC flops, {} FMA flops, {} syncs",
-            c.instructions, c.flops_tc, c.flops_fma, c.syncs
-        );
-        let _ = writeln!(out, "checksum : {sum:.6}");
-        out
-    };
-    if diverged {
-        return Err(CliError(format!("replay diverged from plan execution\n{out}")));
     }
-    Ok(out)
+    Ok(if json { format!("{resp}\n") } else { render_text(&resp) })
 }
 
-/// Output map of a graph execution, keyed by temp index.
-type GraphOutcomeOutputs = HashMap<usize, Vec<f32>>;
-
-/// The `tune` sub-command: a thin veneer over the `graphene-tune`
-/// subsystem. Builds the requested [`SearchSpace`], runs the chosen
-/// strategy through the prune → cost pipeline (consulting the
-/// persistent tuning database when `--cache` is given), and renders the
-/// winner with its pipeline accounting.
-fn tune_cmd(cli: &Cli) -> Result<String, CliError> {
-    use graphene_tune::{Search, TuneDb};
-
-    let arch = cli.arch()?;
-    let kernel = cli
-        .options
-        .get("kernel")
-        .map(String::as_str)
-        .or_else(|| cli.positional.first().map(String::as_str))
-        .unwrap_or("gemm");
-    // Space, strategy, and knob validation all live in the shared tune
-    // catalog — the daemon's `tune` requests go through the same path.
-    let space =
-        graphene_tune::catalog::space_from_options(kernel, arch, &cli.options).map_err(CliError)?;
-    let opts = graphene_tune::catalog::options_from_options(&cli.options).map_err(CliError)?;
-
-    let mut db = cli.options.get("cache").map(TuneDb::load);
-    let report = graphene_tune::tune(space.as_ref(), &opts, db.as_mut())
-        .map_err(|e| CliError(e.to_string()))?;
-    // The hand-picked default, for the speedup line. Skipped on a cache
-    // hit: a warm run performs zero simulations, which is the point.
-    let default_time_s = if report.stats.db_hit {
-        None
-    } else {
-        let d = space.build(&space.default_point());
-        analyze(&d, space.arch())
-            .ok()
-            .map(|c| time_kernel(&c, machine_for(space.arch()), d.grid_size()).time_s)
-    };
-
-    match cli.options.get("emit").map(String::as_str) {
-        None | Some("text") => {
-            let mut out = String::new();
-            let _ = writeln!(
-                out,
-                "tuned {} {} on {arch} ({})",
-                report.space,
-                report.problem,
-                match opts.search {
-                    Search::Exhaustive => "exhaustive".to_string(),
-                    Search::Random { samples, .. } => format!("random, {samples} samples"),
-                    Search::Beam { width, .. } => format!("beam, width {width}"),
-                },
-            );
-            let _ = writeln!(out, "winner   : {}", report.best_desc);
-            match default_time_s {
-                Some(d) if d > 0.0 => {
-                    let _ = writeln!(
-                        out,
-                        "time     : {:.3} us (default {:.3} us, {:.2}x)",
-                        report.best_time_s * 1e6,
-                        d * 1e6,
-                        d / report.best_time_s
-                    );
-                }
-                _ => {
-                    let _ = writeln!(out, "time     : {:.3} us", report.best_time_s * 1e6);
-                }
-            }
-            let s = &report.stats;
-            let _ = writeln!(
-                out,
-                "pipeline : {} proposed, {} pruned (constraint), {} pruned (analysis), {} simulated",
-                s.proposed, s.pruned_constraint, s.pruned_analysis, s.simulated
-            );
-            if db.is_some() {
-                let _ = writeln!(out, "cache    : {}", if s.db_hit { "hit" } else { "miss" });
-            }
-            if !report.leaderboard.is_empty() {
-                let _ = writeln!(out, "leaderboard:");
-                for c in &report.leaderboard {
-                    let _ = writeln!(
-                        out,
-                        "  {:9.3} us  {}",
-                        c.profile.time_s * 1e6,
-                        space.describe(&c.point)
-                    );
-                }
-            }
-            Ok(out)
+/// One `key : value` line per top-level response field, in response
+/// order, skipping `id` and `ok`. A value is the response's own JSON
+/// token, so a number prints exactly as the JSON carries it; only
+/// strings print unquoted.
+fn render_text(resp: &str) -> String {
+    let mut out = String::new();
+    // Response keys are plain identifiers: a member's first `:` ends it.
+    for (key, raw) in members(resp).into_iter().filter_map(|m| m.split_once(':')) {
+        let key = key.trim_matches('"');
+        if key == "id" || key == "ok" {
+            continue;
         }
-        Some("json") => {
-            let point_json = |p: &graphene_tune::Point| {
-                space
-                    .params()
-                    .iter()
-                    .zip(&p.0)
-                    .map(|(d, v)| format!("\"{}\":{v}", d.name))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            let s = &report.stats;
-            let mut out = String::new();
-            let _ = write!(
-                out,
-                "{{\"kernel\":\"{}\",\"problem\":\"{}\",\"arch\":\"{arch:?}\",\
-                 \"winner\":{{\"point\":{{{}}},\"time_s\":{}}},",
-                report.space,
-                report.problem,
-                point_json(&report.best_point),
-                report.best_time_s,
-            );
-            if let Some(d) = default_time_s {
-                let _ = write!(out, "\"default_time_s\":{d},");
-            }
-            let _ = write!(
-                out,
-                "\"stats\":{{\"proposed\":{},\"pruned_constraint\":{},\"pruned_analysis\":{},\
-                 \"simulated\":{},\"db_hit\":{}}},",
-                s.proposed, s.pruned_constraint, s.pruned_analysis, s.simulated, s.db_hit
-            );
-            let lb = report
-                .leaderboard
-                .iter()
-                .map(|c| {
-                    format!(
-                        "{{\"point\":{{{}}},\"time_s\":{}}}",
-                        point_json(&c.point),
-                        c.profile.time_s
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
-            let _ = writeln!(out, "\"leaderboard\":[{lb}]}}");
-            Ok(out)
-        }
-        Some(other) => Err(CliError(format!("unknown emit `{other}` (text|json)"))),
+        let _ = match parse(raw) {
+            Ok(Json::Str(s)) => writeln!(out, "{key:8} : {s}"),
+            _ => writeln!(out, "{key:8} : {raw}"),
+        };
     }
+    out
+}
+
+/// The top-level members (`"key":value`) of a JSON object, in order,
+/// as raw slices of `obj` (which starts with its opening `{`).
+fn members(obj: &str) -> Vec<&str> {
+    let (mut depth, mut in_str, mut escaped, mut start) = (0usize, false, false, 1);
+    let mut out = Vec::new();
+    for (i, c) in obj.char_indices() {
+        if in_str {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_str = false,
+                _ => {}
+            }
+            continue;
+        }
+        match c {
+            '"' => in_str = true,
+            '{' | '[' => depth += 1,
+            ',' | '}' | ']' => {
+                if depth == 1 {
+                    out.push(&obj[start..i]);
+                    start = i + 1;
+                }
+                if c != ',' {
+                    depth = depth.saturating_sub(1);
+                }
+            }
+            _ => {}
+        }
+    }
+    out
 }
 
 fn render(emit: Emit, arch: Arch, kernel: &Kernel) -> Result<String, CliError> {
@@ -839,44 +371,15 @@ fn serve_cmd(cli: &Cli) -> Result<String, CliError> {
 
 /// The `client` sub-command: send one request line to a running daemon
 /// and print the response. The request is either built from the
-/// command line (`client run gemm --m 256 ...` — the first positional
-/// is the protocol `cmd`, the second the `kernel`) or passed verbatim
-/// via `--json '{...}'`. A response carrying `"ok":false` is returned
-/// as an error so the process exits nonzero.
+/// command line ([`request_line`]) or passed verbatim via
+/// `--json '{...}'`. A response carrying `"ok":false` is returned as an
+/// error so the process exits nonzero.
 fn client_cmd(cli: &Cli) -> Result<String, CliError> {
     let addr = cli.options.get("addr").map_or("127.0.0.1:7474", String::as_str);
     let timeout_s = cli.int("timeout", 120)?.max(1);
-    let line = if let Some(raw) = cli.options.get("json") {
-        raw.clone()
-    } else {
-        let Some(cmd) = cli.positional.first() else {
-            return Err(CliError(
-                "client: expected a protocol command (lint|run|run-graph|tune|poll|cancel|stats|shutdown) or --json".to_string(),
-            ));
-        };
-        let mut fields = vec![format!("\"cmd\":\"{}\"", graphene_tune::json::escape(cmd))];
-        if let Some(kernel) = cli.positional.get(1) {
-            fields.push(format!("\"kernel\":\"{}\"", graphene_tune::json::escape(kernel)));
-        }
-        // Every remaining `--key value` forwards as a protocol field;
-        // client-side transport options stay local. Integers go over
-        // the wire as numbers, everything else as strings — the server
-        // stringifies scalars anyway, so this only affects readability.
-        let mut opts: Vec<_> = cli
-            .options
-            .iter()
-            .filter(|(k, _)| !matches!(k.as_str(), "addr" | "timeout" | "json"))
-            .collect();
-        opts.sort();
-        for (k, v) in opts {
-            let key = graphene_tune::json::escape(k);
-            if v.parse::<i64>().is_ok() || v == "true" || v == "false" {
-                fields.push(format!("\"{key}\":{v}"));
-            } else {
-                fields.push(format!("\"{key}\":\"{}\"", graphene_tune::json::escape(v)));
-            }
-        }
-        format!("{{{}}}", fields.join(","))
+    let line = match cli.options.get("json") {
+        Some(raw) => raw.clone(),
+        None => request_line(cli)?,
     };
     let resp = graphene_serve::client::request(
         addr,
@@ -888,6 +391,51 @@ fn client_cmd(cli: &Cli) -> Result<String, CliError> {
         return Err(CliError(resp));
     }
     Ok(format!("{resp}\n"))
+}
+
+/// The protocol request a command line names. For `client run gemm
+/// --m 256`, the first positional is the `cmd` and the second the
+/// `kernel`; for the one-shot `run gemm --m 256`, the sub-command is
+/// the `cmd` and the first positional the `kernel`.
+///
+/// Every `--key value` except `client`'s transport options forwards as
+/// a field. Canonical integers and booleans go over the wire as JSON
+/// scalars, everything else as strings; either way the daemon's option
+/// map holds exactly the string the command line did.
+fn request_line(cli: &Cli) -> Result<String, CliError> {
+    let (cmd, kernel) = if cli.command == "client" {
+        let Some(cmd) = cli.positional.first() else {
+            return Err(CliError(
+                "client: expected a protocol command (lint|run|run-graph|tune|poll|cancel|stats|shutdown) or --json".to_string(),
+            ));
+        };
+        (cmd, cli.positional.get(1))
+    } else {
+        (&cli.command, cli.positional.first())
+    };
+    let mut fields = vec![format!("\"cmd\":\"{}\"", escape(cmd))];
+    if let Some(kernel) = kernel {
+        fields.push(format!("\"kernel\":\"{}\"", escape(kernel)));
+    }
+    let mut opts: Vec<_> = cli
+        .options
+        .iter()
+        .filter(|(k, _)| !matches!(k.as_str(), "addr" | "timeout" | "json"))
+        .collect();
+    opts.sort();
+    for (k, v) in opts {
+        // The wire parses numbers as f64 and renders integers below
+        // 9e15 back without `.0`; anything else keeps its own text.
+        let canonical_int = v
+            .parse::<i64>()
+            .is_ok_and(|n| n.to_string() == *v && n.unsigned_abs() < 9 * 10_u64.pow(15));
+        if canonical_int || v == "true" || v == "false" {
+            fields.push(format!("\"{}\":{v}", escape(k)));
+        } else {
+            fields.push(format!("\"{}\":\"{}\"", escape(k), escape(v)));
+        }
+    }
+    Ok(format!("{{{}}}", fields.join(",")))
 }
 
 #[cfg(test)]
@@ -1011,7 +559,7 @@ mod lint_tests {
     #[test]
     fn bare_flags_parse_at_end_and_before_options() {
         let a = Cli::parse(&["lint".into(), "gemm".into(), "--prove".into()]).unwrap();
-        assert!(a.flag("prove"));
+        assert_eq!(a.options.get("prove").map(String::as_str), Some("true"));
         let b = Cli::parse(&[
             "lint".into(),
             "gemm".into(),
@@ -1020,7 +568,7 @@ mod lint_tests {
             "64".into(),
         ])
         .unwrap();
-        assert!(b.flag("prove"));
+        assert_eq!(b.options.get("prove").map(String::as_str), Some("true"));
         assert_eq!(b.options.get("m").map(String::as_str), Some("64"));
     }
 
@@ -1073,8 +621,10 @@ mod run_tests {
         assert!(run_str("run").unwrap_err().0.contains("kernel name"));
     }
 
-    /// `run --exec replay` records once, replays from the trace cache,
-    /// and its checksum matches the interpreting engines.
+    /// `run --exec replay` records into the trace cache, reports the
+    /// trace optimizer, and its checksum matches the interpreting
+    /// engines. (Record once, serve many is the daemon's
+    /// `run_twice_hits_plan_and_trace_caches_with_identical_checksums`.)
     #[test]
     fn run_replay_matches_and_reports_cache() {
         let checksum = |out: &str| {
@@ -1087,10 +637,8 @@ mod run_tests {
         let seq = run_str(&format!("{base} --exec sequential")).unwrap();
         let rep = run_str(&format!("{base} --exec replay")).unwrap();
         assert!(rep.contains("engine   : trace replay"), "{rep}");
-        assert!(rep.contains("trace    : "), "{rep}");
-        assert!(rep.contains("1 recording(s)"), "{rep}");
-        assert!(rep.contains("1 hit(s)"), "{rep}");
-        assert!(rep.contains("re-interpretations : 0"), "{rep}");
+        assert!(rep.contains("trace_hit : false"), "{rep}");
+        assert!(rep.contains("trace_opt : {\"coalesced_fraction\":"), "{rep}");
         assert_eq!(checksum(&seq), checksum(&rep));
     }
 }
@@ -1115,14 +663,16 @@ mod run_graph_tests {
                 .expect("checksum line")
         };
         let plan = run_str(&format!("run-graph {SMALL} --exec plan")).unwrap();
-        assert!(plan.contains("compiled-plan graph executor"), "{plan}");
-        assert!(plan.contains("arena    : "), "{plan}");
-        assert!(plan.contains("% saved)"), "{plan}");
+        assert!(plan.contains("engine   : plan"), "{plan}");
+        assert!(plan.contains("arena    : {\"planned_bytes\":"), "{plan}");
 
+        // Bitwise plan-vs-replay equality over every output is
+        // tests/graph_exec.rs; the daemon's record-once is
+        // `warm_run_graph_replays_the_cached_trace_bit_identically`.
         let rep = run_str(&format!("run-graph {SMALL} --exec replay")).unwrap();
-        assert!(rep.contains("graph trace replay"), "{rep}");
-        assert!(rep.contains("graph-cache : 1 recording(s), 1 hit(s)"), "{rep}");
-        assert!(rep.contains("plan-vs-replay : match"), "{rep}");
+        assert!(rep.contains("engine   : replay"), "{rep}");
+        assert!(rep.contains("graph_hit : false"), "{rep}");
+        assert!(rep.contains("trace_opt : {"), "{rep}");
         assert_eq!(checksum(&plan), checksum(&rep));
     }
 
@@ -1161,17 +711,18 @@ mod tune_tests {
     fn tune_gemm_defaults_to_gemm_and_reports_pipeline() {
         let out =
             run_str("tune --m 512 --n 512 --k 256 --search random --samples 12 --top 3").unwrap();
-        assert!(out.contains("tuned gemm m512_n512_k256_gemm"), "{out}");
+        assert!(out.contains("space    : gemm\n"), "{out}");
+        assert!(out.contains("problem  : m512_n512_k256_gemm"), "{out}");
         assert!(out.contains("winner   : bm="), "{out}");
-        assert!(out.contains("pipeline :"), "{out}");
-        assert!(out.contains("leaderboard:"), "{out}");
+        assert!(out.contains("stats    : {\"proposed\":"), "{out}");
+        assert!(out.contains("leaderboard : [[\"bm="), "{out}");
     }
 
     #[test]
     fn tune_layernorm_emits_json() {
         let out = run_str("tune --kernel layernorm --rows 512 --hidden 1024 --emit json").unwrap();
-        assert!(out.contains("\"kernel\":\"layernorm\""), "{out}");
-        assert!(out.contains("\"rows_per_block\":"), "{out}");
+        assert!(out.contains("\"space\":\"layernorm\""), "{out}");
+        assert!(out.contains("\"winner\":\"rows_per_block="), "{out}");
         assert!(out.contains("\"db_hit\":false"), "{out}");
         assert!(out.contains("\"default_time_s\":"), "{out}");
     }
@@ -1287,5 +838,124 @@ mod robustness_tests {
     fn fmha_rejects_volta_explicitly() {
         let err = run_str("fmha --arch sm70").unwrap_err();
         assert!(err.0.contains("Ampere"), "{}", err.0);
+    }
+}
+
+#[cfg(test)]
+mod front_door_tests {
+    use graphene_serve::handlers::dispatch;
+    use graphene_serve::state::DEFAULT_SYNC_TUNE_LIMIT;
+    use graphene_serve::ServerState;
+    use graphene_tune::json::{parse, Json};
+
+    fn run_str(s: &str) -> Result<String, super::CliError> {
+        let args: Vec<String> = s.split_whitespace().map(String::from).collect();
+        super::run(&args)
+    }
+
+    /// The response's fields, minus the two timings that differ run to
+    /// run.
+    fn fields(resp: &str) -> Vec<(String, Json)> {
+        let Ok(Json::Obj(fields)) = parse(resp) else { panic!("not an object: {resp}") };
+        fields.into_iter().filter(|(k, _)| k != "elapsed_us" && k != "wall_ms").collect()
+    }
+
+    /// A one-shot `--emit json` equals `dispatch` of the same request on
+    /// a fresh daemon state, field for field.
+    #[test]
+    fn one_shot_json_is_dispatch_on_a_fresh_state() {
+        let gemm = r#""cmd":"run","kernel":"gemm","m":128,"n":128,"k":32"#;
+        let graph = r#""cmd":"run-graph","layers":1,"seq":64,"hidden":256,"heads":4,"ffn":256"#;
+        let graph_args = "run-graph --layers 1 --seq 64 --hidden 256 --heads 4 --ffn 256";
+        let mut cases: Vec<(String, String)> = ["reference", "sequential", "parallel", "replay"]
+            .iter()
+            .map(|e| {
+                (
+                    format!("run gemm --m 128 --n 128 --k 32 --exec {e}"),
+                    format!(r#"{gemm},"exec":"{e}""#),
+                )
+            })
+            .collect();
+        for e in ["plan", "replay"] {
+            cases.push((format!("{graph_args} --exec {e}"), format!(r#"{graph},"exec":"{e}""#)));
+        }
+        cases.push((
+            "tune layernorm --rows 512 --hidden 1024 --top 3".to_string(),
+            r#""cmd":"tune","kernel":"layernorm","rows":512,"hidden":1024,"top":3"#.to_string(),
+        ));
+        for (args, request) in cases {
+            let shot = run_str(&format!("{args} --emit json")).unwrap();
+            let daemon = dispatch(&ServerState::new(None), &format!("{{{request}}}"));
+            assert_eq!(fields(&shot), fields(&daemon), "{args}");
+        }
+    }
+
+    /// `lint` prints the daemon's `output` field verbatim, text or JSON,
+    /// with or without `--prove`.
+    #[test]
+    fn one_shot_lint_prints_the_dispatched_report() {
+        for (flags, fields) in [
+            ("", ""),
+            ("--prove", r#","prove":true"#),
+            ("--emit json", r#","emit":"json""#),
+            ("--prove --emit json", r#","emit":"json","prove":true"#),
+        ] {
+            let shot = run_str(&format!("lint gemm --m 256 --n 256 --k 64 {flags}")).unwrap();
+            let line =
+                format!(r#"{{"cmd":"lint","kernel":"gemm","m":256,"n":256,"k":64{fields}}}"#);
+            let resp = parse(&dispatch(&ServerState::new(None), &line)).unwrap();
+            assert_eq!(resp.get("output").and_then(Json::as_str), Some(shot.as_str()), "{flags}");
+        }
+    }
+
+    /// The text rendering carries the JSON's own number tokens: the
+    /// `checksum : X` line is exactly the envelope's `"checksum":X`.
+    #[test]
+    fn text_checksum_token_equals_the_json_token() {
+        let args = "run layernorm --rows 64 --hidden 512 --exec replay";
+        let text = run_str(args).unwrap();
+        let json = run_str(&format!("{args} --emit json")).unwrap();
+        let token = text.lines().find_map(|l| l.strip_prefix("checksum : ")).expect("checksum");
+        assert!(json.contains(&format!("\"checksum\":{token},")), "{token} vs {json}");
+        assert_eq!(token.split_once('.').map(|(_, frac)| frac.len()), Some(6), "{token}");
+    }
+
+    /// The daemon's option map holds exactly the strings the command
+    /// line did, so catalog parsing sees what it would have seen
+    /// in process: non-canonical or wide integers stay strings.
+    #[test]
+    fn request_line_forwards_option_strings_unchanged() {
+        let argv: Vec<String> =
+            "run gemm --m +128 --n 0256 --seed 9007199254740993 --k 64 --budget 1.5 --prove"
+                .split_whitespace()
+                .map(String::from)
+                .collect();
+        let cli = super::Cli::parse(&argv).unwrap();
+        let req = graphene_serve::parse_request(&super::request_line(&cli).unwrap()).unwrap();
+        assert_eq!(req.cmd, "run");
+        assert_eq!(req.opt("kernel"), Some("gemm"));
+        for (k, v) in &cli.options {
+            assert_eq!(req.opt(k), Some(v.as_str()), "--{k}");
+        }
+    }
+
+    /// A beam search big enough that a daemon would queue it as a job
+    /// still answers a one-shot inline with its winner.
+    #[test]
+    fn one_shot_beam_tune_beyond_the_sync_limit_returns_a_winner() {
+        let args = "tune gemm --m 256 --n 256 --k 64 --search beam --width 1 --budget 1";
+        let argv: Vec<String> = args.split_whitespace().map(String::from).collect();
+        let opts = super::Cli::parse(&argv).unwrap().options;
+        let space =
+            graphene_tune::catalog::space_from_options("gemm", graphene_ir::Arch::Sm86, &opts)
+                .unwrap();
+        let search = graphene_tune::catalog::options_from_options(&opts).unwrap().search;
+        assert!(
+            graphene_tune::planned_proposals(space.as_ref(), &search) > DEFAULT_SYNC_TUNE_LIMIT
+        );
+        let out = run_str(&format!("{args} --emit json")).unwrap();
+        let resp = parse(&out).unwrap();
+        assert!(resp.get("winner").and_then(Json::as_str).is_some(), "{out}");
+        assert_eq!(resp.get("job"), None, "{out}");
     }
 }

@@ -50,6 +50,19 @@ pub fn opt_int(opts: &HashMap<String, String>, key: &str, default: i64) -> Resul
     }
 }
 
+/// Reads `--arch`: `sm86`/`ampere` (the default) or `sm70`/`volta`.
+///
+/// # Errors
+///
+/// Unknown architecture names.
+pub fn opt_arch(opts: &HashMap<String, String>) -> Result<Arch, String> {
+    match opts.get("arch").map(String::as_str) {
+        None | Some("sm86" | "ampere") => Ok(Arch::Sm86),
+        Some("sm70" | "volta") => Ok(Arch::Sm70),
+        Some(other) => Err(format!("unknown arch `{other}` (sm70|sm86)")),
+    }
+}
+
 /// Reads `--key` as a size: an integer that must be positive.
 ///
 /// # Errors

@@ -3,19 +3,22 @@
 //!
 //! Handlers delegate kernel/space construction to the shared catalogs
 //! (`graphene_kernels::catalog`, `graphene_tune::catalog`) and seed
-//! inputs exactly like the one-shot CLI (`HostTensor::random` with
-//! seed `1000 + param index`), so a daemon response is bit-identical
-//! to the corresponding CLI run — the resident caches change *when*
-//! work happens, never *what* is computed.
+//! inputs with `HostTensor::random` at seed `1000 + param index`. A
+//! one-shot `graphene lint|run|run-graph|tune` is [`dispatch`] on a
+//! fresh [`ServerState`], so a daemon response is bit-identical to the
+//! corresponding CLI run by construction — the resident caches change
+//! *when* work happens, never *what* is computed.
 
 use crate::jobs::{Job, JobState};
 use crate::proto::{err_envelope, ok_envelope, parse_request, Obj, Request};
 use crate::state::ServerState;
 use graphene_ir::Arch;
+use graphene_kernels::catalog::opt_arch;
 use graphene_sim::{
     execute_graph, execute_plan, execute_reference, record_graph, replay_graph, replay_opt,
-    ExecMode, HostTensor, TraceKey,
+    ExecMode, HostTensor, OptStats, TraceKey,
 };
+use graphene_tune::{SearchSpace, TuneOptions, TuneProgress};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::Ordering;
@@ -77,21 +80,12 @@ fn guarded(
     }
 }
 
-/// `--arch` parsing, identical to the CLI's.
-fn arch_of(req: &Request) -> Result<Arch, String> {
-    match req.opt("arch") {
-        None | Some("sm86") | Some("ampere") => Ok(Arch::Sm86),
-        Some("sm70") | Some("volta") => Ok(Arch::Sm70),
-        Some(other) => Err(format!("unknown arch `{other}` (sm70|sm86)")),
-    }
-}
-
 fn flag(req: &Request, key: &str) -> bool {
     matches!(req.opt(key), Some("true" | "1" | "yes"))
 }
 
-/// Seeds inputs exactly like `graphene run`/`run-graph`: the `i`-th
-/// `(key, scalar length)` is drawn from seed `1000 + i`.
+/// Seeds inputs for `run`/`run-graph`: the `i`-th `(key, scalar
+/// length)` is drawn from seed `1000 + i`.
 fn seeded_inputs<K: Eq + Hash>(
     params: impl IntoIterator<Item = (K, usize)>,
 ) -> HashMap<K, Vec<f32>> {
@@ -109,12 +103,32 @@ fn counters_json(c: &graphene_sim::Counters) -> String {
     )
 }
 
+/// The trace optimizer's report for an `exec=replay` response.
+fn trace_opt_json(st: &OptStats) -> String {
+    format!(
+        "{{\"coalesced_fraction\":{:.4},\"bytes_before\":{},\"bytes_after\":{},\
+         \"steps_before\":{},\"steps_after\":{},\"dead_fills\":{},\"fused_steps\":{},\
+         \"gather_addrs\":{},\"pattern_addrs\":{}}}",
+        st.coalesced_fraction(),
+        st.bytes_before,
+        st.bytes_after,
+        st.steps_before,
+        st.steps_after,
+        st.dead_fills,
+        st.fused_steps,
+        st.gather_addrs,
+        st.pattern_addrs
+    )
+}
+
 /// `lint`: the full static-analysis pipeline, with `--prove` and
-/// `--emit text|json` semantics matching the CLI (the `output` field
-/// carries the CLI's exact rendering).
+/// `--emit text|json` selecting the rendering the `output` field
+/// carries (the one-shot `graphene lint` prints it verbatim).
 fn lint(req: &Request) -> Result<Obj, String> {
-    let name = req.opt("kernel").ok_or("lint needs a `kernel` field")?;
-    let arch = arch_of(req)?;
+    let name = req.opt("kernel").ok_or(
+        "lint needs a kernel name (`kernel`): gemm|gemm-db|mlp|lstm|layernorm|softmax|fmha",
+    )?;
+    let arch = opt_arch(&req.opts)?;
     let nk = graphene_kernels::catalog::build_named(name, arch, &req.opts)?;
     let mut plans = graphene_sim::PlanCache::new();
     let diags = graphene_analysis::analyze_kernel_cached(&nk.kernel, arch, &mut plans);
@@ -158,13 +172,15 @@ fn lint(req: &Request) -> Result<Obj, String> {
         .str("output", &output))
 }
 
-/// `run`: execute a kernel. `exec` selects the engine exactly like the
-/// CLI; the compiled plan comes from the resident plan cache, and the
-/// replay engine serves from the resident trace cache — a repeated
-/// request replays without recording (`trace_hit: true`).
+/// `run`: execute a kernel. `exec` selects the engine; the compiled
+/// plan comes from the resident plan cache, and the replay engine
+/// serves from the resident trace cache — a repeated request replays
+/// without recording (`trace_hit: true`).
 fn run(state: &ServerState, req: &Request) -> Result<Obj, String> {
-    let name = req.opt("kernel").ok_or("run needs a `kernel` field")?;
-    let arch = arch_of(req)?;
+    let name = req.opt("kernel").ok_or(
+        "run needs a kernel name (`kernel`): gemm|gemm-db|mlp|lstm|layernorm|softmax|fmha",
+    )?;
+    let arch = opt_arch(&req.opts)?;
     enum Engine {
         Reference,
         Plan(ExecMode),
@@ -184,7 +200,7 @@ fn run(state: &ServerState, req: &Request) -> Result<Obj, String> {
     let (entry, plan_hit) = state.plan_for(name, arch, &req.opts)?;
     let inputs = seeded_inputs(entry.plan.params().iter().map(|(id, _, len)| (*id, *len)));
     let bindings = HashMap::new();
-    let mut trace_hit = false;
+    let mut replayed = None;
     let start = std::time::Instant::now();
     let outcome = match &engine {
         Engine::Plan(m) => execute_plan(&entry.plan, &inputs, &bindings, *m),
@@ -205,8 +221,9 @@ fn run(state: &ServerState, req: &Request) -> Result<Obj, String> {
                 .traces
                 .get_or_record(&key, &entry.plan, &bindings)
                 .map_err(|e| e.to_string())?;
-            trace_hit = hit;
-            replay_opt(&trace, &inputs)
+            let outcome = replay_opt(&trace, &inputs);
+            replayed = Some((hit, *trace.stats()));
+            outcome
         }
     }
     .map_err(|e| e.to_string())?;
@@ -230,8 +247,8 @@ fn run(state: &ServerState, req: &Request) -> Result<Obj, String> {
             &format!("{} blocks x {} threads", entry.plan.grid_size(), entry.plan.block_size()),
         )
         .bool("plan_hit", plan_hit);
-    if matches!(engine, Engine::Replay) {
-        fields = fields.bool("trace_hit", trace_hit);
+    if let Some((hit, st)) = &replayed {
+        fields = fields.bool("trace_hit", *hit).raw("trace_opt", &trace_opt_json(st));
     }
     Ok(fields
         .raw("wall_ms", &format!("{wall_ms:.3}"))
@@ -247,7 +264,7 @@ fn run_graph(state: &ServerState, req: &Request) -> Result<Obj, String> {
     use graphene_kernels::exec_lower::{graph_key, lower_executable, ExecLowering};
 
     let dims = graphene_kernels::catalog::EncoderDims::from_options(&req.opts)?;
-    let arch = arch_of(req)?;
+    let arch = opt_arch(&req.opts)?;
     let lowering = match req.opt("lowering") {
         None | Some("fused") => ExecLowering::Fused,
         Some("default") => ExecLowering::Default,
@@ -262,14 +279,14 @@ fn run_graph(state: &ServerState, req: &Request) -> Result<Obj, String> {
     let graph = dims.graph();
     let lower = || lower_executable(&graph, arch, lowering);
     let start = std::time::Instant::now();
-    let (launches, graph_hit, outcome) = if replay_engine {
+    let (launches, replayed, outcome) = if replay_engine {
         let key = graph_key(&graph, arch, lowering);
         let (gt, hit) = state.graphs.get_or_record_with(&key, || {
             record_graph(&lower()?, &state.traces).map_err(|e| e.to_string())
         })?;
         let inputs = seeded_inputs(gt.externals());
         let outcome = replay_graph(&gt, &inputs, ExecMode::Parallel).map_err(|e| e.to_string())?;
-        (gt.num_kernels(), Some(hit), outcome)
+        (gt.num_kernels(), Some((hit, gt.opt_stats())), outcome)
     } else {
         let eg = lower()?;
         let inputs = seeded_inputs(eg.externals());
@@ -296,8 +313,8 @@ fn run_graph(state: &ServerState, req: &Request) -> Result<Obj, String> {
             ),
         )
         .str("engine", if replay_engine { "replay" } else { "plan" });
-    if let Some(hit) = graph_hit {
-        fields = fields.bool("graph_hit", hit);
+    if let Some((hit, st)) = &replayed {
+        fields = fields.bool("graph_hit", *hit).raw("trace_opt", &trace_opt_json(st));
     }
     Ok(fields
         .raw("wall_ms", &format!("{wall_ms:.3}"))
@@ -307,14 +324,29 @@ fn run_graph(state: &ServerState, req: &Request) -> Result<Obj, String> {
 
 /// Renders a finished tune report as response fields — shared by the
 /// synchronous path and job workers (`poll` returns the same object).
-fn tune_fields(report: &graphene_tune::TuneReport, arch: Arch) -> Obj {
+fn tune_fields(report: &graphene_tune::TuneReport, space: &dyn SearchSpace, arch: Arch) -> Obj {
     let s = &report.stats;
-    Obj::new()
+    let mut fields = Obj::new()
         .str("space", &report.space)
         .str("problem", &report.problem)
         .str("arch", &format!("{arch:?}"))
         .str("winner", &report.best_desc)
-        .raw("best_time_s", &format!("{:e}", report.best_time_s))
+        .raw("best_time_s", &format!("{:e}", report.best_time_s));
+    if let Some(d) = report.default_time_s {
+        fields = fields.raw("default_time_s", &format!("{d:e}"));
+    }
+    let leaderboard: Vec<String> = report
+        .leaderboard
+        .iter()
+        .map(|c| {
+            format!(
+                "[\"{}\",{:e}]",
+                graphene_tune::json::escape(&space.describe(&c.point)),
+                c.profile.time_s
+            )
+        })
+        .collect();
+    fields
         .raw(
             "stats",
             &format!(
@@ -329,16 +361,49 @@ fn tune_fields(report: &graphene_tune::TuneReport, arch: Arch) -> Obj {
             ),
         )
         .bool("db_hit", s.db_hit)
+        .raw("leaderboard", &format!("[{}]", leaderboard.join(",")))
+}
+
+/// A tune request's arch, search space and options, from the shared
+/// tune catalog.
+type TuneSpec = (Arch, Box<dyn SearchSpace>, TuneOptions);
+
+fn tune_spec(req: &Request) -> Result<TuneSpec, String> {
+    let arch = opt_arch(&req.opts)?;
+    let kernel = req.opt("kernel").unwrap_or("gemm");
+    let space = graphene_tune::catalog::space_from_options(kernel, arch, &req.opts)?;
+    let opts = graphene_tune::catalog::options_from_options(&req.opts)?;
+    Ok((arch, space, opts))
+}
+
+/// Runs a tune against the resident database and cost cache, counts a
+/// database hit, and renders the report — the synchronous path and job
+/// workers both end here.
+fn search(
+    state: &ServerState,
+    (arch, space, opts): &TuneSpec,
+    progress: Option<&dyn TuneProgress>,
+) -> Result<Obj, String> {
+    let report = graphene_tune::tune_observed(
+        space.as_ref(),
+        opts,
+        Some(&state.db),
+        Some(&state.costs),
+        progress,
+    )
+    .map_err(|e| e.to_string())?;
+    if report.stats.db_hit {
+        state.db_hits.fetch_add(1, Ordering::Relaxed);
+    }
+    Ok(tune_fields(&report, space.as_ref(), *arch))
 }
 
 /// `tune`: short searches run synchronously; searches whose planned
 /// proposal count exceeds the server's limit (or that pass
 /// `"job":true`) are enqueued and answered with a job id for `poll`.
 fn tune(state: &ServerState, req: &Request) -> Result<Obj, String> {
-    let arch = arch_of(req)?;
-    let kernel = req.opt("kernel").unwrap_or("gemm");
-    let space = graphene_tune::catalog::space_from_options(kernel, arch, &req.opts)?;
-    let opts = graphene_tune::catalog::options_from_options(&req.opts)?;
+    let spec = tune_spec(req)?;
+    let (_, space, opts) = &spec;
     let planned = graphene_tune::planned_proposals(space.as_ref(), &opts.search);
     if flag(req, "job") || planned > state.sync_tune_limit {
         let job = state.jobs.submit(req.clone(), planned);
@@ -347,43 +412,15 @@ fn tune(state: &ServerState, req: &Request) -> Result<Obj, String> {
             .str("state", "queued")
             .num("planned", planned as u64));
     }
-    let report = graphene_tune::tune_observed(
-        space.as_ref(),
-        &opts,
-        Some(&state.db),
-        Some(&state.costs),
-        None,
-    )
-    .map_err(|e| e.to_string())?;
-    if report.stats.db_hit {
-        state.db_hits.fetch_add(1, Ordering::Relaxed);
-    }
-    Ok(tune_fields(&report, arch))
+    search(state, &spec, None)
 }
 
 /// Runs one dequeued tune job to completion — called by the server's
 /// job-worker threads. Progress flows through the job's observer;
 /// cancellation aborts between batches.
 pub fn run_tune_job(state: &ServerState, req: &Request, job: &Job) {
-    let outcome = (|| -> Result<String, String> {
-        let arch = arch_of(req)?;
-        let kernel = req.opt("kernel").unwrap_or("gemm");
-        let space = graphene_tune::catalog::space_from_options(kernel, arch, &req.opts)?;
-        let opts = graphene_tune::catalog::options_from_options(&req.opts)?;
-        let report = graphene_tune::tune_observed(
-            space.as_ref(),
-            &opts,
-            Some(&state.db),
-            Some(&state.costs),
-            Some(&job.progress),
-        )
-        .map_err(|e| e.to_string())?;
-        if report.stats.db_hit {
-            state.db_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(tune_fields(&report, arch).finish())
-    })();
-    state.jobs.finish(job, outcome);
+    let outcome = tune_spec(req).and_then(|spec| search(state, &spec, Some(&job.progress)));
+    state.jobs.finish(job, outcome.map(Obj::finish));
 }
 
 fn job_id(req: &Request) -> Result<u64, String> {
@@ -536,6 +573,7 @@ mod tests {
         let cold = parse(&dispatch(&state, line)).unwrap();
         assert_eq!(cold.get("ok"), Some(&Json::Bool(true)), "{cold:?}");
         assert_eq!(get(&cold, &["trace_hit"]), &Json::Bool(false));
+        assert!(get(&cold, &["trace_opt", "coalesced_fraction"]).as_f64().unwrap() > 0.0);
         let warm = parse(&dispatch(&state, line)).unwrap();
         assert_eq!(get(&warm, &["trace_hit"]), &Json::Bool(true));
         assert_eq!(get(&warm, &["plan_hit"]), &Json::Bool(true));
@@ -635,9 +673,13 @@ mod tests {
         let cold = parse(&dispatch(&state, line)).unwrap();
         assert_eq!(cold.get("ok"), Some(&Json::Bool(true)), "{cold:?}");
         assert_eq!(get(&cold, &["db_hit"]), &Json::Bool(false));
+        assert!(get(&cold, &["default_time_s"]).as_f64().is_some());
+        let board = get(&cold, &["leaderboard"]).as_arr().unwrap();
+        assert_eq!(board[0].as_arr().unwrap()[0].as_str(), get(&cold, &["winner"]).as_str());
         let warm = parse(&dispatch(&state, line)).unwrap();
         assert_eq!(get(&warm, &["db_hit"]), &Json::Bool(true));
         assert_eq!(get(&warm, &["stats", "simulated"]).as_i64(), Some(0));
+        assert_eq!(warm.get("default_time_s"), None, "a db hit costs no default");
         assert_eq!(
             get(&warm, &["winner"]).as_str(),
             get(&cold, &["winner"]).as_str(),

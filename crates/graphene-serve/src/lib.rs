@@ -21,9 +21,10 @@
 //! admission control, queue-wait deadlines, per-command latency
 //! histograms ([`metrics`]), an async job queue for long tunes with
 //! poll/cancel ([`jobs`]), and graceful drain on `shutdown`/SIGTERM.
-//! Request handlers ([`handlers`]) build kernels and search spaces
-//! through the same catalogs as the CLI, so responses are
-//! bit-identical to one-shot `graphene` runs.
+//! Request handlers ([`handlers`]) are also the one-shot CLI's
+//! implementation: `graphene run …` dispatches the same request on a
+//! fresh [`ServerState`], so responses are bit-identical to one-shot
+//! `graphene` runs by construction.
 //!
 //! ```no_run
 //! use graphene_serve::{Server, ServeOptions};

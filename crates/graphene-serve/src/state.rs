@@ -2,6 +2,11 @@
 //! across requests, behind `Sync` interfaces so the whole block is
 //! shared by reference across the worker pool.
 //!
+//! A one-shot CLI `lint`/`run`/`run-graph`/`tune` dispatches its request
+//! on a fresh `ServerState`, so its output is bit-identical to a
+//! daemon's response by construction: the caches only decide whether
+//! work is repeated.
+//!
 //! Cache keys are **canonical catalog problem strings** (e.g.
 //! `m1024_n256_k64_none`), not launch shapes: two different GEMM
 //! problems can share a grid/block shape, so a launch-keyed resident

@@ -1,8 +1,8 @@
 //! The tunable-space catalog: builds [`SearchSpace`]s, [`Search`]
-//! strategies, and [`TuneOptions`] from *stringly* options, shared by
-//! the CLI `tune` sub-command and the serve daemon's `tune` requests —
-//! one parsing/validation path, so a search requested over the wire is
-//! the same search the one-shot CLI would run.
+//! strategies, and [`TuneOptions`] from *stringly* options for the
+//! serve daemon's `tune` requests — which the one-shot CLI `tune`
+//! dispatches in process too, so a search requested over the wire is
+//! the same search the one-shot CLI runs.
 
 use crate::space::{FmhaSpace, GemmSpace, LayernormSpace, MlpSpace, SearchSpace};
 use crate::tuner::{Search, TuneOptions};

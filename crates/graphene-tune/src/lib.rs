@@ -18,15 +18,16 @@
 //!   roofline timing model. Ranking is deterministic (time, then
 //!   counter tie-breaks). A [`CostCache`] records each point's
 //!   pipeline outcome so overlapping or repeated searches replay
-//!   instead of re-simulating ([`tune_cached`]).
+//!   instead of re-simulating ([`tune_observed`]).
 //! - **[`db`]** — a versioned persistent database (`tune-cache.json`)
 //!   keyed by `(kernel, problem, arch, space hash)`; a warm second run
 //!   of the same search is served without a single candidate
 //!   simulation.
 //!
-//! The `graphene-cli tune` subcommand is a thin veneer over [`tune`].
-//! (The historical GEMM-only `graphene_kernels::tune` compatibility
-//! shim has been removed; this crate is the only tuning entry point.)
+//! The serve daemon's `tune` command (and with it the `graphene tune`
+//! one-shot, which dispatches the same request in process) goes through
+//! [`tune_observed`]; [`tune`] is the single-threaded entry point over
+//! an exclusively owned [`TuneDb`].
 //!
 //! ```
 //! use graphene_ir::Arch;
@@ -73,38 +74,12 @@ pub fn tune(
     opts: &TuneOptions,
     db: Option<&mut TuneDb>,
 ) -> Result<TuneReport, TuneError> {
-    tune_cached(space, opts, db, None)
-}
-
-/// [`tune`] with an optional [`CostCache`]: candidate outcomes recorded
-/// by earlier searches replay without re-building or re-simulating,
-/// and this search's pipeline runs are recorded for the next one. The
-/// database still takes precedence — a `tune-cache.json` hit never
-/// consults the cost cache at all.
-///
-/// # Errors
-///
-/// Same as [`tune`].
-pub fn tune_cached(
-    space: &dyn SearchSpace,
-    opts: &TuneOptions,
-    mut db: Option<&mut TuneDb>,
-    costs: Option<&CostCache>,
-) -> Result<TuneReport, TuneError> {
-    if let Some(db) = db.as_deref_mut() {
+    if let Some(db) = db.as_deref() {
         if let Some((point, entry)) = db.lookup(space) {
-            return Ok(TuneReport {
-                space: space.name().to_string(),
-                problem: space.problem_key(),
-                best_desc: space.describe(&point),
-                best_point: point,
-                best_time_s: entry.time_s,
-                leaderboard: Vec::new(),
-                stats: TuneStats { db_hit: true, ..TuneStats::default() },
-            });
+            return Ok(db_hit_report(space, point, entry.time_s));
         }
     }
-    let report = tuner::run_search_cached(space, opts, costs)?;
+    let report = tuner::run_search(space, opts)?;
     if let Some(db) = db {
         db.record(space, &report.best_point, report.best_time_s, report.stats.simulated);
         db.save().map_err(|e| TuneError::Db(e.to_string()))?;
@@ -112,12 +87,13 @@ pub fn tune_cached(
     Ok(report)
 }
 
-/// [`tune_cached`] against a [`SharedTuneDb`] with an optional
-/// [`TuneProgress`] observer — the serve daemon's entry point. The
-/// database lookup, the (observable, cancellable) search, and the
-/// merged write-back all go through the shared handle, so concurrent
-/// tunes from many request threads neither race the file nor lose
-/// each other's entries.
+/// [`tune`] against a [`SharedTuneDb`], with an optional [`CostCache`]
+/// and an optional [`TuneProgress`] observer — the serve daemon's entry
+/// point. Candidate outcomes recorded in `costs` by earlier searches
+/// replay without re-building or re-simulating. The database lookup,
+/// the (observable, cancellable) search, and the merged write-back all
+/// go through the shared handle, so concurrent tunes from many request
+/// threads neither race the file nor lose each other's entries.
 ///
 /// # Errors
 ///
@@ -132,15 +108,7 @@ pub fn tune_observed(
 ) -> Result<TuneReport, TuneError> {
     if let Some(db) = db {
         if let Some((point, entry)) = db.lookup(space) {
-            return Ok(TuneReport {
-                space: space.name().to_string(),
-                problem: space.problem_key(),
-                best_desc: space.describe(&point),
-                best_point: point,
-                best_time_s: entry.time_s,
-                leaderboard: Vec::new(),
-                stats: TuneStats { db_hit: true, ..TuneStats::default() },
-            });
+            return Ok(db_hit_report(space, point, entry.time_s));
         }
     }
     let report = tuner::run_search_observed(space, opts, costs, progress)?;
@@ -149,4 +117,19 @@ pub fn tune_observed(
             .map_err(|e| TuneError::Db(e.to_string()))?;
     }
     Ok(report)
+}
+
+/// The report of a search served from the database: the stored winner,
+/// no leaderboard, no default timing, zero simulations.
+fn db_hit_report(space: &dyn SearchSpace, point: Point, time_s: f64) -> TuneReport {
+    TuneReport {
+        space: space.name().to_string(),
+        problem: space.problem_key(),
+        best_desc: space.describe(&point),
+        best_point: point,
+        best_time_s: time_s,
+        default_time_s: None,
+        leaderboard: Vec::new(),
+        stats: TuneStats { db_hit: true, ..TuneStats::default() },
+    }
 }

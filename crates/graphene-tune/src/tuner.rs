@@ -135,6 +135,10 @@ pub struct TuneReport {
     pub best_point: Point,
     /// Simulated time of the winner, seconds.
     pub best_time_s: f64,
+    /// The search's own costing of [`SearchSpace::default_point`], the
+    /// hand-picked schedule (`None` on a database hit, or when the
+    /// default was pruned).
+    pub default_time_s: Option<f64>,
     /// Top candidates, best first (empty on a database hit).
     pub leaderboard: Vec<Candidate>,
     /// Pipeline accounting.
@@ -501,6 +505,9 @@ impl<'s> Session<'s> {
                 last_reason: self.last_reason,
             });
         }
+        let default = self.space.default_point();
+        let default_time_s =
+            self.costed.iter().find(|c| c.point == default).map(|c| c.profile.time_s);
         self.costed.sort_by(rank);
         self.costed.truncate(self.opts.top.max(1));
         let best = self.costed[0].clone();
@@ -510,6 +517,7 @@ impl<'s> Session<'s> {
             best_desc: self.space.describe(&best.point),
             best_point: best.point.clone(),
             best_time_s: best.profile.time_s,
+            default_time_s,
             leaderboard: self.costed,
             stats: self.stats,
         })

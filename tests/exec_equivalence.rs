@@ -336,6 +336,14 @@ fn optimized_spans_decode_to_recorded_addresses() {
                 "gemm: MMA-order registers should leave at most 450000 residual addresses, got {}",
                 st.gather_addrs
             );
+            // The same problem CI replays: the optimizer engages, and
+            // interning leaves the trace at least 90% smaller.
+            assert!(st.coalesced_fraction() > 0.0, "gemm: nothing coalesced");
+            assert!(
+                st.bytes_saved_fraction() >= 0.90,
+                "gemm: trace only {:.1}% smaller, want >= 90%",
+                st.bytes_saved_fraction() * 100.0
+            );
         }
     }
 }

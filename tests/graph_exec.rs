@@ -65,19 +65,28 @@ fn fused_and_default_lowerings_execute_bit_identically() {
 
 #[test]
 fn graph_replay_matches_plan_execution_bitwise() {
-    let g = test_encoder();
-    let eg = lower_executable(&g, Arch::Sm86, ExecLowering::Fused).expect("lowers");
-    let inputs = random_inputs(&eg);
+    // One and two layers, both lowerings: replay equals the plan engine
+    // on every output bit and every counter.
+    for g in [test_encoder(), encoder_graph(2, 1, 64, 256, 4, 256)] {
+        for lowering in [ExecLowering::Fused, ExecLowering::Default] {
+            let eg = lower_executable(&g, Arch::Sm86, lowering).expect("lowers");
+            let inputs = random_inputs(&eg);
+            let plan_out = execute_graph(&eg, &inputs, ExecMode::Sequential).expect("plan engine");
+            let gt = record_graph(&eg, &TraceCache::new()).expect("records");
+            let replay_out =
+                replay_graph(&gt, &inputs, ExecMode::Sequential).expect("replay engine");
+            let what = format!("{} ops, {lowering:?}", g.ops.len());
+            assert_eq!(bits(&plan_out.outputs), bits(&replay_out.outputs), "{what}: diverged");
+            assert_eq!(plan_out.counters, replay_out.counters, "{what}: counters");
+        }
+    }
 
-    let plan_out = execute_graph(&eg, &inputs, ExecMode::Sequential).expect("plan engine");
+    // Replay with fresh inputs — no re-recording, different data.
+    let eg = lower_executable(&test_encoder(), Arch::Sm86, ExecLowering::Fused).expect("lowers");
+    let inputs = random_inputs(&eg);
     let traces = TraceCache::new();
     let gt = record_graph(&eg, &traces).expect("records");
     let replay_out = replay_graph(&gt, &inputs, ExecMode::Sequential).expect("replay engine");
-
-    assert_eq!(bits(&plan_out.outputs), bits(&replay_out.outputs), "engines diverged bitwise");
-    assert_eq!(plan_out.counters, replay_out.counters, "replay must report recorded counters");
-
-    // Replay with fresh inputs — no re-recording, different data.
     let mut inputs2 = inputs.clone();
     for v in inputs2.get_mut("x").expect("input x") {
         *v += 0.25;
