@@ -176,6 +176,14 @@ impl GemmConfig {
                         self.wm, self.wn
                     ));
                 }
+                // A is staged transposed, eight halves per thread per chunk.
+                let threads = self.threads();
+                if (self.bm * self.bk) % (threads * 8) != 0 {
+                    return Err(format!(
+                        "transposed A staging (Volta): {}x{} tile not divisible by {} threads x 8",
+                        self.bm, self.bk, threads
+                    ));
+                }
             }
         }
         let warps = self.warps();

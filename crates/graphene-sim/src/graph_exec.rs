@@ -279,9 +279,9 @@ fn gather_outputs(
 /// Executes the graph through the compiled-plan engine, node by node
 /// over one planned arena.
 ///
-/// `mode` selects the per-kernel CTA schedule (sequential, parallel,
-/// or one-shot record+replay); nodes themselves always run in graph
-/// order, which the arena aliasing depends on.
+/// `mode` selects the per-kernel CTA schedule (sequential or
+/// parallel); nodes themselves always run in graph order, which the
+/// arena aliasing depends on.
 ///
 /// # Errors
 ///

@@ -19,27 +19,30 @@
 //!   evaluation sizes and produces the Nsight-Compute-style utilisation
 //!   percentages of Figure 9.
 //!
-//! Execution is compile-once/execute-many: [`KernelPlan::compile`]
-//! lowers a kernel to slot-indexed address plans and precomputed lane
-//! tables ([`plan`]), and [`execute_plan`] interprets the plan — with
-//! independent CTAs running concurrently under [`ExecMode::Parallel`]
-//! while staying bit-identical to sequential execution ([`run`]). The
-//! original statement-tree interpreter is retained as
-//! [`execute_reference`] for equivalence testing and as the benchmark
-//! baseline.
+//! Functional execution has three engines, bit-identical in outputs
+//! and counters:
 //!
-//! On top of the compiled engine sits record-once/replay-many
-//! execution — the CUDA-graph analog: [`record_trace`] captures one
-//! instrumented run as a flat straight-line program ([`trace`]), a
-//! [`TraceCache`] memoizes traces per (kernel, problem, arch), and
-//! [`replay`](replay()) re-runs the program against fresh inputs with
-//! no dispatch, no symbolic environment, and no address emission
-//! ([`ExecMode::Replay`] for one-shot use). Recorded traces are then
-//! lowered by the trace optimizer ([`optimize_trace`], [`trace_opt`])
-//! into an [`OptTrace`] whose address slices are compact affine
-//! descriptors: [`replay_opt`](replay_opt()) runs contiguous steps at
-//! memcpy speed, and the [`TraceCache`] keeps only this compact form
-//! resident.
+//! - **Reference** ([`execute_reference`]): the original statement-tree
+//!   interpreter, kept as the oracle every equivalence test compares
+//!   against.
+//! - **Compiled plan** ([`execute_plan`]): [`KernelPlan::compile`]
+//!   lowers a kernel once to slot-indexed address plans and
+//!   precomputed lane tables ([`plan`]), and the plan is interpreted
+//!   per execution ([`run`]).
+//! - **Optimized replay** ([`replay_opt`](replay_opt())): the CUDA-graph
+//!   analog. [`record_trace`] captures one instrumented plan run as a
+//!   flat straight-line program ([`trace`]), the trace optimizer
+//!   ([`optimize_trace`], [`trace_opt`]) lowers it into an [`OptTrace`]
+//!   whose address slices are compact affine descriptors, and replay
+//!   re-runs it against fresh inputs with no dispatch, no symbolic
+//!   environment and no address emission — contiguous steps at memcpy
+//!   speed. A [`TraceCache`] keeps one optimized trace resident per
+//!   (kernel, problem, arch).
+//!
+//! The two grid engines run independent CTAs concurrently under
+//! [`ExecMode::Parallel`] through one shared fan-out with a
+//! block-ordered write merge, so parallel runs stay bit-identical to
+//! sequential ones.
 
 #![warn(missing_docs)]
 
@@ -78,7 +81,7 @@ pub use prove::{
     grade_conflicts_cached, linear_site, prove_conflicts_enumerated, prove_conflicts_linear,
     sample_is_aligned_warp, ConflictGrade, ConflictProvenance, LinearSite,
 };
-pub use replay::{replay, replay_opt, replay_opt_with, replay_with};
+pub use replay::{replay_opt, replay_opt_with};
 pub use run::{execute_plan, ExecMode};
 pub use timing::{time_kernel, time_sequence, KernelProfile};
 pub use trace::{record_trace, Trace, TraceCache, TraceKey};

@@ -1,35 +1,33 @@
-//! Replay execution: re-run a recorded [`Trace`] against fresh inputs.
+//! Replay execution: re-run an optimized trace ([`OptTrace`]) against
+//! fresh inputs.
 //!
 //! A replay is a single pass over a straight-line program: no `CSpec`
 //! dispatch, no symbolic environment, no guard evaluation, no
 //! per-group address emission, no traffic accounting — every step is
-//! an op kind plus precomputed `u32` addresses into flat `f32`
-//! buffers. Counters were captured at record time (they are
-//! input-independent) and are returned unchanged.
+//! an op kind plus compact address spans into flat `f32` buffers.
+//! Counters were captured at record time (they are input-independent)
+//! and are returned unchanged.
 //!
-//! Like the compiled executor ([`crate::run`]), independent CTAs can
-//! replay concurrently: workers chunk the recorded blocks, each owns a
-//! private snapshot of the global buffers, logs its global writes, and
-//! the logs merge **in ascending block order** — bit-identical to the
-//! sequential replay whenever no CTA reads another CTA's writes.
+//! Independent CTAs replay concurrently through the same fan-out as
+//! the compiled executor ([`crate::run`]): each worker owns a private
+//! snapshot of the buffers and logs its global writes, and the logs
+//! merge **in ascending block order** — bit-identical to the sequential
+//! replay whenever no CTA reads another CTA's writes.
 
+use crate::counters::Counters;
 use crate::exec::{ExecError, ExecOutcome};
-use crate::run::ExecMode;
-use crate::trace::{TOp, Trace};
+use crate::run::{fan_out, initial_globals, Cta, ExecMode};
 use crate::trace_opt::{LaneRef, OTp, OptTrace, Span};
 use std::collections::HashMap;
 
 use graphene_ir::tensor::TensorId;
 
-/// One logged global write during a parallel replay.
-#[derive(Debug, Clone, Copy)]
-struct RWrite {
-    buf: u32,
-    addr: u32,
-    val: f32,
-}
-
-/// Replays a trace sequentially against `inputs`.
+/// Replays an optimized trace sequentially against `inputs` — the
+/// coalesced fast path: contiguous copies run as `copy_from_slice`,
+/// contiguous element-wise steps as tight slice loops, strided/lane
+/// spans as stepped loops, and only residual gathers walk an address
+/// array. Bit-identical to compiled-plan execution of the recorded
+/// kernel.
 ///
 /// `inputs` maps kernel parameters to their buffers, exactly as for
 /// [`crate::exec::execute`]; missing params are zero-initialised.
@@ -39,122 +37,6 @@ struct RWrite {
 /// [`ExecError::BadInput`] when an input buffer is mis-sized. Replay
 /// itself cannot fail: every address was bounds-validated when the
 /// recording run executed it.
-pub fn replay(
-    trace: &Trace,
-    inputs: &HashMap<TensorId, Vec<f32>>,
-) -> Result<ExecOutcome, ExecError> {
-    replay_with(trace, inputs, ExecMode::Sequential)
-}
-
-/// Like [`replay`], with an explicit [`ExecMode`] selecting sequential
-/// or parallel CTA replay ([`ExecMode::Replay`] acts as sequential).
-///
-/// # Errors
-///
-/// See [`replay`].
-pub fn replay_with(
-    trace: &Trace,
-    inputs: &HashMap<TensorId, Vec<f32>>,
-    mode: ExecMode,
-) -> Result<ExecOutcome, ExecError> {
-    let init = initial_bufs(trace, inputs)?;
-    let grid = trace.blocks.len();
-    let workers = match mode {
-        ExecMode::Sequential | ExecMode::Replay => 1,
-        ExecMode::Parallel => {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(grid.max(1))
-        }
-        ExecMode::Workers(n) => n.max(1).min(grid.max(1)),
-    };
-    let globals = if workers <= 1 || grid <= 1 {
-        run_sequential(trace, init)
-    } else {
-        run_parallel(trace, init, workers)
-    };
-    let globals = trace.params.iter().map(|(p, _, _)| *p).zip(globals).collect::<HashMap<_, _>>();
-    Ok(ExecOutcome { globals, counters: trace.counters })
-}
-
-/// Validates `inputs` against the trace's parameters and produces the
-/// unified buffer table (globals in params order, then zeroed shared
-/// and register buffers). Shared by the raw and optimized replays.
-fn initial_bufs_from(
-    params: &[(TensorId, String, usize)],
-    buf_lens: &[usize],
-    n_globals: usize,
-    inputs: &HashMap<TensorId, Vec<f32>>,
-) -> Result<Vec<Vec<f32>>, ExecError> {
-    let mut bufs = Vec::with_capacity(buf_lens.len());
-    for (p, name, want) in params {
-        match inputs.get(p) {
-            Some(b) if b.len() != *want => {
-                return Err(ExecError::BadInput(format!(
-                    "param %{} expects {} scalars, got {}",
-                    name,
-                    want,
-                    b.len()
-                )))
-            }
-            Some(b) => bufs.push(b.clone()),
-            None => bufs.push(vec![0.0; *want]),
-        }
-    }
-    bufs.extend(buf_lens[n_globals..].iter().map(|&len| vec![0.0; len]));
-    Ok(bufs)
-}
-
-fn initial_bufs(
-    trace: &Trace,
-    inputs: &HashMap<TensorId, Vec<f32>>,
-) -> Result<Vec<Vec<f32>>, ExecError> {
-    initial_bufs_from(&trace.params, &trace.buf_lens, trace.n_globals, inputs)
-}
-
-fn run_sequential(trace: &Trace, init: Vec<Vec<f32>>) -> Vec<Vec<f32>> {
-    let mut cta = ReplayCta { trace, bufs: init, log: None };
-    for b in 0..trace.blocks.len() {
-        cta.run_block(b);
-    }
-    cta.bufs.truncate(trace.n_globals);
-    cta.bufs
-}
-
-fn run_parallel(trace: &Trace, init: Vec<Vec<f32>>, workers: usize) -> Vec<Vec<f32>> {
-    let grid = trace.blocks.len();
-    let chunk = grid.div_ceil(workers);
-    let mut logs: Vec<Vec<RWrite>> = vec![Vec::new(); grid];
-    let init_ref = &init;
-    std::thread::scope(|s| {
-        for (w, log_chunk) in (0..workers).zip(logs.chunks_mut(chunk)) {
-            s.spawn(move || {
-                let mut cta = ReplayCta { trace, bufs: init_ref.clone(), log: Some(Vec::new()) };
-                for (i, slot) in log_chunk.iter_mut().enumerate() {
-                    cta.run_block(w * chunk + i);
-                    *slot = std::mem::take(cta.log.as_mut().expect("log installed"));
-                }
-            });
-        }
-    });
-    // Deterministic merge: apply every block's writes in block order.
-    let mut globals = init;
-    globals.truncate(trace.n_globals);
-    for log in &logs {
-        for rec in log {
-            globals[rec.buf as usize][rec.addr as usize] = rec.val;
-        }
-    }
-    globals
-}
-
-/// Replays an optimized trace sequentially against `inputs` — the
-/// coalesced fast path: contiguous copies run as `copy_from_slice`,
-/// contiguous element-wise steps as tight slice loops, strided/lane
-/// spans as stepped loops, and only residual gathers walk an address
-/// array. Bit-identical to [`replay`] of the unoptimized trace.
-///
-/// # Errors
-///
-/// [`ExecError::BadInput`] when an input buffer is mis-sized.
 pub fn replay_opt(
     trace: &OptTrace,
     inputs: &HashMap<TensorId, Vec<f32>>,
@@ -163,9 +45,9 @@ pub fn replay_opt(
 }
 
 /// Like [`replay_opt`], with an explicit [`ExecMode`] selecting
-/// sequential or parallel CTA replay ([`ExecMode::Replay`] acts as
-/// sequential). The parallel merge logs whole written runs instead of
-/// scalar writes, so coalesced steps stay coalesced across the merge.
+/// sequential or parallel CTA replay. The parallel merge logs whole
+/// written runs instead of scalar writes, so coalesced steps stay
+/// coalesced across the merge.
 ///
 /// # Errors
 ///
@@ -175,274 +57,26 @@ pub fn replay_opt_with(
     inputs: &HashMap<TensorId, Vec<f32>>,
     mode: ExecMode,
 ) -> Result<ExecOutcome, ExecError> {
-    let init = initial_bufs_from(&trace.params, &trace.buf_lens, trace.n_globals, inputs)?;
-    let grid = trace.blocks.len();
-    let workers = match mode {
-        ExecMode::Sequential | ExecMode::Replay => 1,
-        ExecMode::Parallel => {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(grid.max(1))
-        }
-        ExecMode::Workers(n) => n.max(1).min(grid.max(1)),
-    };
-    let globals = if workers <= 1 || grid <= 1 {
-        let mut cta = OptCta { trace, bufs: init, log: None };
-        for b in 0..grid {
-            cta.run_block(b);
-        }
-        cta.bufs.truncate(trace.n_globals);
-        cta.bufs
-    } else {
-        run_parallel_opt(trace, init, workers)
-    };
+    let mut init = initial_globals(&trace.params, inputs)?;
+    init.extend(trace.buf_lens[trace.n_globals..].iter().map(|&len| vec![0.0; len]));
+    let (globals, _) =
+        fan_out(mode, trace.blocks.len(), init, |bufs| OptCta { trace, bufs, log: None })?;
     let globals = trace.params.iter().map(|(p, _, _)| *p).zip(globals).collect::<HashMap<_, _>>();
     Ok(ExecOutcome { globals, counters: trace.counters })
 }
 
-fn run_parallel_opt(trace: &OptTrace, init: Vec<Vec<f32>>, workers: usize) -> Vec<Vec<f32>> {
-    let grid = trace.blocks.len();
-    let chunk = grid.div_ceil(workers);
-    let mut logs: Vec<Vec<OWrite>> = vec![Vec::new(); grid];
-    let init_ref = &init;
-    std::thread::scope(|s| {
-        for (w, log_chunk) in (0..workers).zip(logs.chunks_mut(chunk)) {
-            s.spawn(move || {
-                let mut cta = OptCta { trace, bufs: init_ref.clone(), log: Some(Vec::new()) };
-                for (i, slot) in log_chunk.iter_mut().enumerate() {
-                    cta.run_block(w * chunk + i);
-                    *slot = std::mem::take(cta.log.as_mut().expect("log installed"));
-                }
-            });
-        }
-    });
-    // Deterministic merge: apply every block's writes in block order;
-    // run entries splat whole slices, scalar entries single elements.
-    let mut globals = init;
-    globals.truncate(trace.n_globals);
-    for log in &logs {
-        for rec in log {
-            match rec {
-                OWrite::Run { buf, start, vals } => {
-                    let s = *start as usize;
-                    globals[*buf as usize][s..s + vals.len()].copy_from_slice(vals);
-                }
-                OWrite::At { buf, addr, val } => {
-                    globals[*buf as usize][*addr as usize] = *val;
-                }
-            }
-        }
-    }
-    globals
-}
-
 /// One logged global write of an optimized parallel replay: either a
 /// whole contiguous run (from a coalesced step) or a scalar.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum OWrite {
     Run { buf: u32, start: u32, vals: Vec<f32> },
     At { buf: u32, addr: u32, val: f32 },
 }
 
-/// Per-worker replay state: the unified flat buffer table plus an
-/// optional global-write log for the parallel merge.
-struct ReplayCta<'t> {
-    trace: &'t Trace,
-    bufs: Vec<Vec<f32>>,
-    log: Option<Vec<RWrite>>,
-}
-
-impl ReplayCta<'_> {
-    #[inline]
-    fn get(&self, buf: u32, addr: u32) -> f32 {
-        self.bufs[buf as usize][addr as usize]
-    }
-
-    #[inline]
-    fn put(&mut self, buf: u32, addr: u32, v: f32) {
-        self.bufs[buf as usize][addr as usize] = v;
-        if (buf as usize) < self.trace.n_globals {
-            if let Some(log) = &mut self.log {
-                log.push(RWrite { buf, addr, val: v });
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_lines, clippy::needless_range_loop)]
-    fn run_block(&mut self, b: usize) {
-        let trace = self.trace;
-        let (start, end) = trace.blocks[b];
-        let ar: &[u32] = &trace.addrs;
-        use graphene_ir::atomic::fragments as frag;
-        for step in &trace.steps[start as usize..end as usize] {
-            match *step {
-                TOp::Fill { buf } => {
-                    self.bufs[buf as usize].fill(0.0);
-                    // A global fill would need logging for the parallel
-                    // merge, but plans reject global allocs, so filled
-                    // buffers are always shared/register.
-                }
-                TOp::Copy { src, dst, sa, da, n } => {
-                    for i in 0..n as usize {
-                        let v = self.get(src, ar[sa as usize + i]);
-                        self.put(dst, ar[da as usize + i], v);
-                    }
-                }
-                TOp::Unary { op, src, dst, sa, da, n } => {
-                    for i in 0..n as usize {
-                        let v = self.get(src, ar[sa as usize + i]);
-                        self.put(dst, ar[da as usize + i], op.apply(v as f64) as f32);
-                    }
-                }
-                TOp::Binary { op, a, b, dst, aa, ba, da, n } => {
-                    for i in 0..n as usize {
-                        let x = self.get(a, ar[aa as usize + i]);
-                        let y = self.get(b, ar[ba as usize + i]);
-                        self.put(dst, ar[da as usize + i], op.apply(x as f64, y as f64) as f32);
-                    }
-                }
-                TOp::Fma { a, b, c, aa, ba, ca, n } => {
-                    for i in 0..n as usize {
-                        let x = self.get(a, ar[aa as usize + i]);
-                        let y = self.get(b, ar[ba as usize + i]);
-                        let addr = ar[ca as usize + i];
-                        let z = self.get(c, addr);
-                        self.put(c, addr, x * y + z);
-                    }
-                }
-                TOp::Init { value, dst, da, n } => {
-                    for i in 0..n as usize {
-                        self.put(dst, ar[da as usize + i], value);
-                    }
-                }
-                TOp::Reduce { op, src, dst, sa, da, groups, per } => {
-                    for g in 0..groups as usize {
-                        let base = sa as usize + g * per as usize;
-                        let mut acc = op.identity();
-                        for j in 0..per as usize {
-                            acc = op.combine(acc, self.get(src, ar[base + j]) as f64);
-                        }
-                        self.put(dst, ar[da as usize + g], acc as f32);
-                    }
-                }
-                TOp::LdMatrix { num, trans, src, dst, sa, sper, da, dper, lanes } => {
-                    let num = num as usize;
-                    let mut mats = [[[0.0f32; 8]; 8]; 4];
-                    for p in 0..num {
-                        for r in 0..8 {
-                            let base = sa as usize + (p * 8 + r) * sper as usize;
-                            for c in 0..8 {
-                                mats[p][r][c] = self.get(src, ar[base + c]);
-                            }
-                        }
-                    }
-                    for li in 0..lanes as usize {
-                        let dbase = da as usize + li * dper as usize;
-                        for p in 0..num {
-                            for c in 0..2 {
-                                let (row, col) = if trans {
-                                    (2 * (li % 4) + c, li / 4)
-                                } else {
-                                    (li / 4, 2 * (li % 4) + c)
-                                };
-                                self.put(dst, ar[dbase + 2 * p + c], mats[p][row][col]);
-                            }
-                        }
-                    }
-                }
-                TOp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
-                    let mut am = [[0.0f32; 16]; 16];
-                    let mut bm = [[0.0f32; 8]; 16];
-                    let mut cm = [[0.0f32; 8]; 16];
-                    for li in 0..lanes as usize {
-                        let abase = aa as usize + li * aper as usize;
-                        for v in 0..8 {
-                            let (m_, k) = frag::mma_16816_a(li, v);
-                            am[m_][k] = self.get(a, ar[abase + v]);
-                        }
-                        let bbase = ba as usize + li * bper as usize;
-                        for v in 0..4 {
-                            let (k, n) = frag::mma_16816_b(li, v);
-                            bm[k][n] = self.get(b, ar[bbase + v]);
-                        }
-                        let cbase = ca as usize + li * cper as usize;
-                        for v in 0..4 {
-                            let (m_, n) = frag::mma_16816_c(li, v);
-                            cm[m_][n] = self.get(c, ar[cbase + v]);
-                        }
-                    }
-                    let mut d = cm;
-                    for m_ in 0..16 {
-                        for n in 0..8 {
-                            let mut acc = 0.0f32;
-                            for k in 0..16 {
-                                acc += am[m_][k] * bm[k][n];
-                            }
-                            d[m_][n] += acc;
-                        }
-                    }
-                    for li in 0..lanes as usize {
-                        let cbase = ca as usize + li * cper as usize;
-                        for v in 0..4 {
-                            let (m_, n) = frag::mma_16816_c(li, v);
-                            self.put(c, ar[cbase + v], d[m_][n]);
-                        }
-                    }
-                }
-                TOp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
-                    let mut am = [[0.0f32; 4]; 8];
-                    let mut bm = [[0.0f32; 8]; 4];
-                    let mut cm = [[0.0f32; 8]; 8];
-                    for li in 0..lanes as usize {
-                        let abase = aa as usize + li * aper as usize;
-                        let bbase = ba as usize + li * bper as usize;
-                        for v in 0..4 {
-                            let (m_, k) = frag::mma_884_a(li, v);
-                            am[m_][k] = self.get(a, ar[abase + v]);
-                            let (k2, n) = frag::mma_884_b(li, v);
-                            bm[k2][n] = self.get(b, ar[bbase + v]);
-                        }
-                        let cbase = ca as usize + li * cper as usize;
-                        for v in 0..8 {
-                            let (m_, n) = frag::mma_884_c(li, v);
-                            cm[m_][n] = self.get(c, ar[cbase + v]);
-                        }
-                    }
-                    for m_ in 0..8 {
-                        for n in 0..8 {
-                            let mut acc = 0.0f32;
-                            for k in 0..4 {
-                                acc += am[m_][k] * bm[k][n];
-                            }
-                            cm[m_][n] += acc;
-                        }
-                    }
-                    for li in 0..lanes as usize {
-                        let cbase = ca as usize + li * cper as usize;
-                        for v in 0..8 {
-                            let (m_, n) = frag::mma_884_c(li, v);
-                            self.put(c, ar[cbase + v], cm[m_][n]);
-                        }
-                    }
-                }
-                TOp::Shfl { mask, src, dst, sa, da, lanes } => {
-                    let lanes = lanes as usize;
-                    let vals: Vec<f32> =
-                        (0..lanes).map(|li| self.get(src, ar[sa as usize + li])).collect();
-                    for li in 0..lanes {
-                        let peer = li ^ mask as usize;
-                        let v = vals[peer % vals.len()];
-                        self.put(dst, ar[da as usize + li], v);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Zero-dispatch address streams: a [`Span`] resolves to one concrete
 /// stream type per step (not per element), so the loops below
 /// monomorphize per variant combination with no enum branch in the
-/// body — the difference between matching and beating the raw arena
-/// walk.
+/// body — no slower than walking a flat address array.
 trait Addrs {
     fn next_addr(&mut self) -> usize;
 }
@@ -704,6 +338,35 @@ struct OptCta<'t> {
     log: Option<Vec<OWrite>>,
 }
 
+impl Cta for OptCta<'_> {
+    type Write = OWrite;
+
+    fn run_block(&mut self, b: usize) -> Result<(), ExecError> {
+        self.exec_block(b);
+        Ok(())
+    }
+
+    fn log(&mut self) -> &mut Option<Vec<OWrite>> {
+        &mut self.log
+    }
+
+    fn apply(w: &OWrite, globals: &mut [Vec<f32>]) {
+        match w {
+            OWrite::Run { buf, start, vals } => {
+                let s = *start as usize;
+                globals[*buf as usize][s..s + vals.len()].copy_from_slice(vals);
+            }
+            OWrite::At { buf, addr, val } => globals[*buf as usize][*addr as usize] = *val,
+        }
+    }
+
+    /// Replay accumulates no counters: the trace carries the recording
+    /// run's.
+    fn finish(self) -> (Vec<Vec<f32>>, Counters) {
+        (self.bufs, Counters::default())
+    }
+}
+
 impl OptCta<'_> {
     #[inline]
     fn get(&self, buf: u32, addr: usize) -> f32 {
@@ -824,11 +487,11 @@ impl OptCta<'_> {
     }
 
     // `assign_op_pattern`: FMA accumulates are written `acc = x*y + acc`
-    // (not `acc += x*y`) so the f32 addition keeps the raw
+    // (not `acc += x*y`) so the f32 addition keeps the plan
     // interpreter's operand order exactly — bit-identity is a hard
     // contract here.
     #[allow(clippy::too_many_lines, clippy::assign_op_pattern)]
-    fn run_block(&mut self, b: usize) {
+    fn exec_block(&mut self, b: usize) {
         let t = self.trace;
         let (start, end) = t.blocks[b];
         let g: &[u32] = &t.gather;
@@ -928,7 +591,7 @@ impl OptCta<'_> {
                         && !((dst as usize) < t.n_globals && self.log.is_some())
                     {
                         // In-place accumulate: read/write the same
-                        // buffer in element order, like the raw
+                        // buffer in element order, like the plan
                         // interpreter.
                         let (bv, d) = self.pair(b, dst);
                         zip3!(aa, ba, da, g, n, |ia, ib, id| {

@@ -1,4 +1,4 @@
-//! Plan execution: sequential and parallel CTA interpretation.
+//! Plan execution, and the CTA fan-out both grid engines share.
 //!
 //! Executes a [`KernelPlan`] — the compiled form of a kernel (see
 //! [`crate::plan`]) — with no hashing, no atomic-spec re-matching, and
@@ -7,12 +7,13 @@
 //! fixed 32-entry [`BankTally`], and register files are flat
 //! per-tensor arrays indexed by `thread * len + addr`.
 //!
-//! Independent CTAs execute concurrently under
-//! [`ExecMode::Parallel`] via `std::thread::scope`: each worker owns a
-//! private snapshot of the global buffers plus per-CTA shared/register
-//! state, records its global writes in a per-block log, and the logs
-//! are merged **in ascending block order** — so results and counters
-//! are bit-identical to [`ExecMode::Sequential`] whenever no CTA reads
+//! Independent CTAs execute concurrently under [`ExecMode::Parallel`]
+//! through `fan_out`, which compiled-plan execution and optimized
+//! replay ([`crate::replay`]) both use: each worker owns a private
+//! snapshot of the global buffers plus per-CTA shared/register state,
+//! records its global writes in a per-block log, and the logs are
+//! merged **in ascending block order** — so results and counters are
+//! bit-identical to [`ExecMode::Sequential`] whenever no CTA reads
 //! another CTA's writes (the independence every Graphene grid
 //! decomposition expresses, and the golden equivalence test checks for
 //! every paper kernel).
@@ -26,7 +27,8 @@ use graphene_ir::MemSpace;
 use graphene_sym::SlotEnv;
 use std::collections::HashMap;
 
-/// How CTAs (thread blocks) are interpreted.
+/// How CTAs (thread blocks) are scheduled, by compiled-plan execution
+/// and optimized replay alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Blocks run one after another on the calling thread.
@@ -40,17 +42,107 @@ pub enum ExecMode {
     /// count, regardless of the machine's core count (used by the
     /// equivalence tests to force the threaded merge path).
     Workers(usize),
-    /// Record the kernel once into a straight-line trace
-    /// ([`crate::trace`]) and execute by replaying it — no statement
-    /// tree, no spec dispatch, no address emission
-    /// ([`crate::replay`]). Callers executing the same (kernel,
-    /// problem, arch) repeatedly should record through a
-    /// [`crate::trace::TraceCache`] instead, which amortises the
-    /// single recording across every replay.
-    Replay,
 }
 
-/// One logged global-memory write (parallel mode).
+impl ExecMode {
+    /// Worker threads for a `grid`-block launch: at least 1, at most
+    /// one per block.
+    fn workers(self, grid: usize) -> usize {
+        let want = match self {
+            ExecMode::Sequential => 1,
+            ExecMode::Parallel => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            ExecMode::Workers(n) => n,
+        };
+        want.clamp(1, grid.max(1))
+    }
+}
+
+/// One worker's CTA engine as [`fan_out`] drives it: the plan
+/// interpreter ([`CtaRunner`]) or the optimized replay.
+pub(crate) trait Cta {
+    /// One logged global write.
+    type Write: Send;
+    /// Runs block `b`, pushing every global write to the log while one
+    /// is installed.
+    fn run_block(&mut self, b: usize) -> Result<(), ExecError>;
+    /// The global-write log; a parallel worker installs one per block.
+    fn log(&mut self) -> &mut Option<Vec<Self::Write>>;
+    /// Applies one logged write to the merged global buffers.
+    fn apply(w: &Self::Write, globals: &mut [Vec<f32>]);
+    /// The worker's buffers, globals first, and the counters it
+    /// accumulated.
+    fn finish(self) -> (Vec<Vec<f32>>, Counters);
+}
+
+/// Runs blocks `0..grid` on workers made by `spawn` from a copy of
+/// `init`, and returns the final buffers (globals first) and the
+/// workers' counters.
+///
+/// One worker runs every block in place when `mode` (or the grid)
+/// offers no parallelism. Otherwise each worker thread takes a
+/// contiguous chunk of blocks on its own snapshot of `init` and logs
+/// each block's global writes; the logs are applied to `init` in
+/// ascending block order, and the worker counters folded in worker
+/// order.
+///
+/// # Errors
+///
+/// The error of the lowest failing block, in every mode.
+pub(crate) fn fan_out<C: Cta>(
+    mode: ExecMode,
+    grid: usize,
+    init: Vec<Vec<f32>>,
+    spawn: impl Fn(Vec<Vec<f32>>) -> C + Sync,
+) -> Result<(Vec<Vec<f32>>, Counters), ExecError> {
+    let workers = mode.workers(grid);
+    if workers == 1 {
+        let mut cta = spawn(init);
+        for b in 0..grid {
+            cta.run_block(b)?;
+        }
+        return Ok(cta.finish());
+    }
+    let chunk = grid.div_ceil(workers);
+    let mut logs: Vec<Vec<C::Write>> = std::iter::repeat_with(Vec::new).take(grid).collect();
+    let mut worker_counters = vec![Counters::default(); workers];
+    let mut worker_errs: Vec<Option<(usize, ExecError)>> = vec![None; workers];
+    let (init_ref, spawn) = (&init, &spawn);
+    std::thread::scope(|s| {
+        for ((w, slots), (ctr, err)) in logs
+            .chunks_mut(chunk)
+            .enumerate()
+            .zip(worker_counters.iter_mut().zip(worker_errs.iter_mut()))
+        {
+            s.spawn(move || {
+                let mut cta = spawn(init_ref.clone());
+                for (i, slot) in slots.iter_mut().enumerate() {
+                    let b = w * chunk + i;
+                    *cta.log() = Some(Vec::new());
+                    if let Err(e) = cta.run_block(b) {
+                        *err = Some((b, e));
+                        break;
+                    }
+                    *slot = cta.log().take().expect("log installed above");
+                }
+                *ctr = cta.finish().1;
+            });
+        }
+    });
+    if let Some((_, e)) = worker_errs.into_iter().flatten().min_by_key(|&(b, _)| b) {
+        return Err(e);
+    }
+    let mut globals = init;
+    for w in logs.iter().flatten() {
+        C::apply(w, &mut globals);
+    }
+    let mut counters = Counters::default();
+    for c in &worker_counters {
+        counters.merge(c);
+    }
+    Ok((globals, counters))
+}
+
+/// One logged global-memory write of the plan interpreter.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WriteRec {
     buf: u32,
@@ -125,16 +217,6 @@ impl<'p> CtaRunner<'p> {
             log: None,
             rec: None,
         }
-    }
-
-    pub(crate) fn into_globals(self) -> Vec<Vec<f32>> {
-        self.global
-    }
-
-    /// Executes block `b`.
-    pub(crate) fn run_block(&mut self, b: i64) -> Result<(), ExecError> {
-        self.env.set(self.plan.block_slot, b);
-        self.exec_stmts(&self.plan.body)
     }
 
     fn exec_stmts(&mut self, stmts: &'p [CStmt]) -> Result<(), ExecError> {
@@ -589,6 +671,27 @@ impl<'p> CtaRunner<'p> {
     }
 }
 
+impl Cta for CtaRunner<'_> {
+    type Write = WriteRec;
+
+    fn run_block(&mut self, b: usize) -> Result<(), ExecError> {
+        self.env.set(self.plan.block_slot, b as i64);
+        self.exec_stmts(&self.plan.body)
+    }
+
+    fn log(&mut self) -> &mut Option<Vec<WriteRec>> {
+        &mut self.log
+    }
+
+    fn apply(w: &WriteRec, globals: &mut [Vec<f32>]) {
+        globals[w.buf as usize][w.addr as usize] = w.val;
+    }
+
+    fn finish(self) -> (Vec<Vec<f32>>, Counters) {
+        (self.global, self.counters)
+    }
+}
+
 /// Emits every lane's addresses for each operand in `ops` into `addrs`
 /// (appending), recording one `(start, addrs-per-lane)` segment per
 /// operand in `segs`.
@@ -613,13 +716,15 @@ fn emit_ops(
     Ok(())
 }
 
-/// Validates `inputs` against the plan's parameters and produces the
-/// initial global buffers, in params order.
-fn initial_globals(
-    plan: &KernelPlan,
+/// Validates `inputs` against the kernel parameters `params` —
+/// `(id, name, scalars)` in params order — and returns the initial
+/// global buffers: each supplied buffer copied, each missing one
+/// zeroed. Both grid engines take their inputs through here.
+pub(crate) fn initial_globals(
+    params: &[(TensorId, String, usize)],
     inputs: &HashMap<TensorId, Vec<f32>>,
 ) -> Result<Vec<Vec<f32>>, ExecError> {
-    plan.globals
+    params
         .iter()
         .map(|(p, name, want)| match inputs.get(p) {
             Some(b) if b.len() != *want => Err(ExecError::BadInput(format!(
@@ -638,7 +743,7 @@ fn initial_globals(
 ///
 /// # Errors
 ///
-/// See [`ExecError`]. Error reporting is deterministic in both modes:
+/// See [`ExecError`]. Error reporting is deterministic in every mode:
 /// when several blocks fail, the failure of the lowest block id is
 /// returned.
 pub fn execute_plan(
@@ -647,95 +752,11 @@ pub fn execute_plan(
     bindings: &HashMap<String, i64>,
     mode: ExecMode,
 ) -> Result<ExecOutcome, ExecError> {
-    if mode == ExecMode::Replay {
-        // Record once, optimize, replay once — the same pipeline the
-        // `TraceCache` runs, so one-shot replay execution and cached
-        // replay are the same engine. Repeated executions should share
-        // a `TraceCache` and call `replay_opt` directly.
-        let trace = crate::trace_opt::record_opt_trace(plan, bindings)?;
-        return crate::replay::replay_opt(&trace, inputs);
-    }
-    let init = initial_globals(plan, inputs)?;
-    let workers = match mode {
-        ExecMode::Sequential | ExecMode::Replay => 1,
-        ExecMode::Parallel => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(plan.grid.max(1) as usize),
-        ExecMode::Workers(n) => n.max(1).min(plan.grid.max(1) as usize),
-    };
-    let (globals, mut counters) = if workers <= 1 || plan.grid <= 1 {
-        run_sequential(plan, init, bindings)?
-    } else {
-        run_parallel(plan, init, bindings, workers)?
-    };
+    let init = initial_globals(&plan.globals, inputs)?;
+    let (globals, mut counters) =
+        fan_out(mode, plan.grid as usize, init, |g| CtaRunner::new(plan, g, bindings))?;
     counters.unique_global_read_bytes = plan.unique_read;
     counters.unique_global_write_bytes = plan.unique_written;
     let globals = plan.globals.iter().map(|(p, _, _)| *p).zip(globals).collect::<HashMap<_, _>>();
     Ok(ExecOutcome { globals, counters })
-}
-
-fn run_sequential(
-    plan: &KernelPlan,
-    init: Vec<Vec<f32>>,
-    bindings: &HashMap<String, i64>,
-) -> Result<(Vec<Vec<f32>>, Counters), ExecError> {
-    let mut runner = CtaRunner::new(plan, init, bindings);
-    for b in 0..plan.grid {
-        runner.run_block(b)?;
-    }
-    let counters = runner.counters;
-    Ok((runner.into_globals(), counters))
-}
-
-fn run_parallel(
-    plan: &KernelPlan,
-    init: Vec<Vec<f32>>,
-    bindings: &HashMap<String, i64>,
-    workers: usize,
-) -> Result<(Vec<Vec<f32>>, Counters), ExecError> {
-    let grid = plan.grid as usize;
-    let chunk = grid.div_ceil(workers);
-    let mut logs: Vec<Vec<WriteRec>> = vec![Vec::new(); grid];
-    let mut worker_counters: Vec<Counters> = vec![Counters::default(); workers];
-    let mut worker_errs: Vec<Option<(i64, ExecError)>> = vec![None; workers];
-    let init_ref = &init;
-    std::thread::scope(|s| {
-        for ((w, log_chunk), (ctr, err)) in (0..workers)
-            .zip(logs.chunks_mut(chunk))
-            .zip(worker_counters.iter_mut().zip(worker_errs.iter_mut()))
-        {
-            s.spawn(move || {
-                let mut runner = CtaRunner::new(plan, init_ref.clone(), bindings);
-                for (i, slot) in log_chunk.iter_mut().enumerate() {
-                    let b = (w * chunk + i) as i64;
-                    runner.log = Some(Vec::new());
-                    match runner.run_block(b) {
-                        Ok(()) => *slot = runner.log.take().expect("log set above"),
-                        Err(e) => {
-                            *err = Some((b, e));
-                            break;
-                        }
-                    }
-                }
-                *ctr = runner.counters;
-            });
-        }
-    });
-    if let Some((_, e)) = worker_errs.into_iter().flatten().min_by_key(|&(b, _)| b) {
-        return Err(e);
-    }
-    // Deterministic merge: apply every block's writes in block order,
-    // and fold worker counters in worker order.
-    let mut globals = init;
-    for log in &logs {
-        for rec in log {
-            globals[rec.buf as usize][rec.addr as usize] = rec.val;
-        }
-    }
-    let mut counters = Counters::default();
-    for c in &worker_counters {
-        counters.merge(c);
-    }
-    Ok((globals, counters))
 }

@@ -10,7 +10,8 @@
 //! compiled executor and captures everything that cannot change across
 //! runs — resolved branches and loops, precomputed operand address
 //! segments, op kind and flat buffer operands per step — into a
-//! [`Trace`]. The replay executor ([`crate::replay`]) then re-runs the
+//! [`Trace`]. The trace optimizer ([`crate::trace_opt`]) compacts it,
+//! and the replay executor ([`crate::replay`]) then re-runs the
 //! straight-line program against fresh input buffers with no `CSpec`
 //! dispatch, no symbolic environment, and no per-group address
 //! emission.
@@ -29,7 +30,7 @@
 use crate::counters::Counters;
 use crate::exec::ExecError;
 use crate::plan::{BufRef, CSpec, KernelPlan};
-use crate::run::{AddrScratch, CtaRunner};
+use crate::run::{AddrScratch, Cta, CtaRunner};
 use crate::trace_opt::{record_opt_trace, OptTrace};
 use graphene_ir::atomic::AtomicSemantics;
 use graphene_ir::ops::{BinaryOp, ReduceOp, UnaryOp};
@@ -107,8 +108,9 @@ pub(crate) enum TOp {
 
 /// A recorded straight-line execution of one (kernel, problem, arch):
 /// every branch resolved, every loop unrolled, every operand address
-/// precomputed. Produced by [`record_trace`], executed by
-/// [`crate::replay::replay`].
+/// precomputed. Produced by [`record_trace`]; the trace optimizer
+/// ([`crate::trace_opt::optimize_trace`]) lowers it into the
+/// [`OptTrace`] that replay executes.
 #[derive(Debug)]
 pub struct Trace {
     pub(crate) steps: Vec<TOp>,
@@ -424,7 +426,7 @@ pub(crate) fn record_blocks(
     let init: Vec<Vec<f32>> = plan.globals.iter().map(|&(_, _, len)| vec![0.0; len]).collect();
     let mut runner = CtaRunner::new(plan, init, bindings);
     runner.rec = Some(Recorder::new(plan));
-    for b in 0..plan.grid {
+    for b in 0..plan.grid as usize {
         runner.run_block(b)?;
         block_done(runner.rec.as_mut().expect("recorder installed"));
     }

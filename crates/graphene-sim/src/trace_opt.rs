@@ -824,7 +824,7 @@ fn ldmatrix_copy(
 /// Composes a full-warp MMA's fragment shuffle into matrix-order
 /// `[A, B, C]` address vectors — `None` when the warp is partial (some
 /// matrix slot unwritten), which keeps the lane-order step in place.
-/// Slots are filled in the raw interpreter's lane-major load order, so
+/// Slots are filled in the plan interpreter's lane-major load order, so
 /// a hypothetical duplicate slot resolves to the same last writer.
 fn dense_addrs(
     ar: &[u32],
@@ -1353,7 +1353,7 @@ pub fn record_opt_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::{replay, replay_opt};
+    use crate::replay::replay_opt;
     use graphene_ir::tensor::TensorId;
     use std::collections::HashMap;
 
@@ -1529,15 +1529,15 @@ mod tests {
 
     #[test]
     fn planted_trace_replays_identically_optimized() {
-        // out[i] = out[perm[i]] * 2 staged through scratch, with a
-        // gather on one side — exercises both paths end to end.
+        // out[i] = 2·in[perm[i]] staged through scratch, with a gather
+        // on one side — exercises both paths end to end.
         let perm: Vec<u32> = vec![3, 1, 0, 2, 6, 7, 5, 4];
         let mut addrs: Vec<u32> = perm.clone();
         addrs.extend(0..8u32); // da of copy: contiguous scratch
         addrs.extend(0..8u32); // sa of binary: scratch
         addrs.extend(0..8u32); // ba of binary: scratch
         addrs.extend(0..8u32); // da of binary: out
-        let t = plant(
+        let mut t = plant(
             vec![
                 TOp::Copy { src: 0, dst: 1, sa: 0, da: 8, n: 8 },
                 TOp::Binary {
@@ -1554,17 +1554,17 @@ mod tests {
             addrs,
             8,
         );
+        t.counters.instructions = 16;
         let o = optimize_trace(&t);
-        let inputs: HashMap<TensorId, Vec<f32>> =
-            [(TensorId(0), (0..8).map(|i| i as f32 + 0.5).collect())].into();
-        let base = replay(&t, &inputs).expect("raw replay");
+        let input: Vec<f32> = (0..8).map(|i| i as f32 + 0.5).collect();
+        let inputs: HashMap<TensorId, Vec<f32>> = [(TensorId(0), input.clone())].into();
         let opt = replay_opt(&o, &inputs).expect("opt replay");
-        let b = &base.globals[&TensorId(0)];
-        let p = &opt.globals[&TensorId(0)];
-        assert_eq!(b.len(), p.len());
-        for (x, y) in b.iter().zip(p) {
-            assert_eq!(x.to_bits(), y.to_bits(), "optimized replay must be bit-identical");
+        let got = &opt.globals[&TensorId(0)];
+        assert_eq!(got.len(), perm.len());
+        for (i, (&p, y)) in perm.iter().zip(got).enumerate() {
+            let want = input[p as usize] + input[p as usize];
+            assert_eq!(want.to_bits(), y.to_bits(), "out[{i}] = 2·in[{p}]");
         }
-        assert_eq!(base.counters, opt.counters);
+        assert_eq!(opt.counters, t.counters, "replay returns the trace's counters");
     }
 }

@@ -7,7 +7,9 @@ use graphene_ir::spec::SpecKind;
 use graphene_ir::tensor::TensorType;
 use graphene_ir::{Arch, BinaryOp, ReduceOp, ScalarType, UnaryOp};
 use graphene_layout::Layout;
-use graphene_sim::execute;
+use graphene_sim::{
+    execute, execute_with, record_opt_trace, replay_opt, ExecError, ExecMode, KernelPlan,
+};
 use graphene_sym::IntExpr;
 use std::collections::HashMap;
 
@@ -186,20 +188,36 @@ fn missized_inputs_rejected() {
     inputs.insert(kernel.params[0], vec![0.0f32; 63]);
     let err = execute(&kernel, Arch::Sm86, &inputs).unwrap_err();
     assert!(err.to_string().contains("expects 64 scalars, got 63"), "{err}");
+    // Replay validates its inputs through the same rule.
+    let plan = KernelPlan::compile(&kernel, Arch::Sm86).unwrap();
+    let trace = record_opt_trace(&plan, &HashMap::new()).unwrap();
+    assert_eq!(replay_opt(&trace, &inputs).unwrap_err(), err);
 }
 
-/// Out-of-bounds accesses are detected, not silently wrapped.
+/// Out-of-bounds accesses are detected, not silently wrapped, and the
+/// error does not depend on the CTA schedule: the lowest failing
+/// block's error wins. Blocks 2..6 read past the end, each first at a
+/// different address; under 3 workers the chunks {2,3} and {4,5} both
+/// fail, and every mode must report block 2's address.
 #[test]
 fn out_of_bounds_detected() {
-    let mut kb = KernelBuilder::new("oob", &[1], &[32]);
-    let src = kb.param("in", &[16], ScalarType::F32);
+    let mut kb = KernelBuilder::new("oob", &[6], &[32]);
+    let src = kb.param("in", &[64], ScalarType::F32);
     let (grid, block) = (kb.grid(), kb.block());
+    let bid = kb.module()[grid].group_coords()[0].clone();
     let tid = kb.module()[block].group_coords()[0].clone();
     let r = kb.alloc_reg("r", reg(1, ScalarType::F32));
-    let se = kb.index(src, &[tid * 2]); // threads 8.. read past the end
+    // Block b reads in[24b .. 24b+32): block 2 leaves the buffer at
+    // 64, block 3 at 72, block 4 at 96, block 5 at 120.
+    let se = kb.index(src, &[bid * 24 + tid]);
     let ts = kb.thread_scalar(block);
     kb.spec(SpecKind::Move, vec![grid, ts], vec![se], vec![r]);
     let kernel = kb.build();
     let err = execute(&kernel, Arch::Sm86, &HashMap::new()).unwrap_err();
-    assert!(matches!(err, graphene_sim::ExecError::OutOfBounds { .. }), "{err}");
+    assert!(matches!(err, ExecError::OutOfBounds { addr: 64, .. }), "{err}");
+    for mode in [ExecMode::Sequential, ExecMode::Parallel, ExecMode::Workers(3)] {
+        let got =
+            execute_with(&kernel, Arch::Sm86, &HashMap::new(), &HashMap::new(), mode).unwrap_err();
+        assert_eq!(got, err, "{mode:?}");
+    }
 }

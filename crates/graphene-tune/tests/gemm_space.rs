@@ -56,3 +56,25 @@ fn leaderboard_is_sorted_fastest_first() {
         assert!(pair[0].profile.time_s <= pair[1].profile.time_s);
     }
 }
+
+/// Every point the Volta space admits must build: its constraint is
+/// `GemmConfig::validate`, which has to reject whatever the builder
+/// asserts on (for example Volta's transposed A staging), so the
+/// tuner's panic guard never fires.
+#[test]
+fn every_admitted_volta_point_builds() {
+    for (m, n, k) in [(1024, 256, 128), (1024, 1024, 512), (256, 256, 128)] {
+        let space = GemmSpace::new(Arch::Sm70, m, n, k, Epilogue::None);
+        let mut admitted = 0;
+        for i in 0..space.total_points() {
+            let p = space.point_at(i);
+            if space.constraint(&p).is_err() {
+                continue;
+            }
+            admitted += 1;
+            let built = std::panic::catch_unwind(|| space.build(&p));
+            assert!(built.is_ok(), "m{m} n{n} k{k}: admitted point {} panics", space.describe(&p));
+        }
+        assert!(admitted > 0, "m{m} n{n} k{k}: nothing admitted");
+    }
+}
