@@ -92,7 +92,7 @@ fn seeded_inputs<K: Eq + Hash>(
     params
         .into_iter()
         .enumerate()
-        .map(|(i, (k, len))| (k, HostTensor::random(&[len], 1000 + i as u64).as_slice().to_vec()))
+        .map(|(i, (k, len))| (k, HostTensor::random(&[len], 1000 + i as u64).into_vec()))
         .collect()
 }
 
@@ -108,7 +108,7 @@ fn trace_opt_json(st: &OptStats) -> String {
     format!(
         "{{\"coalesced_fraction\":{:.4},\"bytes_before\":{},\"bytes_after\":{},\
          \"steps_before\":{},\"steps_after\":{},\"dead_fills\":{},\"fused_steps\":{},\
-         \"gather_addrs\":{},\"pattern_addrs\":{}}}",
+         \"gather_addrs\":{},\"pattern_addrs\":{},\"folded_mmas\":{},\"mma_tiles\":{}}}",
         st.coalesced_fraction(),
         st.bytes_before,
         st.bytes_after,
@@ -117,7 +117,9 @@ fn trace_opt_json(st: &OptStats) -> String {
         st.dead_fills,
         st.fused_steps,
         st.gather_addrs,
-        st.pattern_addrs
+        st.pattern_addrs,
+        st.folded_mmas,
+        st.mma_tiles
     )
 }
 
@@ -533,6 +535,7 @@ fn stats(state: &ServerState) -> Obj {
         .num("busy_rejected", m.busy_rejected.load(Ordering::Relaxed))
         .num("deadline_rejected", m.deadline_rejected.load(Ordering::Relaxed))
         .num("malformed", m.malformed.load(Ordering::Relaxed))
+        .num("oversized", m.oversized.load(Ordering::Relaxed))
         .num("panics", m.panics.load(Ordering::Relaxed))
         .bool("draining", state.is_draining())
 }

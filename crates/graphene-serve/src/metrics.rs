@@ -75,6 +75,9 @@ pub struct Metrics {
     pub deadline_rejected: AtomicU64,
     /// Request lines that failed to parse.
     pub malformed: AtomicU64,
+    /// Request lines longer than [`crate::server::MAX_LINE_BYTES`],
+    /// discarded without being parsed.
+    pub oversized: AtomicU64,
     /// Requests whose handler panicked (answered with an error
     /// envelope; the worker keeps serving).
     pub panics: AtomicU64,

@@ -244,6 +244,12 @@ fn worker_loop(state: &ServerState, queue: &ConnQueue, opts: &ServeOptions) {
     }
 }
 
+/// The longest request line a connection may send, in bytes (without
+/// its newline). A longer line is discarded through its newline and
+/// answered with an error, so one client cannot grow a worker's buffer
+/// without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Serves one connection: newline-delimited requests, one response
 /// line each, until EOF — or until the daemon starts draining, at
 /// which point the connection is closed after the in-flight request.
@@ -253,22 +259,40 @@ fn serve_conn(state: &ServerState, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let _ = stream.set_nodelay(true);
     let mut buf: Vec<u8> = Vec::new();
+    // `buf[..scanned]` holds no newline; `oversized` marks a line whose
+    // head was already discarded.
+    let (mut scanned, mut oversized) = (0usize, false);
     let mut chunk = [0u8; 4096];
     loop {
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
+        while let Some(off) = buf[scanned..].iter().position(|&b| b == b'\n') {
+            let pos = scanned + off;
             let line: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line);
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let resp = handlers::dispatch(state, line);
+            scanned = 0;
+            let resp = if std::mem::take(&mut oversized) || pos > MAX_LINE_BYTES {
+                state.metrics.oversized.fetch_add(1, Ordering::Relaxed);
+                crate::proto::err_envelope(
+                    0,
+                    &format!("request line exceeds the {MAX_LINE_BYTES}-byte limit"),
+                )
+            } else {
+                let line = String::from_utf8_lossy(&line);
+                let line = line.trim();
+                if line.is_empty() {
+                    continue;
+                }
+                handlers::dispatch(state, line)
+            };
             if stream.write_all(resp.as_bytes()).and_then(|()| stream.write_all(b"\n")).is_err() {
                 return;
             }
             if state.is_draining() {
                 return;
             }
+        }
+        scanned = buf.len();
+        if scanned > MAX_LINE_BYTES {
+            buf.clear();
+            (scanned, oversized) = (0, true);
         }
         match stream.read(&mut chunk) {
             Ok(0) => return,

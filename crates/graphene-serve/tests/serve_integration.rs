@@ -175,3 +175,30 @@ fn queue_wait_deadline_rejects_stale_connections() {
     c.request(r#"{"cmd":"shutdown"}"#).unwrap();
     handle.join().expect("server thread").expect("server run");
 }
+
+#[test]
+fn oversized_request_line_is_answered_and_the_connection_keeps_serving() {
+    use graphene_serve::server::MAX_LINE_BYTES;
+    let (addr, handle) = spawn_server(ServeOptions { workers: 1, ..ServeOptions::default() });
+    let mut conn = Connection::connect(&addr, TIMEOUT).expect("connect");
+    // A line of exactly the limit is served (its padding is trimmed).
+    let stats = r#"{"id":1,"cmd":"stats"}"#;
+    let at_limit = " ".repeat(MAX_LINE_BYTES - stats.len()) + stats;
+    let ok = parse(&conn.request(&at_limit).unwrap()).unwrap();
+    assert_eq!(ok.get("ok"), Some(&Json::Bool(true)), "{ok:?}");
+    // One byte over, and far over: each is discarded through its
+    // newline and answered with an error naming the limit.
+    for len in [MAX_LINE_BYTES + 1, 3 * MAX_LINE_BYTES] {
+        let resp = parse(&conn.request(&"x".repeat(len)).unwrap()).unwrap();
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{len} bytes");
+        let err = get(&resp, &["error"]).as_str().unwrap().to_string();
+        assert!(err.contains(&format!("{MAX_LINE_BYTES}-byte limit")), "{err}");
+    }
+    // The same connection still serves, and counts both.
+    let stats = parse(&conn.request(r#"{"id":2,"cmd":"stats"}"#).unwrap()).unwrap();
+    assert_eq!(get(&stats, &["id"]).as_i64(), Some(2));
+    assert_eq!(get(&stats, &["oversized"]).as_i64(), Some(2));
+    assert_eq!(get(&stats, &["malformed"]).as_i64(), Some(0));
+    conn.request(r#"{"cmd":"shutdown"}"#).unwrap();
+    handle.join().expect("server thread").expect("server run");
+}

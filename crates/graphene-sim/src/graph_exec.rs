@@ -362,6 +362,8 @@ impl GraphTrace {
             agg.fused_steps += s.fused_steps;
             agg.bytes_before += s.bytes_before;
             agg.bytes_after += s.bytes_after;
+            agg.folded_mmas += s.folded_mmas;
+            agg.mma_tiles += s.mma_tiles;
         }
         agg
     }

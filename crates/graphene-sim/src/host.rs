@@ -71,6 +71,11 @@ impl HostTensor {
         &mut self.data
     }
 
+    /// The row-major flat data, without a copy.
+    pub fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
     /// 2-D element access.
     ///
     /// # Panics

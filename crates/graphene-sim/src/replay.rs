@@ -25,9 +25,9 @@ use graphene_ir::tensor::TensorId;
 /// Replays an optimized trace sequentially against `inputs` — the
 /// coalesced fast path: contiguous copies run as `copy_from_slice`,
 /// contiguous element-wise steps as tight slice loops, strided/lane
-/// spans as stepped loops, and only residual gathers walk an address
-/// array. Bit-identical to compiled-plan execution of the recorded
-/// kernel.
+/// spans as stepped loops, warp-tile MMA steps as in-place kernels, and
+/// only residual gathers walk an address array. Bit-identical to
+/// compiled-plan execution of the recorded kernel.
 ///
 /// `inputs` maps kernel parameters to their buffers, exactly as for
 /// [`crate::exec::execute`]; missing params are zero-initialised.
@@ -295,42 +295,6 @@ fn chunks3<F: FnMut(usize, usize, usize, usize)>(
     true
 }
 
-/// Fills a row-major matrix from a span's addresses. A contiguous span
-/// (the norm for private operands laid out in MMA order) is one row
-/// copy. The gather case pre-slices the pattern table and the buffer
-/// at the pattern's base, so the const-bound nested loop carries one
-/// bounds check per element and no division.
-#[inline(always)]
-fn load_mat<const R: usize, const C: usize>(
-    dst: &mut [[f32; C]; R],
-    buf: &[f32],
-    s: Span,
-    g: &[u32],
-) {
-    match s {
-        Span::Affine { base, stride: 1 } => {
-            let b = base as usize;
-            dst.as_flattened_mut().copy_from_slice(&buf[b..b + R * C]);
-        }
-        Span::Gather { base, start } => {
-            let tbl = &g[start as usize..start as usize + R * C];
-            let buf = &buf[base as usize..];
-            for (r, row) in dst.iter_mut().enumerate() {
-                for (c, v) in row.iter_mut().enumerate() {
-                    *v = buf[tbl[r * C + c] as usize];
-                }
-            }
-        }
-        _ => {
-            let mut i = 0;
-            each1!(s, g, R * C, |addr| {
-                dst[i / C][i % C] = buf[addr];
-                i += 1;
-            });
-        }
-    }
-}
-
 /// Per-worker optimized replay state.
 struct OptCta<'t> {
     trace: &'t OptTrace,
@@ -405,69 +369,6 @@ impl OptCta<'_> {
                 let d = (d0 + (i / dp) as i64 * dl) as usize;
                 self.log_run(buf, d, dp.min(n - i));
                 i += dp;
-            }
-        }
-    }
-
-    /// Dense tensor-core MMA: fragment operands were permuted into
-    /// matrix order at optimize time, so loads and the writeback
-    /// stream whole matrices with zero per-element fragment
-    /// arithmetic, and the accumulate vectorizes over `n` with the
-    /// exact per-output f32 op order of the lane-order interpreter.
-    #[inline(never)]
-    fn mma_dense<const M: usize, const N: usize, const K: usize>(
-        &mut self,
-        (a, b, c): (u32, u32, u32),
-        (am, bm, cm): (Span, Span, Span),
-        g: &[u32],
-    ) {
-        let mut amx = [[0.0f32; K]; M];
-        let mut bmx = [[0.0f32; N]; K];
-        let mut cmx = [[0.0f32; N]; M];
-        load_mat(&mut amx, &self.bufs[a as usize], am, g);
-        load_mat(&mut bmx, &self.bufs[b as usize], bm, g);
-        load_mat(&mut cmx, &self.bufs[c as usize], cm, g);
-        for mi in 0..M {
-            let mut acc = [0.0f32; N];
-            for ki in 0..K {
-                let av = amx[mi][ki];
-                for ni in 0..N {
-                    acc[ni] += av * bmx[ki][ni];
-                }
-            }
-            for ni in 0..N {
-                cmx[mi][ni] += acc[ni];
-            }
-        }
-        if (c as usize) < self.trace.n_globals && self.log.is_some() {
-            let mut i = 0;
-            each1!(cm, g, M * N, |addr| {
-                self.put(c, addr, cmx[i / N][i % N]);
-                i += 1;
-            });
-        } else {
-            let cb = &mut self.bufs[c as usize];
-            match cm {
-                Span::Affine { base, stride: 1 } => {
-                    let b = base as usize;
-                    cb[b..b + M * N].copy_from_slice(cmx.as_flattened());
-                }
-                Span::Gather { base, start } => {
-                    let tbl = &g[start as usize..start as usize + M * N];
-                    let cb = &mut cb[base as usize..];
-                    for (r, row) in cmx.iter().enumerate() {
-                        for (ni, v) in row.iter().enumerate() {
-                            cb[tbl[r * N + ni] as usize] = *v;
-                        }
-                    }
-                }
-                _ => {
-                    let mut i = 0;
-                    each1!(cm, g, M * N, |addr| {
-                        cb[addr] = cmx[i / N][i % N];
-                        i += 1;
-                    });
-                }
             }
         }
     }
@@ -790,12 +691,18 @@ impl OptCta<'_> {
                         });
                     }
                 }
-                OTp::MmaDense { m16, a, b, c, am, bm, cm } => {
+                OTp::MmaTile { m16, a, b, c, tiles: (ts, te) } => {
+                    // `c` is private and distinct from `a` and `b`: no
+                    // write to log, and no aliasing with the operands.
+                    let tiles = &t.tiles[ts as usize..te as usize];
+                    let mut cv = std::mem::take(&mut self.bufs[c as usize]);
+                    let (av, bv) = (&self.bufs[a as usize], &self.bufs[b as usize]);
                     if m16 {
-                        self.mma_dense::<16, 8, 16>((a, b, c), (am, bm, cm), g);
+                        mma_tiles::<16, 8, 16>(av, bv, &mut cv, tiles);
                     } else {
-                        self.mma_dense::<8, 8, 4>((a, b, c), (am, bm, cm), g);
+                        mma_tiles::<8, 8, 4>(av, bv, &mut cv, tiles);
                     }
+                    self.bufs[c as usize] = cv;
                 }
                 OTp::Shfl { mask, src, dst, sa, da, lanes } => {
                     // A warp has at most 32 lanes: stage on the stack.
@@ -811,5 +718,194 @@ impl OptCta<'_> {
                 }
             }
         }
+    }
+}
+
+/// Runs the MMAs of a tile step in trace order, each in place on its
+/// contiguous rows `[a, b, c]` (see [`OTp::MmaTile`]). The kernel
+/// instance is chosen once per step: the AVX2 one when the CPU has it.
+fn mma_tiles<const M: usize, const N: usize, const K: usize>(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    tiles: &[[u32; 3]],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        for &[ta, tb, tc] in tiles {
+            // SAFETY: the CPU supports AVX2, checked just above.
+            unsafe {
+                mma_avx2::<M, N, K>(&a[ta as usize..], &b[tb as usize..], &mut c[tc as usize..]);
+            }
+        }
+        return;
+    }
+    for &[ta, tb, tc] in tiles {
+        mma_base::<M, N, K>(&a[ta as usize..], &b[tb as usize..], &mut c[tc as usize..]);
+    }
+}
+
+/// One `M×N×K` MMA on row-major `a[m][k]`, `b[k][n]` and `c[m][n]` at
+/// the start of each slice: every output takes a fresh
+/// `acc = Σ_k a·b` in `k` order, then `c += acc` — the plan
+/// interpreter's per-output op order, so bits match. Rust never
+/// contracts `x*y + z` into a fused multiply-add, and the `n` loop is
+/// independent per output, so the vectorizer may widen it freely.
+#[inline(always)]
+fn mma_body<const M: usize, const N: usize, const K: usize>(a: &[f32], b: &[f32], c: &mut [f32]) {
+    let (a, b, c) = (&a[..M * K], &b[..K * N], &mut c[..M * N]);
+    for (arow, crow) in a.chunks_exact(K).zip(c.chunks_exact_mut(N)) {
+        let mut acc = [0.0f32; N];
+        for (&av, brow) in arow.iter().zip(b.chunks_exact(N)) {
+            for (x, &bv) in acc.iter_mut().zip(brow) {
+                *x += av * bv;
+            }
+        }
+        for (y, x) in crow.iter_mut().zip(acc) {
+            *y += x;
+        }
+    }
+}
+
+/// [`mma_body`] compiled for AVX2: one 8-wide register per row of
+/// `acc`. AVX2 only, never `fma`, so each multiply and add still
+/// rounds on its own.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+fn mma_avx2<const M: usize, const N: usize, const K: usize>(a: &[f32], b: &[f32], c: &mut [f32]) {
+    mma_body::<M, N, K>(a, b, c);
+}
+
+/// [`mma_body`] for the baseline target.
+#[inline(never)]
+fn mma_base<const M: usize, const N: usize, const K: usize>(a: &[f32], b: &[f32], c: &mut [f32]) {
+    mma_body::<M, N, K>(a, b, c);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The plan interpreter's MMA, scalar: per output a fresh `k`-order
+    /// sum, then one add into `c`.
+    fn reference<const M: usize, const N: usize, const K: usize>(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+    ) {
+        for m in 0..M {
+            for n in 0..N {
+                let mut acc = 0.0f32;
+                for k in 0..K {
+                    acc += a[m * K + k] * b[k * N + n];
+                }
+                c[m * N + n] += acc;
+            }
+        }
+    }
+
+    /// ±0.0 and subnormals: the signed-zero and gradual-underflow
+    /// paths, with no overflow.
+    const FINITE: [u32; 4] = [0x0000_0000, 0x8000_0000, 0x0000_0001, 0x8040_0000];
+    /// Quiet and signalling NaNs with distinct payloads.
+    const NANS: [u32; 3] = [0x7fc0_0001, 0xffc1_2345, 0x7f80_0003];
+    /// Overflow to ±inf, and ±inf itself.
+    const HUGE: [u32; 3] = [0x7f7f_ffff, 0x7f80_0000, 0xff80_0000];
+
+    /// `len` values, one in four drawn from `odd`, the rest ordinary
+    /// full-mantissa numbers, so products and sums round.
+    fn values(len: usize, seed: u64, odd: &[u32]) -> Vec<f32> {
+        let mut s = seed;
+        (0..len)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let r = (s >> 33) as u32;
+                if r.is_multiple_of(4) {
+                    f32::from_bits(odd[(r / 4) as usize % odd.len()])
+                } else {
+                    (r % 1_000_003) as f32 / 125_000.0 - 4.0
+                }
+            })
+            .collect()
+    }
+
+    /// Equal bits, except that two NaNs count as equal: when an add or
+    /// multiply meets two NaNs, IEEE 754 and Rust leave open whose
+    /// payload the result carries, and the compiler may commute it.
+    fn assert_same(got: &[f32], want: &[f32], what: &str) {
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+            assert!(
+                same,
+                "{what}: element {i} is {:#010x}, want {:#010x}",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    /// Runs every kernel instance (AVX2 when the CPU has it) and the
+    /// tile walk on `a`, `b`, `c0` against the scalar reference.
+    fn check<const M: usize, const N: usize, const K: usize>(
+        a: &[f32],
+        b: &[f32],
+        c0: &[f32],
+        cmp: fn(&[f32], &[f32], &str),
+        what: &str,
+    ) {
+        let mut want = c0.to_vec();
+        reference::<M, N, K>(&a[3..], &b[5..], &mut want[7..]);
+        let mut got = c0.to_vec();
+        mma_base::<M, N, K>(&a[3..], &b[5..], &mut got[7..]);
+        cmp(&got, &want, &format!("baseline m{M}n{N}k{K} {what}"));
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            let mut got = c0.to_vec();
+            // SAFETY: the CPU supports AVX2, checked just above.
+            unsafe { mma_avx2::<M, N, K>(&a[3..], &b[5..], &mut got[7..]) };
+            cmp(&got, &want, &format!("avx2 m{M}n{N}k{K} {what}"));
+        }
+        // Two MMAs into one C tile, then one into the next, in order.
+        let mut want = c0.to_vec();
+        want.extend_from_within(..M * N);
+        let mut got = want.clone();
+        let tiles = [[3, 5, 7], [0, 0, 7], [1, 2, 7 + (M * N) as u32]];
+        for [ta, tb, tc] in tiles.map(|t| t.map(|x| x as usize)) {
+            reference::<M, N, K>(&a[ta..], &b[tb..], &mut want[tc..]);
+        }
+        mma_tiles::<M, N, K>(a, b, &mut got, &tiles);
+        cmp(&got, &want, &format!("tile walk m{M}n{N}k{K} {what}"));
+    }
+
+    fn instances_match<const M: usize, const N: usize, const K: usize>() {
+        let all: Vec<u32> = FINITE.iter().chain(&NANS).chain(&HUGE).copied().collect();
+        let exact = |g: &[f32], w: &[f32], what: &str| {
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g), bits(w), "{what}");
+        };
+        for seed in 0..200 {
+            // Finite values, ±0.0 and subnormals: equal bits throughout.
+            let (a, b) = (values(M * K + 3, seed, &FINITE), values(K * N + 5, seed + 1, &FINITE));
+            let c0 = values(M * N + 7, seed + 2, &FINITE);
+            check::<M, N, K>(&a, &b, &c0, exact, &format!("finite, seed {seed}"));
+            // One NaN in A: the results it reaches have a single NaN
+            // source, whose payload they must carry.
+            let mut a = a;
+            a[3 + seed as usize % (M * K)] = f32::from_bits(NANS[seed as usize % NANS.len()]);
+            check::<M, N, K>(&a, &b, &c0, exact, &format!("lone NaN, seed {seed}"));
+            // Every special value: NaN results must agree as NaNs.
+            let (a, b) = (values(M * K + 3, seed, &all), values(K * N + 5, seed + 1, &all));
+            let c0 = values(M * N + 7, seed + 2, &all);
+            check::<M, N, K>(&a, &b, &c0, assert_same, &format!("all specials, seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn mma_kernel_instances_match_the_scalar_reference_bitwise() {
+        instances_match::<16, 8, 16>();
+        instances_match::<8, 8, 4>();
     }
 }

@@ -2,15 +2,15 @@
 //! whose address arrays are compact affine descriptors and whose step
 //! list has been peephole-cleaned.
 //!
-//! PR 7's replay executes every step as a per-element gather/scatter
-//! through the shared `u32` address arena, even though most recorded
-//! address runs in the paper's kernels are *affine* — contiguous or
-//! constant-stride, often with a regular per-lane (2D) structure. That
-//! is not an accident: under the F₂/linear-layout view of addresses,
-//! every non-swizzled operand of these kernels is a linear function of
-//! `(blockIdx, threadIdx, loop vars)`, so its recorded address slice is
-//! an arithmetic progression (or a lane-major grid of them). This pass
-//! runs **once at record time** and:
+//! A recorded trace stores one arena address per element of every
+//! operand, even though most recorded address runs in the paper's
+//! kernels are *affine* — contiguous or constant-stride, often with a
+//! regular per-lane (2D) structure. That is not an accident: under the
+//! F₂/linear-layout view of addresses, every non-swizzled operand of
+//! these kernels is a linear function of `(blockIdx, threadIdx, loop
+//! vars)`, so its recorded address slice is an arithmetic progression
+//! (or a lane-major grid of them). This pass runs **once at record
+//! time** and:
 //!
 //! 0. **Renames** the CTA-private buffers that full-warp dense MMAs
 //!    touch into MMA order ([`Renaming`]), so every dense operand is
@@ -26,19 +26,23 @@
 //!    residual slice is stored as `base + pattern`: every distinct
 //!    base-relative pattern (one per fragment layout, reused at every
 //!    tile offset) is interned once in a per-trace table.
-//! 2. **Fuses** adjacent same-shape steps whose descriptors chain
+//! 2. **Folds** each run of full-warp MMAs over one private
+//!    `(a, b, c)` buffer triple into one [`OTp::MmaTile`] step — the
+//!    warp-level `MatMul` the MMAs were decomposed from — holding
+//!    three row bases per MMA.
+//! 3. **Fuses** adjacent same-shape steps whose descriptors chain
 //!    (`base₂ = base₁ + n₁·stride`), within a block only.
-//! 3. **Eliminates dead fills**: a recorded `Alloc` zero-fill is
+//! 4. **Eliminates dead fills**: a recorded `Alloc` zero-fill is
 //!    dropped when the first subsequent touch of that buffer inside the
 //!    same block is a write that fully overwrites it.
 //!
-//! The optimized replay ([`crate::replay::replay_opt`]) then runs
-//! contiguous copies as `copy_from_slice`, contiguous element-wise ops
-//! as tight auto-vectorizable slice loops, strided/lane spans as
-//! stepped loops with no arena traffic, and residual gathers as `base`
-//! plus a pattern-table walk — bit-identical to the unoptimized replay
-//! by construction (element order and `f64` op semantics are
-//! preserved).
+//! The replay ([`crate::replay::replay_opt`]) then runs contiguous
+//! copies as `copy_from_slice`, contiguous element-wise ops as tight
+//! auto-vectorizable slice loops, strided/lane spans as stepped loops
+//! with no arena traffic, residual gathers as `base` plus a
+//! pattern-table walk, and tile steps as in-place MMA kernels — with
+//! each output's element order and `f32`/`f64` op sequence exactly the
+//! compiled-plan executor's, so outputs are bit-identical.
 
 use crate::counters::Counters;
 use crate::exec::ExecError;
@@ -205,20 +209,20 @@ pub(crate) enum OTp {
         cper: u8,
         lanes: u8,
     },
-    /// Full-warp tensor-core MMA with the fragment shuffle composed
-    /// away at optimize time: `am.at(i)` addresses `A[m][k]` at
-    /// `i = m*K + k` (row-major), likewise `bm` for `B[k][n]` and `cm`
-    /// for the `C[m][n]` accumulator. Replay streams whole matrices
-    /// with no per-element lane/fragment arithmetic. `m16` selects
-    /// m16n8k16 (true) vs m8n8k4 (false).
-    MmaDense {
+    /// A run of full-warp tensor-core MMAs folded into one warp-tile
+    /// step (the warp-level `MatMul` they were decomposed from). Each
+    /// entry of [`OptTrace::tiles`] in `tiles` (a half-open range) is
+    /// one MMA, in trace order: `[a, b, c]` are the bases of its
+    /// row-major `A[m][k]`, `B[k][n]` and `C[m][n]`, each one
+    /// contiguous row of its buffer. The three buffers are private and
+    /// `c` is neither `a` nor `b`, so replay computes in place. `m16`
+    /// selects m16n8k16 (true) vs m8n8k4 (false).
+    MmaTile {
         m16: bool,
         a: u32,
         b: u32,
         c: u32,
-        am: Span,
-        bm: Span,
-        cm: Span,
+        tiles: (u32, u32),
     },
     Shfl {
         mask: u32,
@@ -254,6 +258,10 @@ pub struct OptStats {
     pub bytes_before: usize,
     /// Resident payload bytes of the optimized trace.
     pub bytes_after: usize,
+    /// Full-warp MMAs folded into [`OTp::MmaTile`] steps.
+    pub folded_mmas: usize,
+    /// Tile steps those MMAs were folded into.
+    pub mma_tiles: usize,
 }
 
 impl OptStats {
@@ -289,6 +297,9 @@ pub struct OptTrace {
     /// Interned base-relative gather patterns ([`Span::Gather`]
     /// targets), each distinct pattern stored once.
     pub(crate) gather: Vec<u32>,
+    /// `[a, b, c]` operand bases of every folded MMA ([`OTp::MmaTile`]
+    /// ranges index it).
+    pub(crate) tiles: Vec<[u32; 3]>,
     pub(crate) blocks: Vec<(u32, u32)>,
     pub(crate) buf_lens: Vec<usize>,
     pub(crate) n_globals: usize,
@@ -322,17 +333,11 @@ impl OptTrace {
         &self.stats
     }
 
-    /// `(contiguous, total)` dense-MMA operands: how many of them replay
-    /// as one contiguous row ([`Span::Affine`] with stride 1).
+    /// MMAs left as lane-order steps: partial warps, and full warps
+    /// that could not fold into an [`OTp::MmaTile`].
     #[must_use]
-    pub fn dense_operand_rows(&self) -> (usize, usize) {
-        self.steps.iter().fold((0, 0), |(rows, total), step| match *step {
-            OTp::MmaDense { am, bm, cm, .. } => {
-                let row = |s: Span| usize::from(matches!(s, Span::Affine { stride: 1, .. }));
-                (rows + row(am) + row(bm) + row(cm), total + 3)
-            }
-            _ => (rows, total),
-        })
+    pub fn lane_order_mmas(&self) -> usize {
+        self.steps.iter().filter(|s| matches!(s, OTp::Mma16816 { .. } | OTp::Mma884 { .. })).count()
     }
 
     /// Resident payload bytes: step list, pattern table, block table and
@@ -342,6 +347,7 @@ impl OptTrace {
         std::mem::size_of::<Self>()
             + self.steps.len() * std::mem::size_of::<OTp>()
             + self.gather.len() * std::mem::size_of::<u32>()
+            + self.tiles.len() * std::mem::size_of::<[u32; 3]>()
             + self.blocks.len() * std::mem::size_of::<(u32, u32)>()
             + self.buf_lens.len() * std::mem::size_of::<usize>()
             + self
@@ -357,9 +363,9 @@ impl OptTrace {
     /// buffer's addresses. Then every operand span, decoded element by
     /// element through the pattern table, must yield exactly π of the
     /// addresses `raw` recorded for it — concatenated across fused
-    /// steps, with the ldmatrix permutation composed, and in matrix
-    /// order for dense MMAs. Dead fills are the only raw steps that may
-    /// vanish.
+    /// steps and across the MMAs of a tile step, with the ldmatrix
+    /// permutation composed, and in matrix order for folded MMAs. Dead
+    /// fills are the only raw steps that may vanish.
     ///
     /// # Errors
     ///
@@ -385,9 +391,12 @@ impl OptTrace {
                     OTp::Fill { buf } => Some(buf),
                     _ => None,
                 };
-                let (mut got, mut spans) = (Vec::new(), *step);
-                for_each_span(&mut spans, |span, n| {
-                    got.push((0..n as usize).map(|e| span.at(&self.gather, e) as u32).collect());
+                let (mut got, mut spans) = (Vec::<Vec<u32>>::new(), *step);
+                for_each_span(&mut spans, &self.tiles, |op, span, n| {
+                    if got.len() <= op {
+                        got.resize_with(op + 1, Vec::new);
+                    }
+                    got[op].extend((0..n as usize).map(|e| span.at(&self.gather, e) as u32));
                 });
                 // Consume raw steps until they cover this step's operands,
                 // skipping fills that dead-fill elimination dropped.
@@ -400,7 +409,7 @@ impl OptTrace {
                         pending.next();
                     }
                     let next = pending.next().ok_or_else(|| at("raw steps exhausted"))?;
-                    let dense = matches!(step, OTp::MmaDense { .. });
+                    let dense = matches!(step, OTp::MmaTile { .. });
                     let ops = raw_operands(next, &raw.addrs, dense, &rename)
                         .ok_or_else(|| at("partial warp"))?;
                     if want.is_empty() {
@@ -428,8 +437,8 @@ impl OptTrace {
 
 /// The address vectors raw `step` contributes, operand by operand and
 /// renamed by `rn`, in the shape its optimized form decodes them
-/// (`dense`: the step became an [`OTp::MmaDense`]); `None` for a
-/// partial warp asked to be dense.
+/// (`dense`: the step was folded into an [`OTp::MmaTile`]); `None` for
+/// a partial warp asked to be dense.
 fn raw_operands(step: &TOp, ar: &[u32], dense: bool, rn: &Renaming) -> Option<Vec<Vec<u32>>> {
     let sl =
         |buf: u32, start: u32, n: u32| (buf, ar[start as usize..(start + n) as usize].to_vec());
@@ -755,7 +764,7 @@ fn touch(step: &OTp, buf: u32, len: usize) -> Touch {
         }
         OTp::Mma16816 { a, b, c, .. }
         | OTp::Mma884 { a, b, c, .. }
-        | OTp::MmaDense { a, b, c, .. } => {
+        | OTp::MmaTile { a, b, c, .. } => {
             if a == buf || b == buf || c == buf {
                 Touch::Other
             } else {
@@ -872,42 +881,49 @@ fn dense_dims(m16: bool) -> (usize, usize, usize) {
     }
 }
 
-/// Visits every address operand of `step` with its element count.
-fn for_each_span(step: &mut OTp, mut f: impl FnMut(&mut Span, u32)) {
+/// Visits every address operand of `step` as `f(operand, span, len)`.
+/// A tile step visits its MMAs in trace order, each as the contiguous
+/// A, B and C rows `tiles` holds (operands 0, 1 and 2), so its operands
+/// decode to the concatenation of its MMAs' rows. Those rows are never
+/// gathers, and edits to them are dropped.
+fn for_each_span(step: &mut OTp, tiles: &[[u32; 3]], mut f: impl FnMut(usize, &mut Span, u32)) {
     match step {
         OTp::Fill { .. } => {}
         OTp::Copy { sa, da, n, .. }
         | OTp::Unary { sa, da, n, .. }
         | OTp::Shfl { sa, da, lanes: n, .. } => {
-            f(sa, *n);
-            f(da, *n);
+            f(0, sa, *n);
+            f(1, da, *n);
         }
         OTp::Binary { aa, ba, da: ca, n, .. } | OTp::Fma { aa, ba, ca, n, .. } => {
-            f(aa, *n);
-            f(ba, *n);
-            f(ca, *n);
+            f(0, aa, *n);
+            f(1, ba, *n);
+            f(2, ca, *n);
         }
-        OTp::Init { da, n, .. } => f(da, *n),
+        OTp::Init { da, n, .. } => f(0, da, *n),
         OTp::Reduce { sa, da, groups, per, .. } => {
-            f(sa, *groups * *per);
-            f(da, *groups);
+            f(0, sa, *groups * *per);
+            f(1, da, *groups);
         }
         OTp::LdMatrix { sa, sper, da, dper, lanes, .. } => {
-            f(sa, *lanes * *sper);
-            f(da, *lanes * *dper);
+            f(0, sa, *lanes * *sper);
+            f(1, da, *lanes * *dper);
         }
         OTp::Mma16816 { aa, aper, ba, bper, ca, cper, lanes, .. }
         | OTp::Mma884 { aa, aper, ba, bper, ca, cper, lanes, .. } => {
             let lanes = u32::from(*lanes);
-            f(aa, lanes * u32::from(*aper));
-            f(ba, lanes * u32::from(*bper));
-            f(ca, lanes * u32::from(*cper));
+            f(0, aa, lanes * u32::from(*aper));
+            f(1, ba, lanes * u32::from(*bper));
+            f(2, ca, lanes * u32::from(*cper));
         }
-        OTp::MmaDense { m16, am, bm, cm, .. } => {
+        OTp::MmaTile { m16, tiles: (start, end), .. } => {
             let (m, n, k) = dense_dims(*m16);
-            f(am, (m * k) as u32);
-            f(bm, (k * n) as u32);
-            f(cm, (m * n) as u32);
+            let lens = [m * k, k * n, m * n];
+            for bases in &tiles[*start as usize..*end as usize] {
+                for (op, (&base, &len)) in bases.iter().zip(&lens).enumerate() {
+                    f(op, &mut Span::Affine { base, stride: 1 }, len as u32);
+                }
+            }
         }
     }
 }
@@ -1024,6 +1040,7 @@ impl Renaming {
 /// Renames, then classifies, one block's operand address slices.
 struct Classifier<'a> {
     ar: &'a [u32],
+    n_globals: usize,
     rename: &'a Renaming,
     /// Holds a renamed slice while it is classified.
     scratch: &'a mut Vec<u32>,
@@ -1046,31 +1063,37 @@ impl Classifier<'_> {
         classify_lanes(addrs, lanes as usize, per as usize, self.stage)
     }
 
-    /// An operand composed at optimize time (ldmatrix, dense MMA),
-    /// classified flat.
+    /// An operand composed at optimize time (ldmatrix), classified
+    /// flat.
     fn composed(&mut self, buf: u32, mut addrs: Vec<u32>) -> Span {
         self.rename.apply(buf, &mut addrs);
         classify_flat(&addrs, self.stage)
     }
 
-    /// [`dense_addrs`] classified into an [`OTp::MmaDense`] step.
-    fn mma_dense(
-        &mut self,
+    /// The `[a, b, c]` row bases of a full-warp MMA that an
+    /// [`OTp::MmaTile`] can compute in place: all three buffers
+    /// private, `c` distinct from `a` and `b`, and every renamed
+    /// matrix-order operand ([`dense_addrs`]) one contiguous row.
+    /// `None` keeps the lane-order step.
+    fn tile(
+        &self,
         m16: bool,
-        (a, b, c): (u32, u32, u32),
+        bufs: [u32; 3],
         addrs: (u32, u32, u32, u32, u32, u32),
         lanes: u32,
-    ) -> Option<OTp> {
-        let [av, bv, cv] = dense_addrs(self.ar, m16, addrs, lanes)?;
-        Some(OTp::MmaDense {
-            m16,
-            a,
-            b,
-            c,
-            am: self.composed(a, av),
-            bm: self.composed(b, bv),
-            cm: self.composed(c, cv),
-        })
+    ) -> Option<[u32; 3]> {
+        let [a, b, c] = bufs;
+        if bufs.iter().any(|&x| (x as usize) < self.n_globals) || c == a || c == b {
+            return None;
+        }
+        let ops = dense_addrs(self.ar, m16, addrs, lanes)?;
+        let mut bases = [0; 3];
+        for ((base, buf), mut v) in bases.iter_mut().zip(bufs).zip(ops) {
+            self.rename.apply(buf, &mut v);
+            let Span::Affine { base: row, stride: 1 } = affine_1d(&v)? else { return None };
+            *base = row;
+        }
+        Some(bases)
     }
 }
 
@@ -1086,6 +1109,7 @@ struct BlockOptimizer {
     scratch: Vec<u32>,
     steps: Vec<OTp>,
     patterns: Patterns,
+    tiles: Vec<[u32; 3]>,
     blocks: Vec<(u32, u32)>,
     block_steps: Vec<OTp>,
     /// The current block's residual slices, verbatim (see
@@ -1110,11 +1134,40 @@ impl BlockOptimizer {
         self.block_steps.clear();
         let mut cls = Classifier {
             ar,
+            n_globals: self.n_globals,
             rename: &self.rename,
             scratch: &mut self.scratch,
             stage: &mut self.stage,
         };
         for step in raw {
+            // A full-warp MMA that can run in place joins the tile step
+            // before it, or starts one.
+            let folded = match *step {
+                TOp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes }
+                | TOp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
+                    let m16 = matches!(step, TOp::Mma16816 { .. });
+                    cls.tile(m16, [a, b, c], (aa, aper, ba, bper, ca, cper), lanes)
+                        .map(|bases| (m16, a, b, c, bases))
+                }
+                _ => None,
+            };
+            if let Some((m16, a, b, c, bases)) = folded {
+                self.tiles.push(bases);
+                let end = u32::try_from(self.tiles.len()).expect("tile table exceeds u32 range");
+                self.stats.folded_mmas += 1;
+                match self.block_steps.last_mut() {
+                    Some(OTp::MmaTile { m16: m2, a: a2, b: b2, c: c2, tiles: (_, e) })
+                        if (*m2, *a2, *b2, *c2) == (m16, a, b, c) && *e + 1 == end =>
+                    {
+                        *e = end;
+                    }
+                    _ => {
+                        self.stats.mma_tiles += 1;
+                        self.block_steps.push(OTp::MmaTile { m16, a, b, c, tiles: (end - 1, end) });
+                    }
+                }
+                continue;
+            }
             let ot = match *step {
                 TOp::Fill { buf } => OTp::Fill { buf },
                 TOp::Copy { src, dst, sa, da, n } => {
@@ -1183,42 +1236,30 @@ impl BlockOptimizer {
                         lanes,
                     }
                 }
-                TOp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
-                    let addrs = (aa, aper, ba, bper, ca, cper);
-                    match cls.mma_dense(true, (a, b, c), addrs, lanes) {
-                        Some(ot) => ot,
-                        None => OTp::Mma16816 {
-                            a,
-                            b,
-                            c,
-                            aa: cls.lanes(a, aa, lanes, aper),
-                            aper: narrow(aper),
-                            ba: cls.lanes(b, ba, lanes, bper),
-                            bper: narrow(bper),
-                            ca: cls.lanes(c, ca, lanes, cper),
-                            cper: narrow(cper),
-                            lanes: narrow(lanes),
-                        },
-                    }
-                }
-                TOp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
-                    let addrs = (aa, aper, ba, bper, ca, cper);
-                    match cls.mma_dense(false, (a, b, c), addrs, lanes) {
-                        Some(ot) => ot,
-                        None => OTp::Mma884 {
-                            a,
-                            b,
-                            c,
-                            aa: cls.lanes(a, aa, lanes, aper),
-                            aper: narrow(aper),
-                            ba: cls.lanes(b, ba, lanes, bper),
-                            bper: narrow(bper),
-                            ca: cls.lanes(c, ca, lanes, cper),
-                            cper: narrow(cper),
-                            lanes: narrow(lanes),
-                        },
-                    }
-                }
+                TOp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => OTp::Mma16816 {
+                    a,
+                    b,
+                    c,
+                    aa: cls.lanes(a, aa, lanes, aper),
+                    aper: narrow(aper),
+                    ba: cls.lanes(b, ba, lanes, bper),
+                    bper: narrow(bper),
+                    ca: cls.lanes(c, ca, lanes, cper),
+                    cper: narrow(cper),
+                    lanes: narrow(lanes),
+                },
+                TOp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => OTp::Mma884 {
+                    a,
+                    b,
+                    c,
+                    aa: cls.lanes(a, aa, lanes, aper),
+                    aper: narrow(aper),
+                    ba: cls.lanes(b, ba, lanes, bper),
+                    bper: narrow(bper),
+                    ca: cls.lanes(c, ca, lanes, cper),
+                    cper: narrow(cper),
+                    lanes: narrow(lanes),
+                },
                 TOp::Shfl { mask, src, dst, sa, da, lanes } => OTp::Shfl {
                     mask,
                     src,
@@ -1265,7 +1306,7 @@ impl BlockOptimizer {
         self.stats.gather_addrs += self.stage.len();
         let (stage, patterns) = (&self.stage, &mut self.patterns);
         for step in &mut self.block_steps {
-            for_each_span(step, |span, n| {
+            for_each_span(step, &self.tiles, |_, span, n| {
                 if let Span::Gather { start, .. } = *span {
                     let s = start as usize;
                     *span = patterns.intern(&stage[s..s + n as usize]);
@@ -1288,8 +1329,16 @@ impl BlockOptimizer {
         params: Vec<(TensorId, String, usize)>,
         counters: Counters,
     ) -> OptTrace {
-        let BlockOptimizer { buf_lens, n_globals, mut steps, patterns, blocks, mut stats, .. } =
-            self;
+        let BlockOptimizer {
+            buf_lens,
+            n_globals,
+            mut steps,
+            patterns,
+            mut tiles,
+            blocks,
+            mut stats,
+            ..
+        } = self;
         let mut gather = patterns.table;
         stats.addrs_before = addrs_before;
         stats.bytes_before = bytes_before;
@@ -1299,8 +1348,9 @@ impl BlockOptimizer {
         // give the slack back before the trace goes resident.
         steps.shrink_to_fit();
         gather.shrink_to_fit();
+        tiles.shrink_to_fit();
         let mut opt =
-            OptTrace { steps, gather, blocks, buf_lens, n_globals, params, counters, stats };
+            OptTrace { steps, gather, tiles, blocks, buf_lens, n_globals, params, counters, stats };
         opt.stats.bytes_after = opt.resident_bytes();
         opt
     }
@@ -1566,5 +1616,110 @@ mod tests {
             assert_eq!(want.to_bits(), y.to_bits(), "out[{i}] = 2·in[{p}]");
         }
         assert_eq!(opt.counters, t.counters, "replay returns the trace's counters");
+    }
+
+    /// One block computing `C += A·B` with one full-warp m16n8k16:
+    /// global `x = [A (16×16) | B (16×8) | C (16×8)]` is copied into
+    /// private buffers, A and C into buffer 1 and B into buffer 2
+    /// (`c_buf` 1) or C into buffer 3 (`c_buf` 3), and C is copied
+    /// back. Fragment addresses follow the lane-order layout.
+    fn planted_mma(c_buf: u32) -> Trace {
+        use graphene_ir::atomic::fragments as frag;
+        let (a_off, c_off) = (0u32, if c_buf == 1 { 256 } else { 0 });
+        let mut addrs: Vec<u32> = Vec::new();
+        let mut seg = |v: Vec<u32>| {
+            let start = addrs.len() as u32;
+            addrs.extend(v);
+            start
+        };
+        let copy = |src: u32, dst: u32, sa: u32, da: u32, n: u32| TOp::Copy { src, dst, sa, da, n };
+        let mut steps = vec![
+            copy(0, 1, seg((0..256).collect()), seg((0..256).collect()), 256),
+            copy(0, 2, seg((256..384).collect()), seg((0..128).collect()), 128),
+            copy(0, c_buf, seg((384..512).collect()), seg((c_off..c_off + 128).collect()), 128),
+        ];
+        let lanes = 0..32usize;
+        let at = |f: fn(usize, usize) -> (usize, usize), per: usize, cols: usize, off: u32| {
+            lanes
+                .clone()
+                .flat_map(|li| (0..per).map(move |v| (li, v)))
+                .map(|(li, v)| {
+                    let (r, col) = f(li, v);
+                    off + (r * cols + col) as u32
+                })
+                .collect::<Vec<u32>>()
+        };
+        let aa = seg(at(frag::mma_16816_a, 8, 16, a_off));
+        let ba = seg(at(frag::mma_16816_b, 4, 8, 0));
+        let ca = seg(at(frag::mma_16816_c, 4, 8, c_off));
+        steps.push(TOp::Mma16816 {
+            a: 1,
+            b: 2,
+            c: c_buf,
+            aa,
+            aper: 8,
+            ba,
+            bper: 4,
+            ca,
+            cper: 4,
+            lanes: 32,
+        });
+        steps.push(copy(
+            c_buf,
+            0,
+            seg((c_off..c_off + 128).collect()),
+            seg((384..512).collect()),
+            128,
+        ));
+        let n = steps.len() as u32;
+        let buf_lens = if c_buf == 1 { vec![512, 384, 128] } else { vec![512, 256, 128, 128] };
+        Trace {
+            steps,
+            addrs,
+            blocks: vec![(0, n)],
+            buf_lens,
+            n_globals: 1,
+            params: vec![(TensorId(0), "x".to_string(), 512)],
+            counters: Counters::default(),
+        }
+    }
+
+    #[test]
+    fn mma_whose_accumulator_aliases_an_operand_stays_lane_order() {
+        let x: Vec<f32> = (0..512).map(|i| ((i * 37) % 101) as f32 / 8.0 - 6.0).collect();
+        let mut want = x.clone();
+        for m in 0..16 {
+            for n in 0..8 {
+                let mut acc = 0.0f32;
+                for k in 0..16 {
+                    acc += x[m * 16 + k] * x[256 + k * 8 + n];
+                }
+                want[384 + m * 8 + n] += acc;
+            }
+        }
+        let inputs: HashMap<TensorId, Vec<f32>> = [(TensorId(0), x)].into();
+        for (c_buf, folds) in [(1, false), (3, true)] {
+            let t = planted_mma(c_buf);
+            let o = optimize_trace(&t);
+            o.check_addresses(&t).expect("every operand decodes to its recorded addresses");
+            let st = o.stats();
+            assert_eq!((st.folded_mmas, st.mma_tiles), (usize::from(folds), usize::from(folds)));
+            assert_eq!(o.lane_order_mmas(), usize::from(!folds), "c in buffer {c_buf}");
+            let got = &replay_opt(&o, &inputs).expect("opt replay").globals[&TensorId(0)];
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&want), "c in buffer {c_buf}");
+        }
+    }
+
+    #[test]
+    fn shifting_a_tile_base_fails_the_address_check() {
+        let t = planted_mma(3);
+        optimize_trace(&t).check_addresses(&t).expect("the optimizer's own tiles decode");
+        for op in 0..3 {
+            let mut bad = optimize_trace(&t);
+            bad.tiles[0][op] += 1;
+            let err = bad.check_addresses(&t).expect_err("a shifted base must not decode");
+            assert!(err.contains("decoded addresses differ"), "{err}");
+        }
     }
 }

@@ -339,20 +339,36 @@ fn optimized_spans_decode_to_recorded_addresses() {
     }
 }
 
-/// Private buffers laid out in MMA order: every dense tensor-core
-/// operand of every MMA kernel replays as one contiguous row, and the
-/// kernels without MMAs keep their identity layout (no gathers at all).
+/// Every full-warp MMA of every MMA kernel (sm86 and sm70) and every
+/// encoder node folds into a warp-tile step: folding needs every dense
+/// operand to be one contiguous row, none stays lane-order, and the
+/// folded MMAs account for every tensor-core flop the recording
+/// counted. The kernels without MMAs keep their identity layout (no
+/// gathers at all).
 #[test]
-fn dense_mma_operands_replay_as_contiguous_rows() {
+fn every_full_warp_mma_folds_into_a_tile_step() {
     for (name, arch, plan) in &catalog_and_encoder_plans() {
         let opt = record_opt_trace(plan, &HashMap::new()).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let (rows, total) = opt.dense_operand_rows();
+        let st = opt.stats();
+        assert_eq!(opt.lane_order_mmas(), 0, "{name} ({arch:?}): lane-order MMAs left");
+        let mma_flops = if *arch == Arch::Sm86 { 2 * 16 * 8 * 16 } else { 2 * 8 * 8 * 4 };
+        assert_eq!(
+            st.folded_mmas as u64 * mma_flops,
+            opt.counters().flops_tc,
+            "{name} ({arch:?}): {} folded MMAs",
+            st.folded_mmas
+        );
         if name == "layernorm" || name == "softmax" {
-            assert_eq!(total, 0, "{name}: no MMAs expected");
-            assert_eq!(opt.stats().gather_addrs, 0, "{name}: identity layout must stay affine");
+            assert_eq!(st.folded_mmas, 0, "{name}: no MMAs expected");
+            assert_eq!(st.gather_addrs, 0, "{name}: identity layout must stay affine");
         } else if ["gemm", "mlp", "lstm", "fmha"].iter().any(|k| name.contains(k)) {
-            assert!(total > 0, "{name} ({arch:?}): no dense MMA steps");
-            assert_eq!(rows, total, "{name} ({arch:?}): {rows} of {total} operands contiguous");
+            assert!(st.folded_mmas > 0, "{name} ({arch:?}): no MMA folded");
+            assert!(
+                st.mma_tiles > 0 && st.mma_tiles < st.folded_mmas,
+                "{name} ({arch:?}): {} MMAs in {} tile steps",
+                st.folded_mmas,
+                st.mma_tiles
+            );
         }
     }
 }
