@@ -26,6 +26,8 @@ fn paper_kernels() -> Vec<(Kernel, Arch)> {
         (build_gemm_double_buffered(&cfg, Epilogue::None), Arch::Sm86),
         (build_fused_mlp(Arch::Sm86, &MlpConfig::paper(256, 2)), Arch::Sm86),
         (build_fused_lstm(Arch::Sm86, &LstmConfig::paper(128)), Arch::Sm86),
+        (build_fused_mlp(Arch::Sm70, &MlpConfig::paper(256, 2)), Arch::Sm70),
+        (build_fused_lstm(Arch::Sm70, &LstmConfig::paper(128)), Arch::Sm70),
         (build_fused_fmha(Arch::Sm86, &FmhaConfig::mlperf_bert()), Arch::Sm86),
         (build_layernorm(Arch::Sm86, &LayernormConfig::new(64, 1024)), Arch::Sm86),
         (build_softmax(Arch::Sm86, &SoftmaxConfig::new(64, 512)), Arch::Sm86),

@@ -119,11 +119,13 @@ pub fn smem_swizzle() -> Swizzle {
 ///
 /// On Ampere the global→shared move lowers to `cp.async`; on Volta it
 /// round-trips through a register (`ld.global.v4.u32` +
-/// `st.shared.v4.u32`).
+/// `st.shared.v4.u32`). With a `row_bound`, each move is predicated on
+/// its source row being below it (partial row tiles, paper §3.4); rows
+/// past the bound stay unstaged.
 ///
 /// # Panics
 ///
-/// Panics unless `rows*cols` is divisible by `threads*8`.
+/// Panics unless `rows*cols` is divisible by `threads`.
 #[allow(clippy::too_many_arguments)]
 pub fn stage_tile(
     kb: &mut KernelBuilder,
@@ -137,6 +139,7 @@ pub fn stage_tile(
     rows: i64,
     cols: i64,
     threads: i64,
+    row_bound: Option<&IntExpr>,
 ) {
     let total = rows * cols;
     assert_eq!(total % threads, 0, "stage_tile: {rows}x{cols} not divisible by {threads} threads");
@@ -157,68 +160,39 @@ pub fn stage_tile(
         let e = (tid.clone() * chunks + u) * w;
         let r = e.clone() / cols;
         let c = e % cols;
-        let s = kb.index(src_vec, &[row0.clone() + r.clone(), (col0.clone() + c.clone()) / w]);
-        let d = kb.index(dst_vec, &[r, c / w]);
-        let mut ex = exec.to_vec();
-        let ts = kb.thread_scalar(threads_ts);
-        ex.push(ts);
-        match arch {
-            Arch::Sm86 => {
-                kb.spec(SpecKind::Move, ex, vec![s], vec![d]);
+        let row = row0.clone() + r.clone();
+        guarded(kb, row_bound, &row, |kb| {
+            let s = kb.index(src_vec, &[row.clone(), (col0.clone() + c.clone()) / w]);
+            let d = kb.index(dst_vec, &[r, c / w]);
+            let mut ex = exec.to_vec();
+            let ts = kb.thread_scalar(threads_ts);
+            ex.push(ts);
+            match arch {
+                Arch::Sm86 => {
+                    kb.spec(SpecKind::Move, ex, vec![s], vec![d]);
+                }
+                Arch::Sm70 => {
+                    // No cp.async on Volta: go through a register.
+                    let tmp = kb.alloc_reg(format!("stg{u}"), reg_vec(w, ScalarType::F16));
+                    kb.spec(SpecKind::Move, ex.clone(), vec![s], vec![tmp]);
+                    kb.spec(SpecKind::Move, ex, vec![tmp], vec![d]);
+                }
             }
-            Arch::Sm70 => {
-                // No cp.async on Volta: go through a register.
-                let tmp = kb.alloc_reg(format!("stg{u}"), reg_vec(w, ScalarType::F16));
-                kb.spec(SpecKind::Move, ex.clone(), vec![s], vec![tmp]);
-                kb.spec(SpecKind::Move, ex, vec![tmp], vec![d]);
-            }
-        }
+        });
     }
 }
 
-/// Copies a `rows × cols` fp16 shared tensor out to a region of a 2-D
-/// global tensor (register round-trip: `ld.shared` + `st.global`),
-/// vectorised across all block threads.
-///
-/// # Panics
-///
-/// Panics unless `rows*cols` is divisible by `threads`.
-#[allow(clippy::too_many_arguments)]
-pub fn unstage_tile(
+/// Emits `emit` under `if (row < bound)` when a row bound is given, and
+/// unguarded otherwise.
+pub fn guarded(
     kb: &mut KernelBuilder,
-    exec: &[ThreadId],
-    threads_ts: ThreadId,
-    smem: TensorId,
-    dst: TensorId,
-    row0: IntExpr,
-    col0: IntExpr,
-    rows: i64,
-    cols: i64,
-    threads: i64,
+    bound: Option<&IntExpr>,
+    row: &IntExpr,
+    emit: impl FnOnce(&mut KernelBuilder),
 ) {
-    let total = rows * cols;
-    assert_eq!(total % threads, 0, "unstage_tile: {rows}x{cols} vs {threads} threads");
-    let per_thread = total / threads;
-    let w = [8i64, 4, 2, 1]
-        .into_iter()
-        .find(|w| per_thread % w == 0 && cols % w == 0)
-        .expect("width 1 always divides");
-    let chunks = per_thread / w;
-    let tid = kb.module()[threads_ts].hw_var();
-    let src_vec = kb.tile_c(smem, &[Some(1), Some(w)]).expect("smem vec tile");
-    let dst_vec = kb.tile_c(dst, &[Some(1), Some(w)]).expect("dst vec tile");
-    for u in 0..chunks {
-        let e = (tid.clone() * chunks + u) * w;
-        let r = e.clone() / cols;
-        let c = e % cols;
-        let s = kb.index(src_vec, &[r.clone(), c.clone() / w]);
-        let d = kb.index(dst_vec, &[row0.clone() + r, (col0.clone() + c) / w]);
-        let tmp = kb.alloc_reg(format!("ustg{u}"), reg_vec(w, ScalarType::F16));
-        let mut ex = exec.to_vec();
-        let ts = kb.thread_scalar(threads_ts);
-        ex.push(ts);
-        kb.spec(SpecKind::Move, ex.clone(), vec![s], vec![tmp]);
-        kb.spec(SpecKind::Move, ex, vec![tmp], vec![d]);
+    match bound {
+        Some(bound) => kb.if_lt(row.clone(), bound.clone(), emit),
+        None => emit(kb),
     }
 }
 

@@ -22,10 +22,9 @@
 
 use crate::common::{
     a_frags_type, acc_root_type, b_frags_type, frag_a_type, reg_scalar, reg_vec, stage_tile,
+    stage_transposed,
 };
-use crate::mma::{
-    emit_epilogue_store_ampere, emit_warp_mma_ampere, EpilogueOps, MmaGeom, StoreTarget, WarpCtx,
-};
+use crate::mma::{EpilogueOps, MmaGeom, StoreTarget, WarpCtx, WarpMma};
 use graphene_ir::builder::KernelBuilder;
 use graphene_ir::spec::SpecKind;
 use graphene_ir::tensor::{Elem, TensorId, TensorType};
@@ -129,7 +128,6 @@ pub fn build_fused_fmha(arch: Arch, cfg: &FmhaConfig) -> Kernel {
 
     let warp = kb.thread_tile(block, &Layout::contiguous(32)).expect("warps");
     let ctx = WarpCtx::new(&kb, block, &geom_s);
-    let lane = ctx.lane.clone();
 
     kb.comment("stage Q tile and K^T (transposed staging)");
     stage_tile(
@@ -144,14 +142,16 @@ pub fn build_fused_fmha(arch: Arch, cfg: &FmhaConfig) -> Kernel {
         cfg.bq,
         cfg.d,
         cfg.threads(),
+        None,
     );
     stage_transposed(
         &mut kb,
-        grid,
+        &[grid],
         block,
         k,
         kt_view,
         head_row0.clone(),
+        IntExpr::zero(),
         cfg.seq,
         cfg.d,
         cfg.threads(),
@@ -164,7 +164,17 @@ pub fn build_fused_fmha(arch: Arch, cfg: &FmhaConfig) -> Kernel {
     kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc_s]);
     let a_frags = kb.alloc_reg("afrag", a_frags_type(mi_cnt));
     let b_frags = kb.alloc_reg("bfrag", b_frags_type(ni_s));
-    emit_warp_mma_ampere(&mut kb, grid, warp, &ctx, qs, kt_view, acc_s, a_frags, b_frags, &geom_s);
+    let s_mma = WarpMma {
+        arch,
+        geom: geom_s,
+        ctx,
+        exec: warp,
+        acc: acc_s,
+        a_frags,
+        b_frags,
+        scalar_loads: false,
+    };
+    s_mma.mma(&mut kb, grid, block, qs, kt_view);
     kb.sync();
 
     kb.comment("softmax on the register-resident score fragments");
@@ -214,6 +224,7 @@ pub fn build_fused_fmha(arch: Arch, cfg: &FmhaConfig) -> Kernel {
         cfg.seq,
         cfg.d,
         cfg.threads(),
+        None,
     );
     kb.sync();
 
@@ -222,32 +233,12 @@ pub fn build_fused_fmha(arch: Arch, cfg: &FmhaConfig) -> Kernel {
     let ts = kb.thread_scalar(block);
     kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc_o]);
     let vb_frags = kb.alloc_reg("vbfrag", b_frags_type(ni_o));
+    // The P x V MMA: P's A fragments are already in registers, so only
+    // the V fragments are loaded (ldmatrix.x4.trans).
+    let o_mma = WarpMma { geom: geom_o, acc: acc_o, b_frags: vb_frags, ..s_mma };
     let vs_vec8 = kb.tile_c(v_view, &[Some(1), Some(8)]).expect("V rows");
     for kf in 0..kk_cnt {
-        // ldmatrix.x4.trans: two adjacent 8-column V tiles per load.
-        let mut ni = 0;
-        while ni < ni_o {
-            if ni + 1 < ni_o {
-                let row =
-                    IntExpr::constant(kf * 16) + ((lane.clone() / 8) % 2) * 8 + lane.clone() % 8;
-                let colgrp = IntExpr::constant(ni) + lane.clone() / 16;
-                let src = kb.index(vs_vec8, &[row, colgrp]);
-                let dst = kb.view_as(
-                    vb_frags,
-                    crate::common::frag_b_pair_type(),
-                    IntExpr::constant(ni * 4),
-                );
-                kb.spec(SpecKind::Move, vec![grid, warp], vec![src], vec![dst]);
-                ni += 2;
-            } else {
-                let row = IntExpr::constant(kf * 16) + lane.clone() % 16;
-                let colgrp = IntExpr::constant(ni); // wn == d: single warp column
-                let src = kb.index(vs_vec8, &[row, colgrp]);
-                let dst = kb.index(vb_frags, &[IntExpr::constant(ni)]);
-                kb.spec(SpecKind::Move, vec![grid, warp], vec![src], vec![dst]);
-                ni += 1;
-            }
-        }
+        o_mma.load_b(&mut kb, grid, block, vs_vec8, kf);
         for mi in 0..mi_cnt {
             for ni in 0..ni_o {
                 let pf = kb.index(p_frags, &[IntExpr::constant(mi), IntExpr::constant(kf)]);
@@ -259,55 +250,11 @@ pub fn build_fused_fmha(arch: Arch, cfg: &FmhaConfig) -> Kernel {
     }
 
     kb.comment("store the output tile");
-    let target = StoreTarget::Global { tensor: o, row0: q_row0, col0: IntExpr::zero() };
-    emit_epilogue_store_ampere(
-        &mut kb,
-        grid,
-        block,
-        &ctx,
-        acc_o,
-        &geom_o,
-        &EpilogueOps::none(),
-        &target,
-    );
+    let target =
+        StoreTarget::Global { tensor: o, row0: q_row0, col0: IntExpr::zero(), row_bound: None };
+    o_mma.store(&mut kb, grid, block, &EpilogueOps::none(), &target);
 
     kb.build()
-}
-
-/// Transposed staging: `dst[dd][si] = src[row0 + si][dd]` — vectorised
-/// global reads, scalar shared writes.
-#[allow(clippy::too_many_arguments)]
-fn stage_transposed(
-    kb: &mut KernelBuilder,
-    grid: ThreadId,
-    block: ThreadId,
-    src: TensorId,
-    dst_view: TensorId,
-    row0: IntExpr,
-    rows: i64,
-    cols: i64,
-    threads: i64,
-) {
-    let total = rows * cols;
-    assert_eq!(total % (threads * 8), 0, "transposed staging granularity");
-    let chunks = total / threads / 8;
-    let tid = kb.module()[block].hw_var();
-    let src_vec8 = kb.tile_c(src, &[Some(1), Some(8)]).expect("src vectors");
-    for u in 0..chunks {
-        let e = (tid.clone() * chunks + u) * 8;
-        let si = e.clone() / cols;
-        let dd = e % cols;
-        let s = kb.index(src_vec8, &[row0.clone() + si.clone(), dd.clone() / 8]);
-        let tmp = kb.alloc_reg(format!("tr{u}"), reg_vec(8, ScalarType::F16));
-        let ts = kb.thread_scalar(block);
-        kb.spec(SpecKind::Move, vec![grid, ts], vec![s], vec![tmp]);
-        for j in 0..8i64 {
-            let slot = kb.view_as(tmp, reg_scalar(ScalarType::F16), IntExpr::constant(j));
-            let d = kb.index(dst_view, &[dd.clone() + j, si.clone()]);
-            let ts = kb.thread_scalar(block);
-            kb.spec(SpecKind::Move, vec![grid, ts], vec![slot], vec![d]);
-        }
-    }
 }
 
 /// Softmax over register-resident score fragments: scale, per-row max,

@@ -7,27 +7,23 @@
 //! sizes as cuBLAS are used for the evaluation configs (128×128×32
 //! thread-block tiles, paper footnote 1).
 //!
-//! Two architecture paths:
+//! Two architecture paths, both behind [`crate::mma::WarpMma`]:
 //! - **Ampere** (SM86): `cp.async` staging, `ldmatrix`(.trans) fragment
 //!   loads, `mma.m16n8k16` (warp-wide),
 //! - **Volta** (SM70): register staging, per-thread shared-memory
 //!   fragment loads, quad-pair `mma.m8n8k4` (paper Figure 6).
 //!
 //! GEMM epilogues (bias / ReLU, Figure 10) fuse into the accumulator
-//! store.
+//! store. Every public builder is a preset of one private schedule
+//! (`GemmSchedule`) that selects its batch, row bound, fragment loads
+//! and stage count.
 
-use crate::common::{
-    a_frags_type, acc_root_type, b_frags_type, reg_vec, smem_swizzle, stage_tile, stage_transposed,
-};
-use crate::mma::{
-    emit_epilogue_store_ampere, emit_epilogue_store_volta, emit_warp_mma_ampere,
-    emit_warp_mma_volta, volta_acc_ty, EpilogueOps, MmaGeom, StoreTarget, WarpCtx,
-};
+use crate::common::{smem_swizzle, stage_tile};
+use crate::mma::{a_stage_type, stage_a, EpilogueOps, MmaGeom, StoreTarget, WarpMma};
 use graphene_ir::builder::KernelBuilder;
-use graphene_ir::spec::SpecKind;
 use graphene_ir::tensor::TensorType;
 use graphene_ir::{Arch, Kernel, ScalarType, UnaryOp};
-use graphene_layout::{Layout, Swizzle};
+use graphene_layout::Swizzle;
 use graphene_sym::IntExpr;
 
 /// Epilogue fused into the GEMM store (paper Figure 10).
@@ -215,233 +211,16 @@ impl GemmConfig {
 /// Returned kernel parameters: `A, B, C` and, when the epilogue needs
 /// it, `bias:[n]`.
 pub fn build_gemm(arch: Arch, cfg: &GemmConfig, epilogue: Epilogue) -> Kernel {
-    cfg.validate(arch).unwrap_or_else(|e| panic!("invalid GEMM configuration: {e}"));
-    let name = format!(
-        "graphene_gemm_{}_{}",
-        match arch {
-            Arch::Sm70 => "sm70",
-            Arch::Sm86 => "sm86",
-        },
-        epilogue.label().replace('+', "_")
-    );
-    let mut kb = KernelBuilder::new(name, &[cfg.m / cfg.bm, cfg.n / cfg.bn], &[cfg.threads()]);
-    let a = kb.param("A", &[cfg.m, cfg.k], ScalarType::F16);
-    let b = kb.param("B", &[cfg.k, cfg.n], ScalarType::F16);
-    let c = kb.param("C", &[cfg.m, cfg.n], ScalarType::F16);
-    let bias = epilogue.has_bias().then(|| kb.param("bias", &[cfg.n], ScalarType::F16));
-
-    let grid = kb.grid();
-    let block = kb.block();
-    let bids = kb.module()[grid].group_coords();
-    let (bm_id, bn_id) = (bids[0].clone(), bids[1].clone());
-
-    let sw = if cfg.swizzle { smem_swizzle() } else { Swizzle::identity() };
-    // Volta consumes A column-major (transposed stage) so quad-pair
-    // fragments are vectorised loads; Ampere's ldmatrix reads rows.
-    let a_s = match arch {
-        Arch::Sm86 => kb.alloc_shared(
-            "As",
-            TensorType::row_major(&[cfg.bm, cfg.bk], ScalarType::F16).with_swizzle(sw),
-        ),
-        Arch::Sm70 => kb.alloc_shared(
-            "Ast",
-            TensorType::row_major(&[cfg.bk, cfg.bm], ScalarType::F16).with_swizzle(sw),
-        ),
+    let (sm, loop_note) = match arch {
+        Arch::Sm86 => ("sm86", "main K loop: stage block tiles, then warp-level tensor core MMAs"),
+        Arch::Sm70 => ("sm70", "main K loop: transposed A staging, quad-pair MMAs"),
     };
-    let b_s = kb.alloc_shared(
-        "Bs",
-        TensorType::row_major(&[cfg.bk, cfg.bn], ScalarType::F16).with_swizzle(sw),
-    );
-
-    let body = GemmBody {
-        cfg: *cfg,
-        a,
-        b,
-        c,
-        bias,
-        epilogue,
-        bm_row0: bm_id.clone() * cfg.bm,
-        bn_col0: bn_id.clone() * cfg.bn,
-        a_s,
-        b_s,
-    };
-
-    match arch {
-        Arch::Sm86 => body.emit_ampere(&mut kb, grid, block),
-        Arch::Sm70 => body.emit_volta(&mut kb, grid, block),
+    let name = format!("graphene_gemm_{sm}_{}", epilogue.label().replace('+', "_"));
+    GemmSchedule {
+        notes: [Some(loop_note), Some("epilogue + accumulator store (fp32 -> fp16)")],
+        ..GemmSchedule::new(name, arch, cfg, epilogue)
     }
-    kb.build()
-}
-
-/// Internal context for emitting the GEMM body on top of the reusable
-/// warp-level MMA emitters in [`crate::mma`].
-struct GemmBody {
-    cfg: GemmConfig,
-    a: graphene_ir::TensorId,
-    b: graphene_ir::TensorId,
-    c: graphene_ir::TensorId,
-    bias: Option<graphene_ir::TensorId>,
-    epilogue: Epilogue,
-    bm_row0: IntExpr,
-    bn_col0: IntExpr,
-    a_s: graphene_ir::TensorId,
-    b_s: graphene_ir::TensorId,
-}
-
-impl GemmBody {
-    fn geom(&self) -> MmaGeom {
-        MmaGeom {
-            bm: self.cfg.bm,
-            bn: self.cfg.bn,
-            wm: self.cfg.wm,
-            wn: self.cfg.wn,
-            k_cols: self.cfg.bk,
-        }
-    }
-
-    fn epilogue_ops(&self) -> EpilogueOps {
-        EpilogueOps {
-            // The bias is indexed by the *global* column: block offset
-            // plus the in-block column computed by the store emitters.
-            bias: self.bias.map(|b| (b, self.bn_col0.clone())),
-            activation: self.epilogue.activation(),
-            scale: None,
-        }
-    }
-
-    fn emit_ampere(
-        &self,
-        kb: &mut KernelBuilder,
-        grid: graphene_ir::ThreadId,
-        block: graphene_ir::ThreadId,
-    ) {
-        let cfg = &self.cfg;
-        let geom = self.geom();
-        let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 8);
-        let warp = kb.thread_tile(block, &Layout::contiguous(32)).expect("warp tiling");
-        let ctx = WarpCtx::new(kb, block, &geom);
-
-        let acc = kb.alloc_reg("acc", acc_root_type(mi_cnt, ni_cnt));
-        let ts = kb.thread_scalar(block);
-        kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-        let a_frags = kb.alloc_reg("afrag", a_frags_type(mi_cnt));
-        let b_frags = kb.alloc_reg("bfrag", b_frags_type(ni_cnt));
-
-        kb.comment("main K loop: stage block tiles, then warp-level tensor core MMAs");
-        kb.for_loop("ks", cfg.k / cfg.bk, false, |kb, ks| {
-            stage_tile(
-                kb,
-                Arch::Sm86,
-                &[grid],
-                block,
-                self.a,
-                self.a_s,
-                self.bm_row0.clone(),
-                ks.clone() * cfg.bk,
-                cfg.bm,
-                cfg.bk,
-                cfg.threads(),
-            );
-            stage_tile(
-                kb,
-                Arch::Sm86,
-                &[grid],
-                block,
-                self.b,
-                self.b_s,
-                ks.clone() * cfg.bk,
-                self.bn_col0.clone(),
-                cfg.bk,
-                cfg.bn,
-                cfg.threads(),
-            );
-            kb.sync();
-            emit_warp_mma_ampere(
-                kb, grid, warp, &ctx, self.a_s, self.b_s, acc, a_frags, b_frags, &geom,
-            );
-            kb.sync();
-        });
-
-        kb.comment("epilogue + accumulator store (fp32 -> fp16)");
-        let target = StoreTarget::Global {
-            tensor: self.c,
-            row0: self.bm_row0.clone(),
-            col0: self.bn_col0.clone(),
-        };
-        emit_epilogue_store_ampere(
-            kb,
-            grid,
-            block,
-            &ctx,
-            acc,
-            &geom,
-            &self.epilogue_ops(),
-            &target,
-        );
-    }
-
-    fn emit_volta(
-        &self,
-        kb: &mut KernelBuilder,
-        grid: graphene_ir::ThreadId,
-        block: graphene_ir::ThreadId,
-    ) {
-        let cfg = &self.cfg;
-        let geom = self.geom();
-        let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 16);
-        let qp = kb
-            .thread_tile(block, &graphene_ir::atomic::quad_pair_layout())
-            .expect("quad-pair tiling");
-        let ctx = WarpCtx::new(kb, block, &geom);
-
-        let acc = kb.alloc_reg("acc", volta_acc_ty(mi_cnt, ni_cnt));
-        let ts = kb.thread_scalar(block);
-        kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-        let a_regs = kb.alloc_reg("areg", reg_vec(4 * mi_cnt, ScalarType::F16));
-        let b_regs = kb.alloc_reg("breg", reg_vec(4 * ni_cnt, ScalarType::F16));
-
-        kb.comment("main K loop: transposed A staging, quad-pair MMAs");
-        kb.for_loop("ks", cfg.k / cfg.bk, false, |kb, ks| {
-            stage_transposed(
-                kb,
-                &[grid],
-                block,
-                self.a,
-                self.a_s,
-                self.bm_row0.clone(),
-                ks.clone() * cfg.bk,
-                cfg.bm,
-                cfg.bk,
-                cfg.threads(),
-            );
-            stage_tile(
-                kb,
-                Arch::Sm70,
-                &[grid],
-                block,
-                self.b,
-                self.b_s,
-                ks.clone() * cfg.bk,
-                self.bn_col0.clone(),
-                cfg.bk,
-                cfg.bn,
-                cfg.threads(),
-            );
-            kb.sync();
-            emit_warp_mma_volta(
-                kb, grid, block, qp, &ctx, self.a_s, self.b_s, acc, a_regs, b_regs, &geom,
-            );
-            kb.sync();
-        });
-
-        kb.comment("epilogue + accumulator store (fp32 -> fp16)");
-        let target = StoreTarget::Global {
-            tensor: self.c,
-            row0: self.bm_row0.clone(),
-            col0: self.bn_col0.clone(),
-        };
-        emit_epilogue_store_volta(kb, grid, block, &ctx, acc, &geom, &self.epilogue_ops(), &target);
-    }
+    .build()
 }
 
 /// Builds an Ampere GEMM whose `m` need **not** divide the block tile:
@@ -454,7 +233,7 @@ impl GemmBody {
 /// `cfg.m` is the true row count; all other divisibility requirements of
 /// [`GemmConfig::validate`] still apply to `n`/`k` and the tiles.
 pub fn build_gemm_partial_m(cfg: &GemmConfig, epilogue: Epilogue) -> Kernel {
-    build_gemm_predicated_m(cfg, epilogue, IntExpr::constant(cfg.m), "graphene_gemm_sm86_partial_m")
+    GemmSchedule::predicated(cfg, epilogue, IntExpr::constant(cfg.m), "partial_m").build()
 }
 
 /// A GEMM *parametric* in `m` (paper §3.4: "parametric shapes lead to
@@ -465,140 +244,7 @@ pub fn build_gemm_partial_m(cfg: &GemmConfig, epilogue: Epilogue) -> Kernel {
 /// The generated CUDA gains a `const int M` parameter and predicates all
 /// row-dependent accesses against it.
 pub fn build_gemm_parametric_m(cfg: &GemmConfig, epilogue: Epilogue) -> Kernel {
-    build_gemm_predicated_m(cfg, epilogue, IntExpr::var("M"), "graphene_gemm_sm86_parametric_m")
-}
-
-fn build_gemm_predicated_m(
-    cfg: &GemmConfig,
-    epilogue: Epilogue,
-    m_bound_expr: IntExpr,
-    name: &str,
-) -> Kernel {
-    let arch = Arch::Sm86;
-    let grid_m = (cfg.m + cfg.bm - 1) / cfg.bm;
-    let padded = GemmConfig { m: grid_m * cfg.bm, ..*cfg };
-    padded.validate(arch).unwrap_or_else(|e| panic!("invalid GEMM configuration: {e}"));
-    let geom = MmaGeom { bm: cfg.bm, bn: cfg.bn, wm: cfg.wm, wn: cfg.wn, k_cols: cfg.bk };
-    let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 8);
-
-    let mut kb = KernelBuilder::new(name, &[grid_m, cfg.n / cfg.bn], &[cfg.threads()]);
-    let a = kb.param("A", &[cfg.m, cfg.k], ScalarType::F16);
-    let b = kb.param("B", &[cfg.k, cfg.n], ScalarType::F16);
-    let c = kb.param("C", &[cfg.m, cfg.n], ScalarType::F16);
-    let bias = epilogue.has_bias().then(|| kb.param("bias", &[cfg.n], ScalarType::F16));
-
-    let grid = kb.grid();
-    let block = kb.block();
-    let bids = kb.module()[grid].group_coords();
-    let (bm_row0, bn_col0) = (bids[0].clone() * cfg.bm, bids[1].clone() * cfg.bn);
-    let m_bound = m_bound_expr;
-
-    let sw = if cfg.swizzle { smem_swizzle() } else { Swizzle::identity() };
-    let a_s = kb.alloc_shared(
-        "As",
-        TensorType::row_major(&[cfg.bm, cfg.bk], ScalarType::F16).with_swizzle(sw),
-    );
-    let b_s = kb.alloc_shared(
-        "Bs",
-        TensorType::row_major(&[cfg.bk, cfg.bn], ScalarType::F16).with_swizzle(sw),
-    );
-
-    let warp = kb.thread_tile(block, &Layout::contiguous(32)).expect("warps");
-    let ctx = WarpCtx::new(&kb, block, &geom);
-    let acc = kb.alloc_reg("acc", acc_root_type(mi_cnt, ni_cnt));
-    let ts = kb.thread_scalar(block);
-    kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-    let a_frags = kb.alloc_reg("afrag", a_frags_type(mi_cnt));
-    let b_frags = kb.alloc_reg("bfrag", b_frags_type(ni_cnt));
-
-    let tid = kb.module()[block].hw_var();
-    kb.comment("K loop with predicated A staging (partial row tiles)");
-    kb.for_loop("ks", cfg.k / cfg.bk, false, |kb, ks| {
-        // Guarded A staging: each 8-wide chunk loads only if its row is
-        // within the true m. Unloaded rows contribute garbage only to
-        // unstored accumulator rows.
-        let chunks = cfg.bm * cfg.bk / cfg.threads() / 8;
-        assert!(chunks >= 1, "partial staging needs >= 8 elems per thread");
-        let a_vec8 = kb.tile_c(a, &[Some(1), Some(8)]).expect("A vectors");
-        let as_vec8 = kb.tile_c(a_s, &[Some(1), Some(8)]).expect("As vectors");
-        for u in 0..chunks {
-            let e = (tid.clone() * chunks + u) * 8;
-            let r = e.clone() / cfg.bk;
-            let cc = e % cfg.bk;
-            let row = bm_row0.clone() + r.clone();
-            kb.if_lt(row.clone(), m_bound.clone(), |kb| {
-                let sv = kb.index(a_vec8, &[row.clone(), (ks.clone() * cfg.bk + cc.clone()) / 8]);
-                let dv = kb.index(as_vec8, &[r.clone(), cc.clone() / 8]);
-                let ts = kb.thread_scalar(block);
-                kb.spec(SpecKind::Move, vec![grid, ts], vec![sv], vec![dv]);
-            });
-        }
-        stage_tile(
-            kb,
-            arch,
-            &[grid],
-            block,
-            b,
-            b_s,
-            ks.clone() * cfg.bk,
-            bn_col0.clone(),
-            cfg.bk,
-            cfg.bn,
-            cfg.threads(),
-        );
-        kb.sync();
-        emit_warp_mma_ampere(kb, grid, warp, &ctx, a_s, b_s, acc, a_frags, b_frags, &geom);
-        kb.sync();
-    });
-
-    kb.comment("predicated epilogue store");
-    let lane = ctx.lane.clone();
-    let c_vec2 = kb.tile_c(c, &[Some(1), Some(2)]).expect("C pairs");
-    let bias_vec2 = bias.map(|bt| kb.tile_c(bt, &[Some(2)]).expect("bias pairs"));
-    for ni in 0..ni_cnt {
-        for vp in 0..2i64 {
-            let col =
-                bn_col0.clone() + ctx.wn_id.clone() * cfg.wn + ni * 8 + (lane.clone() % 4) * 2;
-            let bias_reg = bias.map(|_| {
-                let r = kb.alloc_reg(format!("biasr_{ni}_{vp}"), reg_vec(2, ScalarType::F32));
-                let bsrc = kb.index(bias_vec2.unwrap(), &[col.clone() / 2]);
-                let ts = kb.thread_scalar(block);
-                kb.spec(SpecKind::Move, vec![grid, ts], vec![bsrc], vec![r]);
-                r
-            });
-            for mi in 0..mi_cnt {
-                let pair = kb.view_as(
-                    acc,
-                    reg_vec(2, ScalarType::F32),
-                    IntExpr::constant(mi * ni_cnt * 4 + ni * 4 + vp * 2),
-                );
-                if let Some(br) = bias_reg {
-                    let ts = kb.thread_scalar(block);
-                    kb.spec(
-                        SpecKind::BinaryPointwise(graphene_ir::BinaryOp::Add),
-                        vec![grid, ts],
-                        vec![pair, br],
-                        vec![pair],
-                    );
-                }
-                if let Some(act) = epilogue.activation() {
-                    let ts = kb.thread_scalar(block);
-                    kb.spec(SpecKind::UnaryPointwise(act), vec![grid, ts], vec![pair], vec![pair]);
-                }
-                let row = bm_row0.clone()
-                    + ctx.wm_id.clone() * cfg.wm
-                    + mi * 16
-                    + lane.clone() / 4
-                    + vp * 8;
-                kb.if_lt(row.clone(), m_bound.clone(), |kb| {
-                    let dst = kb.index(c_vec2, &[row.clone(), col.clone() / 2]);
-                    let ts = kb.thread_scalar(block);
-                    kb.spec(SpecKind::Move, vec![grid, ts], vec![pair], vec![dst]);
-                });
-            }
-        }
-    }
-    kb.build()
+    GemmSchedule::predicated(cfg, epilogue, IntExpr::var("M"), "parametric_m").build()
 }
 
 /// The §2 ablation: the Ampere GEMM with `ldmatrix` replaced by
@@ -606,83 +252,12 @@ fn build_gemm_predicated_m(
 /// movements"). The paper reports this costs up to 17% of GEMM
 /// performance; the `ldmatrix_ablation` bench measures our equivalent.
 pub fn build_gemm_no_ldmatrix(cfg: &GemmConfig, epilogue: Epilogue) -> Kernel {
-    let arch = Arch::Sm86;
-    cfg.validate(arch).unwrap_or_else(|e| panic!("invalid GEMM configuration: {e}"));
-    let mut kb = KernelBuilder::new(
-        "graphene_gemm_sm86_no_ldmatrix",
-        &[cfg.m / cfg.bm, cfg.n / cfg.bn],
-        &[cfg.threads()],
-    );
-    let a = kb.param("A", &[cfg.m, cfg.k], ScalarType::F16);
-    let b = kb.param("B", &[cfg.k, cfg.n], ScalarType::F16);
-    let c = kb.param("C", &[cfg.m, cfg.n], ScalarType::F16);
-    let bias = epilogue.has_bias().then(|| kb.param("bias", &[cfg.n], ScalarType::F16));
-
-    let grid = kb.grid();
-    let block = kb.block();
-    let bids = kb.module()[grid].group_coords();
-    let (bm_row0, bn_col0) = (bids[0].clone() * cfg.bm, bids[1].clone() * cfg.bn);
-    let sw = if cfg.swizzle { smem_swizzle() } else { Swizzle::identity() };
-    let a_s = kb.alloc_shared(
-        "As",
-        TensorType::row_major(&[cfg.bm, cfg.bk], ScalarType::F16).with_swizzle(sw),
-    );
-    let b_s = kb.alloc_shared(
-        "Bs",
-        TensorType::row_major(&[cfg.bk, cfg.bn], ScalarType::F16).with_swizzle(sw),
-    );
-    let geom = MmaGeom { bm: cfg.bm, bn: cfg.bn, wm: cfg.wm, wn: cfg.wn, k_cols: cfg.bk };
-    let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 8);
-    let warp = kb.thread_tile(block, &Layout::contiguous(32)).expect("warps");
-    let ctx = WarpCtx::new(&kb, block, &geom);
-    let acc = kb.alloc_reg("acc", acc_root_type(mi_cnt, ni_cnt));
-    let ts = kb.thread_scalar(block);
-    kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-    let a_frags = kb.alloc_reg("afrag", a_frags_type(mi_cnt));
-    let b_frags = kb.alloc_reg("bfrag", b_frags_type(ni_cnt));
-
-    kb.comment("ablation: scalar ld.shared fragment loads instead of ldmatrix");
-    kb.for_loop("ks", cfg.k / cfg.bk, false, |kb, ks| {
-        stage_tile(
-            kb,
-            arch,
-            &[grid],
-            block,
-            a,
-            a_s,
-            bm_row0.clone(),
-            ks.clone() * cfg.bk,
-            cfg.bm,
-            cfg.bk,
-            cfg.threads(),
-        );
-        stage_tile(
-            kb,
-            arch,
-            &[grid],
-            block,
-            b,
-            b_s,
-            ks.clone() * cfg.bk,
-            bn_col0.clone(),
-            cfg.bk,
-            cfg.bn,
-            cfg.threads(),
-        );
-        kb.sync();
-        crate::mma::emit_warp_mma_ampere_scalar_loads(
-            kb, grid, block, warp, &ctx, a_s, b_s, acc, a_frags, b_frags, &geom,
-        );
-        kb.sync();
-    });
-    let ops = EpilogueOps {
-        bias: bias.map(|bt| (bt, bn_col0.clone())),
-        activation: epilogue.activation(),
-        scale: None,
-    };
-    let target = StoreTarget::Global { tensor: c, row0: bm_row0, col0: bn_col0 };
-    emit_epilogue_store_ampere(&mut kb, grid, block, &ctx, acc, &geom, &ops, &target);
-    kb.build()
+    GemmSchedule {
+        scalar_loads: true,
+        notes: [Some("ablation: scalar ld.shared fragment loads instead of ldmatrix"), None],
+        ..GemmSchedule::new("graphene_gemm_sm86_no_ldmatrix".into(), Arch::Sm86, cfg, epilogue)
+    }
+    .build()
 }
 
 /// A strided-batched GEMM (the `cublasGemmStridedBatchedEx` shape used
@@ -696,87 +271,8 @@ pub fn build_batched_gemm(arch: Arch, cfg: &GemmConfig, batch: i64) -> Kernel {
     assert!(batch >= 1, "batch must be positive");
     assert_eq!(arch, Arch::Sm86, "the batched schedule targets Ampere");
     let name = format!("graphene_batched_gemm_sm86_x{batch}");
-    let grid_mn = (cfg.m / cfg.bm) * (cfg.n / cfg.bn);
-    let mut kb =
-        KernelBuilder::new(name, &[batch, cfg.m / cfg.bm, cfg.n / cfg.bn], &[cfg.threads()]);
-    let a = kb.param("A", &[batch * cfg.m, cfg.k], ScalarType::F16);
-    let b = kb.param("B", &[batch * cfg.k, cfg.n], ScalarType::F16);
-    let c = kb.param("C", &[batch * cfg.m, cfg.n], ScalarType::F16);
-    let _ = grid_mn;
-
-    let grid = kb.grid();
-    let block = kb.block();
-    let bids = kb.module()[grid].group_coords();
-    let (batch_id, bm_id, bn_id) = (bids[0].clone(), bids[1].clone(), bids[2].clone());
-
-    let sw = if cfg.swizzle { smem_swizzle() } else { Swizzle::identity() };
-    let a_s = kb.alloc_shared(
-        "As",
-        TensorType::row_major(&[cfg.bm, cfg.bk], ScalarType::F16).with_swizzle(sw),
-    );
-    let b_s = kb.alloc_shared(
-        "Bs",
-        TensorType::row_major(&[cfg.bk, cfg.bn], ScalarType::F16).with_swizzle(sw),
-    );
-    let geom = MmaGeom { bm: cfg.bm, bn: cfg.bn, wm: cfg.wm, wn: cfg.wn, k_cols: cfg.bk };
-    let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 8);
-    let warp = kb.thread_tile(block, &Layout::contiguous(32)).expect("warps");
-    let ctx = WarpCtx::new(&kb, block, &geom);
-    let acc = kb.alloc_reg("acc", acc_root_type(mi_cnt, ni_cnt));
-    let ts = kb.thread_scalar(block);
-    kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-    let a_frags = kb.alloc_reg("afrag", a_frags_type(mi_cnt));
-    let b_frags = kb.alloc_reg("bfrag", b_frags_type(ni_cnt));
-
-    // Per-instance base rows: the batch stride folded into the row offset.
-    let a_row0 = batch_id.clone() * cfg.m + bm_id.clone() * cfg.bm;
-    let b_row_base = batch_id.clone() * cfg.k;
-    let c_row0 = a_row0.clone();
-    let bn_col0 = bn_id * cfg.bn;
-
-    kb.for_loop("ks", cfg.k / cfg.bk, false, |kb, ks| {
-        stage_tile(
-            kb,
-            arch,
-            &[grid],
-            block,
-            a,
-            a_s,
-            a_row0.clone(),
-            ks.clone() * cfg.bk,
-            cfg.bm,
-            cfg.bk,
-            cfg.threads(),
-        );
-        stage_tile(
-            kb,
-            arch,
-            &[grid],
-            block,
-            b,
-            b_s,
-            b_row_base.clone() + ks.clone() * cfg.bk,
-            bn_col0.clone(),
-            cfg.bk,
-            cfg.bn,
-            cfg.threads(),
-        );
-        kb.sync();
-        emit_warp_mma_ampere(kb, grid, warp, &ctx, a_s, b_s, acc, a_frags, b_frags, &geom);
-        kb.sync();
-    });
-    let target = StoreTarget::Global { tensor: c, row0: c_row0, col0: bn_col0 };
-    emit_epilogue_store_ampere(
-        &mut kb,
-        grid,
-        block,
-        &ctx,
-        acc,
-        &geom,
-        &EpilogueOps::none(),
-        &target,
-    );
-    kb.build()
+    GemmSchedule { batch: Some(batch), ..GemmSchedule::new(name, arch, cfg, Epilogue::None) }
+        .build()
 }
 
 /// The software-pipelined (double-buffered) Ampere GEMM: two
@@ -787,113 +283,187 @@ pub fn build_batched_gemm(arch: Arch, cfg: &GemmConfig, batch: i64) -> Kernel {
 /// mechanism explicit in the IR — and doubles the shared-memory
 /// footprint, which [`graphene_ir::validate::validate`] checks).
 pub fn build_gemm_double_buffered(cfg: &GemmConfig, epilogue: Epilogue) -> Kernel {
-    let arch = Arch::Sm86;
-    cfg.validate(arch).unwrap_or_else(|e| panic!("invalid GEMM configuration: {e}"));
-    let t = cfg.k / cfg.bk; // K slices
-    let mut kb = KernelBuilder::new(
-        "graphene_gemm_sm86_double_buffered",
-        &[cfg.m / cfg.bm, cfg.n / cfg.bn],
-        &[cfg.threads()],
-    );
-    let a = kb.param("A", &[cfg.m, cfg.k], ScalarType::F16);
-    let b = kb.param("B", &[cfg.k, cfg.n], ScalarType::F16);
-    let c = kb.param("C", &[cfg.m, cfg.n], ScalarType::F16);
-    let bias = epilogue.has_bias().then(|| kb.param("bias", &[cfg.n], ScalarType::F16));
+    GemmSchedule {
+        stages: 2,
+        notes: [
+            Some("pipelined main loop: stage the next slice while consuming the current"),
+            None,
+        ],
+        ..GemmSchedule::new("graphene_gemm_sm86_double_buffered".into(), Arch::Sm86, cfg, epilogue)
+    }
+    .build()
+}
 
-    let grid = kb.grid();
-    let block = kb.block();
-    let bids = kb.module()[grid].group_coords();
-    let (bm_row0, bn_col0) = (bids[0].clone() * cfg.bm, bids[1].clone() * cfg.bn);
-    let sw = if cfg.swizzle { smem_swizzle() } else { Swizzle::identity() };
-    let smem_a = |kb: &mut KernelBuilder, name: &str| {
-        kb.alloc_shared(
-            name.to_string(),
-            TensorType::row_major(&[cfg.bm, cfg.bk], ScalarType::F16).with_swizzle(sw),
-        )
-    };
-    let smem_b = |kb: &mut KernelBuilder, name: &str| {
-        kb.alloc_shared(
-            name.to_string(),
-            TensorType::row_major(&[cfg.bk, cfg.bn], ScalarType::F16).with_swizzle(sw),
-        )
-    };
-    let a_s = [smem_a(&mut kb, "As0"), smem_a(&mut kb, "As1")];
-    let b_s = [smem_b(&mut kb, "Bs0"), smem_b(&mut kb, "Bs1")];
+/// The one GEMM schedule behind every builder above: grid → block tiles
+/// staged through (swizzled) shared memory → a [`WarpMma`] per K slice
+/// → the fused epilogue store. The builders differ only in these axes.
+struct GemmSchedule {
+    name: String,
+    arch: Arch,
+    cfg: GemmConfig,
+    epilogue: Epilogue,
+    /// Independent products folded into a leading grid dimension.
+    batch: Option<i64>,
+    /// Predicate A staging and C stores on `row < row_bound`; the grid
+    /// covers `ceil(m / bm)` row blocks.
+    row_bound: Option<IntExpr>,
+    /// Scalar fragment loads instead of `ldmatrix` (Ampere).
+    scalar_loads: bool,
+    /// Shared-memory stages per operand: 1, or 2 for software pipelining.
+    stages: usize,
+    /// Comments emitted before the K loop and before the store.
+    notes: [Option<&'static str>; 2],
+}
 
-    let geom = MmaGeom { bm: cfg.bm, bn: cfg.bn, wm: cfg.wm, wn: cfg.wn, k_cols: cfg.bk };
-    let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 8);
-    let warp = kb.thread_tile(block, &Layout::contiguous(32)).expect("warps");
-    let ctx = WarpCtx::new(&kb, block, &geom);
-    let acc = kb.alloc_reg("acc", acc_root_type(mi_cnt, ni_cnt));
-    let ts = kb.thread_scalar(block);
-    kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-    let a_frags = kb.alloc_reg("afrag", a_frags_type(mi_cnt));
-    let b_frags = kb.alloc_reg("bfrag", b_frags_type(ni_cnt));
-
-    let stage = |kb: &mut KernelBuilder, buf: usize, k_slice: IntExpr| {
-        stage_tile(
-            kb,
+impl GemmSchedule {
+    fn new(name: String, arch: Arch, cfg: &GemmConfig, epilogue: Epilogue) -> Self {
+        GemmSchedule {
+            name,
             arch,
-            &[grid],
-            block,
-            a,
-            a_s[buf],
-            bm_row0.clone(),
-            k_slice.clone() * cfg.bk,
-            cfg.bm,
-            cfg.bk,
-            cfg.threads(),
-        );
-        stage_tile(
-            kb,
-            arch,
-            &[grid],
-            block,
-            b,
-            b_s[buf],
-            k_slice * cfg.bk,
-            bn_col0.clone(),
-            cfg.bk,
-            cfg.bn,
-            cfg.threads(),
-        );
-    };
+            cfg: *cfg,
+            epilogue,
+            batch: None,
+            row_bound: None,
+            scalar_loads: false,
+            stages: 1,
+            notes: [None, None],
+        }
+    }
 
-    kb.comment("prologue: stage the first K slice into buffer 0");
-    stage(&mut kb, 0, IntExpr::zero());
+    /// The Ampere GEMM predicated on the row bound `m_bound`.
+    fn predicated(cfg: &GemmConfig, epilogue: Epilogue, m_bound: IntExpr, kind: &str) -> Self {
+        GemmSchedule {
+            row_bound: Some(m_bound),
+            notes: [
+                Some("K loop with predicated A staging (partial row tiles)"),
+                Some("predicated epilogue store"),
+            ],
+            ..GemmSchedule::new(format!("graphene_gemm_sm86_{kind}"), Arch::Sm86, cfg, epilogue)
+        }
+    }
 
-    kb.comment("pipelined main loop: stage the next slice while consuming the current");
-    kb.for_loop("ks2", (t + 1) / 2, false, |kb, ks2| {
-        kb.sync();
-        // Stage slice 2*ks2+1 into buffer 1 (cp.async runs ahead of the
-        // consuming math on real hardware).
-        kb.if_lt(ks2.clone() * 2 + 1, IntExpr::constant(t), |kb| {
-            stage(kb, 1, ks2.clone() * 2 + 1);
-        });
-        emit_warp_mma_ampere(kb, grid, warp, &ctx, a_s[0], b_s[0], acc, a_frags, b_frags, &geom);
-        kb.sync();
-        // Stage slice 2*ks2+2 back into buffer 0, consume buffer 1.
-        kb.if_lt(ks2.clone() * 2 + 2, IntExpr::constant(t), |kb| {
-            stage(kb, 0, ks2.clone() * 2 + 2);
-        });
-        kb.if_lt(ks2.clone() * 2 + 1, IntExpr::constant(t), |kb| {
-            emit_warp_mma_ampere(
-                kb, grid, warp, &ctx, a_s[1], b_s[1], acc, a_frags, b_frags, &geom,
+    fn build(self) -> Kernel {
+        let (arch, cfg) = (self.arch, self.cfg);
+        let grid_m = (cfg.m + cfg.bm - 1) / cfg.bm;
+        // A predicated grid pads m up to whole row blocks; validate that shape.
+        let checked =
+            if self.row_bound.is_some() { GemmConfig { m: grid_m * cfg.bm, ..cfg } } else { cfg };
+        checked.validate(arch).unwrap_or_else(|e| panic!("invalid GEMM configuration: {e}"));
+        let threads = cfg.threads();
+        let grid_dims: Vec<i64> = self.batch.into_iter().chain([grid_m, cfg.n / cfg.bn]).collect();
+        let mut kb = KernelBuilder::new(self.name, &grid_dims, &[threads]);
+        let copies = self.batch.unwrap_or(1);
+        let a = kb.param("A", &[copies * cfg.m, cfg.k], ScalarType::F16);
+        let b = kb.param("B", &[copies * cfg.k, cfg.n], ScalarType::F16);
+        let c = kb.param("C", &[copies * cfg.m, cfg.n], ScalarType::F16);
+        let bias = self.epilogue.has_bias().then(|| kb.param("bias", &[cfg.n], ScalarType::F16));
+
+        let grid = kb.grid();
+        let block = kb.block();
+        let bids = kb.module()[grid].group_coords();
+        // The batch index strides whole A/C row blocks and B row slabs.
+        let (row0, b_row0, bn_col0) = match self.batch {
+            Some(_) => (
+                bids[0].clone() * cfg.m + bids[1].clone() * cfg.bm,
+                bids[0].clone() * cfg.k,
+                bids[2].clone() * cfg.bn,
+            ),
+            None => (bids[0].clone() * cfg.bm, IntExpr::zero(), bids[1].clone() * cfg.bn),
+        };
+
+        let sw = if cfg.swizzle { smem_swizzle() } else { Swizzle::identity() };
+        let stage_name = |base: &str, s: usize| match self.stages {
+            1 => base.to_string(),
+            _ => format!("{base}{s}"),
+        };
+        let a_base = if arch == Arch::Sm70 { "Ast" } else { "As" };
+        let a_s: Vec<_> = (0..self.stages)
+            .map(|s| kb.alloc_shared(stage_name(a_base, s), a_stage_type(arch, cfg.bm, cfg.bk, sw)))
+            .collect();
+        let b_ty = TensorType::row_major(&[cfg.bk, cfg.bn], ScalarType::F16).with_swizzle(sw);
+        let b_s: Vec<_> =
+            (0..self.stages).map(|s| kb.alloc_shared(stage_name("Bs", s), b_ty.clone())).collect();
+
+        let geom = MmaGeom { bm: cfg.bm, bn: cfg.bn, wm: cfg.wm, wn: cfg.wn, k_cols: cfg.bk };
+        let mma = WarpMma::new(&mut kb, arch, block, geom, self.scalar_loads);
+        mma.zero(&mut kb, grid, block);
+
+        let row_bound = self.row_bound.as_ref();
+        let stage = |kb: &mut KernelBuilder, buf: usize, slice: IntExpr| {
+            let k0 = slice * cfg.bk;
+            let (a_row0, b_k0, b_col0) =
+                (row0.clone(), b_row0.clone() + k0.clone(), bn_col0.clone());
+            stage_a(
+                kb, arch, grid, block, a, a_s[buf], a_row0, k0, cfg.bm, cfg.bk, threads, row_bound,
             );
-        });
-        // No trailing barrier: the consume of buffer 1 is ordered against
-        // the next iteration's re-stage of buffer 1 by that iteration's
-        // leading sync, so two barriers per iteration suffice.
-    });
+            stage_tile(
+                kb,
+                arch,
+                &[grid],
+                block,
+                b,
+                b_s[buf],
+                b_k0,
+                b_col0,
+                cfg.bk,
+                cfg.bn,
+                threads,
+                None,
+            );
+        };
+        let note = |kb: &mut KernelBuilder, i: usize| {
+            if let Some(text) = self.notes[i] {
+                kb.comment(text);
+            }
+        };
+        let slices = cfg.k / cfg.bk;
+        if self.stages == 1 {
+            note(&mut kb, 0);
+            kb.for_loop("ks", slices, false, |kb, ks| {
+                stage(kb, 0, ks);
+                kb.sync();
+                mma.mma(kb, grid, block, a_s[0], b_s[0]);
+                kb.sync();
+            });
+        } else {
+            kb.comment("prologue: stage the first K slice into buffer 0");
+            stage(&mut kb, 0, IntExpr::zero());
+            note(&mut kb, 0);
+            kb.for_loop("ks2", (slices + 1) / 2, false, |kb, ks2| {
+                let t = IntExpr::constant(slices);
+                kb.sync();
+                // Stage slice 2*ks2+1 into buffer 1 (cp.async runs ahead of
+                // the consuming math on real hardware).
+                kb.if_lt(ks2.clone() * 2 + 1, t.clone(), |kb| stage(kb, 1, ks2.clone() * 2 + 1));
+                mma.mma(kb, grid, block, a_s[0], b_s[0]);
+                kb.sync();
+                // Stage slice 2*ks2+2 back into buffer 0, consume buffer 1.
+                kb.if_lt(ks2.clone() * 2 + 2, t.clone(), |kb| stage(kb, 0, ks2.clone() * 2 + 2));
+                kb.if_lt(ks2.clone() * 2 + 1, t, |kb| mma.mma(kb, grid, block, a_s[1], b_s[1]));
+                // No trailing barrier: the consume of buffer 1 is ordered
+                // against the next iteration's re-stage of buffer 1 by that
+                // iteration's leading sync, so two barriers per iteration
+                // suffice.
+            });
+        }
 
-    let ops = EpilogueOps {
-        bias: bias.map(|bt| (bt, bn_col0.clone())),
-        activation: epilogue.activation(),
-        scale: None,
-    };
-    let target = StoreTarget::Global { tensor: c, row0: bm_row0, col0: bn_col0 };
-    emit_epilogue_store_ampere(&mut kb, grid, block, &ctx, acc, &geom, &ops, &target);
-    kb.build()
+        note(&mut kb, 1);
+        let ops = EpilogueOps {
+            // The bias is indexed by the *global* column: block offset
+            // plus the in-block column computed by the store.
+            bias: bias.map(|bt| (bt, bn_col0.clone())),
+            activation: self.epilogue.activation(),
+            scale: None,
+        };
+        let target = StoreTarget::Global {
+            tensor: c,
+            row0,
+            col0: bn_col0,
+            row_bound: self.row_bound.clone(),
+        };
+        mma.store(&mut kb, grid, block, &ops, &target);
+        kb.build()
+    }
 }
 
 #[cfg(test)]
@@ -1074,6 +644,43 @@ mod partial_tests {
         let kernel = build_gemm_partial_m(&cfg, Epilogue::None);
         let cuda = graphene_codegen::generate(&kernel, Arch::Sm86).expect("codegen");
         assert!(cuda.contains("< 40) {"), "predicates against the true m:\n{cuda}");
+    }
+
+    /// Runs both predicated entry points at a true row count of 40 and
+    /// checks every output: guarded A staging must cover the whole tile
+    /// whatever each thread's share of it is.
+    fn check_predicated_m_at_40(bm: i64, n: i64, wm: i64, wn: i64) {
+        let cfg = GemmConfig { m: 40, n, k: 16, bm, bn: n, bk: 16, wm, wn, swizzle: true };
+        let (m, n, k) = (40usize, n as usize, 16usize);
+        let a = HostTensor::random(&[m, k], 91);
+        let b = HostTensor::random(&[k, n], 92);
+        let expect = matmul_ref(&a, &b);
+        let bindings: HashMap<String, i64> = [("M".to_string(), 40)].into();
+        for kernel in [
+            build_gemm_partial_m(&cfg, Epilogue::None),
+            build_gemm_parametric_m(&cfg, Epilogue::None),
+        ] {
+            validate(&kernel, Arch::Sm86).expect("validates");
+            let mut inputs = HashMap::new();
+            inputs.insert(kernel.params[0], a.as_slice().to_vec());
+            inputs.insert(kernel.params[1], b.as_slice().to_vec());
+            let out = graphene_sim::execute_bound(&kernel, Arch::Sm86, &inputs, &bindings)
+                .expect("execute");
+            let got = HostTensor::from_vec(&[m, n], out.globals[&kernel.params[2]].clone());
+            got.assert_close(&expect, 1e-3);
+        }
+    }
+
+    #[test]
+    fn predicated_m_stages_a_thread_share_not_a_multiple_of_8() {
+        // 48x16 A tile over 64 threads: 12 halves per thread.
+        check_predicated_m_at_40(48, 64, 48, 32);
+    }
+
+    #[test]
+    fn predicated_m_stages_a_thread_share_below_8() {
+        // 32x16 A tile over 128 threads: 4 halves per thread.
+        check_predicated_m_at_40(32, 32, 16, 16);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Temporary skeleton while kernels are being built.
+//! Graphene schedules for the paper's evaluation workloads, library
+//! baselines, and the graph front-end that lowers onto them.
 #![allow(missing_docs)]
 pub mod catalog;
 pub mod common;

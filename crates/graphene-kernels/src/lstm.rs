@@ -9,18 +9,11 @@
 //! accumulates straight into the first GEMM's register accumulators, and
 //! the bias + activation fold into the store.
 
-use crate::common::{
-    a_frags_type, acc_root_type, b_frags_type, reg_vec, stage_tile, stage_transposed,
-};
-use crate::mma::{
-    emit_epilogue_store_ampere, emit_epilogue_store_volta, emit_warp_mma_ampere,
-    emit_warp_mma_volta, volta_acc_ty, EpilogueOps, MmaGeom, StoreTarget, WarpCtx,
-};
+use crate::common::{smem_swizzle, stage_tile};
+use crate::mma::{a_stage_type, stage_a, EpilogueOps, MmaGeom, StoreTarget, WarpMma};
 use graphene_ir::builder::KernelBuilder;
-use graphene_ir::spec::SpecKind;
 use graphene_ir::tensor::TensorType;
 use graphene_ir::{Arch, Kernel, ScalarType, UnaryOp};
-use graphene_layout::Layout;
 use graphene_sym::IntExpr;
 
 /// LSTM-cell configuration.
@@ -82,126 +75,57 @@ pub fn build_fused_lstm(arch: Arch, cfg: &LstmConfig) -> Kernel {
     let bid = kb.module()[grid].group_coords()[0].clone();
     let row0 = bid * cfg.bm;
 
-    // One activation stage and one weight stage, reused for both GEMMs
-    // (swizzled; Volta keeps the activation transposed for vectorised
-    // quad-pair A-fragment loads).
-    let sw = crate::common::smem_swizzle();
-    let act_dims = match arch {
-        Arch::Sm86 => [cfg.bm, cfg.hidden],
-        Arch::Sm70 => [cfg.hidden, cfg.bm],
-    };
-    let act_s =
-        kb.alloc_shared("Act", TensorType::row_major(&act_dims, ScalarType::F16).with_swizzle(sw));
+    // One activation stage (laid out as an A-operand stage) and one
+    // weight stage, reused for both GEMMs (swizzled).
+    let sw = smem_swizzle();
+    let act_s = kb.alloc_shared("Act", a_stage_type(arch, cfg.bm, cfg.hidden, sw));
     let w_s = kb.alloc_shared(
         "Wt",
         TensorType::row_major(&[cfg.hidden, cfg.hidden], ScalarType::F16).with_swizzle(sw),
     );
 
-    let ctx = WarpCtx::new(&kb, block, &geom);
     let ops = EpilogueOps {
         bias: Some((bias, IntExpr::zero())),
         activation: Some(UnaryOp::Relu),
         scale: None,
     };
-    let target = StoreTarget::Global { tensor: out, row0: row0.clone(), col0: IntExpr::zero() };
+    let target = StoreTarget::Global {
+        tensor: out,
+        row0: row0.clone(),
+        col0: IntExpr::zero(),
+        row_bound: None,
+    };
 
     // The two (activation, weight) GEMM passes, accumulating into the
     // same registers — the add-node of the dataflow graph is free.
     let passes = [(x, wx, "X x Wx"), (h, wh, "H x Wh")];
-
-    match arch {
-        Arch::Sm86 => {
-            let warp = kb.thread_tile(block, &Layout::contiguous(32)).expect("warps");
-            let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 8);
-            let acc = kb.alloc_reg("acc", acc_root_type(mi_cnt, ni_cnt));
-            let a_frags = kb.alloc_reg("afrag", a_frags_type(mi_cnt));
-            let b_frags = kb.alloc_reg("bfrag", b_frags_type(ni_cnt));
-            let ts = kb.thread_scalar(block);
-            kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-            for (act, wt, label) in passes {
-                kb.comment(format!("GEMM pass: {label} (accumulating)"));
-                stage_tile(
-                    &mut kb,
-                    arch,
-                    &[grid],
-                    block,
-                    act,
-                    act_s,
-                    row0.clone(),
-                    IntExpr::zero(),
-                    cfg.bm,
-                    cfg.hidden,
-                    cfg.threads(),
-                );
-                stage_tile(
-                    &mut kb,
-                    arch,
-                    &[grid],
-                    block,
-                    wt,
-                    w_s,
-                    IntExpr::zero(),
-                    IntExpr::zero(),
-                    cfg.hidden,
-                    cfg.hidden,
-                    cfg.threads(),
-                );
-                kb.sync();
-                emit_warp_mma_ampere(
-                    &mut kb, grid, warp, &ctx, act_s, w_s, acc, a_frags, b_frags, &geom,
-                );
-                kb.sync();
-            }
-            kb.comment("bias + relu epilogue, store");
-            emit_epilogue_store_ampere(&mut kb, grid, block, &ctx, acc, &geom, &ops, &target);
-        }
-        Arch::Sm70 => {
-            let qp = kb
-                .thread_tile(block, &graphene_ir::atomic::quad_pair_layout())
-                .expect("quad pairs");
-            let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 16);
-            let acc = kb.alloc_reg("acc", volta_acc_ty(mi_cnt, ni_cnt));
-            let a_regs = kb.alloc_reg("areg", reg_vec(4 * mi_cnt, ScalarType::F16));
-            let b_regs = kb.alloc_reg("breg", reg_vec(4 * ni_cnt, ScalarType::F16));
-            let ts = kb.thread_scalar(block);
-            kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-            for (act, wt, label) in passes {
-                kb.comment(format!("GEMM pass: {label} (accumulating)"));
-                stage_transposed(
-                    &mut kb,
-                    &[grid],
-                    block,
-                    act,
-                    act_s,
-                    row0.clone(),
-                    IntExpr::zero(),
-                    cfg.bm,
-                    cfg.hidden,
-                    cfg.threads(),
-                );
-                stage_tile(
-                    &mut kb,
-                    arch,
-                    &[grid],
-                    block,
-                    wt,
-                    w_s,
-                    IntExpr::zero(),
-                    IntExpr::zero(),
-                    cfg.hidden,
-                    cfg.hidden,
-                    cfg.threads(),
-                );
-                kb.sync();
-                emit_warp_mma_volta(
-                    &mut kb, grid, block, qp, &ctx, act_s, w_s, acc, a_regs, b_regs, &geom,
-                );
-                kb.sync();
-            }
-            kb.comment("bias + relu epilogue, store");
-            emit_epilogue_store_volta(&mut kb, grid, block, &ctx, acc, &geom, &ops, &target);
-        }
+    let mma = WarpMma::new(&mut kb, arch, block, geom, false);
+    mma.zero(&mut kb, grid, block);
+    let (hid, threads) = (cfg.hidden, cfg.threads());
+    for (act, wt, label) in passes {
+        kb.comment(format!("GEMM pass: {label} (accumulating)"));
+        stage_a(
+            &mut kb,
+            arch,
+            grid,
+            block,
+            act,
+            act_s,
+            row0.clone(),
+            IntExpr::zero(),
+            cfg.bm,
+            hid,
+            threads,
+            None,
+        );
+        let (w_row0, w_col0) = (IntExpr::zero(), IntExpr::zero());
+        stage_tile(&mut kb, arch, &[grid], block, wt, w_s, w_row0, w_col0, hid, hid, threads, None);
+        kb.sync();
+        mma.mma(&mut kb, grid, block, act_s, w_s);
+        kb.sync();
     }
+    kb.comment("bias + relu epilogue, store");
+    mma.store(&mut kb, grid, block, &ops, &target);
     kb.build()
 }
 

@@ -14,18 +14,11 @@
 //! memory — exactly the traffic and launch overhead this fusion
 //! eliminates.
 
-use crate::common::{
-    a_frags_type, acc_root_type, b_frags_type, reg_vec, stage_tile, stage_transposed, unstage_tile,
-};
-use crate::mma::{
-    emit_epilogue_store_ampere, emit_epilogue_store_volta, emit_warp_mma_ampere,
-    emit_warp_mma_volta, volta_acc_ty, EpilogueOps, MmaGeom, StoreTarget, WarpCtx,
-};
+use crate::common::{smem_swizzle, stage_tile};
+use crate::mma::{a_stage_type, stage_a, EpilogueOps, MmaGeom, StoreTarget, WarpMma};
 use graphene_ir::builder::KernelBuilder;
-use graphene_ir::spec::SpecKind;
 use graphene_ir::tensor::TensorType;
 use graphene_ir::{Arch, Kernel, ScalarType, UnaryOp};
-use graphene_layout::Layout;
 use graphene_sym::IntExpr;
 
 /// Fused-MLP configuration.
@@ -93,144 +86,75 @@ pub fn build_fused_mlp(arch: Arch, cfg: &MlpConfig) -> Kernel {
     let bid = kb.module()[grid].group_coords()[0].clone();
     let row0 = bid * cfg.bm;
 
-    // Activation ping-pong buffers and the weight stage (swizzled for
-    // conflict-free access). On Volta the activations live transposed
-    // ([hidden, bm]) so quad-pair A fragments are vectorised loads.
-    let sw = crate::common::smem_swizzle();
-    let act_dims = match arch {
-        Arch::Sm86 => [cfg.bm, cfg.hidden],
-        Arch::Sm70 => [cfg.hidden, cfg.bm],
-    };
-    let xs0 =
-        kb.alloc_shared("Xs0", TensorType::row_major(&act_dims, ScalarType::F16).with_swizzle(sw));
-    let xs1 =
-        kb.alloc_shared("Xs1", TensorType::row_major(&act_dims, ScalarType::F16).with_swizzle(sw));
+    // Activation ping-pong buffers, laid out as A-operand stages, and the
+    // weight stage (all swizzled for conflict-free access).
+    let sw = smem_swizzle();
+    let act_ty = a_stage_type(arch, cfg.bm, cfg.hidden, sw);
+    let xs0 = kb.alloc_shared("Xs0", act_ty.clone());
+    let xs1 = kb.alloc_shared("Xs1", act_ty);
     let ws = kb.alloc_shared(
         "Ws",
         TensorType::row_major(&[cfg.hidden, cfg.hidden], ScalarType::F16).with_swizzle(sw),
     );
 
-    let ctx = WarpCtx::new(&kb, block, &geom);
-
     kb.comment("stage the block's activation rows once");
-    match arch {
-        Arch::Sm86 => stage_tile(
+    let (h, threads) = (cfg.hidden, cfg.threads());
+    stage_a(
+        &mut kb,
+        arch,
+        grid,
+        block,
+        x,
+        xs0,
+        row0.clone(),
+        IntExpr::zero(),
+        cfg.bm,
+        h,
+        threads,
+        None,
+    );
+
+    let mma = WarpMma::new(&mut kb, arch, block, geom, false);
+    for l in 0..cfg.layers {
+        kb.comment(format!("layer {l}: stage weights, GEMM, bias+relu to smem"));
+        let w_row0 = IntExpr::constant(l * h);
+        stage_tile(
             &mut kb,
             arch,
             &[grid],
             block,
-            x,
-            xs0,
-            row0.clone(),
+            w,
+            ws,
+            w_row0,
             IntExpr::zero(),
-            cfg.bm,
-            cfg.hidden,
-            cfg.threads(),
-        ),
-        Arch::Sm70 => stage_transposed(
-            &mut kb,
-            &[grid],
-            block,
-            x,
-            xs0,
-            row0.clone(),
-            IntExpr::zero(),
-            cfg.bm,
-            cfg.hidden,
-            cfg.threads(),
-        ),
-    }
-
-    match arch {
-        Arch::Sm86 => {
-            let warp = kb.thread_tile(block, &Layout::contiguous(32)).expect("warps");
-            let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 8);
-            let acc = kb.alloc_reg("acc", acc_root_type(mi_cnt, ni_cnt));
-            let a_frags = kb.alloc_reg("afrag", a_frags_type(mi_cnt));
-            let b_frags = kb.alloc_reg("bfrag", b_frags_type(ni_cnt));
-            for l in 0..cfg.layers {
-                kb.comment(format!("layer {l}: stage weights, GEMM, bias+relu to smem"));
-                stage_tile(
-                    &mut kb,
-                    arch,
-                    &[grid],
-                    block,
-                    w,
-                    ws,
-                    IntExpr::constant(l * cfg.hidden),
-                    IntExpr::zero(),
-                    cfg.hidden,
-                    cfg.hidden,
-                    cfg.threads(),
-                );
-                kb.sync();
-                let ts = kb.thread_scalar(block);
-                kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-                let (src, dst) = if l % 2 == 0 { (xs0, xs1) } else { (xs1, xs0) };
-                emit_warp_mma_ampere(
-                    &mut kb, grid, warp, &ctx, src, ws, acc, a_frags, b_frags, &geom,
-                );
-                let ops = EpilogueOps {
-                    bias: Some((bias, IntExpr::constant(l * cfg.hidden))),
-                    activation: Some(UnaryOp::Relu),
-                    scale: None,
-                };
-                let target = if l + 1 == cfg.layers {
-                    StoreTarget::Global { tensor: y, row0: row0.clone(), col0: IntExpr::zero() }
-                } else {
-                    StoreTarget::Shared { tensor: dst }
-                };
-                emit_epilogue_store_ampere(&mut kb, grid, block, &ctx, acc, &geom, &ops, &target);
-                kb.sync();
+            h,
+            h,
+            threads,
+            None,
+        );
+        kb.sync();
+        mma.zero(&mut kb, grid, block);
+        let (src, dst) = if l % 2 == 0 { (xs0, xs1) } else { (xs1, xs0) };
+        mma.mma(&mut kb, grid, block, src, ws);
+        let ops = EpilogueOps {
+            bias: Some((bias, IntExpr::constant(l * h))),
+            activation: Some(UnaryOp::Relu),
+            scale: None,
+        };
+        // The last layer stores straight to global memory.
+        let target = if l + 1 == cfg.layers {
+            StoreTarget::Global {
+                tensor: y,
+                row0: row0.clone(),
+                col0: IntExpr::zero(),
+                row_bound: None,
             }
-        }
-        Arch::Sm70 => {
-            let qp = kb
-                .thread_tile(block, &graphene_ir::atomic::quad_pair_layout())
-                .expect("quad pairs");
-            let (mi_cnt, ni_cnt) = (cfg.wm / 16, cfg.wn / 16);
-            let acc = kb.alloc_reg("acc", volta_acc_ty(mi_cnt, ni_cnt));
-            let a_regs = kb.alloc_reg("areg", reg_vec(4 * mi_cnt, ScalarType::F16));
-            let b_regs = kb.alloc_reg("breg", reg_vec(4 * ni_cnt, ScalarType::F16));
-            for l in 0..cfg.layers {
-                kb.comment(format!("layer {l}: stage weights, GEMM, bias+relu to smem"));
-                stage_tile(
-                    &mut kb,
-                    arch,
-                    &[grid],
-                    block,
-                    w,
-                    ws,
-                    IntExpr::constant(l * cfg.hidden),
-                    IntExpr::zero(),
-                    cfg.hidden,
-                    cfg.hidden,
-                    cfg.threads(),
-                );
-                kb.sync();
-                let ts = kb.thread_scalar(block);
-                kb.spec(SpecKind::Init { value: 0.0 }, vec![grid, ts], vec![], vec![acc]);
-                let (src, dst) = if l % 2 == 0 { (xs0, xs1) } else { (xs1, xs0) };
-                emit_warp_mma_volta(
-                    &mut kb, grid, block, qp, &ctx, src, ws, acc, a_regs, b_regs, &geom,
-                );
-                let ops = EpilogueOps {
-                    bias: Some((bias, IntExpr::constant(l * cfg.hidden))),
-                    activation: Some(UnaryOp::Relu),
-                    scale: None,
-                };
-                let target = if l + 1 == cfg.layers {
-                    StoreTarget::Global { tensor: y, row0: row0.clone(), col0: IntExpr::zero() }
-                } else {
-                    StoreTarget::Shared { tensor: dst }
-                };
-                emit_epilogue_store_volta(&mut kb, grid, block, &ctx, acc, &geom, &ops, &target);
-                kb.sync();
-            }
-        }
+        } else {
+            StoreTarget::Shared { tensor: dst }
+        };
+        mma.store(&mut kb, grid, block, &ops, &target);
+        kb.sync();
     }
-    // Note: the final layer stored directly to global, so no unstage step.
-    let _ = unstage_tile; // (used by other fused kernels)
     kb.build()
 }
 
