@@ -1,6 +1,7 @@
 //! Shared-memory bank-conflict grading (`GRA014`).
 //!
-//! Every shared-memory operand of every atomic access site is graded by
+//! Every shared-memory operand of every access site of the kernel's
+//! site table ([`graphene_sim::Sites`]) is graded by
 //! its conflict factor — actual transactions over the conflict-free
 //! minimum — with the strongest method the access admits
 //! ([`graphene_sim::grade_conflicts_cached`]):
@@ -19,11 +20,7 @@
 //! distinguishes Figure 9's swizzled layouts from naive row-major
 //! staging.
 
-use graphene_ir::atomic::{match_atomic, registry};
-use graphene_ir::body::Stmt;
-use graphene_ir::printer::render_spec_header;
-use graphene_ir::threads::ThreadLevel;
-use graphene_ir::{Arch, Diagnostic, Kernel, MemSpace, Module, TensorId};
+use graphene_ir::{Arch, Diagnostic, Kernel, MemSpace, TensorId};
 use graphene_sim::{grade_conflicts_cached, BankTally, ConflictProvenance, PlanCache};
 use std::collections::{HashMap, HashSet};
 
@@ -68,40 +65,47 @@ pub fn grade_sites(kernel: &Kernel, arch: Arch) -> Vec<SiteGrade> {
     grade_sites_cached(kernel, arch, &mut PlanCache::new())
 }
 
-/// Like [`grade_sites`], reusing an externally owned [`PlanCache`]
-/// (keyed by tensor id — share it only between passes over this same
-/// kernel).
+/// Like [`grade_sites`], reusing an externally owned [`PlanCache`] and
+/// its site table (keyed by tensor id — share it only between passes
+/// over this same kernel). Each `(view, spec header)` is graded once,
+/// at its first site.
 pub fn grade_sites_cached(kernel: &Kernel, arch: Arch, plans: &mut PlanCache) -> Vec<SiteGrade> {
-    let mut cx = BankCx {
-        module: &kernel.module,
-        reg: registry(arch),
-        plans,
-        tally: BankTally::new(),
-        env: HashMap::from([("blockIdx.x".to_string(), 0)]),
-        loops: Vec::new(),
-        seen: HashSet::new(),
-        sites: Vec::new(),
-    };
-    cx.walk(&kernel.body.stmts);
-    cx.sites
+    let sites = plans.sites(kernel, arch);
+    let module = &kernel.module;
+    let base = HashMap::from([("blockIdx.x".to_string(), 0)]);
+    let mut tally = BankTally::new();
+    let mut seen = HashSet::new();
+    let mut grades = Vec::new();
+    for site in &sites.sites {
+        let env = site.env(&base);
+        for op in site.operands.iter().filter(|o| o.mem == MemSpace::Shared) {
+            let key = (op.view, site.header.as_str());
+            if seen.contains(&key) {
+                continue;
+            }
+            let Ok(grade) = grade_conflicts_cached(plans, &mut tally, module, site, op, &env)
+            else {
+                continue;
+            };
+            seen.insert(key);
+            grades.push(SiteGrade {
+                root: op.root,
+                view: op.view,
+                tensor: module[op.root].name.clone(),
+                spec: site.header.clone(),
+                ideal: grade.ideal,
+                actual: grade.actual,
+                provenance: grade.provenance,
+            });
+        }
+    }
+    grades
 }
 
-/// Grades every shared-memory access site by its bank-conflict factor,
-/// reporting conflicted sites as `GRA014` (with the grade's provenance).
-pub fn check_bank_conflicts(kernel: &Kernel, arch: Arch) -> Vec<Diagnostic> {
-    check_bank_conflicts_cached(kernel, arch, &mut PlanCache::new())
-}
-
-/// Like [`check_bank_conflicts`], reusing an externally owned
-/// [`PlanCache`] (keyed by tensor id — share it only between passes
-/// over this same kernel).
-pub fn check_bank_conflicts_cached(
-    kernel: &Kernel,
-    arch: Arch,
-    plans: &mut PlanCache,
-) -> Vec<Diagnostic> {
-    grade_sites_cached(kernel, arch, plans)
-        .into_iter()
+/// Reports conflicted sites as `GRA014`, with the grade's provenance.
+pub(crate) fn conflict_diagnostics(grades: &[SiteGrade]) -> Vec<Diagnostic> {
+    grades
+        .iter()
         .filter(|s| s.ideal != 0 && s.actual > s.ideal)
         .map(|s| {
             let factor = s.factor();
@@ -124,84 +128,6 @@ pub fn check_bank_conflicts_cached(
         .collect()
 }
 
-struct BankCx<'m, 'p> {
-    module: &'m Module,
-    reg: &'static [graphene_ir::AtomicSpec],
-    /// Compiled address plans, shared across every access site.
-    plans: &'p mut PlanCache,
-    /// Reusable fixed 32-entry conflict tally.
-    tally: BankTally,
-    env: HashMap<String, i64>,
-    /// Enclosing `for` nesting as `(var, extent)` — lets the
-    /// enumeration proof cover every iteration, not just iteration 0.
-    loops: Vec<(String, i64)>,
-    seen: HashSet<(TensorId, String)>,
-    sites: Vec<SiteGrade>,
-}
-
-impl BankCx<'_, '_> {
-    fn walk(&mut self, stmts: &[Stmt]) {
-        for s in stmts {
-            match s {
-                Stmt::For { var, extent, body, .. } => {
-                    self.env.insert(var.clone(), 0);
-                    self.loops.push((var.clone(), *extent));
-                    self.walk(body);
-                    self.loops.pop();
-                    self.env.remove(var);
-                }
-                Stmt::If { then, .. } => self.walk(then),
-                Stmt::Spec(spec) => match &spec.body {
-                    Some(body) => self.walk(&body.stmts),
-                    None => self.grade_spec(spec),
-                },
-                _ => {}
-            }
-        }
-    }
-
-    fn grade_spec(&mut self, spec: &graphene_ir::Spec) {
-        let module = self.module;
-        let Some(&exec) = spec.exec.last() else { return };
-        let tt = &module[exec];
-        if tt.level != ThreadLevel::Thread || match_atomic(spec, module, self.reg).is_none() {
-            return;
-        }
-        for &id in spec.ins.iter().chain(spec.outs.iter()) {
-            let root = module.root_of(id);
-            if module[root].mem != MemSpace::Shared {
-                continue;
-            }
-            let bytes_per = module[id].ty.scalar_type().bytes();
-            let Ok(grade) = grade_conflicts_cached(
-                self.plans,
-                &mut self.tally,
-                id,
-                module,
-                tt,
-                &self.env,
-                &self.loops,
-                bytes_per,
-            ) else {
-                continue;
-            };
-            let header = render_spec_header(module, spec);
-            if !self.seen.insert((id, header.clone())) {
-                continue;
-            }
-            self.sites.push(SiteGrade {
-                root,
-                view: id,
-                tensor: module[root].name.clone(),
-                spec: header,
-                ideal: grade.ideal,
-                actual: grade.actual,
-                provenance: grade.provenance,
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,96 +141,43 @@ mod tests {
     /// [`BankTally`] path must agree exactly — in particular, a site the
     /// prover declares conflict-free must sample zero extra transactions.
     fn assert_proofs_match_sampling(kernel: &Kernel, arch: Arch) {
-        struct Cx<'m, 'p> {
-            module: &'m Module,
-            reg: &'static [graphene_ir::AtomicSpec],
-            plans: &'p mut PlanCache,
-            tally: BankTally,
-            env: HashMap<String, i64>,
-            loops: Vec<(String, i64)>,
-            proven: usize,
-        }
-        impl Cx<'_, '_> {
-            fn walk(&mut self, stmts: &[Stmt]) {
-                for s in stmts {
-                    match s {
-                        Stmt::For { var, extent, body, .. } => {
-                            self.env.insert(var.clone(), 0);
-                            self.loops.push((var.clone(), *extent));
-                            self.walk(body);
-                            self.loops.pop();
-                            self.env.remove(var);
-                        }
-                        Stmt::If { then, .. } => self.walk(then),
-                        Stmt::Spec(spec) => match &spec.body {
-                            Some(body) => self.walk(&body.stmts),
-                            None => self.check_spec(spec),
-                        },
-                        _ => {}
-                    }
+        let module = &kernel.module;
+        let mut plans = PlanCache::new();
+        let mut tally = BankTally::new();
+        let base = HashMap::from([("blockIdx.x".to_string(), 0)]);
+        let mut proven = 0;
+        for site in plans.sites(kernel, arch).sites.iter() {
+            let env = site.env(&base);
+            for op in site.operands.iter().filter(|o| o.mem == MemSpace::Shared) {
+                let Ok(grade) =
+                    grade_conflicts_cached(&mut plans, &mut tally, module, site, op, &env)
+                else {
+                    continue;
+                };
+                if grade.provenance != ConflictProvenance::ProvenLinear {
+                    continue;
                 }
-            }
-
-            fn check_spec(&mut self, spec: &graphene_ir::Spec) {
-                let module = self.module;
-                let Some(&exec) = spec.exec.last() else { return };
-                let tt = &module[exec];
-                if tt.level != ThreadLevel::Thread || match_atomic(spec, module, self.reg).is_none()
-                {
-                    return;
-                }
-                for &id in spec.ins.iter().chain(spec.outs.iter()) {
-                    let root = module.root_of(id);
-                    if module[root].mem != MemSpace::Shared {
-                        continue;
-                    }
-                    let bytes_per = module[id].ty.scalar_type().bytes();
-                    let Ok(grade) = grade_conflicts_cached(
-                        self.plans,
-                        &mut self.tally,
-                        id,
-                        module,
-                        tt,
-                        &self.env,
-                        &self.loops,
-                        bytes_per,
-                    ) else {
-                        continue;
-                    };
-                    if grade.provenance != ConflictProvenance::ProvenLinear {
-                        continue;
-                    }
-                    let (ideal, actual) = sample_conflicts_cached(
-                        self.plans,
-                        &mut self.tally,
-                        id,
-                        module,
-                        tt,
-                        &self.env,
-                        bytes_per,
-                    )
-                    .expect("proof-graded site must also sample");
-                    assert_eq!(
-                        (grade.ideal, grade.actual),
-                        (ideal, actual),
-                        "F2 proof and sampled tally disagree on %{}",
-                        module[root].name
-                    );
-                    self.proven += 1;
-                }
+                let tt = &module[site.exec];
+                let (ideal, actual) = sample_conflicts_cached(
+                    &mut plans,
+                    &mut tally,
+                    op.view,
+                    module,
+                    tt,
+                    &env,
+                    op.bytes_per,
+                )
+                .expect("proof-graded site must also sample");
+                assert_eq!(
+                    (grade.ideal, grade.actual),
+                    (ideal, actual),
+                    "F2 proof and sampled tally disagree on %{}",
+                    module[op.root].name
+                );
+                proven += 1;
             }
         }
-        let mut cx = Cx {
-            module: &kernel.module,
-            reg: registry(arch),
-            plans: &mut PlanCache::new(),
-            tally: BankTally::new(),
-            env: HashMap::from([("blockIdx.x".to_string(), 0)]),
-            loops: Vec::new(),
-            proven: 0,
-        };
-        cx.walk(&kernel.body.stmts);
-        assert!(cx.proven > 0, "{}: no site was graded by the F2 proof", kernel.name);
+        assert!(proven > 0, "{}: no site was graded by the F2 proof", kernel.name);
     }
 
     #[test]

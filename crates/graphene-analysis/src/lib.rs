@@ -7,9 +7,10 @@
 //! spec its execution configuration, and address arithmetic is symbolic
 //! but evaluable — whole classes of GPU bugs that normally require
 //! `compute-sanitizer` runs on hardware are decidable *statically* from
-//! the IR. This crate walks kernel decompositions and reports structured
-//! [`Diagnostic`]s (stable `GRA0xx` codes, severities, statement paths;
-//! see [`graphene_ir::diag`]):
+//! the IR. This crate queries a kernel's access-site table
+//! ([`graphene_sim::Sites`], one walk shared by every pass) and reports
+//! structured [`Diagnostic`]s (stable `GRA0xx` codes, severities,
+//! statement paths; see [`graphene_ir::diag`]):
 //!
 //! - **[`races`] — shared-memory race detection (`GRA010`)**: evaluates
 //!   per-thread addresses for every shared-memory access between
@@ -56,6 +57,7 @@ mod walk;
 pub use graphene_ir::diag::{render_json, Diagnostic, Severity};
 use graphene_ir::{Arch, Kernel};
 use graphene_sim::PlanCache;
+use prove::ProofReport;
 
 /// Runs every analysis pass over a kernel and returns the combined
 /// diagnostics, most severe first.
@@ -64,27 +66,37 @@ pub fn analyze_kernel(kernel: &Kernel, arch: Arch) -> Vec<Diagnostic> {
 }
 
 /// Like [`analyze_kernel`], reusing an externally owned [`PlanCache`]
-/// so every address-evaluating pass (races, bank grading) compiles each
-/// tensor's address plan once — and so callers that go on to run
-/// `graphene_sim::analyze_cached` over the same kernel (the autotuner's
-/// prune-then-cost pipeline) reuse those plans again.
-///
-/// The cache is keyed by tensor id: share it only between passes over
-/// this same kernel, never across kernels.
+/// (one kernel's passes only): the diagnostics of [`lint_kernel_cached`].
 pub fn analyze_kernel_cached(
     kernel: &Kernel,
     arch: Arch,
     plans: &mut PlanCache,
 ) -> Vec<Diagnostic> {
+    lint_kernel_cached(kernel, arch, plans).0
+}
+
+/// Runs every analysis pass once: the combined diagnostics, most severe
+/// first, and the [`ProofReport`] of the same race, bank-grading and
+/// bounds results. The site table and address plans in `plans` are
+/// reused by a later `graphene_sim::analyze_cached` of the same kernel
+/// (the autotuner's prune-then-cost pipeline).
+pub fn lint_kernel_cached(
+    kernel: &Kernel,
+    arch: Arch,
+    plans: &mut PlanCache,
+) -> (Vec<Diagnostic>, ProofReport) {
     let mut diags = graphene_ir::validate::check(kernel, arch);
-    diags.extend(races::check_races_cached(kernel, arch, plans));
+    let (race_diags, races) = races::check_races_summary(kernel, arch, plans);
+    diags.extend(race_diags);
     diags.extend(races::check_redundant_barriers(kernel));
     diags.extend(memspace::check_memspace(kernel, arch));
     diags.extend(uninit::check_uninit(kernel, arch));
-    diags.extend(banks::check_bank_conflicts_cached(kernel, arch, plans));
-    diags.extend(prove::check_bounds_cached(kernel, arch, plans));
+    let conflicts = banks::grade_sites_cached(kernel, arch, plans);
+    diags.extend(banks::conflict_diagnostics(&conflicts));
+    let bounds = prove::bounds_checks_cached(kernel, arch, plans);
+    diags.extend(prove::bounds_diagnostics(&bounds));
     diags.sort_by(|a, b| b.severity.cmp(&a.severity).then_with(|| a.code.cmp(b.code)));
-    diags
+    (diags, ProofReport { conflicts, races, bounds })
 }
 
 /// Convenience: the number of [`Severity::Error`] diagnostics in a list.

@@ -25,7 +25,7 @@
 //! bijection, so post-swizzle collisions coincide with pre-swizzle
 //! ones.
 
-use graphene_layout::{solutions_force_equal, solve_f2};
+use graphene_layout::{solutions_force_equal, solve_f2, xor_vector};
 use graphene_sym::{linearize, IntExpr, XorForm};
 
 /// Outcome of the symbolic disjointness check for one access pair.
@@ -41,29 +41,6 @@ pub enum PairProof {
     /// The pair is outside the F₂ fragment (non-linear offset, carrying
     /// vector offsets, non-power-of-two lane span).
     NotLinear,
-}
-
-/// Verifies `adj` is XOR-decomposable over its index bits and returns
-/// the basis deltas (`adj[i] == adj[0] ⊕ ⨁_{bit k of i} deltas[k]`).
-fn xor_decompose(adj: &[i64]) -> Option<Vec<i64>> {
-    let n = adj.len();
-    if n == 0 || !n.is_power_of_two() {
-        return None;
-    }
-    let v = n.trailing_zeros() as usize;
-    let deltas: Vec<i64> = (0..v).map(|k| adj[1 << k] ^ adj[0]).collect();
-    for (i, &a) in adj.iter().enumerate() {
-        let mut expect = adj[0];
-        for (k, &d) in deltas.iter().enumerate() {
-            if (i >> k) & 1 == 1 {
-                expect ^= d;
-            }
-        }
-        if expect != a {
-            return None;
-        }
-    }
-    Some(deltas)
 }
 
 /// One access abstracted for the pair solver: its tid-bit columns
@@ -87,26 +64,11 @@ pub(crate) fn side_form(offset: &IntExpr, rel: &[i64], n: u32) -> Option<SideFor
     if form.terms.iter().any(|t| t.var != "threadIdx.x") {
         return None;
     }
-    let mut adj = Vec::with_capacity(rel.len());
-    for &o in rel {
-        let a = form.constant.checked_add(o)?;
-        if a < 0 {
-            return None;
-        }
-        adj.push(a);
-    }
-    let deltas = xor_decompose(&adj)?;
-    // Carry-freedom between the variable part and the adjusted offsets:
-    // `base + rel` equals `base ⊕ rel` only when their supports are
-    // disjoint.
-    let masks_all = form.terms.iter().fold(0i64, |m, t| m | t.mask);
-    if adj.iter().fold(0i64, |m, &a| m | a) & masks_all != 0 {
-        return None;
-    }
+    let (base, deltas) = xor_vector(form.constant, form.terms.iter().map(|t| t.mask), rel)?;
     // Zero columns for tid bits absent from the form: those bits alias.
     let tid_cols =
         (0..n).map(|b| form.terms.iter().find(|t| t.bit == b).map_or(0, |t| t.mask)).collect();
-    Some(SideForm { tid_cols, deltas, base: adj[0] })
+    Some(SideForm { tid_cols, deltas, base })
 }
 
 /// Symbolically decides whether two accesses of one shared root can
@@ -208,12 +170,5 @@ mod tests {
         // Loop-dependent offsets share variables across sides.
         let loopy = tid(32) + IntExpr::var_bounded("k", 8) * 32;
         assert_eq!(prove_pair_disjoint(&loopy, &[0], &loopy, &[0], 5), PairProof::NotLinear);
-    }
-
-    #[test]
-    fn xor_decompose_rejects_carrying_vectors() {
-        assert_eq!(xor_decompose(&[0, 1, 2, 3]), Some(vec![1, 2]));
-        assert_eq!(xor_decompose(&[0, 3, 6, 9]), None);
-        assert_eq!(xor_decompose(&[0, 1, 2]), None);
     }
 }

@@ -26,16 +26,13 @@
 //! constructive counterpart of the rank proof, used by the autotuner to
 //! skip the swizzle search axis entirely.
 
-use crate::banks::{grade_sites_cached, SiteGrade};
-use crate::races::{check_races_summary, RaceSummary};
-use crate::walk::{eval_guard, thread_dependent};
-use graphene_ir::atomic::{match_atomic, registry, AtomicSpec};
-use graphene_ir::body::{Predicate, Stmt};
-use graphene_ir::printer::render_spec_header;
-use graphene_ir::threads::ThreadLevel;
-use graphene_ir::{Arch, Diagnostic, Kernel, MemSpace, Module, TensorId};
+use crate::banks::SiteGrade;
+use crate::races::RaceSummary;
+use crate::walk::{eval_guard, guarded_lanes};
+use graphene_ir::body::Predicate;
+use graphene_ir::{Arch, Diagnostic, Kernel, MemSpace, TensorId};
 use graphene_layout::{synthesize_swizzle, Swizzle};
-use graphene_sim::{exec_lanes, lane_addresses_cached, linear_site, root_len, PlanCache};
+use graphene_sim::{lane_addresses_cached, linear_site, root_len, PlanCache, Site};
 use std::collections::{HashMap, HashSet};
 
 /// How an access site's in-bounds verdict was established.
@@ -206,25 +203,16 @@ pub fn prove_kernel(kernel: &Kernel, arch: Arch) -> ProofReport {
     prove_kernel_cached(kernel, arch, &mut PlanCache::new())
 }
 
-/// Like [`prove_kernel`], reusing an externally owned [`PlanCache`].
+/// Like [`prove_kernel`], reusing an externally owned [`PlanCache`]: the
+/// report half of [`crate::lint_kernel_cached`].
 pub fn prove_kernel_cached(kernel: &Kernel, arch: Arch, plans: &mut PlanCache) -> ProofReport {
-    ProofReport {
-        conflicts: grade_sites_cached(kernel, arch, plans),
-        races: check_races_summary(kernel, arch, plans).1,
-        bounds: bounds_checks_cached(kernel, arch, plans),
-    }
+    crate::lint_kernel_cached(kernel, arch, plans).1
 }
 
-/// Checks every shared/global access against its root allocation,
-/// reporting out-of-bounds accesses as `GRA015` errors.
-pub fn check_bounds(kernel: &Kernel, arch: Arch) -> Vec<Diagnostic> {
-    check_bounds_cached(kernel, arch, &mut PlanCache::new())
-}
-
-/// Like [`check_bounds`], reusing an externally owned [`PlanCache`].
-pub fn check_bounds_cached(kernel: &Kernel, arch: Arch, plans: &mut PlanCache) -> Vec<Diagnostic> {
-    bounds_checks_cached(kernel, arch, plans)
-        .into_iter()
+/// Reports out-of-bounds accesses as `GRA015` errors.
+pub(crate) fn bounds_diagnostics(checks: &[BoundsCheck]) -> Vec<Diagnostic> {
+    checks
+        .iter()
         .filter(|b| b.status == BoundsStatus::Violation)
         .map(|b| {
             let at = b
@@ -243,222 +231,157 @@ pub fn check_bounds_cached(kernel: &Kernel, arch: Arch, plans: &mut PlanCache) -
         .collect()
 }
 
-/// The bounds verdict of every shared- and global-memory access site.
+/// The bounds verdict of every shared- and global-memory access site,
+/// one per `(view, spec header)`.
 pub fn bounds_checks_cached(
     kernel: &Kernel,
     arch: Arch,
     plans: &mut PlanCache,
 ) -> Vec<BoundsCheck> {
-    let mut cx = BoundsCx {
-        kernel,
-        module: &kernel.module,
-        reg: registry(arch),
-        plans,
-        loops: Vec::new(),
-        guards: Vec::new(),
-        seen: HashSet::new(),
-        checks: Vec::new(),
-    };
-    cx.walk(&kernel.body.stmts);
-    cx.checks
-}
-
-struct BoundsCx<'k, 'p> {
-    kernel: &'k Kernel,
-    module: &'k Module,
-    reg: &'static [AtomicSpec],
-    plans: &'p mut PlanCache,
-    /// Enclosing `for` nesting as `(var, extent)`.
-    loops: Vec<(String, i64)>,
-    guards: Vec<Predicate>,
-    seen: HashSet<(TensorId, String)>,
-    checks: Vec<BoundsCheck>,
-}
-
-impl BoundsCx<'_, '_> {
-    fn walk(&mut self, stmts: &[Stmt]) {
-        for s in stmts {
-            match s {
-                Stmt::For { var, extent, body, .. } => {
-                    self.loops.push((var.clone(), *extent));
-                    self.walk(body);
-                    self.loops.pop();
-                }
-                Stmt::If { cond, then } => {
-                    self.guards.push(cond.clone());
-                    self.walk(then);
-                    self.guards.pop();
-                }
-                Stmt::Spec(spec) => match &spec.body {
-                    Some(body) => self.walk(&body.stmts),
-                    None => self.check_spec(spec),
-                },
-                _ => {}
-            }
-        }
-    }
-
-    fn check_spec(&mut self, spec: &graphene_ir::Spec) {
-        let module = self.module;
-        let Some(&exec) = spec.exec.last() else { return };
-        let tt = &module[exec];
-        if tt.level != ThreadLevel::Thread || match_atomic(spec, module, self.reg).is_none() {
-            return;
-        }
-        for &id in spec.ins.iter().chain(spec.outs.iter()) {
-            let root = module.root_of(id);
-            let mem = module[root].mem;
-            if mem != MemSpace::Shared && mem != MemSpace::Global {
+    let sites = plans.sites(kernel, arch);
+    let module = &kernel.module;
+    let mut seen = HashSet::new();
+    let mut checks = Vec::new();
+    for site in &sites.sites {
+        for op in &site.operands {
+            if !matches!(op.mem, MemSpace::Shared | MemSpace::Global)
+                || !seen.insert((op.view, site.header.as_str()))
+            {
                 continue;
             }
-            let header = render_spec_header(module, spec);
-            if !self.seen.insert((id, header.clone())) {
-                continue;
-            }
-            let len = root_len(&module[root].ty) as i64;
-            let (status, witness) = self.verdict(id, exec, len);
-            self.checks.push(BoundsCheck {
-                root,
-                tensor: module[root].name.clone(),
-                spec: header,
+            let len = root_len(&module[op.root].ty) as i64;
+            let (status, witness) = verdict(kernel, plans, site, op.view, len);
+            checks.push(BoundsCheck {
+                root: op.root,
+                tensor: module[op.root].name.clone(),
+                spec: site.header.clone(),
                 len,
                 status,
                 witness,
             });
         }
     }
+    checks
+}
 
-    /// Proof first, witness enumeration second.
-    ///
-    /// The proof ignores guards (they only shrink the accessed set) and
-    /// is swizzle-safe: the root length is rounded up to the swizzle
-    /// period and a swizzle permutes addresses within aligned
-    /// period-sized blocks, so pre-swizzle bounds imply post-swizzle
-    /// bounds.
-    fn verdict(
-        &mut self,
-        id: TensorId,
-        exec: graphene_ir::ThreadId,
-        len: i64,
-    ) -> (BoundsStatus, Option<(i64, i64)>) {
-        let module = self.module;
-        let offset = &module[id].offset;
-        let plan = self.plans.plan(id, module).clone();
-        let min_rel = plan.rel.iter().copied().min().unwrap_or(0);
-        let max_rel = plan.rel.iter().copied().max().unwrap_or(0);
-        // Dominating `var < c` guards tighten that variable's bound —
-        // sound for the proof because guards only shrink the accessed
-        // set (e.g. the tail-prefetch guard of a double-buffered loop).
-        let mut tighter = HashMap::new();
-        for g in &self.guards {
-            if let (graphene_sym::IntExpr::Var(info), Some(c)) = (&g.lhs, g.rhs.as_const()) {
-                let entry = tighter.entry(info.name.clone()).or_insert(c);
-                *entry = (*entry).min(c);
+/// Proof first, witness enumeration second.
+///
+/// The proof ignores guards (they only shrink the accessed set) and
+/// is swizzle-safe: the root length is rounded up to the swizzle
+/// period and a swizzle permutes addresses within aligned
+/// period-sized blocks, so pre-swizzle bounds imply post-swizzle
+/// bounds.
+fn verdict(
+    kernel: &Kernel,
+    plans: &mut PlanCache,
+    site: &Site,
+    id: TensorId,
+    len: i64,
+) -> (BoundsStatus, Option<(i64, i64)>) {
+    let module = &kernel.module;
+    let offset = &module[id].offset;
+    let plan = plans.plan(id, module);
+    let min_rel = plan.rel.iter().copied().min().unwrap_or(0);
+    let max_rel = plan.rel.iter().copied().max().unwrap_or(0);
+    // Dominating `var < c` guards tighten that variable's bound —
+    // sound for the proof because guards only shrink the accessed
+    // set (e.g. the tail-prefetch guard of a double-buffered loop).
+    let mut tighter = HashMap::new();
+    for g in &site.guards {
+        if let (graphene_sym::IntExpr::Var(info), Some(c)) = (&g.lhs, g.rhs.as_const()) {
+            let entry = tighter.entry(info.name.clone()).or_insert(c);
+            *entry = (*entry).min(c);
+        }
+    }
+    if offset.is_nonneg() && min_rel >= 0 {
+        if let Some(ub) = offset.upper_bound_with(&tighter) {
+            if (ub - 1).saturating_add(max_rel) < len {
+                return (BoundsStatus::Proven, None);
             }
         }
-        if offset.is_nonneg() && min_rel >= 0 {
-            if let Some(ub) = offset.upper_bound_with(&tighter) {
-                if (ub - 1).saturating_add(max_rel) < len {
-                    return (BoundsStatus::Proven, None);
-                }
-            }
-        }
-        // Interval arithmetic failed (typically on correlated `x%a` /
-        // `x/a` re-indexing terms it must over-approximate). Second
-        // route: when every variable of the offset besides the thread id
-        // is an enclosing loop counter or the block id, enumerating all
-        // their value combinations (within a budget) is a complete case
-        // analysis — a proof. Otherwise fall back to corner witnessing.
-        let tt = &module[exec];
-        let grid = self.kernel.grid_size();
-        let vars = offset.free_vars();
-        let mut domains: Vec<(String, i64)> = Vec::new();
-        let mut enumerable = true;
-        for v in &vars {
-            if v == "threadIdx.x" {
-                continue;
-            } else if v == "blockIdx.x" {
-                domains.push((v.clone(), grid.max(1)));
-            } else if let Some((_, e)) = self.loops.iter().find(|(lv, _)| lv == v) {
-                domains.push((v.clone(), (*e).max(1)));
-            } else {
-                enumerable = false; // dynamic parameter — value unknown
-                break;
-            }
-        }
-        let combos = domains
-            .iter()
-            .try_fold(1i64, |p, (_, e)| p.checked_mul(*e).filter(|&c| c <= MAX_BOUNDS_COMBOS));
-        let exhaustive = enumerable && combos.is_some();
-        let envs: Vec<HashMap<String, i64>> = if let (true, Some(combos)) = (exhaustive, combos) {
-            (0..combos)
-                .map(|c| {
-                    let mut env = HashMap::from([("blockIdx.x".to_string(), 0)]);
-                    let mut rem = c;
-                    for (v, e) in &domains {
-                        env.insert(v.clone(), rem % e);
-                        rem /= e;
-                    }
-                    env
-                })
-                .collect()
+    }
+    // Interval arithmetic failed (typically on correlated `x%a` /
+    // `x/a` re-indexing terms it must over-approximate). Second
+    // route: when every variable of the offset besides the thread id
+    // is an enclosing loop counter or the block id, enumerating all
+    // their value combinations (within a budget) is a complete case
+    // analysis — a proof. Otherwise fall back to corner witnessing.
+    let grid = kernel.grid_size();
+    let vars = offset.free_vars();
+    let mut domains: Vec<(String, i64)> = Vec::new();
+    let mut enumerable = true;
+    for v in &vars {
+        if v == "threadIdx.x" {
+            continue;
+        } else if v == "blockIdx.x" {
+            domains.push((v.clone(), grid.max(1)));
+        } else if let Some((_, e)) = site.loops.iter().find(|(lv, _)| lv == v) {
+            domains.push((v.clone(), (*e).max(1)));
         } else {
-            // Corner environments: every combination of {first, last}
-            // block and {first, last} value of each loop counter.
-            let corners = 1usize << (self.loops.len() + 1).min(12);
-            (0..corners)
-                .map(|corner| {
-                    let mut env = HashMap::new();
-                    env.insert(
-                        "blockIdx.x".to_string(),
-                        if corner & 1 == 0 { 0 } else { (grid - 1).max(0) },
-                    );
-                    for (k, (var, extent)) in self.loops.iter().enumerate() {
-                        let hi = (corner >> (k + 1)) & 1 == 1;
-                        env.insert(var.clone(), if hi { (extent - 1).max(0) } else { 0 });
-                    }
-                    env
-                })
-                .collect()
+            enumerable = false; // dynamic parameter — value unknown
+            break;
+        }
+    }
+    let combos = domains
+        .iter()
+        .try_fold(1i64, |p, (_, e)| p.checked_mul(*e).filter(|&c| c <= MAX_BOUNDS_COMBOS));
+    let exhaustive = enumerable && combos.is_some();
+    let envs: Vec<HashMap<String, i64>> = if let (true, Some(combos)) = (exhaustive, combos) {
+        (0..combos)
+            .map(|c| {
+                let mut env = HashMap::from([("blockIdx.x".to_string(), 0)]);
+                let mut rem = c;
+                for (v, e) in &domains {
+                    env.insert(v.clone(), rem % e);
+                    rem /= e;
+                }
+                env
+            })
+            .collect()
+    } else {
+        // Corner environments: every combination of {first, last}
+        // block and {first, last} value of each loop counter.
+        let corners = 1usize << (site.loops.len() + 1).min(12);
+        (0..corners)
+            .map(|corner| {
+                let mut env = HashMap::new();
+                env.insert(
+                    "blockIdx.x".to_string(),
+                    if corner & 1 == 0 { 0 } else { (grid - 1).max(0) },
+                );
+                for (k, (var, extent)) in site.loops.iter().enumerate() {
+                    let hi = (corner >> (k + 1)) & 1 == 1;
+                    env.insert(var.clone(), if hi { (extent - 1).max(0) } else { 0 });
+                }
+                env
+            })
+            .collect()
+    };
+    let thread_guards: Vec<Predicate> =
+        site.guards.iter().filter(|g| g.thread_dependent()).cloned().collect();
+    for mut env in envs {
+        // A guard false under this environment means the access does
+        // not execute here (one that reads the thread id does not
+        // evaluate without it); thread-dependent guards filter lanes.
+        if site.guards.iter().any(|g| eval_guard(g, &env) == Some(false)) {
+            continue;
+        }
+        let lanes = guarded_lanes(&site.lanes, &thread_guards, &mut env);
+        let Ok(per_lane) = lane_addresses_cached(plans, id, module, &lanes, &env) else {
+            continue;
         };
-        let all_lanes = exec_lanes(tt, tt.count() as usize);
-        let (thread_guards, block_guards): (Vec<_>, Vec<_>) =
-            self.guards.iter().partition(|g| thread_dependent(g));
-        for mut env in envs {
-            // Thread-independent guards false under this environment
-            // mean the access does not execute here; thread-dependent
-            // guards filter lanes.
-            if block_guards.iter().any(|g| eval_guard(g, &env) == Some(false)) {
-                continue;
-            }
-            let lanes: Vec<i64> = all_lanes
-                .iter()
-                .copied()
-                .filter(|&t| {
-                    thread_guards.iter().all(|g| {
-                        env.insert("threadIdx.x".into(), t);
-                        let taken = eval_guard(g, &env).unwrap_or(true);
-                        env.remove("threadIdx.x");
-                        taken
-                    })
-                })
-                .collect();
-            let Ok(per_lane) = lane_addresses_cached(self.plans, id, module, &lanes, &env) else {
-                continue;
-            };
-            for (t, addrs) in per_lane {
-                for a in addrs {
-                    if a < 0 || a >= len {
-                        return (BoundsStatus::Violation, Some((t, a)));
-                    }
+        for (t, addrs) in per_lane {
+            for a in addrs {
+                if a < 0 || a >= len {
+                    return (BoundsStatus::Violation, Some((t, a)));
                 }
             }
         }
-        if exhaustive {
-            (BoundsStatus::Proven, None)
-        } else {
-            (BoundsStatus::Witnessed, None)
-        }
+    }
+    if exhaustive {
+        (BoundsStatus::Proven, None)
+    } else {
+        (BoundsStatus::Witnessed, None)
     }
 }
 
@@ -480,41 +403,12 @@ pub fn synthesize_for_root(
     root: TensorId,
     plans: &mut PlanCache,
 ) -> Option<Swizzle> {
-    let module = &kernel.module;
-    let reg = registry(arch);
-    let mut sites = Vec::new();
-    let mut stack: Vec<&[Stmt]> = vec![&kernel.body.stmts];
-    while let Some(stmts) = stack.pop() {
-        for s in stmts {
-            match s {
-                Stmt::For { body, .. } => stack.push(body),
-                Stmt::If { then, .. } => stack.push(then),
-                Stmt::Spec(spec) => match &spec.body {
-                    Some(body) => stack.push(&body.stmts),
-                    None => {
-                        let Some(&exec) = spec.exec.last() else { continue };
-                        let tt = &module[exec];
-                        if tt.level != ThreadLevel::Thread
-                            || match_atomic(spec, module, reg).is_none()
-                        {
-                            continue;
-                        }
-                        for &id in spec.ins.iter().chain(spec.outs.iter()) {
-                            if module.root_of(id) != root {
-                                continue;
-                            }
-                            let bytes = module[id].ty.scalar_type().bytes();
-                            let ls = linear_site(plans, id, module, tt, bytes)?;
-                            sites.push(ls.site);
-                        }
-                    }
-                },
-                _ => {}
-            }
+    let sites = plans.sites(kernel, arch);
+    let mut access = Vec::new();
+    for site in &sites.sites {
+        for op in site.operands.iter().filter(|o| o.root == root) {
+            access.push(linear_site(plans, &kernel.module, op, &site.lanes)?);
         }
     }
-    if sites.is_empty() {
-        return None;
-    }
-    synthesize_swizzle(&sites)
+    synthesize_swizzle(&access)
 }

@@ -19,6 +19,12 @@
 //!   write is not an asynchronous copy (`cp.async` completion is
 //!   invisible to `__syncwarp()`).
 //!
+//! This is the one analysis that keeps a walk of its own: it is
+//! flow-sensitive (barriers order accesses, loops unroll), so it visits
+//! statements in program order and reads each spec's record — matched
+//! atomic, lanes, `cp.async` flag, shared operands — from the kernel's
+//! access-site table ([`graphene_sim::Sites`]) by statement path.
+//!
 //! Loops are unrolled twice (iterations 0 and 1) so hazards between an
 //! iteration's tail and the next iteration's head — the classic missing
 //! top-of-loop barrier in double-buffered pipelines — are observed.
@@ -27,13 +33,11 @@
 //! the active lanes per thread.
 
 use crate::linear::{prove_sides_disjoint, side_form, PairProof, SideForm};
-use crate::walk::{eval_guard, shared_accesses, thread_dependent, SharedAccess};
-use graphene_ir::atomic::{registry, AtomicSpec};
+use crate::walk::{eval_guard, shared_accesses, SharedAccess};
 use graphene_ir::body::{Predicate, Stmt, SyncScope};
-use graphene_ir::printer::render_spec_header;
 use graphene_ir::tensor::TensorId;
 use graphene_ir::{Arch, Diagnostic, Kernel, MemSpace, Module};
-use graphene_sim::PlanCache;
+use graphene_sim::{PlanCache, Sites};
 use std::collections::{HashMap, HashSet};
 
 /// How the race check established each access pair's verdict.
@@ -67,32 +71,24 @@ impl RaceSummary {
     }
 }
 
-/// Detects shared-memory races in a kernel.
-pub fn check_races(kernel: &Kernel, arch: Arch) -> Vec<Diagnostic> {
-    check_races_cached(kernel, arch, &mut PlanCache::new())
-}
-
-/// Like [`check_races`], reusing an externally owned [`PlanCache`]
-/// (keyed by tensor id — share it only between passes over this same
-/// kernel, e.g. with [`crate::banks::check_bank_conflicts_cached`] and
-/// `graphene_sim::analyze_cached`).
-pub fn check_races_cached(kernel: &Kernel, arch: Arch, plans: &mut PlanCache) -> Vec<Diagnostic> {
-    check_races_summary(kernel, arch, plans).0
-}
-
-/// Like [`check_races_cached`], also returning the per-pair proof
-/// accounting (how many pairs were proven symbolically, proven by
-/// exhaustive enumeration, or merely sampled at two loop iterations).
+/// Detects shared-memory races in a kernel, returning the `GRA010`
+/// diagnostics and the per-pair proof accounting (how many pairs were
+/// proven symbolically, proven by exhaustive enumeration, or merely
+/// sampled at two loop iterations). Reuses an externally owned
+/// [`PlanCache`] and its site table (keyed by tensor id — share it only
+/// between passes over this same kernel).
 pub fn check_races_summary(
     kernel: &Kernel,
     arch: Arch,
     plans: &mut PlanCache,
 ) -> (Vec<Diagnostic>, RaceSummary) {
+    let sites = plans.sites(kernel, arch);
     let mut cx = RaceCx {
         module: &kernel.module,
-        reg: registry(arch),
+        sites: &sites,
         plans,
         env: HashMap::from([("blockIdx.x".to_string(), 0)]),
+        idx: Vec::new(),
         path: vec!["body".into()],
         guards: Vec::new(),
         pending: HashMap::new(),
@@ -105,22 +101,26 @@ pub fn check_races_summary(
     (cx.diags, cx.summary)
 }
 
-struct PendingAccess<'m> {
-    access: SharedAccess<'m>,
+struct PendingAccess<'s> {
+    access: SharedAccess<'s>,
     /// A warp-scope barrier was executed after this access.
     warp_synced: bool,
 }
 
-struct RaceCx<'m, 'p> {
-    module: &'m Module,
-    reg: &'static [AtomicSpec],
+struct RaceCx<'s, 'p> {
+    module: &'s Module,
+    /// The kernel's access sites, looked up by statement path.
+    sites: &'s Sites,
     /// Compiled address plans, shared across every access site of the
     /// walk (and with the simulator's representation of addressing).
     plans: &'p mut PlanCache,
     env: HashMap<String, i64>,
+    /// Child indices of the current statement: its path for
+    /// [`Sites::at`].
+    idx: Vec<u32>,
     path: Vec<String>,
     guards: Vec<Predicate>,
-    pending: HashMap<TensorId, Vec<PendingAccess<'m>>>,
+    pending: HashMap<TensorId, Vec<PendingAccess<'s>>>,
     /// F₂ abstraction of each view at each lane span, built on the
     /// view's first proof attempt: a side depends only on the view's
     /// offset, its relative offsets and `n`, none of which the walk
@@ -131,9 +131,10 @@ struct RaceCx<'m, 'p> {
     summary: RaceSummary,
 }
 
-impl<'m> RaceCx<'m, '_> {
-    fn walk(&mut self, stmts: &'m [Stmt]) {
-        for s in stmts {
+impl<'s> RaceCx<'s, '_> {
+    fn walk(&mut self, stmts: &[Stmt]) {
+        for (i, s) in stmts.iter().enumerate() {
+            self.idx.push(i as u32);
             match s {
                 Stmt::For { var, extent, body, .. } => {
                     // Two unrolled iterations expose cross-iteration
@@ -147,7 +148,7 @@ impl<'m> RaceCx<'m, '_> {
                     self.env.remove(var);
                 }
                 Stmt::If { cond, then } => {
-                    if thread_dependent(cond) {
+                    if cond.thread_dependent() {
                         self.guards.push(cond.clone());
                         self.path.push(format!("if ({} < {})", cond.lhs, cond.rhs));
                         self.walk(then);
@@ -165,17 +166,20 @@ impl<'m> RaceCx<'m, '_> {
                         self.walk(&body.stmts);
                         self.path.pop();
                     }
+                    // A spec without a site matches no atomic spec
+                    // (reported separately as `GRA002`).
                     None => {
-                        for acc in shared_accesses(
-                            spec,
-                            self.module,
-                            self.reg,
-                            self.plans,
-                            &mut self.env,
-                            &self.guards,
-                            &self.path,
-                        ) {
-                            self.record(acc);
+                        if let Some(site) = self.sites.at(&self.idx) {
+                            for acc in shared_accesses(
+                                site,
+                                self.module,
+                                self.plans,
+                                &mut self.env,
+                                &self.guards,
+                                &self.path,
+                            ) {
+                                self.record(acc);
+                            }
                         }
                     }
                 },
@@ -189,6 +193,7 @@ impl<'m> RaceCx<'m, '_> {
                 }
                 _ => {}
             }
+            self.idx.pop();
         }
     }
 
@@ -214,7 +219,7 @@ impl<'m> RaceCx<'m, '_> {
         prove_sides_disjoint(side_a, side_b, na) == PairProof::RaceFree
     }
 
-    fn record(&mut self, acc: SharedAccess<'m>) {
+    fn record(&mut self, acc: SharedAccess<'s>) {
         let mut pend = self.pending.remove(&acc.root).unwrap_or_default();
         for prev in &pend {
             let p = &prev.access;
@@ -232,10 +237,7 @@ impl<'m> RaceCx<'m, '_> {
                 if adequately_warp_synced {
                     continue;
                 }
-                let descs = (
-                    render_spec_header(self.module, p.spec),
-                    render_spec_header(self.module, acc.spec),
-                );
+                let descs = (p.header.to_string(), acc.header.to_string());
                 if !self.reported.insert((acc.root, descs.0.clone(), descs.1.clone())) {
                     continue;
                 }

@@ -1,26 +1,23 @@
 //! Shared traversal helpers for the analysis passes.
 
-use graphene_ir::atomic::{match_atomic, AtomicSpec};
 use graphene_ir::body::Predicate;
-use graphene_ir::spec::Spec;
 use graphene_ir::tensor::TensorId;
-use graphene_ir::threads::ThreadLevel;
 use graphene_ir::{MemSpace, Module};
-use graphene_sim::{exec_lanes, lane_addresses_cached, PlanCache};
+use graphene_sim::{lane_addresses_cached, PlanCache, Site};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 
 /// One shared-memory operand access of one undecomposed spec, with the
 /// concrete per-thread addresses it touches.
 #[derive(Debug, Clone)]
-pub struct SharedAccess<'m> {
+pub struct SharedAccess<'s> {
     /// Root shared tensor being accessed.
     pub root: TensorId,
     /// The operand view whose offset expression addresses the root
     /// (input to the symbolic disjointness prover).
     pub view: TensorId,
-    /// The accessing spec; its header is rendered only for a report.
-    pub spec: &'m Spec,
+    /// The accessing spec's rendered header.
+    pub header: &'s str,
     /// Statement path of the spec.
     pub path: Vec<String>,
     /// Write access (the operand is an output).
@@ -60,12 +57,6 @@ impl SharedAccess<'_> {
     }
 }
 
-/// Whether a predicate mentions `threadIdx.x` (so its outcome differs
-/// per thread and it *filters* lanes rather than gating the block).
-pub fn thread_dependent(cond: &Predicate) -> bool {
-    cond.lhs.free_vars().iter().chain(cond.rhs.free_vars().iter()).any(|v| v == "threadIdx.x")
-}
-
 /// Evaluates a thread-independent guard under `env`: `Some(taken)` when
 /// both sides evaluate, `None` when symbolic (dynamic shape parameters)
 /// — callers assume symbolic guards taken, over-approximating.
@@ -76,43 +67,42 @@ pub fn eval_guard(cond: &Predicate, env: &HashMap<String, i64>) -> Option<bool> 
     }
 }
 
-/// Collects the shared-memory accesses of one undecomposed spec, with
-/// per-thread addresses evaluated under `env` and lanes filtered by the
-/// active thread-dependent guards. Address plans are compiled at most
-/// once per view through `plans` — the same compiled layer the
-/// simulator executes on — and reused across every call site of a pass.
+/// The `lanes` every guard admits under `env` (a guard that does not
+/// evaluate is assumed taken, over-approximating).
+pub fn guarded_lanes(
+    lanes: &[i64],
+    guards: &[Predicate],
+    env: &mut HashMap<String, i64>,
+) -> Vec<i64> {
+    let mut admits = |t: i64| {
+        guards.iter().all(|g| {
+            env.insert("threadIdx.x".into(), t);
+            let taken = eval_guard(g, env).unwrap_or(true);
+            env.remove("threadIdx.x");
+            taken
+        })
+    };
+    lanes.iter().copied().filter(|&t| admits(t)).collect()
+}
+
+/// Collects the shared-memory accesses of one access site, with
+/// per-thread addresses evaluated under `env` and the site's lanes
+/// filtered by the active thread-dependent guards. Address plans are
+/// compiled at most once per view through `plans` — the same compiled
+/// layer the simulator executes on — and reused across every call site
+/// of a pass.
 ///
-/// Returns nothing when the spec matches no atomic spec (reported
-/// separately as `GRA002`), has no thread-level execution config, or
-/// its addresses cannot be evaluated (unbound dynamic parameters).
-pub fn shared_accesses<'m>(
-    spec: &'m Spec,
+/// Returns nothing when every lane is guarded off; skips an operand
+/// whose addresses cannot be evaluated (unbound dynamic parameters).
+pub fn shared_accesses<'s>(
+    site: &'s Site,
     module: &Module,
-    reg: &[AtomicSpec],
     plans: &mut PlanCache,
     env: &mut HashMap<String, i64>,
     guards: &[Predicate],
     path: &[String],
-) -> Vec<SharedAccess<'m>> {
-    let Some(atomic) = match_atomic(spec, module, reg) else { return Vec::new() };
-    let Some(&exec) = spec.exec.last() else { return Vec::new() };
-    let tt = &module[exec];
-    if tt.level != ThreadLevel::Thread {
-        return Vec::new();
-    }
-    let cp_async = atomic.name.starts_with("cp.async");
-    let all_lanes = exec_lanes(tt, tt.count() as usize);
-    let lanes: Vec<i64> = all_lanes
-        .into_iter()
-        .filter(|&t| {
-            guards.iter().all(|g| {
-                env.insert("threadIdx.x".into(), t);
-                let taken = eval_guard(g, env).unwrap_or(true);
-                env.remove("threadIdx.x");
-                taken
-            })
-        })
-        .collect();
+) -> Vec<SharedAccess<'s>> {
+    let lanes = guarded_lanes(&site.lanes, guards, env);
     if lanes.is_empty() {
         return Vec::new();
     }
@@ -131,22 +121,18 @@ pub fn shared_accesses<'m>(
     let guards_tid_only = guards.iter().all(|g| tid_only(&g.lhs) && tid_only(&g.rhs));
 
     let mut out = Vec::new();
-    for (&id, write) in
-        spec.ins.iter().map(|i| (i, false)).chain(spec.outs.iter().map(|o| (o, true)))
-    {
-        let root = module.root_of(id);
-        if module[root].mem != MemSpace::Shared {
+    for op in site.operands.iter().filter(|o| o.mem == MemSpace::Shared) {
+        let Ok(per_lane) = lane_addresses_cached(plans, op.view, module, &lanes, env) else {
             continue;
-        }
-        let Ok(per_lane) = lane_addresses_cached(plans, id, module, &lanes, env) else { continue };
+        };
         out.push(SharedAccess {
-            root,
-            view: id,
-            spec,
+            root: op.root,
+            view: op.view,
+            header: &site.header,
             path: path.to_vec(),
-            write,
-            cp_async: cp_async && write,
-            loop_free: guards_tid_only && tid_only(&module[id].offset),
+            write: op.write,
+            cp_async: site.cp_async() && op.write,
+            loop_free: guards_tid_only && tid_only(&module[op.view].offset),
             lane_span,
             per_lane,
             lanes_at: OnceCell::new(),

@@ -22,6 +22,15 @@ pub struct Predicate {
     pub rhs: IntExpr,
 }
 
+impl Predicate {
+    /// Whether the predicate mentions `threadIdx.x` (so its outcome
+    /// differs per thread and it *filters* lanes rather than gating the
+    /// block).
+    pub fn thread_dependent(&self) -> bool {
+        self.lhs.free_vars().iter().chain(self.rhs.free_vars().iter()).any(|v| v == "threadIdx.x")
+    }
+}
+
 /// Synchronisation scopes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncScope {

@@ -53,6 +53,6 @@ pub use int_tuple::IntTuple;
 pub use layout::Layout;
 pub use linear::{
     prove_banks, rank_f2, solutions_force_equal, solve_f2, synthesize_swizzle, word_columns,
-    AccessSite, BankProof, SolutionSpace,
+    xor_decompose, xor_vector, AccessSite, BankProof, SolutionSpace,
 };
 pub use swizzle::Swizzle;

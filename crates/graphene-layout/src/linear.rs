@@ -196,10 +196,70 @@ pub fn solutions_force_equal(space: &SolutionSpace, n: usize) -> bool {
     diff(space.particular) == 0 && space.nullspace.iter().all(|&v| diff(v) == 0)
 }
 
+/// Verifies `adj` is XOR-decomposable over its index bits and returns
+/// the basis deltas: `adj[i] == adj[0] ⊕ ⨁_{bit k of i} deltas[k]`.
+pub fn xor_decompose(adj: &[i64]) -> Option<Vec<i64>> {
+    let n = adj.len();
+    if n == 0 || !n.is_power_of_two() {
+        return None;
+    }
+    let v = n.trailing_zeros() as usize;
+    let deltas: Vec<i64> = (0..v).map(|k| adj[1 << k] ^ adj[0]).collect();
+    for (i, &a) in adj.iter().enumerate() {
+        let mut expect = adj[0];
+        for (k, &d) in deltas.iter().enumerate() {
+            if (i >> k) & 1 == 1 {
+                expect ^= d;
+            }
+        }
+        if expect != a {
+            return None;
+        }
+    }
+    Some(deltas)
+}
+
+/// The vector part of an XOR-affine access `base + rel[i]`, whose base
+/// is `constant` XOR a subset of the pairwise-disjoint variable `masks`:
+/// folds `constant` into the relative offsets (`adj[i] = constant +
+/// rel[i]`, the address when every variable bit is zero) and returns
+/// `(adj[0], deltas)` of their [`xor_decompose`].
+///
+/// `None` when an adjusted offset is negative, the offsets do not
+/// XOR-decompose, or they overlap a variable bit: the base's variable
+/// part lies within the OR of the masks, and only offsets clear of it
+/// make `base + rel` equal `base ⊕ rel` (carry-freedom).
+pub fn xor_vector(
+    constant: i64,
+    masks: impl IntoIterator<Item = i64>,
+    rel: &[i64],
+) -> Option<(i64, Vec<i64>)> {
+    let adj: Vec<i64> =
+        rel.iter().map(|&o| constant.checked_add(o).filter(|&a| a >= 0)).collect::<Option<_>>()?;
+    let deltas = xor_decompose(&adj)?;
+    let var_bits = masks.into_iter().fold(0, |m, x| m | x);
+    if adj.iter().fold(0, |m, &a| m | a) & var_bits != 0 {
+        return None;
+    }
+    Some((adj[0], deltas))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    #[test]
+    fn xor_decomposition() {
+        // Contiguous vector: deltas are powers of two.
+        assert_eq!(xor_decompose(&[0, 1, 2, 3]), Some(vec![1, 2]));
+        // Strided vector.
+        assert_eq!(xor_decompose(&[5, 13]), Some(vec![8]));
+        // Arithmetic but not XOR-decomposable: 0,3,6,9 (3 ^ 6 != 5).
+        assert_eq!(xor_decompose(&[0, 3, 6, 9]), None);
+        // Non-power-of-two length.
+        assert_eq!(xor_decompose(&[0, 1, 2]), None);
+    }
 
     #[test]
     fn rank_basics() {

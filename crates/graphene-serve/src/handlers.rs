@@ -132,11 +132,13 @@ fn lint(req: &Request) -> Result<Obj, String> {
     )?;
     let arch = opt_arch(&req.opts)?;
     let nk = graphene_kernels::catalog::build_named(name, arch, &req.opts)?;
-    let mut plans = graphene_sim::PlanCache::new();
-    let diags = graphene_analysis::analyze_kernel_cached(&nk.kernel, arch, &mut plans);
+    let (diags, report) = graphene_analysis::lint_kernel_cached(
+        &nk.kernel,
+        arch,
+        &mut graphene_sim::PlanCache::new(),
+    );
     let errors = graphene_analysis::error_count(&diags);
-    let report = flag(req, "prove")
-        .then(|| graphene_analysis::prove::prove_kernel_cached(&nk.kernel, arch, &mut plans));
+    let report = flag(req, "prove").then_some(report);
     let output = match req.opt("emit") {
         None | Some("text") => {
             use std::fmt::Write as _;

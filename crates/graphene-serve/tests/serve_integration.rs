@@ -202,3 +202,24 @@ fn oversized_request_line_is_answered_and_the_connection_keeps_serving() {
     conn.request(r#"{"cmd":"shutdown"}"#).unwrap();
     handle.join().expect("server thread").expect("server run");
 }
+
+#[test]
+fn too_deep_request_line_is_answered_and_the_connection_keeps_serving() {
+    use graphene_tune::json::MAX_DEPTH;
+    let (addr, handle) = spawn_server(ServeOptions { workers: 1, ..ServeOptions::default() });
+    let mut conn = Connection::connect(&addr, TIMEOUT).expect("connect");
+    // 10,000 levels of `[` would overflow a worker's stack in a
+    // recursive parser; the bounded one answers it as malformed.
+    let deep =
+        format!(r#"{{"id":1,"cmd":"stats","x":{}{}}}"#, "[".repeat(10_000), "]".repeat(10_000));
+    let resp = parse(&conn.request(&deep).unwrap()).unwrap();
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{resp:?}");
+    let err = get(&resp, &["error"]).as_str().unwrap().to_string();
+    assert!(err.contains(&format!("deeper than {MAX_DEPTH} levels")), "{err}");
+    // The same connection still serves, and counts it once.
+    let stats = parse(&conn.request(r#"{"id":2,"cmd":"stats"}"#).unwrap()).unwrap();
+    assert_eq!(get(&stats, &["id"]).as_i64(), Some(2));
+    assert_eq!(get(&stats, &["malformed"]).as_i64(), Some(1));
+    conn.request(r#"{"cmd":"shutdown"}"#).unwrap();
+    handle.join().expect("server thread").expect("server run");
+}

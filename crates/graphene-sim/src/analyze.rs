@@ -3,20 +3,18 @@
 //! The paper's evaluation sizes (e.g. a 5376×5376×2048 GEMM) are far too
 //! large to execute element-by-element; but because Graphene IR
 //! "precisely describes the implementation" (§5.5), its cost profile is
-//! statically computable: walk the decomposition, multiply per-group
-//! instruction costs by loop trip counts, thread-group counts, and the
-//! grid size. Shared-memory bank-conflict factors are measured exactly by
+//! statically computable: for every access site of the kernel's site
+//! table ([`crate::sites`]), multiply per-group instruction costs by
+//! loop trip counts, thread-group counts, and the grid size.
+//! Shared-memory bank-conflict factors are measured exactly by
 //! evaluating one representative warp's addresses per access site —
 //! the same arithmetic the hardware performs.
 
 use crate::counters::Counters;
-use crate::plan::{BankTally, PlanCache};
-use graphene_ir::atomic::{match_atomic, registry, AtomicSpec};
-use graphene_ir::body::Stmt;
-use graphene_ir::printer::render_spec_header;
-use graphene_ir::spec::Spec;
+use crate::plan::{unique_footprint, BankTally, PlanCache};
+use crate::sites::Site;
 use graphene_ir::tensor::TensorId;
-use graphene_ir::{Arch, Kernel, MemSpace, Module};
+use graphene_ir::{Arch, Kernel, MemSpace, Module, ThreadTensor};
 use std::collections::HashMap;
 
 /// Errors from static analysis.
@@ -67,7 +65,8 @@ pub fn analyze_bound(
 /// callers that run several passes over the *same kernel* (e.g. the
 /// autotuner's prune-then-cost pipeline, or `graphene-analysis`
 /// followed by counter analysis) compile each tensor's address plan
-/// once instead of once per pass.
+/// and walk the access-site table ([`PlanCache::sites`]) once instead
+/// of once per pass.
 ///
 /// The cache is keyed by [`TensorId`], so it must only ever be shared
 /// between passes over one kernel's module — never across kernels.
@@ -81,103 +80,40 @@ pub fn analyze_cached(
     bindings: &HashMap<String, i64>,
     plans: &mut PlanCache,
 ) -> Result<Counters, AnalyzeError> {
-    let reg = registry(arch);
+    let sites = plans.sites(kernel, arch);
     let module = &kernel.module;
-    let mut env: HashMap<String, i64> = bindings.clone();
-    env.insert("blockIdx.x".into(), 0);
-    let mut c = Counters::default();
-    let mut cx = SampleCx { plans, tally: BankTally::new() };
-    walk(&kernel.body.stmts, module, reg, &mut env, 1, &mut c, &mut cx)?;
+    let mut base = bindings.clone();
+    base.insert("blockIdx.x".into(), 0);
+    let mut c = Counters { syncs: sites.block_syncs, ..Counters::default() };
+    let mut tally = BankTally::new();
+    // Sites in program order up to the first unmatched spec, as a walk
+    // that stops at it would count them. Guards are ignored: a guarded
+    // site counts fully (partial tiles over-approximate, paper §3.4).
+    let matched = sites.unmatched.as_ref().map_or(sites.sites.len(), |(at, _)| *at);
+    for site in &sites.sites[..matched] {
+        site_counters(site, module, &site.env(&base), &mut c, plans, &mut tally)?;
+    }
+    if let Some((_, header)) = &sites.unmatched {
+        return Err(AnalyzeError::NoAtomicMatch(header.clone()));
+    }
     // Whole-kernel scaling: every block executes the body.
     let mut total = c.scaled(kernel.grid_size() as u64);
 
-    // Unique DRAM footprint from parameter usage.
-    let (mut read, mut written) = (0u64, 0u64);
-    let mut reads: std::collections::HashSet<TensorId> = Default::default();
-    let mut writes: std::collections::HashSet<TensorId> = Default::default();
-    kernel.body.visit(&mut |s| {
-        if let Stmt::Spec(spec) = s {
-            for &i in &spec.ins {
-                let root = module.root_of(i);
-                if module[root].mem == MemSpace::Global {
-                    reads.insert(root);
-                }
-            }
-            for &o in &spec.outs {
-                let root = module.root_of(o);
-                if module[root].mem == MemSpace::Global {
-                    writes.insert(root);
-                }
-            }
-        }
-    });
-    for r in reads {
-        read += module[r].ty.bytes();
-    }
-    for w in writes {
-        written += module[w].ty.bytes();
-    }
-    total.unique_global_read_bytes = read;
-    total.unique_global_write_bytes = written;
+    (total.unique_global_read_bytes, total.unique_global_write_bytes) = unique_footprint(kernel);
     Ok(total)
 }
 
-/// Reusable sampling state threaded through the analysis walk: compiled
-/// address plans and a fixed bank-conflict tally shared across every
-/// access site instead of rebuilt per access.
-struct SampleCx<'p> {
-    plans: &'p mut PlanCache,
-    tally: BankTally,
-}
-
-fn walk(
-    stmts: &[Stmt],
+/// Adds one block's counters of `site` to `c`.
+fn site_counters(
+    site: &Site,
     module: &Module,
-    reg: &[AtomicSpec],
-    env: &mut HashMap<String, i64>,
-    mult: u64,
+    env: &HashMap<String, i64>,
     c: &mut Counters,
-    cx: &mut SampleCx<'_>,
+    plans: &mut PlanCache,
+    tally: &mut BankTally,
 ) -> Result<(), AnalyzeError> {
-    for s in stmts {
-        match s {
-            Stmt::For { var, extent, body, .. } => {
-                env.insert(var.clone(), 0);
-                walk(body, module, reg, env, mult * *extent as u64, c, cx)?;
-                env.remove(var);
-            }
-            Stmt::If { then, .. } => {
-                // Conservative: count the guarded block fully (partial
-                // tiles over-approximate, paper §3.4).
-                walk(then, module, reg, env, mult, c, cx)?;
-            }
-            Stmt::Spec(spec) => match &spec.body {
-                Some(body) => walk(&body.stmts, module, reg, env, mult, c, cx)?,
-                None => {
-                    let atomic = match_atomic(spec, module, reg).ok_or_else(|| {
-                        AnalyzeError::NoAtomicMatch(render_spec_header(module, spec))
-                    })?;
-                    spec_counters(spec, atomic, module, env, mult, c, cx)?;
-                }
-            },
-            Stmt::Sync(graphene_ir::SyncScope::Block) => c.syncs += mult,
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
-fn spec_counters(
-    spec: &Spec,
-    atomic: &AtomicSpec,
-    module: &Module,
-    env: &mut HashMap<String, i64>,
-    mult: u64,
-    c: &mut Counters,
-    cx: &mut SampleCx<'_>,
-) -> Result<(), AnalyzeError> {
-    let exec = *spec.exec.last().expect("spec has an exec config");
-    let tt = &module[exec];
+    let (atomic, mult) = (site.atomic, site.mult);
+    let tt = &module[site.exec];
     let groups = tt.num_groups() as u64;
     let group_size = tt.group_size() as u64;
     let lanes_total = groups * group_size;
@@ -199,28 +135,17 @@ fn spec_counters(
     }
 
     // Traffic per operand.
-    for (&id, is_read) in
-        spec.ins.iter().map(|i| (i, true)).chain(spec.outs.iter().map(|o| (o, false)))
-    {
-        let d = &module[id];
-        let root = module.root_of(id);
-        let mem = module[root].mem;
-        let bytes_per = d.ty.scalar_type().bytes();
-        let scalars = d.ty.num_scalars() as u64;
-        let total_bytes = scalars * bytes_per * lanes_total * mult;
-        match mem {
-            MemSpace::Global => {
-                if is_read {
-                    c.global_read_bytes += total_bytes;
-                } else {
-                    c.global_write_bytes += total_bytes;
-                }
-            }
-            MemSpace::Shared => {
-                if is_read {
-                    c.smem_read_bytes += total_bytes;
-                } else {
+    for op in &site.operands {
+        let scalars = module[op.view].ty.num_scalars() as u64;
+        let total_bytes = scalars * op.bytes_per * lanes_total * mult;
+        match (op.mem, op.write) {
+            (MemSpace::Global, false) => c.global_read_bytes += total_bytes,
+            (MemSpace::Global, true) => c.global_write_bytes += total_bytes,
+            (MemSpace::Shared, write) => {
+                if write {
                     c.smem_write_bytes += total_bytes;
+                } else {
+                    c.smem_read_bytes += total_bytes;
                 }
                 // One warp's conflict factor: by the F₂ rank proof when
                 // its grade provably coincides with the sampled warp's
@@ -228,20 +153,20 @@ fn spec_counters(
                 // warp, so the proof's coset argument applies to exactly
                 // the lanes sampling would evaluate), else by sampling.
                 let proved = if crate::prove::sample_is_aligned_warp(tt) {
-                    crate::prove::prove_conflicts_linear(cx.plans, id, module, tt, bytes_per)
+                    crate::prove::prove_conflicts_linear(plans, module, op, &site.lanes)
                 } else {
                     None
                 };
                 let (accesses, transactions) = match proved {
                     Some(g) => (g.ideal, g.actual),
                     None => sample_conflicts_cached(
-                        cx.plans,
-                        &mut cx.tally,
-                        id,
+                        plans,
+                        tally,
+                        op.view,
                         module,
                         tt,
                         env,
-                        bytes_per,
+                        op.bytes_per,
                     )?,
                 };
                 let chunk = 32.min(lanes_total).max(1);
@@ -249,7 +174,7 @@ fn spec_counters(
                 c.smem_accesses += accesses * instances;
                 c.smem_transactions += transactions * instances;
             }
-            MemSpace::Register => {}
+            (MemSpace::Register, _) => {}
         }
     }
     Ok(())
@@ -262,8 +187,8 @@ fn spec_counters(
 /// a collective config yields `group base + local offset` for every
 /// group member — including non-contiguous layouts such as Volta's
 /// quad-pairs.
-pub fn exec_lanes(tt: &graphene_ir::ThreadTensor, limit: usize) -> Vec<i64> {
-    let mut lanes = Vec::new();
+pub fn exec_lanes(tt: &ThreadTensor, limit: usize) -> Vec<i64> {
+    let mut lanes = Vec::with_capacity(limit.min(tt.count() as usize));
     if tt.group_size() == 1 {
         for g in 0..tt.num_groups().min(limit as i64) {
             lanes.push(tt.group.value(g));
@@ -282,34 +207,26 @@ pub fn exec_lanes(tt: &graphene_ir::ThreadTensor, limit: usize) -> Vec<i64> {
     lanes
 }
 
+/// The representative lanes a sampled grade evaluates: the first
+/// warp's worth of threads covered by the exec tensor (the first 32
+/// groups of a per-thread config, the first group of a collective one).
+pub(crate) fn sample_lanes(tt: &ThreadTensor) -> Vec<i64> {
+    let limit = if tt.group_size() == 1 { 32 } else { tt.group_size().min(32) };
+    exec_lanes(tt, limit as usize)
+}
+
 /// Evaluates the scalar shared/global addresses an operand view touches
 /// for each given lane, with the root tensor's swizzle applied — the
-/// same arithmetic the interpreter and the hardware perform.
+/// same arithmetic the interpreter and the hardware perform — compiling
+/// the view's address plan at most once through a shared [`PlanCache`].
 ///
 /// Loop variables and dynamic parameters must already be bound in
-/// `env`; `threadIdx.x` is bound per lane and removed before returning.
+/// `env`; `threadIdx.x` is bound per lane.
 ///
 /// # Errors
 ///
 /// Fails when the view's offset expression references an unbound
 /// variable.
-pub fn lane_addresses(
-    id: TensorId,
-    module: &Module,
-    lanes: &[i64],
-    env: &mut HashMap<String, i64>,
-) -> Result<Vec<(i64, Vec<i64>)>, AnalyzeError> {
-    lane_addresses_cached(&mut PlanCache::new(), id, module, lanes, env)
-}
-
-/// Like [`lane_addresses`], but compiling the view's address plan at
-/// most once through a shared [`PlanCache`] — the form the race and
-/// bank-conflict passes use, where the same views are evaluated at many
-/// sites.
-///
-/// # Errors
-///
-/// See [`lane_addresses`].
 pub fn lane_addresses_cached(
     plans: &mut PlanCache,
     id: TensorId,
@@ -320,57 +237,25 @@ pub fn lane_addresses_cached(
     plans.lane_addresses(id, module, lanes, env).map_err(|e| AnalyzeError::Eval(e.to_string()))
 }
 
-/// Evaluates one representative warp's addresses for a shared-memory
-/// operand and counts its bank-conflict serialisation: returns
-/// `(ideal transactions, actual transactions)` for one warp-wide access.
+/// Evaluates one representative warp's addresses (the first warp's
+/// worth of the exec tensor's lanes) for a shared-memory operand and
+/// counts its bank-conflict serialisation in a reusable [`BankTally`]:
+/// returns `(ideal transactions, actual transactions)` for one
+/// warp-wide access.
 ///
 /// # Errors
 ///
 /// See [`AnalyzeError`].
-pub fn sample_conflicts(
-    id: TensorId,
-    module: &Module,
-    tt: &graphene_ir::ThreadTensor,
-    env: &mut HashMap<String, i64>,
-    bytes_per: u64,
-) -> Result<(u64, u64), AnalyzeError> {
-    sample_conflicts_cached(
-        &mut PlanCache::new(),
-        &mut BankTally::new(),
-        id,
-        module,
-        tt,
-        env,
-        bytes_per,
-    )
-}
-
-/// Like [`sample_conflicts`], reusing a compiled [`PlanCache`] and a
-/// fixed 32-entry [`BankTally`] across access sites instead of building
-/// a fresh hash map per access.
-///
-/// # Errors
-///
-/// See [`AnalyzeError`].
-#[allow(clippy::too_many_arguments)]
 pub fn sample_conflicts_cached(
     plans: &mut PlanCache,
     tally: &mut BankTally,
     id: TensorId,
     module: &Module,
-    tt: &graphene_ir::ThreadTensor,
+    tt: &ThreadTensor,
     env: &HashMap<String, i64>,
     bytes_per: u64,
 ) -> Result<(u64, u64), AnalyzeError> {
-    // Representative lanes: the first warp's worth of threads covered by
-    // the exec tensor.
-    let lanes: Vec<i64> = if tt.group_size() == 1 {
-        (0..tt.num_groups().min(32)).map(|g| tt.group.value(g)).collect()
-    } else {
-        let base = tt.group.value(0);
-        (0..tt.group_size().min(32)).map(|j| base + tt.local.value(j)).collect()
-    };
-    let per_lane = lane_addresses_cached(plans, id, module, &lanes, env)?;
+    let per_lane = lane_addresses_cached(plans, id, module, &sample_lanes(tt), env)?;
     for (_, lane) in &per_lane {
         for &a in lane {
             tally.add_addr(a, bytes_per);

@@ -332,13 +332,7 @@ impl<'k> Interp<'k> {
             }
 
             Stmt::If { cond, then } => {
-                let thread_dependent = cond
-                    .lhs
-                    .free_vars()
-                    .iter()
-                    .chain(cond.rhs.free_vars().iter())
-                    .any(|v| v == "threadIdx.x");
-                if thread_dependent {
+                if cond.thread_dependent() {
                     // Per-thread guard: push it; specs inside filter their
                     // lanes (partial-tile predication, paper §3.4).
                     self.guards.push(cond.clone());

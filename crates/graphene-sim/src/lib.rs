@@ -11,10 +11,11 @@
 //!   register-fragment semantics of `ldmatrix` and the `mma` tensor
 //!   instructions, validating Graphene's data-to-thread mappings
 //!   element-exactly against the reference math in [`host`].
-//! - **Static analysis + timing** ([`analyze()`](analyze()), [`time_kernel`]) — walks
-//!   the IR to count bytes per memory level (with exact per-warp
-//!   bank-conflict sampling), FLOPs per pipe, and launches, then applies
-//!   a roofline-with-overheads model of the two machines
+//! - **Static analysis + timing** ([`analyze()`](analyze()), [`time_kernel`]) — loops
+//!   over the kernel's access-site table ([`Sites`], one walk of the IR
+//!   shared with `graphene-analysis`) to count bytes per memory level
+//!   (with exact per-warp bank-conflict sampling), FLOPs per pipe, and
+//!   launches, then applies a roofline-with-overheads model of the two machines
 //!   ([`VOLTA_V100`], [`AMPERE_A6000`]). This scales to the paper's
 //!   evaluation sizes and produces the Nsight-Compute-style utilisation
 //!   percentages of Figure 9.
@@ -56,14 +57,15 @@ pub mod plan;
 pub mod prove;
 pub mod replay;
 pub mod run;
+pub mod sites;
 pub mod timing;
 pub mod trace;
 pub mod trace_opt;
 pub mod workspace;
 
 pub use analyze::{
-    analyze, analyze_bound, analyze_cached, exec_lanes, lane_addresses, lane_addresses_cached,
-    sample_conflicts, sample_conflicts_cached, AnalyzeError,
+    analyze, analyze_bound, analyze_cached, exec_lanes, lane_addresses_cached,
+    sample_conflicts_cached, AnalyzeError,
 };
 pub use counters::Counters;
 pub use exec::{
@@ -79,10 +81,11 @@ pub use machine::{machine_for, MachineDesc, AMPERE_A6000, VOLTA_V100};
 pub use plan::{root_len, AddressPlan, BankTally, KernelPlan, PlanCache, RelOffsetsMemo};
 pub use prove::{
     grade_conflicts_cached, linear_site, prove_conflicts_enumerated, prove_conflicts_linear,
-    sample_is_aligned_warp, ConflictGrade, ConflictProvenance, LinearSite,
+    sample_is_aligned_warp, ConflictGrade, ConflictProvenance,
 };
 pub use replay::{replay_opt, replay_opt_with};
 pub use run::{execute_plan, ExecMode};
+pub use sites::{Site, SiteOperand, Sites};
 pub use timing::{time_kernel, time_sequence, KernelProfile};
 pub use trace::{record_trace, Trace, TraceCache, TraceKey};
 pub use trace_opt::{optimize_trace, record_opt_trace, OptStats, OptTrace};

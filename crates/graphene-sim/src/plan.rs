@@ -13,7 +13,8 @@
 //!   relative offsets (shared per [`TensorType`]), and root swizzle.
 //! - [`PlanCache`] — interns [`AddressPlan`]s per tensor view, shared
 //!   by the interpreter, the counter analysis, and `graphene-analysis`'
-//!   race/bank passes (which perform the same per-lane evaluation).
+//!   race/bank passes (which perform the same per-lane evaluation), and
+//!   memoizes the kernel's access-site table ([`crate::sites`]).
 //! - [`KernelPlan`] — a whole kernel lowered to a compiled statement
 //!   tree: atomics matched once, lane enumerations precomputed, operand
 //!   plans resolved to dense buffer references. Execution (see
@@ -21,9 +22,11 @@
 //! - [`BankTally`] — a reusable fixed 32-entry bank-conflict tally
 //!   replacing the per-access `HashMap<i64, HashSet<i64>>`.
 
+use crate::analyze::exec_lanes;
 use crate::exec::ExecError;
+use crate::sites::Sites;
 use graphene_ir::atomic::{match_atomic, registry, AtomicSemantics};
-use graphene_ir::body::{Predicate, Stmt, SyncScope};
+use graphene_ir::body::{Stmt, SyncScope};
 use graphene_ir::printer::render_spec_header;
 use graphene_ir::spec::{Spec, SpecKind};
 use graphene_ir::tensor::{TensorId, TensorType};
@@ -31,6 +34,7 @@ use graphene_ir::{Arch, Kernel, MemSpace, Module};
 use graphene_layout::Swizzle;
 use graphene_sym::{CompiledExpr, EvalError, SlotEnv, SlotMap};
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Buffer length for a root tensor: its cosize, rounded up to a swizzle
@@ -127,24 +131,35 @@ impl AddressPlan {
     }
 }
 
-/// Interns [`AddressPlan`]s per tensor view over one shared [`SlotMap`].
+/// Interns [`AddressPlan`]s per tensor view over one shared [`SlotMap`],
+/// and memoizes the kernel's access-site table ([`Sites`]).
 ///
 /// All plans compiled through one cache agree on slot numbering, so a
 /// single [`SlotEnv`] drives every plan — this is what the race pass,
 /// the bank-conflict lint, and the counter analysis share with the
-/// interpreter.
+/// interpreter. The cache holds one kernel's passes only.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     /// The slot numbering shared by every plan in this cache.
     pub slots: SlotMap,
     plans: HashMap<TensorId, AddressPlan>,
     memo: RelOffsetsMemo,
+    sites: Option<Rc<Sites>>,
 }
 
 impl PlanCache {
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The access-site table of `kernel` on `arch`, built by one walk
+    /// on first use and shared by every later pass.
+    pub fn sites(&mut self, kernel: &Kernel, arch: Arch) -> Rc<Sites> {
+        match &self.sites {
+            Some(s) if s.arch == arch => s.clone(),
+            _ => self.sites.insert(Rc::new(Sites::build(kernel, arch))).clone(),
+        }
     }
 
     /// The plan for view `id`, compiled on first use.
@@ -458,7 +473,7 @@ impl<'k> PlanBuilder<'k> {
                 }
 
                 Stmt::If { cond, then } => {
-                    let thread_dependent = predicate_thread_dependent(cond);
+                    let thread_dependent = cond.thread_dependent();
                     let guard = CGuard {
                         lhs: cond.lhs.compile(&mut self.slots),
                         rhs: cond.rhs.compile(&mut self.slots),
@@ -485,18 +500,10 @@ impl<'k> PlanBuilder<'k> {
             .clone();
         let exec = *spec.exec.last().expect("spec has an execution config");
         let tt = &self.module[exec];
-        let (num_groups, group_size) = (tt.num_groups(), tt.group_size());
-        let lanes = if group_size == 1 {
-            GroupLanes::PerThread((0..num_groups).map(|g| tt.group.value(g)).collect())
-        } else {
-            GroupLanes::Collective(
-                (0..num_groups)
-                    .map(|g| {
-                        let base = tt.group.value(g);
-                        (0..group_size).map(|j| base + tt.local.value(j)).collect()
-                    })
-                    .collect(),
-            )
+        let all = exec_lanes(tt, tt.count() as usize);
+        let lanes = match tt.group_size() as usize {
+            1 => GroupLanes::PerThread(all),
+            n => GroupLanes::Collective(all.chunks(n).map(<[i64]>::to_vec).collect()),
         };
         let mut operand = |id: TensorId| -> COperand {
             let plan = AddressPlan::compile(id, self.module, &mut self.slots, &mut self.memo);
@@ -533,14 +540,9 @@ impl<'k> PlanBuilder<'k> {
     }
 }
 
-/// Whether a predicate mentions `threadIdx.x`.
-fn predicate_thread_dependent(cond: &Predicate) -> bool {
-    cond.lhs.free_vars().iter().chain(cond.rhs.free_vars().iter()).any(|v| v == "threadIdx.x")
-}
-
 /// Unique DRAM footprint `(read, written)` from parameter usage:
 /// every global param read counts once, written params once for writes.
-fn unique_footprint(kernel: &Kernel) -> (u64, u64) {
+pub(crate) fn unique_footprint(kernel: &Kernel) -> (u64, u64) {
     let module = &kernel.module;
     let mut reads: std::collections::HashSet<TensorId> = Default::default();
     let mut writes: std::collections::HashSet<TensorId> = Default::default();

@@ -23,14 +23,13 @@
 //! Accesses admitting neither rule fall back to sampling
 //! ([`ConflictProvenance::Sampled`] via [`grade_conflicts_cached`]).
 
-use crate::analyze::{exec_lanes, lane_addresses_cached, sample_conflicts_cached, AnalyzeError};
+use crate::analyze::{lane_addresses_cached, sample_conflicts_cached, sample_lanes, AnalyzeError};
 use crate::plan::{BankTally, PlanCache};
-use graphene_ir::tensor::TensorId;
+use crate::sites::{Site, SiteOperand};
 use graphene_ir::{Module, ThreadTensor};
-use graphene_layout::{prove_banks, AccessSite};
+use graphene_layout::{prove_banks, xor_vector, AccessSite};
 use graphene_sym::linearize;
-use std::collections::HashMap;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// How a bank-conflict grade was established.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,18 +78,6 @@ impl ConflictGrade {
     }
 }
 
-/// The F₂ abstraction of one shared-memory access: the element-address
-/// columns of its varying bits, ready for [`graphene_layout::prove_banks`]
-/// or swizzle synthesis. Built by [`linear_site`].
-#[derive(Debug, Clone)]
-pub struct LinearSite {
-    /// Columns of the warp-varying bits (lane bits then vector bits),
-    /// in *element* addresses, pre-swizzle.
-    pub site: AccessSite,
-    /// The root tensor's current swizzle.
-    pub swizzle: graphene_layout::Swizzle,
-}
-
 /// Is the lane set a union of aligned 32-thread hardware warps?
 ///
 /// Required by the rank rule: within each aligned warp, `threadIdx.x`
@@ -112,68 +99,27 @@ fn warp_closed(lanes: &[i64]) -> bool {
     warps.len() * 32 == set.len()
 }
 
-/// Verifies `adj` is XOR-decomposable over its index bits and returns
-/// the basis deltas: `adj[i] == adj[0] ⊕ ⨁_{bit k of i} deltas[k]`.
-fn xor_decompose(adj: &[i64]) -> Option<Vec<i64>> {
-    let n = adj.len();
-    if n == 0 || !n.is_power_of_two() {
-        return None;
-    }
-    let v = n.trailing_zeros() as usize;
-    let deltas: Vec<i64> = (0..v).map(|k| adj[1 << k] ^ adj[0]).collect();
-    for (i, &a) in adj.iter().enumerate() {
-        let mut expect = adj[0];
-        for (k, &d) in deltas.iter().enumerate() {
-            if (i >> k) & 1 == 1 {
-                expect ^= d;
-            }
-        }
-        if expect != a {
-            return None;
-        }
-    }
-    Some(deltas)
-}
-
-/// Abstracts view `id`'s access under exec `tt` into its F₂ columns.
+/// Abstracts operand `op`'s access by `lanes` into its F₂ columns: the
+/// element-address images (pre-swizzle) of its warp-varying bits, lane
+/// bits then vector bits, ready for [`graphene_layout::prove_banks`] or
+/// swizzle synthesis under the root's swizzle.
 ///
 /// Returns `None` when the access is not provably XOR-affine: the offset
-/// fails to linearize, the lane set is not warp-closed, the relative
-/// offsets don't XOR-decompose, or carry-freedom between the base and the
-/// relative offsets cannot be established.
+/// fails to linearize, the lane set is not warp-closed, or the relative
+/// offsets don't form an XOR vector part ([`xor_vector`]: decomposable
+/// and carry-free against the base).
 pub fn linear_site(
     plans: &mut PlanCache,
-    id: TensorId,
     module: &Module,
-    tt: &ThreadTensor,
-    bytes_per: u64,
-) -> Option<LinearSite> {
-    let form = linearize(&module[id].offset)?;
-    if !warp_closed(&exec_lanes(tt, tt.count() as usize)) {
+    op: &SiteOperand,
+    lanes: &[i64],
+) -> Option<AccessSite> {
+    let form = linearize(&module[op.view].offset)?;
+    if !warp_closed(lanes) {
         return None;
     }
-    let plan = plans.plan(id, module).clone();
-
-    // Fold the form's constant into the relative offsets: adj[j] is the
-    // address when every variable bit is zero.
-    let mut adj = Vec::with_capacity(plan.rel.len());
-    for &o in plan.rel.iter() {
-        let a = form.constant.checked_add(o)?;
-        if a < 0 {
-            return None;
-        }
-        adj.push(a);
-    }
-    let deltas = xor_decompose(&adj)?;
-
-    // Carry-freedom between base and relative parts: the variable part
-    // of the base is a subset-XOR of pairwise-disjoint masks, so its
-    // support is within the OR of all masks; the adjusted offsets must
-    // stay clear of it for `base + rel` to equal `base ⊕ rel`.
-    let masks_all = form.terms.iter().fold(0i64, |m, t| m | t.mask);
-    if adj.iter().fold(0i64, |m, &a| m | a) & masks_all != 0 {
-        return None;
-    }
+    let plan = plans.plan(op.view, module);
+    let (_, deltas) = xor_vector(form.constant, form.terms.iter().map(|t| t.mask), &plan.rel)?;
 
     // Varying columns: the warp-lane bits of threadIdx.x (bits 0–4; a
     // dropped bit is a genuine zero column — a broadcast) plus the
@@ -182,25 +128,21 @@ pub fn linear_site(
     let mut columns: Vec<i64> =
         form.terms.iter().filter(|t| t.var == "threadIdx.x" && t.bit < 5).map(|t| t.mask).collect();
     columns.extend(deltas);
-    if bytes_per == 0 {
+    if op.bytes_per == 0 {
         return None;
     }
-    Some(LinearSite {
-        site: AccessSite { columns, bytes_per: bytes_per as i64 },
-        swizzle: plan.swizzle,
-    })
+    Some(AccessSite { columns, bytes_per: op.bytes_per as i64 })
 }
 
 /// Rule 1: proves the grade by the F₂ rank condition, or `None`.
 pub fn prove_conflicts_linear(
     plans: &mut PlanCache,
-    id: TensorId,
     module: &Module,
-    tt: &ThreadTensor,
-    bytes_per: u64,
+    op: &SiteOperand,
+    lanes: &[i64],
 ) -> Option<ConflictGrade> {
-    let ls = linear_site(plans, id, module, tt, bytes_per)?;
-    let proof = prove_banks(&ls.site, ls.swizzle)?;
+    let site = linear_site(plans, module, op, lanes)?;
+    let proof = prove_banks(&site, plans.plan(op.view, module).swizzle)?;
     Some(ConflictGrade {
         ideal: proof.ideal() as u64,
         actual: proof.actual() as u64,
@@ -212,30 +154,27 @@ pub fn prove_conflicts_linear(
 /// product worth exhausting before the proof stops paying for itself.
 const MAX_LOOP_COMBOS: i64 = 1024;
 
-/// Rule 2: proves the grade by enumerating every hardware warp of the
-/// access, or `None`. Reports the worst warp.
+/// Rule 2: proves the grade of operand `op` of `site` by enumerating
+/// every hardware warp of the access, or `None`. Reports the worst warp.
 ///
-/// The offset may depend on `threadIdx.x` and on loop counters listed
-/// in `loops` (as `(var, extent)` pairs from the enclosing `for`
-/// nesting): every combination of loop values is enumerated — a
+/// The offset may depend on `threadIdx.x` and on the site's enclosing
+/// loop counters: every combination of loop values is enumerated — a
 /// complete case analysis, not a sample — up to a budget of
 /// [`MAX_LOOP_COMBOS`] combinations. Iteration-independent offsets
 /// (`threadIdx.x` only) enumerate exactly once.
-#[allow(clippy::too_many_arguments)]
 pub fn prove_conflicts_enumerated(
     plans: &mut PlanCache,
     tally: &mut BankTally,
-    id: TensorId,
     module: &Module,
-    tt: &ThreadTensor,
+    site: &Site,
+    op: &SiteOperand,
     env: &HashMap<String, i64>,
-    loops: &[(String, i64)],
-    bytes_per: u64,
 ) -> Option<ConflictGrade> {
-    let free = module[id].offset.free_vars();
+    let free = module[op.view].offset.free_vars();
     // Loop counters the offset actually reads; everything else must be
     // the thread id, or the enumeration would not be exhaustive.
-    let used: Vec<(&str, i64)> = loops
+    let used: Vec<(&str, i64)> = site
+        .loops
         .iter()
         .filter(|(v, _)| free.iter().any(|f| f == v))
         .map(|(v, e)| (v.as_str(), *e))
@@ -255,21 +194,15 @@ pub fn prove_conflicts_enumerated(
     }
     // Hardware issue groups: collective specs issue per exec group, the
     // per-thread ones per aligned 32-thread warp.
-    let groups: Vec<Vec<i64>> = if tt.group_size() > 1 {
-        (0..tt.num_groups())
-            .map(|g| {
-                let base = tt.group.value(g);
-                (0..tt.group_size()).map(|j| base + tt.local.value(j)).collect()
-            })
-            .collect()
+    let group_size = module[site.exec].group_size() as usize;
+    let groups: Vec<Vec<i64>> = if group_size > 1 {
+        site.lanes.chunks(group_size).map(<[i64]>::to_vec).collect()
     } else {
-        let mut by_warp: HashMap<i64, Vec<i64>> = HashMap::new();
-        for l in exec_lanes(tt, tt.count() as usize) {
+        let mut by_warp: BTreeMap<i64, Vec<i64>> = BTreeMap::new();
+        for &l in site.lanes.iter() {
             by_warp.entry(l >> 5).or_default().push(l);
         }
-        let mut warps: Vec<_> = by_warp.into_iter().collect();
-        warps.sort_unstable_by_key(|(w, _)| *w);
-        warps.into_iter().map(|(_, ls)| ls).collect()
+        by_warp.into_values().collect()
     };
     let mut env = env.clone();
     let mut worst: Option<(u64, u64)> = None;
@@ -280,10 +213,10 @@ pub fn prove_conflicts_enumerated(
             rem /= e;
         }
         for warp in &groups {
-            let per_lane = lane_addresses_cached(plans, id, module, warp, &env).ok()?;
+            let per_lane = lane_addresses_cached(plans, op.view, module, warp, &env).ok()?;
             for (_, addrs) in &per_lane {
                 for &a in addrs {
-                    tally.add_addr(a, bytes_per);
+                    tally.add_addr(a, op.bytes_per);
                 }
             }
             let (ideal, actual) = tally.grade();
@@ -306,47 +239,39 @@ pub fn prove_conflicts_enumerated(
 }
 
 /// `true` when the representative lane set that
-/// [`sample_conflicts_cached`] grades is exactly one aligned hardware
-/// warp — in that case a linear proof's grade coincides with the sampled
-/// grade and can replace it without changing any counter.
+/// [`sample_conflicts_cached`] grades is exactly one
+/// aligned hardware warp — in that case a linear proof's grade
+/// coincides with the sampled grade and can replace it without changing
+/// any counter.
 pub fn sample_is_aligned_warp(tt: &ThreadTensor) -> bool {
-    // Mirror of the representative-lane choice in
-    // `sample_conflicts_cached`.
-    let lanes: Vec<i64> = if tt.group_size() == 1 {
-        (0..tt.num_groups().min(32)).map(|g| tt.group.value(g)).collect()
-    } else {
-        let base = tt.group.value(0);
-        (0..tt.group_size().min(32)).map(|j| base + tt.local.value(j)).collect()
-    };
+    let lanes = sample_lanes(tt);
     lanes.len() == 32 && warp_closed(&lanes)
 }
 
-/// Grades a shared-memory access with the strongest available method:
-/// the F₂ rank proof, then exhaustive warp enumeration, then one-warp
-/// sampling.
+/// Grades shared-memory operand `op` of `site` with the strongest
+/// available method: the F₂ rank proof, then exhaustive warp
+/// enumeration, then one-warp sampling under `env`.
 ///
 /// # Errors
 ///
 /// See [`AnalyzeError`] (sampling fallback only; proofs never error).
-#[allow(clippy::too_many_arguments)]
 pub fn grade_conflicts_cached(
     plans: &mut PlanCache,
     tally: &mut BankTally,
-    id: TensorId,
     module: &Module,
-    tt: &ThreadTensor,
+    site: &Site,
+    op: &SiteOperand,
     env: &HashMap<String, i64>,
-    loops: &[(String, i64)],
-    bytes_per: u64,
 ) -> Result<ConflictGrade, AnalyzeError> {
-    if let Some(g) = prove_conflicts_linear(plans, id, module, tt, bytes_per) {
+    if let Some(g) = prove_conflicts_linear(plans, module, op, &site.lanes) {
         return Ok(g);
     }
-    if let Some(g) = prove_conflicts_enumerated(plans, tally, id, module, tt, env, loops, bytes_per)
-    {
+    if let Some(g) = prove_conflicts_enumerated(plans, tally, module, site, op, env) {
         return Ok(g);
     }
-    let (ideal, actual) = sample_conflicts_cached(plans, tally, id, module, tt, env, bytes_per)?;
+    let tt = &module[site.exec];
+    let (ideal, actual) =
+        sample_conflicts_cached(plans, tally, op.view, module, tt, env, op.bytes_per)?;
     Ok(ConflictGrade { ideal, actual, provenance: ConflictProvenance::Sampled })
 }
 
@@ -365,17 +290,5 @@ mod tests {
         assert!(!warp_closed(&[]));
         let second_warp: Vec<i64> = (32..64).collect();
         assert!(warp_closed(&second_warp));
-    }
-
-    #[test]
-    fn xor_decomposition() {
-        // Contiguous vector: deltas are powers of two.
-        assert_eq!(xor_decompose(&[0, 1, 2, 3]), Some(vec![1, 2]));
-        // Strided vector.
-        assert_eq!(xor_decompose(&[5, 13]), Some(vec![8]));
-        // Arithmetic but not XOR-decomposable: 0,3,6,9 (3 ^ 6 != 5).
-        assert_eq!(xor_decompose(&[0, 3, 6, 9]), None);
-        // Non-power-of-two length.
-        assert_eq!(xor_decompose(&[0, 1, 2]), None);
     }
 }

@@ -66,15 +66,22 @@ impl Json {
     }
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so a bound keeps a hostile document
+/// (a request line of 10,000 `[`) from overflowing a worker thread's
+/// stack, which no `catch_unwind` could recover from.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 ///
 /// # Errors
 ///
-/// Returns a position-annotated message on malformed input.
+/// Returns a position-annotated message on malformed input, or on
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -98,8 +105,12 @@ fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which `depth` arrays or objects enclose.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -114,7 +125,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 skip_ws(b, pos);
                 let key = parse_string(b, pos)?;
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 fields.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -136,7 +147,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -273,5 +284,24 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("nope").is_err());
+    }
+
+    /// A 10,000-level document is rejected, naming the limit, on a
+    /// 2 MiB stack (a daemon worker's); exactly the limit parses.
+    #[test]
+    fn bounds_nesting_depth_on_a_worker_sized_stack() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let run = std::thread::Builder::new().stack_size(2 << 20).spawn(move || {
+            let deep = format!("{{\"id\":1,\"cmd\":\"stats\",\"x\":{}}}", nested(10_000));
+            let err = parse(&deep).expect_err("10,000 levels");
+            assert!(err.contains(&format!("deeper than {MAX_DEPTH} levels")), "{err}");
+            let mut v = parse(&nested(MAX_DEPTH)).expect("exactly the limit parses");
+            for _ in 1..MAX_DEPTH {
+                v = v.as_arr().expect("array")[0].clone();
+            }
+            assert_eq!(v, Json::Arr(Vec::new()));
+            assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        });
+        run.expect("spawn").join().expect("parser thread");
     }
 }

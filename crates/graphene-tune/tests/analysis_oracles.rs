@@ -626,3 +626,134 @@ fn planted_races_agree_with_eager_per_pair_walk() {
     }
     assert!(reported > 0, "deleted barriers must race");
 }
+
+// ---------------------------------------------------------------------
+// Pinned outputs: every analysis surface of every kernel above
+// ---------------------------------------------------------------------
+
+/// 64-bit FNV-1a.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// One line per kernel of [`all_kernels`], in order: index, arch,
+/// kernel name, then the FNV-1a of the `lint --emit=json` document, of
+/// the proof report's JSON and text renderings, of the `Debug` of the
+/// static counters, and of the swizzles synthesized for every shared
+/// root (GEMM kernels only; `0` elsewhere).
+const ANALYSIS_PINS: &str = "\
+00 Sm86 graphene_gemm_sm86_gemm 9c7742f3cb26e984 8de1d0824ab7754d ae19325d4bca07a2 c9be7f198ddd9561 d428c30c7375c122
+01 Sm86 graphene_gemm_sm86_double_buffered c9bd6b9ba201b55f f12891a0f3f4ec8d 31297fcfe3f25918 21b56a474ae58c3b 69e75f2ec684b700
+02 Sm86 graphene_fused_mlp_4l eabffa8f75a09d49 5d2ebb0844768126 2b26403da2628c8d 135718f139066cf1 0000000000000000
+03 Sm86 graphene_fused_lstm d5060862fcb896c4 12d29f0c25ee8fb5 4264bb5b1e8f02cc 6a1ec0e729facfb7 0000000000000000
+04 Sm86 graphene_layernorm 6b2175143c0f6403 4499ad16c657f8b8 c0a4ca6ee5609075 af3b43f5ae82cd67 0000000000000000
+05 Sm86 graphene_softmax 46a8bf464cfd721a b07733c385c9f84c 5e2ef15c7098ebfd 1e3c89d763f6b790 0000000000000000
+06 Sm86 graphene_fused_fmha 5b0184d0955d4650 841634abcde1bbd9 d4b44ec7194f48c3 b90db21382acaed3 0000000000000000
+07 Sm70 graphene_gemm_sm70_gemm 09cfedaee0301e87 ceca5df699babd5d aaaafd3e47c160c3 1b719a8cb7b1e9ec 93db1b746089b821
+08 Sm70 graphene_fused_mlp_4l 93fb3d6072485467 a135299256a64175 2994281c452c3dbb af7cfdc7aefac521 0000000000000000
+09 Sm70 graphene_fused_lstm 78064e4e75318947 95460e6e2fd8ff62 b96879d60862cf41 33b35ba8592e0291 0000000000000000
+10 Sm70 graphene_layernorm 6b2175143c0f6403 4499ad16c657f8b8 c0a4ca6ee5609075 af3b43f5ae82cd67 0000000000000000
+11 Sm70 graphene_softmax 46a8bf464cfd721a b07733c385c9f84c 5e2ef15c7098ebfd 1e3c89d763f6b790 0000000000000000
+12 Sm86 graphene_gemm_sm86_double_buffered c9bd6b9ba201b55f 9ff65050e888b142 372e5cea5f76b10b 16c841cb3e099b2a 90ad859e96772bfe
+13 Sm86 graphene_gemm_sm86_gemm 9c7742f3cb26e984 012dd0744b25b98c 2d076620e75432cd c171cb32f658065b d428c30c7375c122
+14 Sm86 graphene_gemm_sm86_gemm 9c7742f3cb26e984 88a4e7100d8db397 315459c54df62a67 150550faf6b95157 326374f11587fcc3
+15 Sm86 graphene_gemm_sm86_double_buffered bc009ab30c40d01a 6e2b018b5e685fee 899cf57d0bfde4d8 d41b07bfcb11a355 89e409ee3b3dc6a2
+16 Sm86 graphene_gemm_sm86_double_buffered c9bd6b9ba201b55f 810b95ae45d4e640 e657e70aac7e3bf7 2d04865ecfbd4dff 77b20ca3ef788100
+17 Sm86 graphene_gemm_sm86_double_buffered c9bd6b9ba201b55f 91c6468d7a633d65 69f12895a5961301 6ea3dd4d5d925faa c7bf718499df78b6
+18 Sm86 graphene_gemm_sm86_double_buffered c9bd6b9ba201b55f 4d80ff145963cf24 69ae3e0e2b6c7c1d b51abeccc0024de7 bf4b2df9efdb24d4
+19 Sm86 graphene_gemm_sm86_gemm 9c7742f3cb26e984 4c57df28e026590d 79abce87710858dc 830f4f5bf6d1ec8b 7a8ee249fe1b0c8a
+20 Sm86 graphene_gemm_sm86_gemm 9c7742f3cb26e984 034b8fe9d4b4c833 75b8a14120d3b8a2 2b4a2c4672a85325 75c550795e182e29
+21 Sm86 graphene_gemm_sm86_gemm 9c7742f3cb26e984 fc1bc94a74a9a384 78d21af21aa6aef7 6869e47f56f345df 808e2077825c9b3a
+22 Sm86 graphene_gemm_sm86_double_buffered c9bd6b9ba201b55f f18ea22ad47b2e50 0c3c4b6c85379b17 375f1a963cf27977 ea57e41c773552ce
+23 Sm86 graphene_gemm_sm86_double_buffered c9bd6b9ba201b55f 7feab718babe1f13 d14d1453366a632c 16f76d3013833f82 bec89ef5e77b91e0
+24 Sm86 graphene_gemm_sm86_gemm 9c7742f3cb26e984 4739b293cf301bac 8b87f4d585615282 81148636be1c8302 808e2077825c9b3a
+25 Sm86 graphene_gemm_sm86_gemm 9c7742f3cb26e984 ec139ba56a24ea98 9b709f3634f769d6 2b0749e0439b5972 8f1eaf796c45aa44
+26 Sm86 graphene_gemm_sm86_gemm 9c7742f3cb26e984 3da2e062440d7d98 3c54282f1e9ecb5a 733d220b425a18ea 1eab8451be2841ff
+27 Sm86 graphene_gemm_sm86_double_buffered c9bd6b9ba201b55f f7dcb32efde848c3 a022347860690360 cc451dd6fff69a22 bf4b2df9efdb24d4
+28 Sm86 graphene_gemm_sm86_double_buffered c9bd6b9ba201b55f 194e235eba6ebdae b3093f88af60e797 ed4d57f70337d426 ac005f663c8bbcc2
+29 Sm86 graphene_gemm_sm86_gemm 9c7742f3cb26e984 0bdca81beeb90617 24a6cb620b2f0506 c97c66ca2a218f57 ca6250ac28538026
+30 Sm86 graphene_gemm_sm86_double_buffered c9bd6b9ba201b55f 0068c74b984ca6fc 52fa9ce0e4e15edf 32a86b89dc38a058 ea57e41c773552ce
+31 Sm86 graphene_gemm_sm86_double_buffered c9bd6b9ba201b55f f7601a39db8e29ee eb1e5088d1db6037 72416d487017ab1c 7d83d1410e03b4de
+32 Sm86 graphene_fused_fmha e592f99e6d3fb141 e4760746a03d6231 1c640bb9cdb2efed 06498965be169dfc 0000000000000000
+33 Sm86 graphene_fused_fmha d296da7fcd394522 ddbead5e47b08aae 4ca9dfa5d3461b2e 6c29de06b679285f 0000000000000000
+34 Sm86 graphene_fused_fmha 7f987b0c0326cd25 1f0b18bfe90e7f22 bbb27e63e6dfce80 367d776e2cc8eea1 0000000000000000
+35 Sm86 graphene_fused_fmha dbe5e1b56e24718a aa78b6594aabd855 982eb0ba67ffbabb c9b9a232d243003c 0000000000000000
+36 Sm86 graphene_fused_fmha c37dfaa4bc3c87ad 9ef81144f7d1e8f8 188132ad87806f50 9bb5e1df82c3a554 0000000000000000
+37 Sm86 graphene_fused_fmha 658a746d9ec9cdbc 11e47eebe87d1fe7 823712cfcf6fa48b 1af3960fe8130672 0000000000000000
+38 Sm86 graphene_fused_fmha 62f54e38c56a9ba3 555d3c6e6671b18a f3a3adc93c6b8760 d5c1d839e706a53a 0000000000000000
+39 Sm86 graphene_fused_fmha d296da7fcd394522 6aa16e49e0fe6c6f dacadd909619ce75 102a4f2b782e88ae 0000000000000000
+40 Sm86 graphene_fused_mlp_2l 24c113275e4733ca c0c9b144c3e2f622 f919712d05b9c6f0 107c3b2d50784463 0000000000000000
+41 Sm86 graphene_fused_mlp_2l a3f32d0a676b8430 3fcefea85dfb1746 793b2aa14498c03e e7525f8f4108d39c 0000000000000000
+42 Sm86 graphene_fused_mlp_2l 66be929a94a2b522 03bc7b55a2d211b0 03d960fef66525b2 30f0a97ba786c060 0000000000000000
+43 Sm86 graphene_fused_mlp_2l 9f1d4848fec2c279 22d0e6bb68c52681 4ca49cc7b9971e57 cef433848d1b5698 0000000000000000
+44 Sm86 graphene_fused_mlp_2l 7efbea0684a59cef ec857cb6aacbf263 b2be086271f04b61 46077ca0846cb72c 0000000000000000
+45 Sm86 graphene_fused_mlp_2l 7c63baa2d9a5631c f83779aa9e613062 f89245d277e258a0 4b5cce7fe1cf7061 0000000000000000
+46 Sm86 graphene_fused_mlp_2l 068cbad803f2975d c3cbe5fe300f3737 a55b670438ac5c0a 1ecf87ae6a8bf015 0000000000000000
+47 Sm86 graphene_fused_mlp_2l 8270887ee51f56c8 ce18f4de95c3793f 1db6ee7539f96059 ee435ea491c648e9 0000000000000000
+48 Sm86 graphene_fused_mlp_2l 79749f66ee8777df 35a2aac48f0c5042 264aaf7a38001bfa 173da6d1ce2995c4 0000000000000000
+49 Sm86 graphene_fused_mlp_2l 23a7d80600699d24 546f64fd5522d7f8 75db6034dd67c750 18d5f473fd690846 0000000000000000
+50 Sm86 graphene_fused_mlp_2l 45d3fe819afee723 842f6b9a2886a16e 2c1328eed0e94b79 355ec8759f0be2c7 0000000000000000
+51 Sm86 graphene_fused_mlp_2l 2bd7843ec3bf6f72 343250b2560ea169 1659f3672d3ea57f 31240835c34ec0e0 0000000000000000
+52 Sm86 graphene_fused_mlp_2l 0e0c695f76007a1d 4da6dc80c27a4e2a 45aaa9ed5547e6e4 f953a105cbf2e373 0000000000000000
+53 Sm86 graphene_fused_mlp_2l 63941ff3ad68adbe f7b10ffea0b4bf06 6efe810802cdd732 a02b1015fafc9f8c 0000000000000000
+54 Sm86 graphene_layernorm 6b2175143c0f6403 4499ad16c657f8b8 c0a4ca6ee5609075 af3b43f5ae82cd67 0000000000000000
+55 Sm86 graphene_layernorm 6b2175143c0f6403 4499ad16c657f8b8 c0a4ca6ee5609075 af3b43f5ae82cd67 0000000000000000
+56 Sm86 graphene_layernorm 6b2175143c0f6403 4499ad16c657f8b8 c0a4ca6ee5609075 af3b43f5ae82cd67 0000000000000000
+57 Sm86 graphene_layernorm 6b2175143c0f6403 4499ad16c657f8b8 c0a4ca6ee5609075 af3b43f5ae82cd67 0000000000000000
+58 Sm86 graphene_layernorm 6b2175143c0f6403 4499ad16c657f8b8 c0a4ca6ee5609075 af3b43f5ae82cd67 0000000000000000
+";
+
+/// The pin line of one kernel, computed by the public entry points.
+fn analysis_pin_line(i: usize, arch: Arch, kernel: &Kernel) -> String {
+    use graphene_analysis::prove::{prove_kernel, synthesize_for_root};
+    let lint = graphene_analysis::render_json(
+        &kernel.name,
+        &graphene_analysis::analyze_kernel(kernel, arch),
+    );
+    let proof = prove_kernel(kernel, arch);
+    let counters = format!("{:?}", graphene_sim::analyze(kernel, arch));
+    let synth = if kernel.name.contains("gemm") {
+        let module = &kernel.module;
+        let mut plans = PlanCache::new();
+        let swizzles: Vec<String> = module
+            .tensors()
+            .filter(|&(id, d)| module.root_of(id) == id && d.mem == MemSpace::Shared)
+            .map(|(id, d)| {
+                format!("{}={:?}", d.name, synthesize_for_root(kernel, arch, id, &mut plans))
+            })
+            .collect();
+        fnv1a(&swizzles.join(";"))
+    } else {
+        0
+    };
+    format!(
+        "{i:02} {arch:?} {} {:016x} {:016x} {:016x} {:016x} {synth:016x}\n",
+        kernel.name,
+        fnv1a(&lint),
+        fnv1a(&proof.render_json()),
+        fnv1a(&proof.render_text()),
+        fnv1a(&counters),
+    )
+}
+
+/// Lint diagnostics, proof reports, static counters and synthesized
+/// swizzles stay byte-identical across refactors of the analyses. On a
+/// mismatch the test prints every moved line and the whole table.
+#[test]
+fn analysis_outputs_match_their_pinned_fingerprints() {
+    let table: String = all_kernels()
+        .iter()
+        .enumerate()
+        .map(|(i, (arch, k))| analysis_pin_line(i, *arch, k))
+        .collect();
+    let moved: Vec<&str> =
+        table.lines().filter(|l| !ANALYSIS_PINS.lines().any(|p| p == *l)).collect();
+    assert_eq!(table.lines().count(), ANALYSIS_PINS.lines().count(), "pin table:\n{table}");
+    assert!(
+        moved.is_empty(),
+        "{} pin(s) moved:\n{}\npin table:\n{table}",
+        moved.len(),
+        moved.join("\n")
+    );
+}
