@@ -30,6 +30,7 @@ pub enum UnaryOp {
 impl UnaryOp {
     /// Applies the operation to an `f64` value (reference semantics for
     /// the simulator).
+    #[inline]
     pub fn apply(self, x: f64) -> f64 {
         match self {
             UnaryOp::Exp => x.exp(),
@@ -89,6 +90,7 @@ pub enum BinaryOp {
 
 impl BinaryOp {
     /// Applies the operation (reference semantics for the simulator).
+    #[inline]
     pub fn apply(self, a: f64, b: f64) -> f64 {
         match self {
             BinaryOp::Add => a + b,

@@ -36,9 +36,13 @@ impl Connection {
     /// (reported as `UnexpectedEof` — e.g. after it finished
     /// draining).
     pub fn request(&mut self, line: &str) -> io::Result<String> {
-        let stream = self.reader.get_mut();
-        stream.write_all(line.trim_end().as_bytes())?;
-        stream.write_all(b"\n")?;
+        // Line and newline in one write: a server that answers and
+        // closes before reading must not fail a second write with
+        // EPIPE before its answer is read.
+        let mut msg = String::with_capacity(line.len() + 1);
+        msg.push_str(line.trim_end());
+        msg.push('\n');
+        self.reader.get_mut().write_all(msg.as_bytes())?;
         let mut resp = String::new();
         let n = self.reader.read_line(&mut resp)?;
         if n == 0 {

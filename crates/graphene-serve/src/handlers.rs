@@ -108,7 +108,8 @@ fn trace_opt_json(st: &OptStats) -> String {
     format!(
         "{{\"coalesced_fraction\":{:.4},\"bytes_before\":{},\"bytes_after\":{},\
          \"steps_before\":{},\"steps_after\":{},\"dead_fills\":{},\"fused_steps\":{},\
-         \"gather_addrs\":{},\"pattern_addrs\":{},\"folded_mmas\":{},\"mma_tiles\":{}}}",
+         \"gather_addrs\":{},\"pattern_addrs\":{},\"folded_mmas\":{},\"mma_tiles\":{},\
+         \"row_copies\":{},\"row_copy_elems\":{}}}",
         st.coalesced_fraction(),
         st.bytes_before,
         st.bytes_after,
@@ -119,7 +120,9 @@ fn trace_opt_json(st: &OptStats) -> String {
         st.gather_addrs,
         st.pattern_addrs,
         st.folded_mmas,
-        st.mma_tiles
+        st.mma_tiles,
+        st.row_copies,
+        st.row_copy_elems
     )
 }
 

@@ -364,6 +364,8 @@ impl GraphTrace {
             agg.bytes_after += s.bytes_after;
             agg.folded_mmas += s.folded_mmas;
             agg.mma_tiles += s.mma_tiles;
+            agg.row_copies += s.row_copies;
+            agg.row_copy_elems += s.row_copy_elems;
         }
         agg
     }

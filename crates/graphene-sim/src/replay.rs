@@ -18,6 +18,7 @@ use crate::counters::Counters;
 use crate::exec::{ExecError, ExecOutcome};
 use crate::run::{fan_out, initial_globals, Cta, ExecMode};
 use crate::trace_opt::{LaneRef, OTp, OptTrace, Span};
+use graphene_ir::ops::{BinaryOp, UnaryOp};
 use std::collections::HashMap;
 
 use graphene_ir::tensor::TensorId;
@@ -159,7 +160,34 @@ macro_rules! dispatch_span {
                 let mut $it = GatA { g: $g, i: start as usize, base: base as usize };
                 $body
             }
+            Span::Rows { .. } => unreachable!("row spans replay through `copy_rows` only"),
         }
+    };
+}
+
+/// Runs `$body` with `$op` rebound to the constant op it holds, once
+/// per op, so the row loops in `$body` carry no per-element dispatch on
+/// the op and can vectorize. The arithmetic is still `apply`'s.
+macro_rules! fix_op {
+    ($op:ident: $ty:ident [$($v:ident),+], $body:expr) => {
+        match $op {
+            $($ty::$v => {
+                let $op = $ty::$v;
+                $body
+            })+
+        }
+    };
+}
+
+macro_rules! fix_unary {
+    ($op:ident, $body:expr) => {
+        fix_op!($op: UnaryOp [Exp, Relu, Tanh, Sigmoid, Gelu, Neg, Rsqrt, Sqrt, Recip, Identity], $body)
+    };
+}
+
+macro_rules! fix_binary {
+    ($op:ident, $body:expr) => {
+        fix_op!($op: BinaryOp [Add, Sub, Mul, Div, Max, Min], $body)
     };
 }
 
@@ -226,42 +254,52 @@ macro_rules! each_lane {
     };
 }
 
-/// Row decomposition of a span whose rows are contiguous: element `i`
-/// lives at `start + (i/per)*row_step + i%per`. Affine stride-1 spans
-/// are one row of length `n`; `Lanes` stride-1 spans are `n/per` rows.
-/// These are the spans the bulk (`copy_from_slice` / slice-loop) arms
-/// can service.
+/// The length of the contiguous rows span `s` splits into over `n`
+/// elements — `n` for a contiguous span, `per` for a stride-1 lane grid,
+/// `len` for a row span — or `None` when it has no such shape. Element
+/// `i` of a row starting at `r` lives at `s.at(g, r) + i`.
 #[inline]
-fn rows1(s: Span, n: usize) -> Option<(i64, i64, usize)> {
+fn row_len(s: Span, n: usize) -> Option<usize> {
     match s {
-        Span::Affine { base, stride: 1 } => Some((i64::from(base), n as i64, n.max(1))),
-        Span::Lanes { base, lane, stride: 1, per } if per > 0 && n.is_multiple_of(per as usize) => {
-            Some((i64::from(base), i64::from(lane), per as usize))
+        Span::Affine { stride: 1, .. } => Some(n.max(1)),
+        Span::Lanes { stride: 1, per, .. } | Span::Rows { len: per, .. }
+            if per > 0 && n.is_multiple_of(per as usize) =>
+        {
+            Some(per as usize)
         }
         _ => None,
     }
 }
 
+/// The chunk length that keeps every span of `spans` contiguous: the
+/// shortest row, when it divides the others.
+#[inline]
+fn chunk_len(spans: &[Span], n: usize) -> Option<usize> {
+    let mut lens = [0usize; 3];
+    for (l, &s) in lens.iter_mut().zip(spans) {
+        *l = row_len(s, n)?;
+    }
+    let lens = &lens[..spans.len()];
+    let rp = *lens.iter().min()?;
+    lens.iter().all(|l| l.is_multiple_of(rp)).then_some(rp)
+}
+
 /// Walks two row-contiguous spans in matched chunks — `f(sa, da, len)`
 /// with both ranges contiguous — or returns `false` untouched when
-/// either span has no contiguous-row shape. The chunk length is the
-/// smaller `per`, so a long source row can feed several short
-/// destination rows and vice versa.
+/// either span has no contiguous-row shape or the chunks are short
+/// pieces of a longer step (under 8, where a slice loop loses to the
+/// element walk). A long source row can feed several short destination
+/// rows and vice versa.
 #[inline]
-fn chunks2<F: FnMut(usize, usize, usize)>(sa: Span, da: Span, n: usize, mut f: F) -> bool {
-    let (Some((s0, sl, sp)), Some((d0, dl, dp))) = (rows1(sa, n), rows1(da, n)) else {
+fn chunks2<F>(sa: Span, da: Span, g: &[u32], n: usize, mut f: F) -> bool
+where
+    F: FnMut(usize, usize, usize),
+{
+    let Some(rp) = chunk_len(&[sa, da], n).filter(|&rp| rp >= 8 || rp == n) else {
         return false;
     };
-    let rp = sp.min(dp);
-    if rp == 0 || sp % rp != 0 || dp % rp != 0 || (rp < 8 && rp != n) {
-        return false;
-    }
-    let mut i = 0usize;
-    while i < n {
-        let s = s0 + (i / sp) as i64 * sl + (i % sp) as i64;
-        let d = d0 + (i / dp) as i64 * dl + (i % dp) as i64;
-        f(s as usize, d as usize, rp);
-        i += rp;
+    for i in (0..n).step_by(rp) {
+        f(sa.at(g, i), da.at(g, i), rp);
     }
     true
 }
@@ -272,27 +310,53 @@ fn chunks3<F: FnMut(usize, usize, usize, usize)>(
     aa: Span,
     ba: Span,
     ca: Span,
+    g: &[u32],
     n: usize,
     mut f: F,
 ) -> bool {
-    let (Some((a0, al, ap)), Some((b0, bl, bp)), Some((c0, cl, cp))) =
-        (rows1(aa, n), rows1(ba, n), rows1(ca, n))
+    let Some(rp) = chunk_len(&[aa, ba, ca], n).filter(|&rp| rp >= 8 || rp == n) else {
+        return false;
+    };
+    for i in (0..n).step_by(rp) {
+        f(aa.at(g, i), ba.at(g, i), ca.at(g, i), rp);
+    }
+    true
+}
+
+/// Copies a copy in canonical order — row spans of one length on both
+/// sides — one row per fixed-size `copy_from_slice`, or returns `false`
+/// untouched for any other pair of spans.
+#[inline]
+fn copy_rows(s: &[f32], d: &mut [f32], sa: Span, da: Span, g: &[u32], n: usize) -> bool {
+    let (Span::Rows { base: sb, start: ss, len }, Span::Rows { base: db, start: ds, len: dl }) =
+        (sa, da)
     else {
         return false;
     };
-    let rp = ap.min(bp).min(cp);
-    if rp == 0 || ap % rp != 0 || bp % rp != 0 || cp % rp != 0 || (rp < 8 && rp != n) {
-        return false;
-    }
-    let mut i = 0usize;
-    while i < n {
-        let a = a0 + (i / ap) as i64 * al + (i % ap) as i64;
-        let b = b0 + (i / bp) as i64 * bl + (i % bp) as i64;
-        let c = c0 + (i / cp) as i64 * cl + (i % cp) as i64;
-        f(a as usize, b as usize, c as usize, rp);
-        i += rp;
+    let rows = n / len as usize;
+    let src = (sb as usize, &g[ss as usize..ss as usize + rows]);
+    let dst = (db as usize, &g[ds as usize..ds as usize + rows]);
+    match (len, dl) {
+        (8, 8) => copy_rows_of::<8>(s, d, src, dst),
+        (4, 4) => copy_rows_of::<4>(s, d, src, dst),
+        (2, 2) => copy_rows_of::<2>(s, d, src, dst),
+        _ => return false,
     }
     true
+}
+
+/// [`copy_rows`] for rows of `L` elements: `(base, row bases)` per side.
+#[inline(always)]
+fn copy_rows_of<const L: usize>(
+    s: &[f32],
+    d: &mut [f32],
+    (sb, srows): (usize, &[u32]),
+    (db, drows): (usize, &[u32]),
+) {
+    for (&sr, &dr) in srows.iter().zip(drows) {
+        let (si, di) = (sb + sr as usize, db + dr as usize);
+        d[di..di + L].copy_from_slice(&s[si..si + L]);
+    }
 }
 
 /// Per-worker optimized replay state.
@@ -361,14 +425,12 @@ impl OptCta<'_> {
     /// Logs every destination row a bulk arm just wrote — only when the
     /// parallel merge needs it (`log` installed and `buf` global).
     #[inline]
-    fn log_chunks2(&mut self, buf: u32, da: Span, n: usize) {
-        if (buf as usize) < self.trace.n_globals && self.log.is_some() {
-            let Some((d0, dl, dp)) = rows1(da, n) else { return };
-            let mut i = 0usize;
-            while i < n {
-                let d = (d0 + (i / dp) as i64 * dl) as usize;
-                self.log_run(buf, d, dp.min(n - i));
-                i += dp;
+    fn log_rows(&mut self, buf: u32, da: Span, n: usize) {
+        let t = self.trace;
+        if (buf as usize) < t.n_globals && self.log.is_some() {
+            let Some(len) = row_len(da, n) else { return };
+            for i in (0..n).step_by(len) {
+                self.log_run(buf, da.at(&t.gather, i), len);
             }
         }
     }
@@ -409,12 +471,13 @@ impl OptCta<'_> {
                     let logged = (dst as usize) < t.n_globals && self.log.is_some();
                     let bulk = src != dst && {
                         let (s, d) = self.pair(src, dst);
-                        chunks2(sa, da, n, |si, di, len| {
-                            d[di..di + len].copy_from_slice(&s[si..si + len]);
-                        })
+                        copy_rows(s, d, sa, da, g, n)
+                            || chunks2(sa, da, g, n, |si, di, len| {
+                                d[di..di + len].copy_from_slice(&s[si..si + len]);
+                            })
                     };
                     if bulk {
-                        self.log_chunks2(dst, da, n);
+                        self.log_rows(dst, da, n);
                     } else if src != dst && !logged {
                         let (s, d) = self.pair(src, dst);
                         zip2!(sa, da, g, n, |si, di| d[di] = s[si]);
@@ -429,14 +492,17 @@ impl OptCta<'_> {
                     let n = n as usize;
                     let bulk = src != dst && {
                         let (s, d) = self.pair(src, dst);
-                        chunks2(sa, da, n, |si, di, len| {
-                            for (x, y) in s[si..si + len].iter().zip(&mut d[di..di + len]) {
-                                *y = op.apply(f64::from(*x)) as f32;
-                            }
-                        })
+                        fix_unary!(
+                            op,
+                            chunks2(sa, da, g, n, |si, di, len| {
+                                for (x, y) in s[si..si + len].iter().zip(&mut d[di..di + len]) {
+                                    *y = op.apply(f64::from(*x)) as f32;
+                                }
+                            })
+                        )
                     };
                     if bulk {
-                        self.log_chunks2(dst, da, n);
+                        self.log_rows(dst, da, n);
                     } else if src != dst && !((dst as usize) < t.n_globals && self.log.is_some()) {
                         let (s, d) = self.pair(src, dst);
                         zip2!(sa, da, g, n, |si, di| {
@@ -445,9 +511,21 @@ impl OptCta<'_> {
                     } else if !((dst as usize) < t.n_globals && self.log.is_some()) {
                         // src == dst: in-place, element order preserved.
                         let d = &mut self.bufs[dst as usize];
-                        zip2!(sa, da, g, n, |si, di| {
-                            d[di] = op.apply(f64::from(d[si])) as f32;
-                        });
+                        // Each element reads only itself: whole rows.
+                        let rows = sa == da
+                            && fix_unary!(
+                                op,
+                                chunks2(da, da, g, n, |_, di, len| {
+                                    for o in &mut d[di..di + len] {
+                                        *o = op.apply(f64::from(*o)) as f32;
+                                    }
+                                })
+                            );
+                        if !rows {
+                            zip2!(sa, da, g, n, |si, di| {
+                                d[di] = op.apply(f64::from(d[si])) as f32;
+                            });
+                        }
                     } else {
                         zip2!(sa, da, g, n, |s, d| {
                             let v = self.get(src, s);
@@ -462,18 +540,22 @@ impl OptCta<'_> {
                         let hit = {
                             let av = &self.bufs[a as usize];
                             let bv = &self.bufs[b as usize];
-                            chunks3(aa, ba, da, n, |ia, ib, id, len| {
-                                let (xs, ys) = (&av[ia..ia + len], &bv[ib..ib + len]);
-                                for ((x, y), o) in xs.iter().zip(ys).zip(&mut dvec[id..id + len]) {
-                                    *o = op.apply(f64::from(*x), f64::from(*y)) as f32;
-                                }
-                            })
+                            fix_binary!(
+                                op,
+                                chunks3(aa, ba, da, g, n, |ia, ib, id, len| {
+                                    let (xs, ys) = (&av[ia..ia + len], &bv[ib..ib + len]);
+                                    let out = &mut dvec[id..id + len];
+                                    for ((x, y), o) in xs.iter().zip(ys).zip(out) {
+                                        *o = op.apply(f64::from(*x), f64::from(*y)) as f32;
+                                    }
+                                })
+                            )
                         };
                         self.bufs[dst as usize] = dvec;
                         hit
                     };
                     if bulk {
-                        self.log_chunks2(dst, da, n);
+                        self.log_rows(dst, da, n);
                     } else if a != dst
                         && b != dst
                         && !((dst as usize) < t.n_globals && self.log.is_some())
@@ -495,9 +577,22 @@ impl OptCta<'_> {
                         // buffer in element order, like the plan
                         // interpreter.
                         let (bv, d) = self.pair(b, dst);
-                        zip3!(aa, ba, da, g, n, |ia, ib, id| {
-                            d[id] = op.apply(f64::from(d[ia]), f64::from(bv[ib])) as f32;
-                        });
+                        // Each element reads only itself: whole rows.
+                        let rows = aa == da
+                            && fix_binary!(
+                                op,
+                                chunks2(ba, da, g, n, |ib, id, len| {
+                                    let out = d[id..id + len].iter_mut();
+                                    for (o, y) in out.zip(&bv[ib..ib + len]) {
+                                        *o = op.apply(f64::from(*o), f64::from(*y)) as f32;
+                                    }
+                                })
+                            );
+                        if !rows {
+                            zip3!(aa, ba, da, g, n, |ia, ib, id| {
+                                d[id] = op.apply(f64::from(d[ia]), f64::from(bv[ib])) as f32;
+                            });
+                        }
                     } else {
                         zip3!(aa, ba, da, g, n, |ia, ib, id| {
                             let x = self.get(a, ia);
@@ -513,7 +608,7 @@ impl OptCta<'_> {
                         let hit = {
                             let av = &self.bufs[a as usize];
                             let bv = &self.bufs[b as usize];
-                            chunks3(aa, ba, ca, n, |ia, ib, ic, len| {
+                            chunks3(aa, ba, ca, g, n, |ia, ib, ic, len| {
                                 let (xs, ys) = (&av[ia..ia + len], &bv[ib..ib + len]);
                                 for ((x, y), o) in xs.iter().zip(ys).zip(&mut cvec[ic..ic + len]) {
                                     *o = x * y + *o;
@@ -524,7 +619,7 @@ impl OptCta<'_> {
                         hit
                     };
                     if bulk {
-                        self.log_chunks2(c, ca, n);
+                        self.log_rows(c, ca, n);
                     } else if a != c
                         && b != c
                         && !((c as usize) < t.n_globals && self.log.is_some())
@@ -554,10 +649,10 @@ impl OptCta<'_> {
                     }
                     let bulk = {
                         let dbuf = &mut self.bufs[dst as usize];
-                        chunks2(da, da, n, |_, di, len| dbuf[di..di + len].fill(value))
+                        chunks2(da, da, g, n, |_, di, len| dbuf[di..di + len].fill(value))
                     };
                     if bulk {
-                        self.log_chunks2(dst, da, n);
+                        self.log_rows(dst, da, n);
                     } else {
                         each1!(da, g, n, |d| self.put(dst, d, value));
                     }
@@ -583,29 +678,6 @@ impl OptCta<'_> {
                                 self.put(dst, da.at(g, gi), acc as f32);
                             }
                         }
-                    }
-                }
-                OTp::LdMatrix { num, trans, src, dst, sa, sper, da, dper, lanes } => {
-                    let num = num as usize;
-                    let (sper, dper) = (sper as usize, dper as usize);
-                    let mut mats = [[[0.0f32; 8]; 8]; 4];
-                    for (p, mat) in mats.iter_mut().enumerate().take(num) {
-                        for (r, row) in mat.iter_mut().enumerate() {
-                            each_lane!(sa, g, p * 8 + r, sper, 8, |c, addr| {
-                                row[c] = self.bufs[src as usize][addr];
-                            });
-                        }
-                    }
-                    for li in 0..lanes as usize {
-                        each_lane!(da, g, li, dper, 2 * num, |v, addr| {
-                            let (p, c) = (v / 2, v % 2);
-                            let (row, col) = if trans {
-                                (2 * (li % 4) + c, li / 4)
-                            } else {
-                                (li / 4, 2 * (li % 4) + c)
-                            };
-                            self.put(dst, addr, mats[p][row][col]);
-                        });
                     }
                 }
                 OTp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
@@ -786,6 +858,8 @@ fn mma_base<const M: usize, const N: usize, const K: usize>(a: &[f32], b: &[f32]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{TOp, Trace};
+    use crate::trace_opt::optimize_trace;
 
     /// The plan interpreter's MMA, scalar: per output a fresh `k`-order
     /// sum, then one add into `c`.
@@ -900,6 +974,116 @@ mod tests {
             let (a, b) = (values(M * K + 3, seed, &all), values(K * N + 5, seed + 1, &all));
             let c0 = values(M * N + 7, seed + 2, &all);
             check::<M, N, K>(&a, &b, &c0, assert_same, &format!("all specials, seed {seed}"));
+        }
+    }
+
+    /// One block updating global `x` (128) in place from global `y`
+    /// (128) with `steps`; their arena is `addrs`.
+    fn in_place(steps: Vec<TOp>, addrs: Vec<u32>) -> Trace {
+        let n = steps.len() as u32;
+        Trace {
+            steps,
+            addrs,
+            blocks: vec![(0, n)],
+            buf_lens: vec![128, 128],
+            n_globals: 2,
+            params: vec![(TensorId(0), "x".to_string(), 128), (TensorId(1), "y".to_string(), 128)],
+            counters: Counters::default(),
+        }
+    }
+
+    /// `o` with every in-place operand turned into a gather over the
+    /// same addresses, which forces the element-by-element `zip` arms.
+    fn as_gathers(mut o: OptTrace) -> OptTrace {
+        let mut gather = std::mem::take(&mut o.gather);
+        let mut to_gather = |s: &mut Span, n: u32| {
+            let start = gather.len() as u32;
+            gather.extend((0..n as usize).map(|i| s.at(&[], i) as u32));
+            *s = Span::Gather { base: 0, start };
+        };
+        for step in &mut o.steps {
+            match step {
+                OTp::Unary { sa, da, n, .. } => {
+                    to_gather(sa, *n);
+                    to_gather(da, *n);
+                }
+                OTp::Binary { aa, da, n, .. } => {
+                    to_gather(aa, *n);
+                    to_gather(da, *n);
+                }
+                _ => {}
+            }
+        }
+        o.gather = gather;
+        o
+    }
+
+    #[test]
+    fn in_place_row_arms_match_the_element_walk() {
+        let all: Vec<u32> = FINITE.iter().chain(&NANS).chain(&HUGE).copied().collect();
+        // In-place operands: 64 contiguous elements, and 8 rows of 8
+        // spaced 16 apart.
+        let contiguous: Vec<u32> = (0..64).collect();
+        let rows: Vec<u32> = (0..64).map(|i| i / 8 * 16 + i % 8 + 3).collect();
+        // The other operand: contiguous, broadcast and gathered.
+        let gathered: Vec<u32> = (0..64).map(|i| (i * 37 + 5) % 128).collect();
+        let others = [contiguous.clone(), vec![9; 64], gathered];
+        let binaries = [
+            BinaryOp::Add,
+            BinaryOp::Sub,
+            BinaryOp::Mul,
+            BinaryOp::Div,
+            BinaryOp::Max,
+            BinaryOp::Min,
+        ];
+        let unaries = [
+            UnaryOp::Exp,
+            UnaryOp::Relu,
+            UnaryOp::Tanh,
+            UnaryOp::Sigmoid,
+            UnaryOp::Gelu,
+            UnaryOp::Neg,
+            UnaryOp::Rsqrt,
+            UnaryOp::Sqrt,
+            UnaryOp::Recip,
+            UnaryOp::Identity,
+        ];
+        for seed in 0..20 {
+            let inputs: HashMap<TensorId, Vec<f32>> = [
+                (TensorId(0), values(128, seed, &all)),
+                (TensorId(1), values(128, seed + 100, &all)),
+            ]
+            .into();
+            for own in [&contiguous, &rows] {
+                let mut steps = Vec::new();
+                let mut addrs = Vec::new();
+                let mut seg = |v: &[u32]| {
+                    addrs.extend_from_slice(v);
+                    (addrs.len() - v.len()) as u32
+                };
+                for op in binaries {
+                    for other in &others {
+                        let (aa, ba, da) = (seg(own), seg(other), seg(own));
+                        steps.push(TOp::Binary { op, a: 0, b: 1, dst: 0, aa, ba, da, n: 64 });
+                    }
+                }
+                for op in unaries {
+                    let (sa, da) = (seg(own), seg(own));
+                    steps.push(TOp::Unary { op, src: 0, dst: 0, sa, da, n: 64 });
+                }
+                let t = in_place(steps, addrs);
+                let rows = optimize_trace(&t);
+                assert!(rows.steps.iter().all(|s| match *s {
+                    OTp::Binary { aa, da, .. } | OTp::Unary { sa: aa, da, .. } => {
+                        aa == da && row_len(da, 64).is_some()
+                    }
+                    _ => false,
+                }));
+                let zip = as_gathers(optimize_trace(&t));
+                let got = &replay_opt(&rows, &inputs).expect("rows").globals[&TensorId(0)];
+                let want = &replay_opt(&zip, &inputs).expect("zip").globals[&TensorId(0)];
+                assert_same(got, want, &format!("seed {seed}, {} in-place rows", own.len()));
+            }
         }
     }
 

@@ -664,7 +664,7 @@ impl<'p> CtaRunner<'p> {
         // every recorded address has passed the bounds checks above, so
         // replay can index without re-validating.
         if let Some(rec) = &mut self.rec {
-            rec.record_group(cs, lanes, &scratch);
+            rec.record_group(cs, lanes, &scratch)?;
         }
         self.scratch = scratch;
         Ok(())

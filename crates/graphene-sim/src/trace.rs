@@ -64,6 +64,8 @@ pub(crate) enum TOp {
     /// `dst[da[g]] = fold(op, src[sa[g*per..(g+1)*per]])`.
     Reduce { op: ReduceOp, src: u32, dst: u32, sa: u32, da: u32, groups: u32, per: u32 },
     /// Collective `ldmatrix`: per-lane address strides `sper`/`dper`.
+    /// Source and destination are distinct buffers ([`Recorder::record_group`]
+    /// rejects any other), so the optimizer composes it into one copy.
     LdMatrix {
         num: u8,
         trans: bool,
@@ -259,7 +261,18 @@ impl Recorder {
     /// is irrelevant to their semantics); collective ops keep their
     /// per-lane address strides because their fragment math indexes by
     /// lane.
-    pub(crate) fn record_group(&mut self, cs: &CSpec, lanes: &[i64], sc: &AddrScratch) {
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::BadInput`] for an `ldmatrix` whose source and destination
+    /// are one buffer. Table 2 matches `ldmatrix` only from shared
+    /// memory to registers, so no kernel reaches this.
+    pub(crate) fn record_group(
+        &mut self,
+        cs: &CSpec,
+        lanes: &[i64],
+        sc: &AddrScratch,
+    ) -> Result<(), ExecError> {
         let nl = lanes.len() as u32;
         let step = match cs.semantics {
             AtomicSemantics::CopyPerThread | AtomicSemantics::UnaryPerThread(_) => {
@@ -331,14 +344,21 @@ impl Recorder {
                 }
             }
             AtomicSemantics::LdMatrix { num, trans } => {
+                let (src, dst) = (self.buf_id(cs.ins[0].buf), self.buf_id(cs.outs[0].buf));
+                if src == dst {
+                    return Err(ExecError::BadInput(
+                        "ldmatrix with one buffer as source and destination cannot be traced"
+                            .into(),
+                    ));
+                }
                 let (sper, dper) = (sc.ins[0].1, sc.outs[0].1);
                 let sa = self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], sper);
                 let da = self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], dper);
                 TOp::LdMatrix {
                     num,
                     trans,
-                    src: self.buf_id(cs.ins[0].buf),
-                    dst: self.buf_id(cs.outs[0].buf),
+                    src,
+                    dst,
                     sa,
                     sper: sper as u32,
                     da,
@@ -377,6 +397,7 @@ impl Recorder {
             }
         };
         self.steps.push(step);
+        Ok(())
     }
 }
 

@@ -25,7 +25,10 @@
 //!    therefore the `TraceCache`/`GraphTraceCache` footprint. A
 //!    residual slice is stored as `base + pattern`: every distinct
 //!    base-relative pattern (one per fragment layout, reused at every
-//!    tile offset) is interned once in a per-trace table.
+//!    tile offset) is interned once in a per-trace table. A residual
+//!    copy between two buffers is first sorted by destination
+//!    ([`CopyOrders`]); when both sides then fall into aligned 16-byte
+//!    rows, it keeps one table entry per row ([`Span::Rows`]).
 //! 2. **Folds** each run of full-warp MMAs over one private
 //!    `(a, b, c)` buffer triple into one [`OTp::MmaTile`] step — the
 //!    warp-level `MatMul` the MMAs were decomposed from — holding
@@ -37,12 +40,13 @@
 //!    same block is a write that fully overwrites it.
 //!
 //! The replay ([`crate::replay::replay_opt`]) then runs contiguous
-//! copies as `copy_from_slice`, contiguous element-wise ops as tight
-//! auto-vectorizable slice loops, strided/lane spans as stepped loops
-//! with no arena traffic, residual gathers as `base` plus a
-//! pattern-table walk, and tile steps as in-place MMA kernels — with
-//! each output's element order and `f32`/`f64` op sequence exactly the
-//! compiled-plan executor's, so outputs are bit-identical.
+//! and row-span copies as one `copy_from_slice` per row, contiguous
+//! element-wise ops (in place too) as tight auto-vectorizable slice
+//! loops, strided/lane spans as stepped loops with no arena traffic,
+//! residual gathers as `base` plus a pattern-table walk, and tile steps
+//! as in-place MMA kernels — with each output's `f32`/`f64` op sequence
+//! exactly the compiled-plan executor's and every reordering one no
+//! output can observe, so outputs are bit-identical.
 
 use crate::counters::Counters;
 use crate::exec::ExecError;
@@ -67,6 +71,11 @@ pub(crate) enum Span {
     /// minimum, so pattern entries are non-negative offsets and one
     /// entry serves every tile offset the same layout is used at.
     Gather { base: u32, start: u32 },
+    /// Contiguous rows of `len` elements (8, 4 or 2) at gathered row
+    /// bases: `addr(i) = base + gather[start + i/len] + i%len`. Only a
+    /// copy in canonical (destination-sorted) order carries it; see
+    /// [`CopyOrders`].
+    Rows { base: u32, start: u32, len: u32 },
 }
 
 impl Span {
@@ -83,6 +92,10 @@ impl Span {
                     as usize
             }
             Span::Gather { base, start } => base as usize + g[start as usize + i] as usize,
+            Span::Rows { base, start, len } => {
+                let len = len as usize;
+                base as usize + g[start as usize + i / len] as usize + i % len
+            }
         }
     }
 
@@ -103,6 +116,7 @@ impl Span {
                 let s = start as usize + li * per;
                 LaneRef::Gat { base: base as usize, row: &g[s..s + per] }
             }
+            Span::Rows { .. } => unreachable!("row spans are copy operands, never lane-structured"),
         }
     }
 }
@@ -170,17 +184,6 @@ pub(crate) enum OTp {
         da: Span,
         groups: u32,
         per: u32,
-    },
-    LdMatrix {
-        num: u8,
-        trans: bool,
-        src: u32,
-        dst: u32,
-        sa: Span,
-        sper: u32,
-        da: Span,
-        dper: u32,
-        lanes: u32,
     },
     /// Lane-order tensor-core MMA (a partial warp): per-lane address
     /// counts are fragment sizes and a warp has at most 32 lanes, so
@@ -262,6 +265,12 @@ pub struct OptStats {
     pub folded_mmas: usize,
     /// Tile steps those MMAs were folded into.
     pub mma_tiles: usize,
+    /// Residual copies put in canonical order and replayed as whole
+    /// rows ([`Span::Rows`]).
+    pub row_copies: usize,
+    /// Elements those copies move. They still count in
+    /// `gather_addrs`: the recording had no affine form for them.
+    pub row_copy_elems: usize,
 }
 
 impl OptStats {
@@ -364,8 +373,11 @@ impl OptTrace {
     /// element through the pattern table, must yield exactly π of the
     /// addresses `raw` recorded for it — concatenated across fused
     /// steps and across the MMAs of a tile step, with the ldmatrix
-    /// permutation composed, and in matrix order for folded MMAs. Dead
-    /// fills are the only raw steps that may vanish.
+    /// permutation composed, and in matrix order for folded MMAs. The
+    /// one exception is a copy between two buffers, which may decode to
+    /// its recorded `(source, destination)` pairs in another order when
+    /// no destination repeats ([`CopyOrders`]). Dead fills are the only
+    /// raw steps that may vanish.
     ///
     /// # Errors
     ///
@@ -423,7 +435,9 @@ impl OptTrace {
                         break;
                     }
                 }
-                if want != got {
+                let reordered = matches!(*step, OTp::Copy { src, dst, .. } if src != dst)
+                    && is_permuted_copy(&want, &got);
+                if want != got && !reordered {
                     return Err(at("decoded addresses differ from the recording"));
                 }
             }
@@ -432,6 +446,26 @@ impl OptTrace {
             }
         }
         Ok(())
+    }
+}
+
+/// Whether the decoded copy operands `got` move exactly the recorded
+/// `(source, destination)` pairs of `want`, in another order, onto
+/// pairwise-distinct destinations. Only then is reordering a copy
+/// between two buffers unobservable: every element still reads the
+/// value it read, and no destination is written twice.
+fn is_permuted_copy(want: &[Vec<u32>], got: &[Vec<u32>]) -> bool {
+    let pairs = |ops: &[Vec<u32>]| match ops {
+        [s, d] if s.len() == d.len() => {
+            let mut p: Vec<(u32, u32)> = d.iter().copied().zip(s.iter().copied()).collect();
+            p.sort_unstable();
+            Some(p)
+        }
+        _ => None,
+    };
+    match (pairs(want), pairs(got)) {
+        (Some(w), Some(g)) => w == g && w.windows(2).all(|p| p[0].0 != p[1].0),
+        _ => false,
     }
 }
 
@@ -453,12 +487,9 @@ fn raw_operands(step: &TOp, ar: &[u32], dense: bool, rn: &Renaming) -> Option<Ve
         TOp::Reduce { src, dst, sa, da, groups, per, .. } => {
             vec![sl(src, sa, groups * per), sl(dst, da, groups)]
         }
-        TOp::LdMatrix { num, trans, src, dst, sa, sper, da, dper, lanes } if src != dst => {
+        TOp::LdMatrix { num, trans, src, dst, sa, sper, da, dper, lanes } => {
             let (sv, dv) = ldmatrix_copy(ar, (num, trans), (sa, sper), (da, dper), lanes);
             vec![(src, sv), (dst, dv)]
-        }
-        TOp::LdMatrix { src, dst, sa, sper, da, dper, lanes, .. } => {
-            vec![sl(src, sa, lanes * sper), sl(dst, da, lanes * dper)]
         }
         TOp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes }
         | TOp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes }
@@ -552,6 +583,13 @@ impl Patterns {
     /// the table holds `addrs[i] - base`. Allocates only when the
     /// pattern is new.
     fn intern(&mut self, addrs: &[u32]) -> Span {
+        let (base, start) = self.place(addrs);
+        Span::Gather { base, start }
+    }
+
+    /// `(base, start)` of `addrs` interned: the slice minimum and where
+    /// the table holds `addrs[i] - base`.
+    fn place(&mut self, addrs: &[u32]) -> (u32, u32) {
         let base = addrs.iter().copied().min().unwrap_or(0);
         let hash = pattern_hash(addrs, base);
         if let Some(&start) = self.index.get(&hash) {
@@ -561,14 +599,112 @@ impl Patterns {
                 .get(s..s + addrs.len())
                 .is_some_and(|p| p.iter().zip(addrs).all(|(&rel, &a)| rel == a - base));
             if same {
-                return Span::Gather { base, start };
+                return (base, start);
             }
         }
         let start = u32::try_from(self.table.len()).expect("pattern table exceeds u32 range");
         self.table.extend(addrs.iter().map(|&a| a - base));
         self.index.insert(hash, start);
-        Span::Gather { base, start }
+        (base, start)
     }
+}
+
+/// Canonical copy order. A copy between two buffers onto
+/// pairwise-distinct destinations may run its element pairs in any
+/// order, so a residual copy is sorted by destination. Then, when both
+/// sides fall into aligned contiguous rows of 8, 4 or 2 elements (the
+/// 16-byte rows an XOR swizzle moves whole), both become [`Span::Rows`]
+/// with one pattern-table entry per row. Sorted destinations in aligned
+/// rows never repeat (a repeat would sit next to itself), so only a
+/// copy whose order cannot be observed is ever reordered.
+#[derive(Default)]
+struct CopyOrders {
+    /// Destination-pattern hash → the base-relative pattern and its
+    /// sorting permutation. Each fragment layout is sorted once, however
+    /// many steps reuse it.
+    memo: HashMap<u64, (Vec<u32>, Vec<u32>)>,
+    /// Scratch: the copy's source and destination addresses as
+    /// recorded, then in destination order, then one side's row bases.
+    src: Vec<u32>,
+    dst: Vec<u32>,
+    sorted: [Vec<u32>; 2],
+    bases: Vec<u32>,
+}
+
+impl CopyOrders {
+    /// The copy `sa → da` of `n` elements, staged gathers read from
+    /// `stage`, as row spans in destination order; `None` leaves it in
+    /// recorded order.
+    fn rows(
+        &mut self,
+        (sa, da, n): (Span, Span, u32),
+        stage: &[u32],
+        patterns: &mut Patterns,
+    ) -> Option<(Span, Span)> {
+        let n = n as usize;
+        let expand = |span: Span, out: &mut Vec<u32>| {
+            out.clear();
+            match span {
+                Span::Gather { start, .. } => {
+                    out.extend_from_slice(&stage[start as usize..start as usize + n]);
+                }
+                _ => out.extend((0..n).map(|i| span.at(&[], i) as u32)),
+            }
+        };
+        expand(sa, &mut self.src);
+        expand(da, &mut self.dst);
+        let perm = sort_order(&mut self.memo, &self.dst)?;
+        let [s, d] = &mut self.sorted;
+        for (sorted, recorded) in [(&mut *s, &self.src), (&mut *d, &self.dst)] {
+            sorted.clear();
+            sorted.extend(perm.iter().map(|&i| recorded[i as usize]));
+        }
+        let len =
+            [8, 4, 2].into_iter().find(|&len| aligned_rows(s, len) && aligned_rows(d, len))?;
+        let bases = &mut self.bases;
+        Some((row_span(s, len, patterns, bases), row_span(d, len, patterns, bases)))
+    }
+}
+
+/// The permutation sorting `d` ascending, memoized in `memo` per
+/// base-relative pattern (see [`CopyOrders::memo`]); `None` for an
+/// empty `d`.
+fn sort_order<'m>(
+    memo: &'m mut HashMap<u64, (Vec<u32>, Vec<u32>)>,
+    d: &[u32],
+) -> Option<&'m [u32]> {
+    let base = *d.iter().min()?;
+    let hash = pattern_hash(d, base);
+    let known = memo.get(&hash).is_some_and(|(p, _)| {
+        p.len() == d.len() && p.iter().zip(d).all(|(&rel, &a)| rel == a - base)
+    });
+    if !known {
+        let len = u32::try_from(d.len()).expect("copy width fits u32");
+        let mut perm: Vec<u32> = (0..len).collect();
+        perm.sort_unstable_by_key(|&i| d[i as usize]);
+        let rel = d.iter().map(|&a| a - base).collect();
+        memo.insert(hash, (rel, perm));
+    }
+    Some(&memo[&hash].1)
+}
+
+/// Whether `v` is a sequence of contiguous `len`-element rows, each
+/// starting at a multiple of `len`.
+fn aligned_rows(v: &[u32], len: usize) -> bool {
+    v.len().is_multiple_of(len)
+        && v.chunks_exact(len).all(|row| {
+            (row[0] as usize).is_multiple_of(len)
+                && row.iter().zip(row[0]..).all(|(&a, want)| a == want)
+        })
+}
+
+/// One side of a canonical copy, `v` in rows of `len` (see
+/// [`aligned_rows`]), as a [`Span::Rows`] over its interned row bases.
+fn row_span(v: &[u32], len: usize, patterns: &mut Patterns, bases: &mut Vec<u32>) -> Span {
+    bases.clear();
+    bases.extend(v.iter().step_by(len));
+    let (base, start) = patterns.place(bases);
+    Span::Rows { base, start, len: len as u32 }
 }
 
 /// Multiply-rotate hash of `addrs - base` and its length, over four
@@ -755,7 +891,7 @@ fn touch(step: &OTp, buf: u32, len: usize) -> Touch {
                 Touch::None
             }
         }
-        OTp::LdMatrix { src, dst, .. } | OTp::Shfl { src, dst, .. } => {
+        OTp::Shfl { src, dst, .. } => {
             if src == buf || dst == buf {
                 Touch::Other
             } else {
@@ -904,10 +1040,6 @@ fn for_each_span(step: &mut OTp, tiles: &[[u32; 3]], mut f: impl FnMut(usize, &m
         OTp::Reduce { sa, da, groups, per, .. } => {
             f(0, sa, *groups * *per);
             f(1, da, *groups);
-        }
-        OTp::LdMatrix { sa, sper, da, dper, lanes, .. } => {
-            f(0, sa, *lanes * *sper);
-            f(1, da, *lanes * *dper);
         }
         OTp::Mma16816 { aa, aper, ba, bper, ca, cper, lanes, .. }
         | OTp::Mma884 { aa, aper, ba, bper, ca, cper, lanes, .. } => {
@@ -1115,6 +1247,7 @@ struct BlockOptimizer {
     /// The current block's residual slices, verbatim (see
     /// [`stage_gather`]).
     stage: Vec<u32>,
+    orders: CopyOrders,
     stats: OptStats,
 }
 
@@ -1215,26 +1348,13 @@ impl BlockOptimizer {
                 // The ldmatrix load/shuffle/store is a fixed permutation:
                 // composing it at optimize time turns the whole
                 // collective into one flat permuted copy the bulk arms
-                // (and the classifier) can chew on. Same-buffer steps
-                // keep the two-phase lane form: a fused copy would
-                // interleave loads with stores.
-                TOp::LdMatrix { num, trans, src, dst, sa, sper, da, dper, lanes } if src != dst => {
+                // (and the classifier) can chew on. Its source and
+                // destination are distinct buffers (recording rejects
+                // any other), so loads never interleave with stores.
+                TOp::LdMatrix { num, trans, src, dst, sa, sper, da, dper, lanes } => {
                     let (sv, dv) = ldmatrix_copy(ar, (num, trans), (sa, sper), (da, dper), lanes);
                     let n = u32::try_from(sv.len()).expect("ldmatrix width fits u32");
                     OTp::Copy { src, dst, sa: cls.composed(src, sv), da: cls.composed(dst, dv), n }
-                }
-                TOp::LdMatrix { num, trans, src, dst, sa, sper, da, dper, lanes } => {
-                    OTp::LdMatrix {
-                        num,
-                        trans,
-                        src,
-                        dst,
-                        sa: cls.lanes(src, sa, lanes, sper),
-                        sper,
-                        da: cls.lanes(dst, da, lanes, dper),
-                        dper,
-                        lanes,
-                    }
                 }
                 TOp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => OTp::Mma16816 {
                     a,
@@ -1306,6 +1426,16 @@ impl BlockOptimizer {
         self.stats.gather_addrs += self.stage.len();
         let (stage, patterns) = (&self.stage, &mut self.patterns);
         for step in &mut self.block_steps {
+            if let OTp::Copy { src, dst, sa, da, n } = step {
+                let staged = matches!(sa, Span::Gather { .. }) || matches!(da, Span::Gather { .. });
+                if src != dst && staged {
+                    if let Some(rows) = self.orders.rows((*sa, *da, *n), stage, patterns) {
+                        (*sa, *da) = rows;
+                        self.stats.row_copies += 1;
+                        self.stats.row_copy_elems += *n as usize;
+                    }
+                }
+            }
             for_each_span(step, &self.tiles, |_, span, n| {
                 if let Span::Gather { start, .. } = *span {
                     let s = start as usize;
@@ -1403,7 +1533,8 @@ pub fn record_opt_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::replay_opt;
+    use crate::replay::{replay_opt, replay_opt_with};
+    use crate::run::ExecMode;
     use graphene_ir::tensor::TensorId;
     use std::collections::HashMap;
 
@@ -1443,35 +1574,168 @@ mod tests {
 
     #[test]
     fn pure_gather_pattern_is_stored_once() {
-        // A swizzle-like permutation on both sides of one block's copy,
-        // and again 8 elements further on in a second block: nothing
+        // A swizzle-like permutation on both sides of one block's
+        // element-wise step (a copy would be sorted into rows), and
+        // again 8 elements further on in a second block: nothing
         // affine, one fragment layout used at two offsets.
+        let id = |sa, da| TOp::Unary { op: UnaryOp::Identity, src: 0, dst: 1, sa, da, n: 8 };
         let perm: Vec<u32> = vec![0, 3, 1, 2, 7, 4, 6, 5];
         let shifted: Vec<u32> = perm.iter().map(|a| a + 8).collect();
         let addrs: Vec<u32> = [perm.as_slice(), &perm, &shifted, &shifted].concat();
-        let mut t = plant(
-            vec![
-                TOp::Copy { src: 0, dst: 1, sa: 0, da: 8, n: 8 },
-                TOp::Copy { src: 0, dst: 1, sa: 16, da: 24, n: 8 },
-            ],
-            addrs,
-            16,
-        );
+        let mut t = plant(vec![id(0, 8), id(16, 24)], addrs, 16);
         t.blocks = vec![(0, 1), (1, 2)];
         let o = optimize_trace(&t);
         o.check_addresses(&t).expect("every operand decodes to its recorded addresses");
         assert_eq!(o.gather, perm, "the shared pattern must be stored once");
         assert!(matches!(
             o.steps[0],
-            OTp::Copy {
+            OTp::Unary {
                 sa: Span::Gather { base: 0, start: 0 },
                 da: Span::Gather { base: 0, start: 0 },
                 ..
             }
         ));
-        assert!(matches!(o.steps[1], OTp::Copy { sa: Span::Gather { base: 8, start: 0 }, .. }));
+        assert!(matches!(o.steps[1], OTp::Unary { sa: Span::Gather { base: 8, start: 0 }, .. }));
         assert_eq!((o.stats().gather_addrs, o.stats().pattern_addrs), (32, 8));
         assert!(o.stats().coalesced_fraction() < 1e-12);
+    }
+
+    /// Two blocks, each copying 8 rows of 8 from global `in` (128) to
+    /// global `out` (320) in recorded lane order: element `j` of every
+    /// row before element `j + 1` of any, so no two recorded neighbours
+    /// are contiguous. Row `r` moves `srows[r]` → `drows[r]` (element
+    /// offsets), shifted by 64 in block 1.
+    fn planted_rows(srows: [u32; 8], drows: [u32; 8]) -> Trace {
+        let mut addrs = Vec::new();
+        for b in 0..2u32 {
+            for rows in [srows, drows] {
+                addrs.extend((0..8).flat_map(|j| rows.map(|r| b * 64 + r + j)));
+            }
+        }
+        let copy = |sa, da| TOp::Copy { src: 0, dst: 1, sa, da, n: 64 };
+        Trace {
+            steps: vec![copy(0, 64), copy(128, 192)],
+            addrs,
+            blocks: vec![(0, 1), (1, 2)],
+            buf_lens: vec![128, 320],
+            n_globals: 2,
+            params: vec![
+                (TensorId(0), "in".to_string(), 128),
+                (TensorId(1), "out".to_string(), 320),
+            ],
+            counters: Counters::default(),
+        }
+    }
+
+    /// XOR-swizzled source rows; irregular destination rows.
+    const SROWS: [u32; 8] = [40, 32, 56, 48, 8, 0, 24, 16];
+    const DROWS: [u32; 8] = [0, 16, 24, 56, 88, 96, 160, 248];
+
+    #[test]
+    fn canonical_copy_replays_as_rows() {
+        let t = planted_rows(SROWS, DROWS);
+        let o = optimize_trace(&t);
+        o.check_addresses(&t).expect("a destination-sorted copy permutes the recorded pairs");
+        let st = o.stats();
+        assert_eq!((st.row_copies, st.row_copy_elems), (2, 128));
+        assert_eq!(st.gather_addrs, 256, "row-span elements still count as residual");
+        assert_eq!(st.pattern_addrs, 16, "one entry per row, each side's pattern stored once");
+        assert!(matches!(
+            o.steps[0],
+            OTp::Copy { sa: Span::Rows { len: 8, .. }, da: Span::Rows { len: 8, .. }, .. }
+        ));
+        let input: Vec<f32> = (0..128).map(|i| i as f32 * 0.25 - 7.0).collect();
+        let mut want = vec![0.0f32; 320];
+        for b in 0..2 {
+            for (s, d) in SROWS.iter().zip(DROWS) {
+                for j in 0..8 {
+                    want[(b * 64 + d + j) as usize] = input[(b * 64 + s + j) as usize];
+                }
+            }
+        }
+        let inputs: HashMap<TensorId, Vec<f32>> = [(TensorId(0), input)].into();
+        for mode in [ExecMode::Sequential, ExecMode::Workers(2)] {
+            let got = replay_opt_with(&o, &inputs, mode).expect("replays").globals;
+            assert_eq!(got[&TensorId(1)], want, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn moving_a_row_base_fails_the_address_check() {
+        let t = planted_rows(SROWS, DROWS);
+        let rows = |o: &OptTrace| match o.steps[0] {
+            OTp::Copy {
+                sa: Span::Rows { start: s, .. }, da: Span::Rows { start: d, .. }, ..
+            } => (s as usize, d as usize),
+            ref other => panic!("not a row copy: {other:?}"),
+        };
+        let (s, d) = rows(&optimize_trace(&t));
+        for (what, swap) in [("swap two row bases", true), ("drop a row base", false)] {
+            for (side, at) in [("source", s), ("destination", d)] {
+                let mut bad = optimize_trace(&t);
+                if swap {
+                    bad.gather.swap(at + 1, at + 2);
+                } else {
+                    bad.gather[at + 1] = bad.gather[at + 2];
+                }
+                let err = bad.check_addresses(&t).expect_err(&format!("{what} on the {side}"));
+                assert!(err.contains("decoded addresses differ"), "{what} on the {side}: {err}");
+            }
+        }
+        // Moving a row on both sides at once is another order of the
+        // same pairs: still a permutation of the recording.
+        let mut both = optimize_trace(&t);
+        both.gather.swap(s + 1, s + 2);
+        both.gather.swap(d + 1, d + 2);
+        both.check_addresses(&t).expect("a consistent reorder moves the same pairs");
+    }
+
+    #[test]
+    fn repeated_destinations_and_same_buffer_copies_stay_gathers() {
+        // Rows 0 and 4 both land on row 0: the later write must win,
+        // so the copy keeps its recorded order.
+        let mut drows = DROWS;
+        drows[4] = 0;
+        let t = planted_rows(SROWS, drows);
+        let o = optimize_trace(&t);
+        o.check_addresses(&t).expect("recorded order decodes exactly");
+        assert_eq!(o.stats().row_copies, 0);
+        assert!(matches!(o.steps[0], OTp::Copy { da: Span::Gather { .. }, .. }));
+        let input: Vec<f32> = (0..128).map(|i| i as f32 + 1.0).collect();
+        let inputs: HashMap<TensorId, Vec<f32>> = [(TensorId(0), input.clone())].into();
+        let got = &replay_opt(&o, &inputs).expect("replays").globals[&TensorId(1)];
+        assert_eq!(got[0], input[SROWS[4] as usize], "the last writer of row 0 wins");
+        assert_eq!(got[64], input[64 + SROWS[4] as usize]);
+        // Letting row 0 write last instead moves the same pairs but
+        // changes the result: not an acceptable permutation.
+        let mut bad = optimize_trace(&t);
+        let OTp::Copy { sa: Span::Gather { start, .. }, .. } = bad.steps[0] else {
+            panic!("not a gather copy: {:?}", bad.steps[0]);
+        };
+        for j in 0..8 {
+            bad.gather.swap(start as usize + j * 8, start as usize + j * 8 + 4);
+        }
+        let err = bad.check_addresses(&t).expect_err("a repeated destination pins the order");
+        assert!(err.contains("decoded addresses differ"), "{err}");
+        // A copy within one buffer reads what it wrote: never reordered.
+        let mut t = planted_rows(SROWS, DROWS);
+        t.steps = t
+            .steps
+            .iter()
+            .map(|s| match *s {
+                TOp::Copy { sa, da, n, .. } => TOp::Copy { src: 1, dst: 1, sa, da, n },
+                ref other => other.clone(),
+            })
+            .collect();
+        let o = optimize_trace(&t);
+        o.check_addresses(&t).expect("recorded order decodes exactly");
+        assert_eq!(o.stats().row_copies, 0);
+        assert!(matches!(o.steps[0], OTp::Copy { sa: Span::Gather { .. }, .. }));
+    }
+
+    #[test]
+    fn optimized_steps_stay_80_bytes() {
+        assert!(std::mem::size_of::<OTp>() <= 80, "{} bytes", std::mem::size_of::<OTp>());
     }
 
     #[test]
