@@ -25,6 +25,9 @@
 //!   space (e.g. `ldmatrix` from global memory).
 //! - **[`uninit`] — uninitialised accumulators (`GRA013`)**: `MatMul`
 //!   specs whose accumulator is read before any `Init` or write.
+//! - **[`uninit`] — aliased accumulators (`GRA016`)**: tensor-core MMA
+//!   sites whose accumulator shares its root with the A or B operand,
+//!   which trace replay refuses to record.
 //! - **[`banks`] — bank-conflict grading (`GRA014`)**: conflict factors
 //!   per shared-memory access site, warning at ≥2×, each carrying the
 //!   provenance of its grade (`proven-linear` / `proven-enumerated` /
@@ -91,6 +94,7 @@ pub fn lint_kernel_cached(
     diags.extend(races::check_redundant_barriers(kernel));
     diags.extend(memspace::check_memspace(kernel, arch));
     diags.extend(uninit::check_uninit(kernel, arch));
+    diags.extend(uninit::check_aliased_accumulators(&plans.sites(kernel, arch), &kernel.module));
     let conflicts = banks::grade_sites_cached(kernel, arch, plans);
     diags.extend(banks::conflict_diagnostics(&conflicts));
     let bounds = prove::bounds_checks_cached(kernel, arch, plans);

@@ -1,4 +1,5 @@
-//! Uninitialised-accumulator detection (`GRA013`).
+//! Accumulator checks: uninitialised accumulators (`GRA013`) and
+//! tensor-core accumulators aliasing an operand (`GRA016`).
 //!
 //! `MatMul` accumulates: `C += A × B`. Its atomic forms (`hfma2`, the
 //! Volta and Ampere `mma` instructions) all *read* the accumulator
@@ -14,11 +15,13 @@
 //! toward silence — the detector reports only accumulators with *no*
 //! preceding write anywhere.
 
+use graphene_ir::atomic::AtomicSemantics;
 use graphene_ir::body::Stmt;
 use graphene_ir::printer::render_spec_header;
 use graphene_ir::spec::SpecKind;
 use graphene_ir::tensor::TensorId;
-use graphene_ir::{Arch, Diagnostic, Kernel, MemSpace};
+use graphene_ir::{Arch, Diagnostic, Kernel, MemSpace, Module};
+use graphene_sim::Sites;
 use std::collections::HashSet;
 
 /// Reports `MatMul` specs whose register accumulator is read before any
@@ -59,5 +62,36 @@ pub fn check_uninit(kernel: &Kernel, _arch: Arch) -> Vec<Diagnostic> {
             initialized.insert(module.root_of(out));
         }
     });
+    diags
+}
+
+/// Reports tensor-core MMA sites whose accumulator shares its root with
+/// the A or B operand. Every interpreter reads all of A, B and C before
+/// writing D, so such a kernel still runs, but it is no product of three
+/// separate tiles: trace replay, which computes each MMA in place,
+/// refuses to record it.
+pub(crate) fn check_aliased_accumulators(sites: &Sites, module: &Module) -> Vec<Diagnostic> {
+    let mma = |s: &AtomicSemantics| {
+        matches!(s, AtomicSemantics::MmaAmpere16816 | AtomicSemantics::MmaVolta884)
+    };
+    let mut diags = Vec::new();
+    for site in sites.sites.iter().filter(|s| mma(&s.atomic.semantics)) {
+        // Operands are A, B, then the accumulator.
+        let root = |i: usize| site.operands[i].root;
+        let which = match root(2) {
+            c if c == root(0) => "A",
+            c if c == root(1) => "B",
+            _ => continue,
+        };
+        diags.push(Diagnostic::error(
+            "GRA016",
+            format!(
+                "accumulator %{} of `{}` shares its root with the {which} operand \
+                 (trace replay computes an MMA in place and cannot record it)",
+                module[root(2)].name,
+                site.header
+            ),
+        ));
+    }
     diags
 }

@@ -16,6 +16,11 @@ use graphene_kernels::layernorm::{build_layernorm, LayernormConfig};
 use graphene_kernels::lstm::{build_fused_lstm, LstmConfig};
 use graphene_kernels::mlp::{build_fused_mlp, MlpConfig};
 use graphene_kernels::softmax::{build_softmax, SoftmaxConfig};
+use graphene_sim::{
+    execute_plan, execute_reference, record_opt_trace, ExecMode, ExecOutcome, HostTensor,
+    KernelPlan,
+};
+use std::collections::HashMap;
 
 fn assert_lints_clean(kernel: &Kernel, arch: Arch) {
     let diags = analyze_kernel(kernel, arch);
@@ -167,6 +172,53 @@ fn dropped_init_is_reported() {
     let uninit: Vec<_> = diags.iter().filter(|d| d.code == "GRA013").collect();
     assert!(!uninit.is_empty(), "expected GRA013, got: {diags:#?}");
     assert!(uninit[0].message.contains("%acc"), "{}", uninit[0].message);
+}
+
+/// A GEMM whose first MMA site reads its A fragment from its own
+/// accumulator: `GRA016` reports exactly that site, trace recording
+/// refuses it, and both interpreters still run it bit-identically.
+#[test]
+fn aliased_accumulator_is_linted_and_refused_by_recording() {
+    let mut kernel = build_gemm(Arch::Sm86, &GemmConfig::small(64, 64, 64), Epilogue::None);
+    let mut first = None;
+    kernel.body.visit(&mut |s| match s {
+        Stmt::Spec(spec) if spec.is_undecomposed() && matches!(spec.kind, SpecKind::MatMul) => {
+            first.get_or_insert((spec.ins[0], spec.outs[0]));
+        }
+        _ => {}
+    });
+    let (a, c) = first.expect("the GEMM has an MMA");
+    let acc = kernel.module.root_of(c);
+    kernel.module.tensor_mut(a).base = Some(acc);
+
+    let diags = analyze_kernel(&kernel, Arch::Sm86);
+    let aliased: Vec<_> = diags.iter().filter(|d| d.code == "GRA016").collect();
+    assert_eq!(aliased.len(), 1, "{diags:#?}");
+    assert_eq!(aliased[0].severity, Severity::Error);
+    assert!(aliased[0].message.contains("%acc") && aliased[0].message.contains("A operand"));
+
+    let plan = KernelPlan::compile(&kernel, Arch::Sm86).expect("plan compiles");
+    let err = record_opt_trace(&plan, &HashMap::new()).expect_err("recording refuses it");
+    assert_eq!(
+        err.to_string(),
+        "bad input: mma whose accumulator is its A or B buffer cannot be traced"
+    );
+
+    let inputs: HashMap<_, _> = plan
+        .params()
+        .iter()
+        .enumerate()
+        .map(|(i, (id, _, len))| (*id, HostTensor::random(&[*len], 7 + i as u64).into_vec()))
+        .collect();
+    let bits = |o: &ExecOutcome| {
+        let mut g: Vec<_> = o.globals.iter().collect();
+        g.sort_by_key(|(id, _)| **id);
+        g.into_iter().flat_map(|(_, v)| v.iter().map(|x| x.to_bits())).collect::<Vec<_>>()
+    };
+    let planned = execute_plan(&plan, &inputs, &HashMap::new(), ExecMode::Sequential).unwrap();
+    let reference = execute_reference(&kernel, Arch::Sm86, &inputs).unwrap();
+    assert_eq!(bits(&planned), bits(&reference));
+    assert_eq!(planned.counters, reference.counters);
 }
 
 /// Staging without the paper's swizzle produces measurable bank

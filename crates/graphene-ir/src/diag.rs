@@ -23,6 +23,8 @@
 //! | GRA012 | error    | operand memory space illegal for the atomic spec |
 //! | GRA013 | error    | accumulator read before initialisation |
 //! | GRA014 | warn/info| shared-memory bank conflicts (graded by factor) |
+//! | GRA015 | error    | access escapes its root allocation (out of bounds) |
+//! | GRA016 | error    | MMA accumulator shares its root with A or B |
 
 use std::fmt;
 

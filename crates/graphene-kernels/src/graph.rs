@@ -336,6 +336,24 @@ pub fn encoder_graph(
     g
 }
 
+/// Scalars in the global tensors of [`encoder_graph`] by its front-end
+/// shapes: the input, every op's output and every `MatMul` weight.
+/// Computed from the dimensions, without building the graph, so no size
+/// can overflow or allocate (`heads` does not change it).
+pub fn encoder_global_scalars(layers: i64, batch: i64, seq: i64, hidden: i64, ffn: i64) -> u128 {
+    let m = |a: u128, b: u128| a.saturating_mul(b);
+    let [layers, batch, seq, h, f] = [layers, batch, seq, hidden, ffn].map(|d| d as u128);
+    let rows = m(batch, seq);
+    // Per layer: eight `[rows, h]` outputs (QKV, attention, output
+    // projection, its bias, layernorm; FFN down-projection, its bias,
+    // layernorm), three `[rows, f]` ones (FFN up-projection, its bias,
+    // GeLU), two `h×h` and two `h×f` weights.
+    let per_layer = [m(8, m(rows, h)), m(3, m(rows, f)), m(2, m(h, h)), m(2, m(h, f))]
+        .into_iter()
+        .fold(0u128, u128::saturating_add);
+    m(rows, h).saturating_add(m(layers, per_layer))
+}
+
 /// Counts consecutive `MatMul(h->h) + BiasAdd + ReLU` triples starting
 /// at `i` where the hidden size stays `h`.
 fn count_mlp_layers(ops: &[Op], mut i: usize, h: i64) -> i64 {
@@ -484,5 +502,26 @@ mod tests {
         let unfused = lower_unfused(&g);
         assert!(fused.launches() < unfused.launches());
         assert!(fused.time_s(Arch::Sm86) < unfused.time_s(Arch::Sm86));
+    }
+
+    /// The closed form agrees with the built graph's own shapes, and
+    /// saturates where they would overflow.
+    #[test]
+    fn encoder_global_scalars_match_the_graph_shapes() {
+        for (layers, batch, seq, hidden, heads, ffn) in
+            [(2, 1, 128, 256, 4, 1024), (3, 2, 64, 128, 2, 512)]
+        {
+            let g = encoder_graph(layers, batch, seq, hidden, heads, ffn);
+            let (mut cols, mut want) = (g.cols, (g.rows * g.cols) as u128);
+            for (op, (rows, out)) in g.ops.iter().zip(g.infer_shapes().unwrap()) {
+                if let Op::MatMul { n } = op {
+                    want += (cols * n) as u128;
+                }
+                want += (rows * out) as u128;
+                cols = out;
+            }
+            assert_eq!(encoder_global_scalars(layers, batch, seq, hidden, ffn), want);
+        }
+        assert_eq!(encoder_global_scalars(i64::MAX, i64::MAX, 128, 256, 1024), u128::MAX);
     }
 }

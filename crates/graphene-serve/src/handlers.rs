@@ -80,6 +80,23 @@ fn guarded(
     }
 }
 
+/// The most global-buffer scalars (f32) one `run` or `run-graph`
+/// request may seed and compute: 256 MiB. Catalog defaults and the
+/// benchmark sizes stay at least 7x below it.
+pub const MAX_REQUEST_SCALARS: usize = 1 << 26;
+
+/// Refuses a request whose global buffers hold `scalars` scalars when
+/// that exceeds [`MAX_REQUEST_SCALARS`]; called before any of them is
+/// allocated.
+fn within_limit(scalars: u128) -> Result<(), String> {
+    if scalars > MAX_REQUEST_SCALARS as u128 {
+        return Err(format!(
+            "request needs {scalars} global scalars, over the limit of {MAX_REQUEST_SCALARS}"
+        ));
+    }
+    Ok(())
+}
+
 fn flag(req: &Request, key: &str) -> bool {
     matches!(req.opt(key), Some("true" | "1" | "yes"))
 }
@@ -205,6 +222,7 @@ fn run(state: &ServerState, req: &Request) -> Result<Obj, String> {
         }
     };
     let (entry, plan_hit) = state.plan_for(name, arch, &req.opts)?;
+    within_limit(entry.plan.params().iter().map(|&(_, _, len)| len as u128).sum())?;
     let inputs = seeded_inputs(entry.plan.params().iter().map(|(id, _, len)| (*id, *len)));
     let bindings = HashMap::new();
     let mut replayed = None;
@@ -269,6 +287,7 @@ fn run(state: &ServerState, req: &Request) -> Result<Obj, String> {
 /// compiles nothing.
 fn run_graph(state: &ServerState, req: &Request) -> Result<Obj, String> {
     use graphene_kernels::exec_lower::{graph_key, lower_executable, ExecLowering};
+    use graphene_kernels::graph::encoder_global_scalars;
 
     let dims = graphene_kernels::catalog::EncoderDims::from_options(&req.opts)?;
     let arch = opt_arch(&req.opts)?;
@@ -283,6 +302,7 @@ fn run_graph(state: &ServerState, req: &Request) -> Result<Obj, String> {
         Some(other) => return Err(format!("unknown exec mode `{other}` (plan|replay)")),
     };
 
+    within_limit(encoder_global_scalars(dims.layers, dims.batch, dims.seq, dims.hidden, dims.ffn))?;
     let graph = dims.graph();
     let lower = || lower_executable(&graph, arch, lowering);
     let start = std::time::Instant::now();
@@ -654,6 +674,32 @@ mod tests {
         assert_eq!(state.plan_stats(), (0, 0, 0), "rejected requests must not touch the cache");
         assert_eq!(state.costs.recordings(), 0, "rejected tunes must cost no candidate");
         assert_eq!(state.db.len(), 0, "rejected tunes must record no winner");
+    }
+
+    #[test]
+    fn oversized_requests_are_refused_before_allocating() {
+        let state = ServerState::new(None);
+        let limit = format!("over the limit of {MAX_REQUEST_SCALARS}");
+        for line in [
+            r#"{"cmd":"run","kernel":"gemm","m":65536,"n":65536,"k":65536}"#,
+            r#"{"cmd":"run","kernel":"gemm","m":65536,"n":65536,"k":65536,"exec":"replay"}"#,
+            r#"{"cmd":"run","kernel":"layernorm","rows":65536,"hidden":1024}"#,
+            r#"{"cmd":"run-graph","layers":1000000,"exec":"replay"}"#,
+            r#"{"cmd":"run-graph","batch":4294967296,"seq":4294967296}"#,
+        ] {
+            let resp = parse(&dispatch(&state, line)).unwrap();
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{line}: {resp:?}");
+            let err = get(&resp, &["error"]).as_str().unwrap();
+            assert!(err.contains(&limit), "{line}: {err}");
+        }
+        assert_eq!(state.traces.recordings(), 0, "refused before recording");
+        assert_eq!(state.metrics.panics.load(Ordering::Relaxed), 0);
+        // The largest benchmark size, layernorm's 4096x1024 input and
+        // output, stays under the limit.
+        assert!(within_limit(2 * 4096 * 1024).is_ok());
+        let ok = r#"{"cmd":"run","kernel":"softmax","rows":4,"cols":256}"#;
+        let resp = parse(&dispatch(&state, ok)).unwrap();
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp:?}");
     }
 
     #[test]

@@ -223,3 +223,27 @@ fn too_deep_request_line_is_answered_and_the_connection_keeps_serving() {
     conn.request(r#"{"cmd":"shutdown"}"#).unwrap();
     handle.join().expect("server thread").expect("server run");
 }
+
+#[test]
+fn over_the_size_ceiling_is_answered_and_the_daemon_keeps_serving() {
+    use graphene_serve::handlers::MAX_REQUEST_SCALARS;
+    let (addr, handle) = spawn_server(ServeOptions { workers: 1, ..ServeOptions::default() });
+    let mut conn = Connection::connect(&addr, TIMEOUT).expect("connect");
+    for line in [
+        r#"{"id":1,"cmd":"run","kernel":"gemm","m":65536,"n":65536,"k":65536,"exec":"replay"}"#,
+        r#"{"id":2,"cmd":"run-graph","layers":1000000}"#,
+    ] {
+        let resp = parse(&conn.request(line).unwrap()).unwrap();
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{line}: {resp:?}");
+        let err = get(&resp, &["error"]).as_str().unwrap().to_string();
+        assert!(err.contains(&format!("over the limit of {MAX_REQUEST_SCALARS}")), "{err}");
+    }
+    // The same connection still runs a kernel.
+    let ok = conn.request(r#"{"id":3,"cmd":"run","kernel":"softmax","rows":4,"cols":256}"#);
+    let ok = parse(&ok.unwrap()).unwrap();
+    assert_eq!(ok.get("ok"), Some(&Json::Bool(true)), "{ok:?}");
+    let stats = parse(&conn.request(r#"{"id":4,"cmd":"stats"}"#).unwrap()).unwrap();
+    assert_eq!(get(&stats, &["panics"]).as_i64(), Some(0));
+    conn.request(r#"{"cmd":"shutdown"}"#).unwrap();
+    handle.join().expect("server thread").expect("server run");
+}

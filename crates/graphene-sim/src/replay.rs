@@ -17,7 +17,7 @@
 use crate::counters::Counters;
 use crate::exec::{ExecError, ExecOutcome};
 use crate::run::{fan_out, initial_globals, Cta, ExecMode};
-use crate::trace_opt::{LaneRef, OTp, OptTrace, Span};
+use crate::trace_opt::{OTp, OptTrace, Span};
 use graphene_ir::ops::{BinaryOp, UnaryOp};
 use std::collections::HashMap;
 
@@ -230,30 +230,6 @@ macro_rules! zip3 {
     };
 }
 
-/// Iterates one lane of a collective operand — binds `($v, $a)` =
-/// (element index, address) for `$v in 0..$cnt` — with the lane's
-/// variant resolved once, not per element.
-macro_rules! each_lane {
-    ($s:expr, $g:expr, $li:expr, $per:expr, $cnt:expr, |$v:ident, $a:ident| $body:expr) => {
-        match $s.lane($g, $li, $per) {
-            LaneRef::Aff { start, step } => {
-                let mut cur = start;
-                for $v in 0..$cnt {
-                    let $a = cur as usize;
-                    $body;
-                    cur += step;
-                }
-            }
-            LaneRef::Gat { base, row } => {
-                for ($v, &rel) in row[..$cnt].iter().enumerate() {
-                    let $a = base + rel as usize;
-                    $body
-                }
-            }
-        }
-    };
-}
-
 /// The length of the contiguous rows span `s` splits into over `n`
 /// elements — `n` for a contiguous span, `per` for a stride-1 lane grid,
 /// `len` for a row span — or `None` when it has no such shape. Element
@@ -458,7 +434,6 @@ impl OptCta<'_> {
         let t = self.trace;
         let (start, end) = t.blocks[b];
         let g: &[u32] = &t.gather;
-        use graphene_ir::atomic::fragments as frag;
         for step in &t.steps[start as usize..end as usize] {
             match *step {
                 OTp::Fill { buf } => {
@@ -672,95 +647,12 @@ impl OptCta<'_> {
                         _ => {
                             for gi in 0..groups as usize {
                                 let mut acc = op.identity();
-                                each_lane!(sa, g, gi, per, per, |_v, addr| {
+                                each1!(sa.group(gi, per), g, per, |addr| {
                                     acc = op.combine(acc, f64::from(self.get(src, addr)));
                                 });
                                 self.put(dst, da.at(g, gi), acc as f32);
                             }
                         }
-                    }
-                }
-                OTp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
-                    let (aper, bper, cper) = (aper as usize, bper as usize, cper as usize);
-                    let mut am = [[0.0f32; 16]; 16];
-                    let mut bm = [[0.0f32; 8]; 16];
-                    let mut cm = [[0.0f32; 8]; 16];
-                    for li in 0..lanes as usize {
-                        each_lane!(aa, g, li, aper, 8, |v, addr| {
-                            let (m_, k) = frag::mma_16816_a(li, v);
-                            am[m_][k] = self.bufs[a as usize][addr];
-                        });
-                        each_lane!(ba, g, li, bper, 4, |v, addr| {
-                            let (k, n) = frag::mma_16816_b(li, v);
-                            bm[k][n] = self.bufs[b as usize][addr];
-                        });
-                        each_lane!(ca, g, li, cper, 4, |v, addr| {
-                            let (m_, n) = frag::mma_16816_c(li, v);
-                            cm[m_][n] = self.bufs[c as usize][addr];
-                        });
-                    }
-                    let mut d = cm;
-                    // Same per-output f32 op order as the scalar loop (no
-                    // mul+add contraction), reordered so the n loop
-                    // vectorizes 8-wide.
-                    for m_ in 0..16 {
-                        let mut acc = [0.0f32; 8];
-                        for k in 0..16 {
-                            let av = am[m_][k];
-                            for n in 0..8 {
-                                acc[n] += av * bm[k][n];
-                            }
-                        }
-                        for n in 0..8 {
-                            d[m_][n] += acc[n];
-                        }
-                    }
-                    for li in 0..lanes as usize {
-                        each_lane!(ca, g, li, cper, 4, |v, addr| {
-                            let (m_, n) = frag::mma_16816_c(li, v);
-                            self.put(c, addr, d[m_][n]);
-                        });
-                    }
-                }
-                OTp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
-                    let (aper, bper, cper) = (aper as usize, bper as usize, cper as usize);
-                    let mut am = [[0.0f32; 4]; 8];
-                    let mut bm = [[0.0f32; 8]; 4];
-                    let mut cm = [[0.0f32; 8]; 8];
-                    for li in 0..lanes as usize {
-                        each_lane!(aa, g, li, aper, 4, |v, addr| {
-                            let (m_, k) = frag::mma_884_a(li, v);
-                            am[m_][k] = self.bufs[a as usize][addr];
-                        });
-                        each_lane!(ba, g, li, bper, 4, |v, addr| {
-                            let (k, n) = frag::mma_884_b(li, v);
-                            bm[k][n] = self.bufs[b as usize][addr];
-                        });
-                        each_lane!(ca, g, li, cper, 8, |v, addr| {
-                            let (m_, n) = frag::mma_884_c(li, v);
-                            cm[m_][n] = self.bufs[c as usize][addr];
-                        });
-                    }
-                    // Same per-output f32 op order as the scalar loop (no
-                    // mul+add contraction), reordered so the n loop
-                    // vectorizes 8-wide.
-                    for m_ in 0..8 {
-                        let mut acc = [0.0f32; 8];
-                        for k in 0..4 {
-                            let av = am[m_][k];
-                            for n in 0..8 {
-                                acc[n] += av * bm[k][n];
-                            }
-                        }
-                        for n in 0..8 {
-                            cm[m_][n] += acc[n];
-                        }
-                    }
-                    for li in 0..lanes as usize {
-                        each_lane!(ca, g, li, cper, 8, |v, addr| {
-                            let (m_, n) = frag::mma_884_c(li, v);
-                            self.put(c, addr, cm[m_][n]);
-                        });
                     }
                 }
                 OTp::MmaTile { m16, a, b, c, tiles: (ts, te) } => {
@@ -860,6 +752,7 @@ mod tests {
     use super::*;
     use crate::trace::{TOp, Trace};
     use crate::trace_opt::optimize_trace;
+    use graphene_ir::ops::ReduceOp;
 
     /// The plan interpreter's MMA, scalar: per output a fresh `k`-order
     /// sum, then one add into `c`.
@@ -1083,6 +976,38 @@ mod tests {
                 let got = &replay_opt(&rows, &inputs).expect("rows").globals[&TensorId(0)];
                 let want = &replay_opt(&zip, &inputs).expect("zip").globals[&TensorId(0)];
                 assert_same(got, want, &format!("seed {seed}, {} in-place rows", own.len()));
+            }
+            // Reductions of 8 groups of 4 over a lane grid (group stride
+            // 16, element stride 2) and over a gather, against their
+            // recorded addresses walked one element at a time.
+            let grid: Vec<u32> = (0..32).map(|i| 3 + i / 4 * 16 + i % 4 * 2).collect();
+            let gathered: Vec<u32> = (0..32).map(|i| (i * 37 + 5) % 128).collect();
+            for (src, lanes) in [(&grid, true), (&gathered, false)] {
+                for op in [ReduceOp::Sum, ReduceOp::Max] {
+                    let addrs: Vec<u32> = src.iter().copied().chain(64..72).collect();
+                    let reduce =
+                        TOp::Reduce { op, src: 1, dst: 0, sa: 0, da: 32, groups: 8, per: 4 };
+                    let o = optimize_trace(&in_place(vec![reduce], addrs));
+                    let OTp::Reduce { sa, .. } = o.steps[0] else { panic!("{:?}", o.steps[0]) };
+                    let (want_span, classified) = match sa {
+                        Span::Lanes { .. } => ("Lanes", lanes),
+                        Span::Gather { .. } => ("Gather", !lanes),
+                        _ => ("other", false),
+                    };
+                    assert!(classified, "{sa:?}");
+                    let (x, y) = (&inputs[&TensorId(0)], &inputs[&TensorId(1)]);
+                    let mut want = x.clone();
+                    for (gi, group) in src.chunks(4).enumerate() {
+                        let fold = |acc, &a: &u32| op.combine(acc, f64::from(y[a as usize]));
+                        want[64 + gi] = group.iter().fold(op.identity(), fold) as f32;
+                    }
+                    let got = &replay_opt(&o, &inputs).expect("reduce").globals[&TensorId(0)];
+                    assert_same(
+                        got,
+                        &want,
+                        &format!("seed {seed}, {op:?} over a {want_span} span"),
+                    );
+                }
             }
         }
     }

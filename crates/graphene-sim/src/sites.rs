@@ -56,7 +56,7 @@ pub struct Site {
     /// Enclosing guards, outermost first.
     pub guards: Vec<Predicate>,
     /// The matched instruction.
-    pub(crate) atomic: &'static AtomicSpec,
+    pub atomic: &'static AtomicSpec,
     /// The innermost (thread-level) exec config.
     pub exec: ThreadId,
     /// Every `threadIdx.x` the exec config covers ([`exec_lanes`]),

@@ -77,21 +77,11 @@ pub(crate) enum TOp {
         dper: u32,
         lanes: u32,
     },
-    /// Collective `mma.m16n8k16` over `lanes` lanes.
-    Mma16816 {
-        a: u32,
-        b: u32,
-        c: u32,
-        aa: u32,
-        aper: u32,
-        ba: u32,
-        bper: u32,
-        ca: u32,
-        cper: u32,
-        lanes: u32,
-    },
-    /// Collective `mma.m8n8k4` over `lanes` lanes.
-    Mma884 {
+    /// Collective tensor-core MMA over `lanes` lanes: `mma.m16n8k16`
+    /// when `m16`, else `mma.m8n8k4`. The accumulator `c` is neither
+    /// `a` nor `b` ([`Recorder::record_group`] rejects any other).
+    Mma {
+        m16: bool,
         a: u32,
         b: u32,
         c: u32,
@@ -265,8 +255,10 @@ impl Recorder {
     /// # Errors
     ///
     /// [`ExecError::BadInput`] for an `ldmatrix` whose source and destination
-    /// are one buffer. Table 2 matches `ldmatrix` only from shared
-    /// memory to registers, so no kernel reaches this.
+    /// are one buffer, and for an MMA whose accumulator buffer is its A
+    /// or B buffer (lint reports that kernel as `GRA016`). Table 2
+    /// matches `ldmatrix` only from shared memory to registers, so no
+    /// kernel reaches the first.
     pub(crate) fn record_group(
         &mut self,
         cs: &CSpec,
@@ -367,20 +359,29 @@ impl Recorder {
                 }
             }
             AtomicSemantics::MmaAmpere16816 | AtomicSemantics::MmaVolta884 => {
-                let (aper, bper, cper) = (sc.ins[0].1, sc.ins[1].1, sc.outs[0].1);
-                let aa = self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], aper);
-                let ba = self.push_seg(cs.ins[1].buf, lanes, sc, sc.ins[1], bper);
-                let ca = self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], cper);
                 let (a, b, c) = (
                     self.buf_id(cs.ins[0].buf),
                     self.buf_id(cs.ins[1].buf),
                     self.buf_id(cs.outs[0].buf),
                 );
-                let (aper, bper, cper) = (aper as u32, bper as u32, cper as u32);
-                if cs.semantics == AtomicSemantics::MmaAmpere16816 {
-                    TOp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes: nl }
-                } else {
-                    TOp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes: nl }
+                if c == a || c == b {
+                    return Err(ExecError::BadInput(
+                        "mma whose accumulator is its A or B buffer cannot be traced".into(),
+                    ));
+                }
+                let (aper, bper, cper) = (sc.ins[0].1, sc.ins[1].1, sc.outs[0].1);
+                TOp::Mma {
+                    m16: cs.semantics == AtomicSemantics::MmaAmpere16816,
+                    a,
+                    b,
+                    c,
+                    aa: self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], aper),
+                    aper: aper as u32,
+                    ba: self.push_seg(cs.ins[1].buf, lanes, sc, sc.ins[1], bper),
+                    bper: bper as u32,
+                    ca: self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], cper),
+                    cper: cper as u32,
+                    lanes: nl,
                 }
             }
             AtomicSemantics::ShflBfly => {
@@ -422,6 +423,7 @@ pub fn record_trace(
         let end = u32::try_from(rec.steps.len()).expect("trace exceeds u32 steps");
         blocks.push((start, end));
         start = end;
+        Ok(())
     })?;
     Ok(Trace {
         steps: rec.steps,
@@ -438,18 +440,18 @@ pub fn record_trace(
 /// `plan` with a [`Recorder`] installed and hands it to `block_done`
 /// after each block. Steps the callback leaves in place accumulate; a
 /// streaming consumer drains them instead. Returns the recorder and the
-/// run's counters.
+/// run's counters, or the first error of the run or the callback.
 pub(crate) fn record_blocks(
     plan: &KernelPlan,
     bindings: &HashMap<String, i64>,
-    mut block_done: impl FnMut(&mut Recorder),
+    mut block_done: impl FnMut(&mut Recorder) -> Result<(), ExecError>,
 ) -> Result<(Recorder, Counters), ExecError> {
     let init: Vec<Vec<f32>> = plan.globals.iter().map(|&(_, _, len)| vec![0.0; len]).collect();
     let mut runner = CtaRunner::new(plan, init, bindings);
     runner.rec = Some(Recorder::new(plan));
     for b in 0..plan.grid as usize {
         runner.run_block(b)?;
-        block_done(runner.rec.as_mut().expect("recorder installed"));
+        block_done(runner.rec.as_mut().expect("recorder installed"))?;
     }
     let mut counters = runner.counters;
     counters.unique_global_read_bytes = plan.unique_read;

@@ -12,14 +12,14 @@
 //! (or a lane-major grid of them). This pass runs **once at record
 //! time** and:
 //!
-//! 0. **Renames** the CTA-private buffers that full-warp dense MMAs
-//!    touch into MMA order ([`Renaming`]), so every dense operand is
-//!    one contiguous row. No output can observe private numbering.
+//! 0. **Renames** the CTA-private buffers that MMAs touch into MMA
+//!    order ([`Renaming`]), so every MMA operand is one contiguous row.
+//!    No output can observe private numbering.
 //! 1. **Classifies** each operand slice by scanning the arena:
 //!    [`Span::Affine`] `(base, stride)` for 1D progressions,
 //!    [`Span::Lanes`] `(base, lane, stride, per)` for lane-major 2D
 //!    grids (register files flattened to `thread*len+addr`, strided
-//!    global loads, mma fragments), and [`Span::Gather`] for the
+//!    global loads, reduction groups), and [`Span::Gather`] for the
 //!    residue (e.g. XOR-swizzled shared memory). Classified slices are
 //!    dropped from the arena, shrinking the resident trace — and
 //!    therefore the `TraceCache`/`GraphTraceCache` footprint. A
@@ -29,10 +29,11 @@
 //!    copy between two buffers is first sorted by destination
 //!    ([`CopyOrders`]); when both sides then fall into aligned 16-byte
 //!    rows, it keeps one table entry per row ([`Span::Rows`]).
-//! 2. **Folds** each run of full-warp MMAs over one private
-//!    `(a, b, c)` buffer triple into one [`OTp::MmaTile`] step — the
-//!    warp-level `MatMul` the MMAs were decomposed from — holding
-//!    three row bases per MMA.
+//! 2. **Folds** each run of MMAs over one private `(a, b, c)` buffer
+//!    triple into one [`OTp::MmaTile`] step — the warp-level `MatMul`
+//!    the MMAs were decomposed from — holding three row bases per MMA.
+//!    Every MMA folds: one that cannot is an error, not a second step
+//!    kind.
 //! 3. **Fuses** adjacent same-shape steps whose descriptors chain
 //!    (`base₂ = base₁ + n₁·stride`), within a block only.
 //! 4. **Eliminates dead fills**: a recorded `Alloc` zero-fill is
@@ -99,34 +100,22 @@ impl Span {
         }
     }
 
-    /// Per-lane accessor for lane-structured (collective) operands:
-    /// lane `li` of a span recorded with `per` addresses per lane.
+    /// Group `gi` of a span recorded as groups of `per` elements: the
+    /// span of that group's own `per` addresses.
     #[inline]
-    pub(crate) fn lane<'g>(&self, g: &'g [u32], li: usize, per: usize) -> LaneRef<'g> {
+    pub(crate) fn group(&self, gi: usize, per: usize) -> Span {
+        let shift = |base: u32, by: i64| (i64::from(base) + by) as u32;
         match *self {
-            Span::Affine { base, stride } => LaneRef::Aff {
-                start: i64::from(base) + (li * per) as i64 * i64::from(stride),
-                step: i64::from(stride),
-            },
-            Span::Lanes { base, lane, stride, .. } => LaneRef::Aff {
-                start: i64::from(base) + li as i64 * i64::from(lane),
-                step: i64::from(stride),
-            },
-            Span::Gather { base, start } => {
-                let s = start as usize + li * per;
-                LaneRef::Gat { base: base as usize, row: &g[s..s + per] }
+            Span::Affine { base, stride } => {
+                Span::Affine { base: shift(base, (gi * per) as i64 * i64::from(stride)), stride }
             }
-            Span::Rows { .. } => unreachable!("row spans are copy operands, never lane-structured"),
+            Span::Lanes { base, lane, stride, .. } => {
+                Span::Affine { base: shift(base, gi as i64 * i64::from(lane)), stride }
+            }
+            Span::Gather { base, start } => Span::Gather { base, start: start + (gi * per) as u32 },
+            Span::Rows { .. } => unreachable!("row spans are copy operands, never grouped"),
         }
     }
-}
-
-/// One lane of a lane-structured operand: an arithmetic progression or
-/// a residual gather row (addresses `base + row[v]`).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum LaneRef<'g> {
-    Aff { start: i64, step: i64 },
-    Gat { base: usize, row: &'g [u32] },
 }
 
 /// One optimized step: mirrors [`TOp`] with arena offsets replaced by
@@ -185,35 +174,8 @@ pub(crate) enum OTp {
         groups: u32,
         per: u32,
     },
-    /// Lane-order tensor-core MMA (a partial warp): per-lane address
-    /// counts are fragment sizes and a warp has at most 32 lanes, so
-    /// they are stored narrow — this is the widest step variant.
-    Mma16816 {
-        a: u32,
-        b: u32,
-        c: u32,
-        aa: Span,
-        aper: u8,
-        ba: Span,
-        bper: u8,
-        ca: Span,
-        cper: u8,
-        lanes: u8,
-    },
-    Mma884 {
-        a: u32,
-        b: u32,
-        c: u32,
-        aa: Span,
-        aper: u8,
-        ba: Span,
-        bper: u8,
-        ca: Span,
-        cper: u8,
-        lanes: u8,
-    },
-    /// A run of full-warp tensor-core MMAs folded into one warp-tile
-    /// step (the warp-level `MatMul` they were decomposed from). Each
+    /// A run of tensor-core MMAs folded into one warp-tile step (the
+    /// warp-level `MatMul` they were decomposed from). Each
     /// entry of [`OptTrace::tiles`] in `tiles` (a half-open range) is
     /// one MMA, in trace order: `[a, b, c]` are the bases of its
     /// row-major `A[m][k]`, `B[k][n]` and `C[m][n]`, each one
@@ -261,7 +223,7 @@ pub struct OptStats {
     pub bytes_before: usize,
     /// Resident payload bytes of the optimized trace.
     pub bytes_after: usize,
-    /// Full-warp MMAs folded into [`OTp::MmaTile`] steps.
+    /// MMAs folded into [`OTp::MmaTile`] steps: every recorded MMA.
     pub folded_mmas: usize,
     /// Tile steps those MMAs were folded into.
     pub mma_tiles: usize,
@@ -342,13 +304,6 @@ impl OptTrace {
         &self.stats
     }
 
-    /// MMAs left as lane-order steps: partial warps, and full warps
-    /// that could not fold into an [`OTp::MmaTile`].
-    #[must_use]
-    pub fn lane_order_mmas(&self) -> usize {
-        self.steps.iter().filter(|s| matches!(s, OTp::Mma16816 { .. } | OTp::Mma884 { .. })).count()
-    }
-
     /// Resident payload bytes: step list, pattern table, block table and
     /// buffer metadata (length-based, so the figure is deterministic).
     #[must_use]
@@ -373,7 +328,7 @@ impl OptTrace {
     /// element through the pattern table, must yield exactly π of the
     /// addresses `raw` recorded for it — concatenated across fused
     /// steps and across the MMAs of a tile step, with the ldmatrix
-    /// permutation composed, and in matrix order for folded MMAs. The
+    /// permutation composed, and in matrix order for MMAs. The
     /// one exception is a copy between two buffers, which may decode to
     /// its recorded `(source, destination)` pairs in another order when
     /// no destination repeats ([`CopyOrders`]). Dead fills are the only
@@ -382,7 +337,7 @@ impl OptTrace {
     /// # Errors
     ///
     /// A non-bijective π, or the first block and step whose decoded
-    /// addresses differ.
+    /// addresses differ or whose raw MMA has an unfilled fragment slot.
     pub fn check_addresses(&self, raw: &Trace) -> Result<(), String> {
         if raw.blocks.len() != self.blocks.len() {
             return Err(format!(
@@ -421,9 +376,7 @@ impl OptTrace {
                         pending.next();
                     }
                     let next = pending.next().ok_or_else(|| at("raw steps exhausted"))?;
-                    let dense = matches!(step, OTp::MmaTile { .. });
-                    let ops = raw_operands(next, &raw.addrs, dense, &rename)
-                        .ok_or_else(|| at("partial warp"))?;
+                    let ops = raw_operands(next, &raw.addrs, &rename).map_err(at)?;
                     if want.is_empty() {
                         want = ops;
                     } else if ops.len() == want.len() {
@@ -470,10 +423,9 @@ fn is_permuted_copy(want: &[Vec<u32>], got: &[Vec<u32>]) -> bool {
 }
 
 /// The address vectors raw `step` contributes, operand by operand and
-/// renamed by `rn`, in the shape its optimized form decodes them
-/// (`dense`: the step was folded into an [`OTp::MmaTile`]); `None` for
-/// a partial warp asked to be dense.
-fn raw_operands(step: &TOp, ar: &[u32], dense: bool, rn: &Renaming) -> Option<Vec<Vec<u32>>> {
+/// renamed by `rn`, in the shape its optimized form decodes them: an
+/// MMA in matrix order ([`dense_addrs`]).
+fn raw_operands(step: &TOp, ar: &[u32], rn: &Renaming) -> Result<Vec<Vec<u32>>, &'static str> {
     let sl =
         |buf: u32, start: u32, n: u32| (buf, ar[start as usize..(start + n) as usize].to_vec());
     let ops = match *step {
@@ -491,27 +443,18 @@ fn raw_operands(step: &TOp, ar: &[u32], dense: bool, rn: &Renaming) -> Option<Ve
             let (sv, dv) = ldmatrix_copy(ar, (num, trans), (sa, sper), (da, dper), lanes);
             vec![(src, sv), (dst, dv)]
         }
-        TOp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes }
-        | TOp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes }
-            if !dense =>
-        {
-            vec![sl(a, aa, lanes * aper), sl(b, ba, lanes * bper), sl(c, ca, lanes * cper)]
-        }
-        TOp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes }
-        | TOp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
-            let m16 = matches!(step, TOp::Mma16816 { .. });
+        TOp::Mma { m16, a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
             let [av, bv, cv] = dense_addrs(ar, m16, (aa, aper, ba, bper, ca, cper), lanes)?;
             vec![(a, av), (b, bv), (c, cv)]
         }
     };
-    Some(
-        ops.into_iter()
-            .map(|(buf, mut addrs)| {
-                rn.apply(buf, &mut addrs);
-                addrs
-            })
-            .collect(),
-    )
+    Ok(ops
+        .into_iter()
+        .map(|(buf, mut addrs)| {
+            rn.apply(buf, &mut addrs);
+            addrs
+        })
+        .collect())
 }
 
 /// Classifies a flat (lane-major flattened) address slice, falling back
@@ -898,9 +841,7 @@ fn touch(step: &OTp, buf: u32, len: usize) -> Touch {
                 Touch::None
             }
         }
-        OTp::Mma16816 { a, b, c, .. }
-        | OTp::Mma884 { a, b, c, .. }
-        | OTp::MmaTile { a, b, c, .. } => {
+        OTp::MmaTile { a, b, c, .. } => {
             if a == buf || b == buf || c == buf {
                 Touch::Other
             } else {
@@ -966,17 +907,18 @@ fn ldmatrix_copy(
     (sv, dv)
 }
 
-/// Composes a full-warp MMA's fragment shuffle into matrix-order
-/// `[A, B, C]` address vectors — `None` when the warp is partial (some
-/// matrix slot unwritten), which keeps the lane-order step in place.
-/// Slots are filled in the plan interpreter's lane-major load order, so
-/// a hypothetical duplicate slot resolves to the same last writer.
+/// Composes an MMA's fragment shuffle into matrix-order `[A, B, C]`
+/// address vectors; an error when some matrix slot stays unwritten (a
+/// partial warp, which Table-2 matching on whole lane groups never
+/// yields). Slots are filled in the plan interpreter's lane-major load
+/// order, so a hypothetical duplicate slot resolves to the same last
+/// writer.
 fn dense_addrs(
     ar: &[u32],
     m16: bool,
     (aa, aper, ba, bper, ca, cper): (u32, u32, u32, u32, u32, u32),
     lanes: u32,
-) -> Option<[Vec<u32>; 3]> {
+) -> Result<[Vec<u32>; 3], &'static str> {
     use graphene_ir::atomic::fragments as frag;
     let (m, n, k) = dense_dims(m16);
     let (an, bn, cn) = if m16 { (8, 4, 4) } else { (4, 4, 8) };
@@ -998,14 +940,9 @@ fn dense_addrs(
         }
     }
     if av.contains(&u32::MAX) || bv.contains(&u32::MAX) || cv.contains(&u32::MAX) {
-        return None;
+        return Err("a fragment slot is unfilled");
     }
-    Some([av, bv, cv])
-}
-
-/// A lane-order MMA's per-lane count or lane count, stored narrow.
-fn narrow(v: u32) -> u8 {
-    u8::try_from(v).expect("an MMA warp holds at most 32 lanes of small fragments")
+    Ok([av, bv, cv])
 }
 
 /// `(M, N, K)` of a dense tensor-core step: m16n8k16 or m8n8k4.
@@ -1041,13 +978,6 @@ fn for_each_span(step: &mut OTp, tiles: &[[u32; 3]], mut f: impl FnMut(usize, &m
             f(0, sa, *groups * *per);
             f(1, da, *groups);
         }
-        OTp::Mma16816 { aa, aper, ba, bper, ca, cper, lanes, .. }
-        | OTp::Mma884 { aa, aper, ba, bper, ca, cper, lanes, .. } => {
-            let lanes = u32::from(*lanes);
-            f(0, aa, lanes * u32::from(*aper));
-            f(1, ba, lanes * u32::from(*bper));
-            f(2, ca, lanes * u32::from(*cper));
-        }
         OTp::MmaTile { m16, tiles: (start, end), .. } => {
             let (m, n, k) = dense_dims(*m16);
             let lens = [m * k, k * n, m * n];
@@ -1064,7 +994,7 @@ fn for_each_span(step: &mut OTp, tiles: &[[u32; 3]], mut f: impl FnMut(usize, &m
 /// register numbering never leaves a CTA — replay returns only the
 /// globals, and counters were captured at record time — so any
 /// per-buffer bijection replays bit-identically. π lays out every
-/// private buffer a full-warp dense MMA touches in MMA order: the
+/// private buffer an MMA touches in MMA order: the
 /// matrix-order operand addresses ([`dense_addrs`]) of the first block
 /// take consecutive slots in first-use order, so each dense operand
 /// becomes one contiguous row. Unused addresses follow in ascending
@@ -1081,17 +1011,13 @@ impl Renaming {
         let mut slot: Vec<Vec<u32>> = vec![Vec::new(); buf_lens.len()];
         let mut next = vec![0u32; buf_lens.len()];
         for step in raw {
-            let (m16, bufs, addrs, lanes) = match *step {
-                TOp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
-                    (true, [a, b, c], (aa, aper, ba, bper, ca, cper), lanes)
-                }
-                TOp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
-                    (false, [a, b, c], (aa, aper, ba, bper, ca, cper), lanes)
-                }
-                _ => continue,
+            let TOp::Mma { m16, a, b, c, aa, aper, ba, bper, ca, cper, lanes } = *step else {
+                continue;
             };
-            let Some(ops) = dense_addrs(ar, m16, addrs, lanes) else { continue };
-            for (buf, addrs) in bufs.into_iter().zip(ops) {
+            let Ok(ops) = dense_addrs(ar, m16, (aa, aper, ba, bper, ca, cper), lanes) else {
+                continue;
+            };
+            for (buf, addrs) in [a, b, c].into_iter().zip(ops) {
                 let b = buf as usize;
                 if b < n_globals {
                     continue;
@@ -1202,30 +1128,35 @@ impl Classifier<'_> {
         classify_flat(&addrs, self.stage)
     }
 
-    /// The `[a, b, c]` row bases of a full-warp MMA that an
-    /// [`OTp::MmaTile`] can compute in place: all three buffers
-    /// private, `c` distinct from `a` and `b`, and every renamed
-    /// matrix-order operand ([`dense_addrs`]) one contiguous row.
-    /// `None` keeps the lane-order step.
+    /// The `[a, b, c]` row bases of an MMA, which an [`OTp::MmaTile`]
+    /// computes in place; an error naming why it cannot: every buffer
+    /// must be private, `c` distinct from `a` and `b`, and every
+    /// renamed matrix-order operand ([`dense_addrs`]) one contiguous
+    /// row.
     fn tile(
         &self,
         m16: bool,
         bufs: [u32; 3],
         addrs: (u32, u32, u32, u32, u32, u32),
         lanes: u32,
-    ) -> Option<[u32; 3]> {
+    ) -> Result<[u32; 3], &'static str> {
         let [a, b, c] = bufs;
-        if bufs.iter().any(|&x| (x as usize) < self.n_globals) || c == a || c == b {
-            return None;
+        if bufs.iter().any(|&x| (x as usize) < self.n_globals) {
+            return Err("an operand is not CTA-private");
+        }
+        if c == a || c == b {
+            return Err("the accumulator aliases an operand");
         }
         let ops = dense_addrs(self.ar, m16, addrs, lanes)?;
         let mut bases = [0; 3];
         for ((base, buf), mut v) in bases.iter_mut().zip(bufs).zip(ops) {
             self.rename.apply(buf, &mut v);
-            let Span::Affine { base: row, stride: 1 } = affine_1d(&v)? else { return None };
+            let Some(Span::Affine { base: row, stride: 1 }) = affine_1d(&v) else {
+                return Err("an operand is not one contiguous row after renaming");
+            };
             *base = row;
         }
-        Some(bases)
+        Ok(bases)
     }
 }
 
@@ -1259,7 +1190,12 @@ impl BlockOptimizer {
     /// Optimizes one block's raw steps, whose address operands index
     /// `ar`, and appends the result. The first block fixes the
     /// [`Renaming`] every block's operands go through.
-    fn push_block(&mut self, raw: &[TOp], ar: &[u32]) {
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::BadInput`] naming the block, the step and the reason
+    /// for the first MMA that cannot fold into a tile step.
+    fn push_block(&mut self, raw: &[TOp], ar: &[u32]) -> Result<(), ExecError> {
         if self.blocks.is_empty() {
             self.rename = Renaming::of_block(raw, ar, &self.buf_lens, self.n_globals);
         }
@@ -1272,36 +1208,36 @@ impl BlockOptimizer {
             scratch: &mut self.scratch,
             stage: &mut self.stage,
         };
-        for step in raw {
-            // A full-warp MMA that can run in place joins the tile step
-            // before it, or starts one.
-            let folded = match *step {
-                TOp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes }
-                | TOp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
-                    let m16 = matches!(step, TOp::Mma16816 { .. });
-                    cls.tile(m16, [a, b, c], (aa, aper, ba, bper, ca, cper), lanes)
-                        .map(|bases| (m16, a, b, c, bases))
-                }
-                _ => None,
-            };
-            if let Some((m16, a, b, c, bases)) = folded {
-                self.tiles.push(bases);
-                let end = u32::try_from(self.tiles.len()).expect("tile table exceeds u32 range");
-                self.stats.folded_mmas += 1;
-                match self.block_steps.last_mut() {
-                    Some(OTp::MmaTile { m16: m2, a: a2, b: b2, c: c2, tiles: (_, e) })
-                        if (*m2, *a2, *b2, *c2) == (m16, a, b, c) && *e + 1 == end =>
-                    {
-                        *e = end;
-                    }
-                    _ => {
-                        self.stats.mma_tiles += 1;
-                        self.block_steps.push(OTp::MmaTile { m16, a, b, c, tiles: (end - 1, end) });
-                    }
-                }
-                continue;
-            }
+        let block = self.blocks.len();
+        for (i, step) in raw.iter().enumerate() {
             let ot = match *step {
+                // Every MMA joins the tile step before it, or starts one.
+                TOp::Mma { m16, a, b, c, aa, aper, ba, bper, ca, cper, lanes } => {
+                    let bases = cls
+                        .tile(m16, [a, b, c], (aa, aper, ba, bper, ca, cper), lanes)
+                        .map_err(|why| {
+                            ExecError::BadInput(format!(
+                                "block {block} step {i}: MMA cannot fold into a warp tile: {why}"
+                            ))
+                        })?;
+                    self.tiles.push(bases);
+                    let end =
+                        u32::try_from(self.tiles.len()).expect("tile table exceeds u32 range");
+                    self.stats.folded_mmas += 1;
+                    match self.block_steps.last_mut() {
+                        Some(OTp::MmaTile { m16: m2, a: a2, b: b2, c: c2, tiles: (_, e) })
+                            if (*m2, *a2, *b2, *c2) == (m16, a, b, c) && *e + 1 == end =>
+                        {
+                            *e = end;
+                        }
+                        _ => {
+                            self.stats.mma_tiles += 1;
+                            let tiles = (end - 1, end);
+                            self.block_steps.push(OTp::MmaTile { m16, a, b, c, tiles });
+                        }
+                    }
+                    continue;
+                }
                 TOp::Fill { buf } => OTp::Fill { buf },
                 TOp::Copy { src, dst, sa, da, n } => {
                     OTp::Copy { src, dst, sa: cls.flat(src, sa, n), da: cls.flat(dst, da, n), n }
@@ -1356,30 +1292,6 @@ impl BlockOptimizer {
                     let n = u32::try_from(sv.len()).expect("ldmatrix width fits u32");
                     OTp::Copy { src, dst, sa: cls.composed(src, sv), da: cls.composed(dst, dv), n }
                 }
-                TOp::Mma16816 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => OTp::Mma16816 {
-                    a,
-                    b,
-                    c,
-                    aa: cls.lanes(a, aa, lanes, aper),
-                    aper: narrow(aper),
-                    ba: cls.lanes(b, ba, lanes, bper),
-                    bper: narrow(bper),
-                    ca: cls.lanes(c, ca, lanes, cper),
-                    cper: narrow(cper),
-                    lanes: narrow(lanes),
-                },
-                TOp::Mma884 { a, b, c, aa, aper, ba, bper, ca, cper, lanes } => OTp::Mma884 {
-                    a,
-                    b,
-                    c,
-                    aa: cls.lanes(a, aa, lanes, aper),
-                    aper: narrow(aper),
-                    ba: cls.lanes(b, ba, lanes, bper),
-                    bper: narrow(bper),
-                    ca: cls.lanes(c, ca, lanes, cper),
-                    cper: narrow(cper),
-                    lanes: narrow(lanes),
-                },
                 TOp::Shfl { mask, src, dst, sa, da, lanes } => OTp::Shfl {
                     mask,
                     src,
@@ -1448,6 +1360,7 @@ impl BlockOptimizer {
         self.steps.extend_from_slice(&self.block_steps);
         let end = u32::try_from(self.steps.len()).expect("optimized trace exceeds u32 steps");
         self.blocks.push((start, end));
+        Ok(())
     }
 
     /// The optimized trace; `addrs_before` and `bytes_before` describe
@@ -1493,14 +1406,26 @@ impl BlockOptimizer {
 /// reproduce the exact recorded addresses (classification verifies
 /// every element), fusion preserves element order, and a dead fill is
 /// only removed when the buffer is fully overwritten before any read.
+///
+/// # Panics
+///
+/// On any trace [`record_opt_trace`] would refuse: one holding an MMA
+/// that cannot fold into a warp tile. A trace [`crate::record_trace`]
+/// recorded never does, because recording refuses the only such MMA
+/// Table-2 matching admits (an accumulator aliasing an operand).
 #[must_use]
 pub fn optimize_trace(trace: &Trace) -> OptTrace {
+    try_optimize_trace(trace).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`optimize_trace`], with an MMA that cannot fold as an error.
+pub(crate) fn try_optimize_trace(trace: &Trace) -> Result<OptTrace, ExecError> {
     let mut opt = BlockOptimizer::new(trace.buf_lens.clone(), trace.n_globals);
     for &(bs, be) in &trace.blocks {
-        opt.push_block(&trace.steps[bs as usize..be as usize], &trace.addrs);
+        opt.push_block(&trace.steps[bs as usize..be as usize], &trace.addrs)?;
     }
     let (addrs, bytes) = (trace.addrs.len(), trace.resident_bytes());
-    opt.finish(addrs, bytes, trace.params.clone(), trace.counters)
+    Ok(opt.finish(addrs, bytes, trace.params.clone(), trace.counters))
 }
 
 /// Records `plan` once and optimizes the trace in the same pass — the
@@ -1509,7 +1434,8 @@ pub fn optimize_trace(trace: &Trace) -> OptTrace {
 ///
 /// # Errors
 ///
-/// Any [`ExecError`] the recording run hits.
+/// Any [`ExecError`] the recording run hits, and
+/// [`ExecError::BadInput`] for an MMA that cannot fold into a warp tile.
 pub fn record_opt_trace(
     plan: &KernelPlan,
     bindings: &HashMap<String, i64>,
@@ -1520,10 +1446,11 @@ pub fn record_opt_trace(
     let mut opt = BlockOptimizer::new(trace_buf_lens(plan), plan.globals.len());
     let (mut addrs, mut blocks) = (0, 0);
     let (_, counters) = record_blocks(plan, bindings, |rec| {
-        opt.push_block(&rec.steps, &rec.addrs);
+        opt.push_block(&rec.steps, &rec.addrs)?;
         (addrs, blocks) = (addrs + rec.addrs.len(), blocks + 1);
         rec.steps.clear();
         rec.addrs.clear();
+        Ok(())
     })?;
     let params = &plan.globals;
     let bytes = raw_resident_bytes(opt.stats.steps_before, addrs, blocks, &opt.buf_lens, params);
@@ -1885,8 +1812,9 @@ mod tests {
     /// One block computing `C += A·B` with one full-warp m16n8k16:
     /// global `x = [A (16×16) | B (16×8) | C (16×8)]` is copied into
     /// private buffers, A and C into buffer 1 and B into buffer 2
-    /// (`c_buf` 1) or C into buffer 3 (`c_buf` 3), and C is copied
-    /// back. Fragment addresses follow the lane-order layout.
+    /// (`c_buf` 1, an accumulator aliasing A) or C into buffer 3
+    /// (`c_buf` 3), and C is copied back. Fragment addresses follow the
+    /// lane-order layout.
     fn planted_mma(c_buf: u32) -> Trace {
         use graphene_ir::atomic::fragments as frag;
         let (a_off, c_off) = (0u32, if c_buf == 1 { 256 } else { 0 });
@@ -1916,7 +1844,8 @@ mod tests {
         let aa = seg(at(frag::mma_16816_a, 8, 16, a_off));
         let ba = seg(at(frag::mma_16816_b, 4, 8, 0));
         let ca = seg(at(frag::mma_16816_c, 4, 8, c_off));
-        steps.push(TOp::Mma16816 {
+        steps.push(TOp::Mma {
+            m16: true,
             a: 1,
             b: 2,
             c: c_buf,
@@ -1949,7 +1878,20 @@ mod tests {
     }
 
     #[test]
-    fn mma_whose_accumulator_aliases_an_operand_stays_lane_order() {
+    fn mma_whose_accumulator_aliases_an_operand_is_refused() {
+        let err = try_optimize_trace(&planted_mma(1)).expect_err("c shares buffer 1 with a");
+        assert_eq!(
+            err.to_string(),
+            "bad input: block 0 step 3: MMA cannot fold into a warp tile: \
+             the accumulator aliases an operand"
+        );
+        // A partial warp leaves fragment slots unfilled.
+        let mut partial = planted_mma(3);
+        if let TOp::Mma { lanes, .. } = &mut partial.steps[3] {
+            *lanes = 16;
+        }
+        let err = try_optimize_trace(&partial).expect_err("16 lanes fill half the slots");
+        assert!(err.to_string().ends_with("a fragment slot is unfilled"), "{err}");
         let x: Vec<f32> = (0..512).map(|i| ((i * 37) % 101) as f32 / 8.0 - 6.0).collect();
         let mut want = x.clone();
         for m in 0..16 {
@@ -1961,18 +1903,14 @@ mod tests {
                 want[384 + m * 8 + n] += acc;
             }
         }
+        let t = planted_mma(3);
+        let o = try_optimize_trace(&t).expect("c in its own buffer folds");
+        o.check_addresses(&t).expect("every operand decodes to its recorded addresses");
+        assert_eq!((o.stats().folded_mmas, o.stats().mma_tiles), (1, 1));
         let inputs: HashMap<TensorId, Vec<f32>> = [(TensorId(0), x)].into();
-        for (c_buf, folds) in [(1, false), (3, true)] {
-            let t = planted_mma(c_buf);
-            let o = optimize_trace(&t);
-            o.check_addresses(&t).expect("every operand decodes to its recorded addresses");
-            let st = o.stats();
-            assert_eq!((st.folded_mmas, st.mma_tiles), (usize::from(folds), usize::from(folds)));
-            assert_eq!(o.lane_order_mmas(), usize::from(!folds), "c in buffer {c_buf}");
-            let got = &replay_opt(&o, &inputs).expect("opt replay").globals[&TensorId(0)];
-            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(got), bits(&want), "c in buffer {c_buf}");
-        }
+        let got = &replay_opt(&o, &inputs).expect("opt replay").globals[&TensorId(0)];
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(&want));
     }
 
     #[test]

@@ -12,11 +12,13 @@
 use graphene_analysis::{analyze_kernel, error_count};
 use graphene_ir::Arch;
 use graphene_kernels::gemm::Epilogue;
-use graphene_sim::{analyze, machine_for, time_kernel};
+use graphene_sim::{analyze, machine_for, record_opt_trace, time_kernel, KernelPlan};
 use graphene_tune::{
     tune, tuner::run_search, tuner::run_search_cached, CostCache, FmhaSpace, GemmSpace,
-    LayernormSpace, MlpSpace, Search, SearchSpace, TuneDb, TuneOptions,
+    LayernormSpace, MlpSpace, Point, Search, SearchSpace, TuneDb, TuneOptions,
 };
+use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::collections::HashMap;
 
 /// Simulated time of the space's hand-picked default.
 fn default_time(space: &dyn SearchSpace) -> f64 {
@@ -241,5 +243,76 @@ fn impossible_problems_report_no_legal_candidate() {
             assert!(last_reason.is_some());
         }
         other => panic!("unexpected error: {other:?}"),
+    }
+}
+
+/// The beam hill-climb sees a subset of what an unbudgeted exhaustive
+/// search costs, so it can tie the exhaustive winner but never beat it.
+#[test]
+fn beam_never_beats_an_unbudgeted_exhaustive_search() {
+    let spaces: [&dyn SearchSpace; 2] =
+        [&LayernormSpace::new(Arch::Sm86, 512, 1024), &FmhaSpace::new(2, 128, 64)];
+    for space in spaces {
+        let exhaustive = run_search(space, &TuneOptions::default()).unwrap();
+        let beam = TuneOptions {
+            search: Search::Beam { seed: 7, width: 2, patience: 1 },
+            ..TuneOptions::default()
+        };
+        let beam = run_search(space, &beam).unwrap();
+        assert!(
+            exhaustive.best_time_s <= beam.best_time_s * (1.0 + 1e-9),
+            "{}: beam {} ({}) beat exhaustive {} ({})",
+            space.name(),
+            beam.best_time_s,
+            beam.best_desc,
+            exhaustive.best_time_s,
+            exhaustive.best_desc
+        );
+        assert!(beam.stats.simulated <= exhaustive.stats.simulated, "{:?}", beam.stats);
+    }
+}
+
+/// Up to `n` points of `space` the tuner admits to costing — legal
+/// under its constraint and lint-clean — drawn in a seeded order.
+fn admitted_points(space: &dyn SearchSpace, n: usize, seed: u64) -> Vec<Point> {
+    let mut order: Vec<usize> = (0..space.total_points()).collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.gen_range(0..=i));
+    }
+    order
+        .into_iter()
+        .map(|i| space.point_at(i))
+        .filter(|p| space.constraint(p).is_ok())
+        .filter(|p| error_count(&analyze_kernel(&space.build(p), space.arch())) == 0)
+        .take(n)
+        .collect()
+}
+
+/// Every MMA of every admitted tuner point folds into a warp-tile step:
+/// recording succeeds, and the folded MMAs account for every
+/// tensor-core flop the recording counted.
+#[test]
+fn every_admitted_point_records_with_every_mma_folded() {
+    let spaces: [&dyn SearchSpace; 5] = [
+        &GemmSpace::new(Arch::Sm86, 64, 128, 32, Epilogue::BiasGelu),
+        &GemmSpace::new(Arch::Sm70, 64, 64, 32, Epilogue::None),
+        &FmhaSpace::new(1, 64, 32),
+        &MlpSpace::new(Arch::Sm86, 64, 64, 2),
+        &MlpSpace::new(Arch::Sm70, 64, 64, 2),
+    ];
+    for space in spaces {
+        let points = admitted_points(space, 12, 25);
+        assert!(points.len() >= 2, "{}: {} admitted points", space.name(), points.len());
+        let mma_flops = if space.arch() == Arch::Sm86 { 2 * 16 * 8 * 16 } else { 2 * 8 * 8 * 4 };
+        for p in &points {
+            let what = format!("{} {:?} {}", space.name(), space.arch(), space.describe(p));
+            let plan = KernelPlan::compile(&space.build(p), space.arch()).expect(&what);
+            let opt =
+                record_opt_trace(&plan, &HashMap::new()).unwrap_or_else(|e| panic!("{what}: {e}"));
+            let folded = opt.stats().folded_mmas as u64;
+            assert!(folded > 0, "{what}: no MMA");
+            assert_eq!(folded * mma_flops, opt.counters().flops_tc, "{what}");
+        }
     }
 }
