@@ -21,6 +21,7 @@ use graphene_sym::{BinOp, IntExpr};
 
 fn paper_kernels() -> Vec<(Kernel, Arch)> {
     let cfg = GemmConfig::cublas_like(256, 256, 64);
+    let encoder_fmha = FmhaConfig { heads: 4, row_heads: 4, seq: 128, d: 64, bq: 128, wm: 32 };
     vec![
         (build_gemm(Arch::Sm86, &cfg, Epilogue::None), Arch::Sm86),
         (build_gemm_double_buffered(&cfg, Epilogue::None), Arch::Sm86),
@@ -29,6 +30,9 @@ fn paper_kernels() -> Vec<(Kernel, Arch)> {
         (build_fused_mlp(Arch::Sm70, &MlpConfig::paper(256, 2)), Arch::Sm70),
         (build_fused_lstm(Arch::Sm70, &LstmConfig::paper(128)), Arch::Sm70),
         (build_fused_fmha(Arch::Sm86, &FmhaConfig::mlperf_bert()), Arch::Sm86),
+        // The encoder's attention: heads viewed in place in the
+        // `[batch·seq, heads·d]` activation.
+        (build_fused_fmha(Arch::Sm86, &encoder_fmha), Arch::Sm86),
         (build_layernorm(Arch::Sm86, &LayernormConfig::new(64, 1024)), Arch::Sm86),
         (build_softmax(Arch::Sm86, &SoftmaxConfig::new(64, 512)), Arch::Sm86),
     ]

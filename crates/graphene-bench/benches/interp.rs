@@ -24,7 +24,7 @@ fn gemm() -> (Kernel, HashMap<TensorId, Vec<f32>>) {
 }
 
 fn fmha() -> (Kernel, HashMap<TensorId, Vec<f32>>) {
-    let cfg = FmhaConfig { heads: 2, seq: 64, d: 32, bq: 64, wm: 32 };
+    let cfg = FmhaConfig { heads: 2, row_heads: 1, seq: 64, d: 32, bq: 64, wm: 32 };
     let kernel = build_fused_fmha(Arch::Sm86, &cfg);
     let mut inputs = HashMap::new();
     inputs.insert(kernel.params[0], HostTensor::random(&[128, 32], 73).as_slice().to_vec());

@@ -223,9 +223,6 @@ pub fn resolve(name: &str, arch: Arch, opts: &HashMap<String, String>) -> Result
             (format!("rows{rows}_cols{cols}"), Spec::Softmax(cfg))
         }
         "fmha" => {
-            if arch != Arch::Sm86 {
-                return Err("the fused FMHA schedule targets Ampere (use --arch sm86)".into());
-            }
             let base = FmhaConfig::mlperf_bert();
             let cfg = FmhaConfig {
                 heads: dim("heads", base.heads)?,
@@ -233,12 +230,7 @@ pub fn resolve(name: &str, arch: Arch, opts: &HashMap<String, String>) -> Result
                 d: dim("d", base.d)?,
                 ..base
             };
-            if cfg.seq % cfg.bq != 0 || cfg.d % 16 != 0 || cfg.seq % 16 != 0 {
-                return Err(format!(
-                    "fmha requires seq % {} == 0 and d % 16 == 0 (got seq {}, d {})",
-                    cfg.bq, cfg.seq, cfg.d
-                ));
-            }
+            cfg.validate(arch)?;
             (format!("heads{}_seq{}_d{}", cfg.heads, cfg.seq, cfg.d), Spec::Fmha(cfg))
         }
         other => {

@@ -19,9 +19,11 @@
 //!   intermediate activations entirely.
 //!
 //! Both modes share kernels for `Layernorm` (Figure 13) and
-//! `Attention` (head-split reshape → fused FMHA, Figure 14 →
-//! head-merge), and both name externals by the *original* op index, so
-//! one weight map drives either lowering. The simulator computes in
+//! `Attention` (the fused FMHA of Figure 14, one launch that reads Q/K/V
+//! and writes O straight from the `[batch·seq, heads·d]` activation:
+//! head split and merge are views of it, not kernels), and both name
+//! externals by the *original* op index, so one weight map drives
+//! either lowering. The simulator computes in
 //! f32 everywhere and the fused epilogue applies the same `Add`/
 //! activation specs to the same accumulator values the unfused chain
 //! stores and reloads — so the two lowerings execute bit-identically,
@@ -31,7 +33,7 @@ use crate::fmha::FmhaConfig;
 use crate::gemm::{build_gemm, Epilogue, GemmConfig};
 use crate::graph::{Graph, Op};
 use crate::layernorm::{build_layernorm, LayernormConfig};
-use crate::pointwise::{build_bias_add, build_head_merge, build_head_split, build_unary};
+use crate::pointwise::{build_bias_add, build_unary};
 use graphene_ir::{Arch, Kernel, UnaryOp};
 use graphene_sim::{ArgBinding, ExecGraph, ExecNode, GraphKey, KernelPlan};
 use std::sync::Arc;
@@ -255,52 +257,20 @@ pub fn lower_executable(
                 i += 1;
             }
             Op::Attention { heads, seq } => {
-                if arch != Arch::Sm86 {
-                    return Err(format!(
-                        "op {i}: executable attention needs the Ampere fused FMHA kernel"
-                    ));
-                }
+                // Q = K = V = the activation, viewed per (batch, head)
+                // in place; O lands in the same `[rows, cols]` layout.
                 let d = cols / heads;
-                let batch = rows / seq;
-                if d % 16 != 0 || seq % 16 != 0 {
-                    return Err(format!(
-                        "op {i}: FMHA needs d%16==0 and seq%16==0, got d={d} seq={seq}"
-                    ));
-                }
-                let Some(&bq) = [128, 64, 32].iter().find(|&&b| seq % b == 0) else {
-                    return Err(format!("op {i}: no query tile divides seq={seq}"));
-                };
-                let instances = batch * heads;
-                let len = (rows * cols) as usize;
-
-                let split = build_head_split(rows, cols, *heads, *seq);
-                let q = lw.temp(len);
-                lw.push(
-                    &split,
-                    format!("rows={rows} cols={cols} heads={heads} seq={seq}"),
-                    vec![cur.clone(), ArgBinding::TempOut(q)],
-                )?;
-
-                let cfg = FmhaConfig { heads: instances, seq: *seq, d, bq, wm: 32 };
+                let bq = [128, 64, 32].into_iter().find(|b| seq % b == 0).unwrap_or(32);
+                let instances = rows / seq * heads;
+                let cfg =
+                    FmhaConfig { heads: instances, row_heads: *heads, seq: *seq, d, bq, wm: 32 };
+                cfg.validate(arch).map_err(|e| format!("op {i}: {e}"))?;
                 let fmha = crate::fmha::build_fused_fmha(arch, &cfg);
-                let o = lw.temp(len);
+                let out = lw.temp((rows * cols) as usize);
                 lw.push(
                     &fmha,
-                    format!("inst={instances} seq={seq} d={d} bq={bq}"),
-                    vec![
-                        ArgBinding::TempIn(q),
-                        ArgBinding::TempIn(q),
-                        ArgBinding::TempIn(q),
-                        ArgBinding::TempOut(o),
-                    ],
-                )?;
-
-                let merge = build_head_merge(rows, cols, *heads, *seq);
-                let out = lw.temp(len);
-                lw.push(
-                    &merge,
-                    format!("rows={rows} cols={cols} heads={heads} seq={seq}"),
-                    vec![ArgBinding::TempIn(o), ArgBinding::TempOut(out)],
+                    format!("inst={instances} row_heads={heads} seq={seq} d={d} bq={bq}"),
+                    vec![cur.clone(), cur.clone(), cur.clone(), ArgBinding::TempOut(out)],
                 )?;
                 cur = ArgBinding::TempIn(out);
                 i += 1;
@@ -366,6 +336,24 @@ mod tests {
         let g = encoder_graph(1, 1, 64, 256, 4, 256);
         let err = lower_executable(&g, Arch::Sm70, ExecLowering::Fused).unwrap_err();
         assert!(err.contains("Ampere"), "{err}");
+    }
+
+    #[test]
+    fn attention_launches_one_kernel() {
+        // Per layer: QKV GEMM, FMHA, out-projection, layernorm, two FFN
+        // GEMMs, layernorm — plus, unfused, three bias-adds and the GeLU.
+        let g = encoder_graph(2, 1, 128, 256, 4, 1024);
+        let fused = lower_executable(&g, Arch::Sm86, ExecLowering::Fused).unwrap();
+        let default = lower_executable(&g, Arch::Sm86, ExecLowering::Default).unwrap();
+        assert_eq!((fused.nodes.len(), default.nodes.len()), (14, 22));
+    }
+
+    #[test]
+    fn narrow_head_dim_is_an_error() {
+        // d = 32 / 4 = 8 is not a multiple of the MMA K.
+        let g = Graph::new(128, 32).op(Op::Attention { heads: 4, seq: 128 });
+        let err = lower_executable(&g, Arch::Sm86, ExecLowering::Fused).unwrap_err();
+        assert!(err.contains("op 0: fmha requires") && err.contains("d 8"), "{err}");
     }
 
     #[test]

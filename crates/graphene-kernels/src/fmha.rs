@@ -34,10 +34,14 @@ use graphene_layout::{it, IntTuple, Layout, Swizzle};
 use graphene_sym::IntExpr;
 
 /// FMHA problem configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FmhaConfig {
     /// Number of (batch × head) attention instances.
     pub heads: i64,
+    /// Instances side by side in one activation row: 1 for head-major
+    /// `[heads·seq, d]` operands, the head count for the encoder's
+    /// `[batch·seq, heads·d]` activation (heads as a view, no reshape).
+    pub row_heads: i64,
     /// Sequence length.
     pub seq: i64,
     /// Head dimension.
@@ -52,7 +56,39 @@ impl FmhaConfig {
     /// The paper's MLPerf BERT inference shape: 16 heads, batch 32,
     /// hidden size 64, sequence length 384 (§6).
     pub fn mlperf_bert() -> Self {
-        FmhaConfig { heads: 16 * 32, seq: 384, d: 64, bq: 128, wm: 32 }
+        FmhaConfig { heads: 16 * 32, row_heads: 1, seq: 384, d: 64, bq: 128, wm: 32 }
+    }
+
+    /// Checks that the fused schedule can lower this configuration on
+    /// `arch`: Ampere only, whole query tiles and warp tiles, MMA-K
+    /// aligned `seq` and `d`, and whole activation rows of instances.
+    ///
+    /// # Errors
+    ///
+    /// A user-facing description of the first violated constraint.
+    pub fn validate(&self, arch: Arch) -> Result<(), String> {
+        if arch != Arch::Sm86 {
+            return Err("the fused FMHA schedule targets Ampere (use --arch sm86)".into());
+        }
+        if self.seq % self.bq != 0 || self.d % 16 != 0 || self.seq % 16 != 0 {
+            return Err(format!(
+                "fmha requires seq % {} == 0 and d % 16 == 0 (got seq {}, d {})",
+                self.bq, self.seq, self.d
+            ));
+        }
+        if self.bq % self.wm != 0 || self.wm % 16 != 0 {
+            return Err(format!(
+                "fmha requires bq % wm == 0 and wm % 16 == 0 (got bq {}, wm {})",
+                self.bq, self.wm
+            ));
+        }
+        if self.heads % self.row_heads != 0 {
+            return Err(format!(
+                "fmha requires heads % row_heads == 0 (got heads {}, row_heads {})",
+                self.heads, self.row_heads
+            ));
+        }
+        Ok(())
     }
 
     /// Warps (= `bq / wm`) per block.
@@ -81,24 +117,28 @@ impl FmhaConfig {
 
 /// Builds the fused FMHA kernel `O = softmax(QKᵀ/√d) × V` per head.
 ///
-/// Parameters: `Q, K, V, O : [heads*seq, d]` fp16 row-major
-/// (head-major). Ampere (SM86) only.
+/// Parameters: `Q, K, V, O : [heads/row_heads·seq, row_heads·d]` fp16
+/// row-major. Instance `i` is the `[seq, d]` block at row
+/// `(i / row_heads)·seq`, column `(i % row_heads)·d` — the hierarchical
+/// view `((row_heads, heads/row_heads), seq, d)` of the activation, so
+/// head split and merge are indexing, not copies. Ampere (SM86) only.
+///
+/// # Panics
+///
+/// If [`FmhaConfig::validate`] rejects `cfg` on `arch`.
 pub fn build_fused_fmha(arch: Arch, cfg: &FmhaConfig) -> Kernel {
-    assert_eq!(arch, Arch::Sm86, "the fused FMHA schedule targets Ampere (paper Figure 15)");
-    assert_eq!(cfg.seq % cfg.bq, 0, "query tiling");
-    assert_eq!(cfg.d % 16, 0, "head dim vs mma K");
-    assert_eq!(cfg.seq % 16, 0, "seq vs mma K");
+    cfg.validate(arch).expect("valid FMHA config");
     let geom_s = cfg.geom_s();
     let geom_o = cfg.geom_o();
     let (mi_cnt, ni_s) = (cfg.wm / 16, cfg.seq / 8);
     let kk_cnt = cfg.seq / 16; // P fragments along the kv dimension
 
-    let rows = cfg.heads * cfg.seq;
+    let shape = [cfg.heads / cfg.row_heads * cfg.seq, cfg.row_heads * cfg.d];
     let mut kb = KernelBuilder::new("graphene_fused_fmha", &[cfg.blocks()], &[cfg.threads()]);
-    let q = kb.param("Q", &[rows, cfg.d], ScalarType::F16);
-    let k = kb.param("K", &[rows, cfg.d], ScalarType::F16);
-    let v = kb.param("V", &[rows, cfg.d], ScalarType::F16);
-    let o = kb.param("O", &[rows, cfg.d], ScalarType::F16);
+    let q = kb.param("Q", &shape, ScalarType::F16);
+    let k = kb.param("K", &shape, ScalarType::F16);
+    let v = kb.param("V", &shape, ScalarType::F16);
+    let o = kb.param("O", &shape, ScalarType::F16);
 
     let grid = kb.grid();
     let block = kb.block();
@@ -106,7 +146,8 @@ pub fn build_fused_fmha(arch: Arch, cfg: &FmhaConfig) -> Kernel {
     let q_tiles = cfg.seq / cfg.bq;
     let head = bid.clone() / q_tiles;
     let q_tile = bid.clone() % q_tiles;
-    let head_row0 = head.clone() * cfg.seq;
+    let head_row0 = head.clone() / cfg.row_heads * cfg.seq;
+    let head_col0 = head % cfg.row_heads * cfg.d;
     let q_row0 = head_row0.clone() + q_tile * cfg.bq;
 
     // Shared memory: the Q tile, and one buffer shared (sequentially) by
@@ -138,7 +179,7 @@ pub fn build_fused_fmha(arch: Arch, cfg: &FmhaConfig) -> Kernel {
         q,
         qs,
         q_row0.clone(),
-        IntExpr::zero(),
+        head_col0.clone(),
         cfg.bq,
         cfg.d,
         cfg.threads(),
@@ -151,7 +192,7 @@ pub fn build_fused_fmha(arch: Arch, cfg: &FmhaConfig) -> Kernel {
         k,
         kt_view,
         head_row0.clone(),
-        IntExpr::zero(),
+        head_col0.clone(),
         cfg.seq,
         cfg.d,
         cfg.threads(),
@@ -219,8 +260,8 @@ pub fn build_fused_fmha(arch: Arch, cfg: &FmhaConfig) -> Kernel {
         block,
         v,
         v_view,
-        head_row0.clone(),
-        IntExpr::zero(),
+        head_row0,
+        head_col0.clone(),
         cfg.seq,
         cfg.d,
         cfg.threads(),
@@ -250,8 +291,7 @@ pub fn build_fused_fmha(arch: Arch, cfg: &FmhaConfig) -> Kernel {
     }
 
     kb.comment("store the output tile");
-    let target =
-        StoreTarget::Global { tensor: o, row0: q_row0, col0: IntExpr::zero(), row_bound: None };
+    let target = StoreTarget::Global { tensor: o, row0: q_row0, col0: head_col0, row_bound: None };
     o_mma.store(&mut kb, grid, block, &EpilogueOps::none(), &target);
 
     kb.build()
@@ -414,31 +454,65 @@ mod tests {
 
     #[test]
     fn fused_fmha_matches_reference() {
-        let cfg = FmhaConfig { heads: 2, seq: 64, d: 32, bq: 32, wm: 32 };
-        let kernel = build_fused_fmha(Arch::Sm86, &cfg);
-        validate(&kernel, Arch::Sm86).expect("validates");
+        // Head-major operands, then the encoder's `[batch·seq, heads·d]`
+        // activation: two batches of two heads side by side.
+        for cfg in [
+            FmhaConfig { heads: 2, row_heads: 1, seq: 64, d: 32, bq: 32, wm: 32 },
+            FmhaConfig { heads: 4, row_heads: 2, seq: 64, d: 32, bq: 32, wm: 32 },
+        ] {
+            let kernel = build_fused_fmha(Arch::Sm86, &cfg);
+            validate(&kernel, Arch::Sm86).expect("validates");
 
-        let rows = (cfg.heads * cfg.seq) as usize;
-        let d = cfg.d as usize;
-        let s = cfg.seq as usize;
-        let q = HostTensor::random(&[rows, d], 51);
-        let k = HostTensor::random(&[rows, d], 52);
-        let v = HostTensor::random(&[rows, d], 53);
-        let mut inputs = HashMap::new();
-        inputs.insert(kernel.params[0], q.as_slice().to_vec());
-        inputs.insert(kernel.params[1], k.as_slice().to_vec());
-        inputs.insert(kernel.params[2], v.as_slice().to_vec());
-        let out = graphene_sim::execute(&kernel, Arch::Sm86, &inputs).expect("execute");
-        let o = &out.globals[&kernel.params[3]];
+            let (s, d, rh) = (cfg.seq as usize, cfg.d as usize, cfg.row_heads as usize);
+            let dims = [cfg.heads as usize / rh * s, rh * d];
+            let q = HostTensor::random(&dims, 51);
+            let k = HostTensor::random(&dims, 52);
+            let v = HostTensor::random(&dims, 53);
+            let mut inputs = HashMap::new();
+            inputs.insert(kernel.params[0], q.as_slice().to_vec());
+            inputs.insert(kernel.params[1], k.as_slice().to_vec());
+            inputs.insert(kernel.params[2], v.as_slice().to_vec());
+            let out = graphene_sim::execute(&kernel, Arch::Sm86, &inputs).expect("execute");
+            let o = &out.globals[&kernel.params[3]];
 
-        for h in 0..cfg.heads as usize {
-            let slice = |t: &HostTensor| {
-                HostTensor::from_vec(&[s, d], t.as_slice()[h * s * d..(h + 1) * s * d].to_vec())
+            // Instance `i` is the `[s, d]` block at row `(i / rh)·s`,
+            // column `(i % rh)·d`.
+            let slice = |t: &[f32], i: usize| {
+                let (row0, col0) = (i / rh * s, i % rh * d);
+                let rows = (row0..row0 + s).flat_map(|r| &t[r * rh * d + col0..][..d]);
+                HostTensor::from_vec(&[s, d], rows.copied().collect())
             };
-            let expect = attention_ref(&slice(&q), &slice(&k), &slice(&v));
-            let got = HostTensor::from_vec(&[s, d], o[h * s * d..(h + 1) * s * d].to_vec());
-            got.assert_close(&expect, 2e-3);
+            for i in 0..cfg.heads as usize {
+                let expect = attention_ref(
+                    &slice(q.as_slice(), i),
+                    &slice(k.as_slice(), i),
+                    &slice(v.as_slice(), i),
+                );
+                slice(o, i).assert_close(&expect, 2e-3);
+            }
         }
+    }
+
+    #[test]
+    fn heads_as_a_view_cost_what_head_major_costs() {
+        // The encoder's lowered attention: 4 heads side by side.
+        let contiguous = FmhaConfig { heads: 4, row_heads: 1, seq: 128, d: 64, bq: 128, wm: 32 };
+        let interleaved = FmhaConfig { row_heads: 4, ..contiguous };
+        let counters = |cfg: &FmhaConfig| {
+            graphene_sim::analyze(&build_fused_fmha(Arch::Sm86, cfg), Arch::Sm86).expect("analyzes")
+        };
+        assert_eq!(counters(&interleaved), counters(&contiguous));
+    }
+
+    #[test]
+    fn validate_names_the_violated_constraint() {
+        let ok = FmhaConfig { heads: 4, row_heads: 4, seq: 128, d: 64, bq: 128, wm: 32 };
+        assert_eq!(ok.validate(Arch::Sm86), Ok(()));
+        let err = |cfg: FmhaConfig| cfg.validate(Arch::Sm86).unwrap_err();
+        assert!(err(FmhaConfig { row_heads: 3, ..ok }).contains("heads % row_heads"));
+        assert!(err(FmhaConfig { wm: 48, ..ok }).contains("bq % wm"));
+        assert!(err(FmhaConfig { d: 8, ..ok }).contains("d % 16"));
+        assert!(ok.validate(Arch::Sm70).unwrap_err().contains("targets Ampere"));
     }
 
     #[test]

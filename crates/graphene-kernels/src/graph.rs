@@ -284,10 +284,9 @@ pub fn lower_fused(graph: &Graph, arch: Arch) -> Plan {
                 i += 1;
             }
             Op::Attention { heads, seq } => {
-                let d = cols / heads;
-                let instances = (rows / seq) * heads;
-                if arch == Arch::Sm86 && seq % 128 == 0 && d % 16 == 0 {
-                    let cfg = FmhaConfig { heads: instances, seq: *seq, d, bq: 128, wm: 32 };
+                let (d, row_heads, instances) = (cols / heads, *heads, (rows / seq) * heads);
+                let cfg = FmhaConfig { heads: instances, row_heads, seq: *seq, d, bq: 128, wm: 32 };
+                if cfg.validate(arch).is_ok() {
                     kernels.push(Planned::Graphene(Box::new(crate::fmha::build_fused_fmha(
                         arch, &cfg,
                     ))));

@@ -1,5 +1,4 @@
-//! Standalone pointwise and data-movement kernels for the *default*
-//! graph lowering.
+//! Standalone pointwise kernels for the *default* graph lowering.
 //!
 //! The fused lowering absorbs bias-add and activations into GEMM
 //! epilogues; the default lowering launches one kernel per graph node,
@@ -14,12 +13,6 @@
 //! `act(acc + bias)` in f32, and the unfused chain stores `acc`,
 //! reloads the identical f32 bits, and applies the same `Add` and
 //! activation specs — same operations on same values, same bits.
-//!
-//! [`build_head_split`] / [`build_head_merge`] reshape `[batch*seq,
-//! hidden]` activations to and from the `[batch*heads*seq, d]`
-//! head-major layout the fused FMHA kernel expects — pure global→
-//! global vectorised moves, the transpose-free layout change a real
-//! stack does with a strided copy kernel.
 
 use crate::common::reg_vec;
 use graphene_ir::builder::KernelBuilder;
@@ -119,87 +112,6 @@ pub fn build_unary(rows: i64, cols: i64, op: UnaryOp) -> Kernel {
     kb.build()
 }
 
-/// Builds the `[batch*seq, hidden] → [batch*heads*seq, d]` head-major
-/// reshape feeding the fused FMHA kernel (`d = hidden/heads`).
-///
-/// Output row `(b*heads + h)*seq + s` column `j` reads input row
-/// `b*seq + s` column `h*d + j` — a strided gather expressed as one
-/// vectorised global→global move per thread.
-pub fn build_head_split(rows: i64, cols: i64, heads: i64, seq: i64) -> Kernel {
-    assert_eq!(cols % heads, 0, "hidden must divide by heads");
-    assert_eq!(rows % seq, 0, "rows must divide by seq");
-    let d = cols / heads;
-    assert_eq!(d % 8, 0, "head dim must be a multiple of 8");
-    let blocks = check_grid(rows * cols, d);
-    let mut kb = KernelBuilder::new("graphene_head_split", &[blocks], &[THREADS]);
-    let x = kb.param("X", &[rows, cols], ScalarType::F16);
-    let y = kb.param("Y", &[rows / seq * heads * seq, d], ScalarType::F16);
-
-    let grid = kb.grid();
-    let block = kb.block();
-    let bid = kb.module()[grid].group_coords()[0].clone();
-    let tid = kb.module()[block].hw_var();
-    let v = bid * THREADS + tid; // vec8 index over the *output*
-    let d8 = d / 8;
-    let r = v.clone() / d8;
-    let j8 = v % d8;
-    let s = r.clone() % seq;
-    let bh = r.clone() / seq;
-    let h = bh.clone() % heads;
-    let b = bh / heads;
-
-    let x8 = kb.tile_c(x, &[Some(1), Some(8)]).expect("X vectors");
-    let y8 = kb.tile_c(y, &[Some(1), Some(8)]).expect("Y vectors");
-    let xr = kb.alloc_reg("x8", reg_vec(8, ScalarType::F32));
-    let src = kb.index(x8, &[b * seq + s, h * d8 + j8.clone()]);
-    let ts = kb.thread_scalar(block);
-    kb.spec(SpecKind::Move, vec![grid, ts], vec![src], vec![xr]);
-    let dst = kb.index(y8, &[r, j8]);
-    let ts = kb.thread_scalar(block);
-    kb.spec(SpecKind::Move, vec![grid, ts], vec![xr], vec![dst]);
-
-    kb.build()
-}
-
-/// Builds the inverse reshape `[batch*heads*seq, d] → [batch*seq,
-/// hidden]` gathering FMHA output back to row-major activations.
-pub fn build_head_merge(rows: i64, cols: i64, heads: i64, seq: i64) -> Kernel {
-    assert_eq!(cols % heads, 0, "hidden must divide by heads");
-    assert_eq!(rows % seq, 0, "rows must divide by seq");
-    let d = cols / heads;
-    assert_eq!(d % 8, 0, "head dim must be a multiple of 8");
-    let blocks = check_grid(rows * cols, d);
-    let mut kb = KernelBuilder::new("graphene_head_merge", &[blocks], &[THREADS]);
-    let x = kb.param("X", &[rows / seq * heads * seq, d], ScalarType::F16);
-    let y = kb.param("Y", &[rows, cols], ScalarType::F16);
-
-    let grid = kb.grid();
-    let block = kb.block();
-    let bid = kb.module()[grid].group_coords()[0].clone();
-    let tid = kb.module()[block].hw_var();
-    let v = bid * THREADS + tid; // vec8 index over the *output*
-    let cols8 = cols / 8;
-    let d8 = d / 8;
-    let rr = v.clone() / cols8;
-    let c8 = v % cols8;
-    let h = c8.clone() / d8;
-    let j8 = c8.clone() % d8;
-    let b = rr.clone() / seq;
-    let s = rr.clone() % seq;
-
-    let x8 = kb.tile_c(x, &[Some(1), Some(8)]).expect("X vectors");
-    let y8 = kb.tile_c(y, &[Some(1), Some(8)]).expect("Y vectors");
-    let xr = kb.alloc_reg("x8", reg_vec(8, ScalarType::F32));
-    let src = kb.index(x8, &[(b * heads + h) * seq + s, j8]);
-    let ts = kb.thread_scalar(block);
-    kb.spec(SpecKind::Move, vec![grid, ts], vec![src], vec![xr]);
-    let dst = kb.index(y8, &[rr, c8]);
-    let ts = kb.thread_scalar(block);
-    kb.spec(SpecKind::Move, vec![grid, ts], vec![xr], vec![dst]);
-
-    kb.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,42 +152,5 @@ mod tests {
         for (i, g) in got.iter().enumerate() {
             assert_eq!(g.to_bits(), x.as_slice()[i].max(0.0).to_bits(), "scalar {i}");
         }
-    }
-
-    #[test]
-    fn head_split_merge_roundtrip() {
-        let (rows, cols, heads, seq) = (64, 64, 4, 32); // batch 2, d 16
-        let split = build_head_split(rows, cols, heads, seq);
-        let merge = build_head_merge(rows, cols, heads, seq);
-        validate(&split, Arch::Sm86).expect("split validates");
-        validate(&merge, Arch::Sm86).expect("merge validates");
-
-        let x = HostTensor::random(&[rows as usize, cols as usize], 11);
-        let mut inputs = HashMap::new();
-        inputs.insert(split.params[0], x.as_slice().to_vec());
-        let mid = graphene_sim::execute(&split, Arch::Sm86, &inputs).expect("split");
-
-        // Check the head-major layout directly on one element:
-        // out[(b*heads+h)*seq+s, j] == in[b*seq+s, h*d+j].
-        let d = (cols / heads) as usize;
-        let q = &mid.globals[&split.params[1]];
-        let (b, h, s, j) = (1usize, 2usize, 5usize, 3usize);
-        let out_idx = ((b * heads as usize + h) * seq as usize + s) * d + j;
-        let in_idx = (b * seq as usize + s) * cols as usize + h * d + j;
-        assert_eq!(q[out_idx].to_bits(), x.as_slice()[in_idx].to_bits());
-
-        let mut inputs2 = HashMap::new();
-        inputs2.insert(merge.params[0], q.clone());
-        let back = graphene_sim::execute(&merge, Arch::Sm86, &inputs2).expect("merge");
-        let y = &back.globals[&merge.params[1]];
-        for (i, (a, b)) in x.as_slice().iter().zip(y.iter()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "scalar {i}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of 8")]
-    fn rejects_narrow_head_dim() {
-        build_head_split(64, 64, 16, 32); // d = 4
     }
 }

@@ -165,7 +165,7 @@ pub fn time_inference(
             time_sequence(&seq.iter().map(|k| k.profile(machine)).collect::<Vec<_>>())
         }
         AttentionImpl::GrapheneFused => {
-            let fcfg = FmhaConfig { heads, seq: cfg.seq, d, bq: 128, wm: 32 };
+            let fcfg = FmhaConfig { heads, row_heads: 1, seq: cfg.seq, d, bq: 128, wm: 32 };
             fused_fmha_profile(&fcfg, machine).time_s
         }
     };
@@ -184,18 +184,16 @@ pub fn fused_fmha_profile(cfg: &FmhaConfig, machine: &MachineDesc) -> KernelProf
     use std::collections::HashMap;
     use std::sync::Mutex;
     use std::sync::OnceLock;
-    type Key = (i64, i64, i64, i64, i64);
-    static CACHE: OnceLock<Mutex<HashMap<Key, graphene_sim::Counters>>> = OnceLock::new();
-    let key = (cfg.heads, cfg.seq, cfg.d, cfg.bq, cfg.wm);
+    static CACHE: OnceLock<Mutex<HashMap<FmhaConfig, graphene_sim::Counters>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let counters = {
         let mut guard = cache.lock().expect("fmha profile cache");
-        if let Some(c) = guard.get(&key) {
+        if let Some(c) = guard.get(cfg) {
             *c
         } else {
             let kernel = crate::fmha::build_fused_fmha(Arch::Sm86, cfg);
             let c = graphene_sim::analyze(&kernel, Arch::Sm86).expect("fmha analyzes");
-            guard.insert(key, c);
+            guard.insert(*cfg, c);
             c
         }
     };

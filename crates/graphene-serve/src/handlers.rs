@@ -88,7 +88,7 @@ pub const MAX_REQUEST_SCALARS: usize = 1 << 26;
 /// Refuses a request whose global buffers hold `scalars` scalars when
 /// that exceeds [`MAX_REQUEST_SCALARS`]; called before any of them is
 /// allocated.
-fn within_limit(scalars: u128) -> Result<(), String> {
+pub(crate) fn within_limit(scalars: u128) -> Result<(), String> {
     if scalars > MAX_REQUEST_SCALARS as u128 {
         return Err(format!(
             "request needs {scalars} global scalars, over the limit of {MAX_REQUEST_SCALARS}"
@@ -222,7 +222,6 @@ fn run(state: &ServerState, req: &Request) -> Result<Obj, String> {
         }
     };
     let (entry, plan_hit) = state.plan_for(name, arch, &req.opts)?;
-    within_limit(entry.plan.params().iter().map(|&(_, _, len)| len as u128).sum())?;
     let inputs = seeded_inputs(entry.plan.params().iter().map(|(id, _, len)| (*id, *len)));
     let bindings = HashMap::new();
     let mut replayed = None;
@@ -664,6 +663,10 @@ mod tests {
                 r#"{"cmd":"tune","kernel":"fmha","seq":0}"#,
                 "--seq must be a positive integer, got 0",
             ),
+            (
+                r#"{"cmd":"run-graph","batch":9223372036854775807}"#,
+                "option `batch` must be an integer below 2^53",
+            ),
         ];
         for (line, want) in cases {
             let resp = parse(&dispatch(&state, line)).unwrap();
@@ -693,6 +696,7 @@ mod tests {
             assert!(err.contains(&limit), "{line}: {err}");
         }
         assert_eq!(state.traces.recordings(), 0, "refused before recording");
+        assert_eq!(state.plan_stats().2, 0, "refused before caching a plan");
         assert_eq!(state.metrics.panics.load(Ordering::Relaxed), 0);
         // The largest benchmark size, layernorm's 4096x1024 input and
         // output, stays under the limit.

@@ -40,12 +40,16 @@ impl Request {
     }
 }
 
+/// 2^53: below it, an f64 holds every integer exactly.
+const EXACT_INTS: f64 = 9_007_199_254_740_992.0;
+
 /// Parses one request line.
 ///
 /// # Errors
 ///
 /// A user-facing message for malformed JSON, a missing/non-string
-/// `"cmd"`, or non-scalar option values.
+/// `"cmd"`, non-scalar option values, or integers of magnitude 2^53
+/// or more.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let Json::Obj(fields) = parse(line)? else {
         return Err("request must be a JSON object".into());
@@ -66,11 +70,18 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             }
             (_, Json::Num(n)) => {
                 // Integers render without the trailing `.0` so the
-                // catalogs' integer parsing accepts them.
-                let s = if n.fract() == 0.0 && n.abs() < 9.0e15 {
+                // catalogs' integer parsing accepts them. From 2^53 on,
+                // an f64 no longer holds every integer, so rendering
+                // would name a value the client never sent.
+                let s = if n.fract() != 0.0 {
+                    format!("{n}")
+                } else if n.abs() < EXACT_INTS {
                     format!("{}", *n as i64)
                 } else {
-                    format!("{n}")
+                    return Err(format!(
+                        "option `{key}` must be an integer below 2^53 in magnitude \
+                         (JSON numbers lose digits past it)"
+                    ));
                 };
                 opts.insert(key, s);
             }

@@ -12,6 +12,7 @@
 //! problems can share a grid/block shape, so a launch-keyed resident
 //! cache would serve the wrong plan or trace.
 
+use crate::handlers::within_limit;
 use crate::jobs::JobQueue;
 use crate::metrics::Metrics;
 use crate::proto::Request;
@@ -92,12 +93,14 @@ impl ServerState {
     /// only a miss builds the kernel and compiles it. Building and
     /// compiling happen outside the map lock, so a cold request never
     /// blocks warm ones for other keys; two racing cold requests may
-    /// both compile, and the first insert wins.
+    /// both compile, and the first insert wins. A problem whose global
+    /// buffers exceed [`crate::handlers::MAX_REQUEST_SCALARS`] is
+    /// refused before it is cached.
     ///
     /// # Errors
     ///
-    /// Catalog option errors or plan-compilation errors, as one
-    /// user-facing string.
+    /// Catalog option errors, plan-compilation errors or the size
+    /// refusal, as one user-facing string.
     pub fn plan_for(
         &self,
         name: &str,
@@ -112,6 +115,7 @@ impl ServerState {
         }
         let kernel = resolved.build();
         let plan = KernelPlan::compile(&kernel, arch).map_err(|e| e.to_string())?;
+        within_limit(plan.params().iter().map(|&(_, _, len)| len as u128).sum())?;
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
         let entry =
             Arc::new(PlanEntry { plan, kernel_name: kernel.name, problem: resolved.problem });

@@ -310,6 +310,7 @@ impl FmhaSpace {
     fn config(&self, p: &Point) -> FmhaConfig {
         FmhaConfig {
             heads: self.heads,
+            row_heads: 1,
             seq: self.seq,
             d: self.d,
             bq: self.get(p, "bq"),
@@ -342,15 +343,7 @@ impl SearchSpace for FmhaSpace {
 
     fn constraint(&self, p: &Point) -> Result<(), String> {
         let c = self.config(p);
-        if self.d % 16 != 0 || self.seq % 16 != 0 {
-            return Err("head dim and seq must be multiples of 16 (mma K)".into());
-        }
-        if self.seq % c.bq != 0 {
-            return Err(format!("query tiling: seq={} not divisible by bq={}", self.seq, c.bq));
-        }
-        if c.bq % c.wm != 0 || c.wm % 16 != 0 {
-            return Err(format!("warp tiling: bq={} vs wm={} (bq%wm, wm%16)", c.bq, c.wm));
-        }
+        c.validate(Arch::Sm86)?;
         let warps = c.warps();
         if !(1..=8).contains(&warps) {
             return Err(format!("{warps} warps per block (1..=8 supported)"));

@@ -131,7 +131,7 @@ fn fused_kernels_validate_and_lower_on_both_archs() {
 #[test]
 fn fmha_pipeline() {
     use graphene::kernels::fmha::{build_fused_fmha, FmhaConfig};
-    let cfg = FmhaConfig { heads: 1, seq: 64, d: 32, bq: 64, wm: 32 };
+    let cfg = FmhaConfig { heads: 1, row_heads: 1, seq: 64, d: 32, bq: 64, wm: 32 };
     let kernel = build_fused_fmha(Arch::Sm86, &cfg);
     graphene::ir::validate::validate(&kernel, Arch::Sm86).expect("validates");
     let cuda = graphene::codegen::generate(&kernel, Arch::Sm86).expect("codegen");

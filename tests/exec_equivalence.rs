@@ -138,7 +138,7 @@ fn gemm_bias_relu_equivalent() {
 #[test]
 fn fmha_equivalent() {
     // Two heads -> two independent CTAs.
-    let cfg = FmhaConfig { heads: 2, seq: 64, d: 32, bq: 64, wm: 32 };
+    let cfg = FmhaConfig { heads: 2, row_heads: 1, seq: 64, d: 32, bq: 64, wm: 32 };
     let kernel = build_fused_fmha(Arch::Sm86, &cfg);
     let rows = (cfg.heads * cfg.seq) as usize;
     let d = cfg.d as usize;
