@@ -14,9 +14,9 @@
 //! two different GEMM problems can share a launch shape, so a cache
 //! keyed only on the launch would serve the wrong trace.
 //!
-//! Every size option must be a positive integer, and every rule a
-//! builder asserts is checked here first: bad options come back as
-//! errors, never as builder panics.
+//! Every size option must be a positive integer, and every config
+//! passes its own `validate` here before anything is built: bad options
+//! come back as that check's error, never as a builder panic.
 
 use crate::fmha::FmhaConfig;
 use crate::gemm::{build_gemm, build_gemm_double_buffered, Epilogue, GemmConfig};
@@ -143,18 +143,6 @@ impl Resolved {
     }
 }
 
-/// The fused MLP/LSTM tiling: 128-row blocks, 64-wide warp tiles, and
-/// a hidden size that fits the staged weight tiles (≤ 128).
-fn check_fused_tiles(name: &str, m: i64, hidden: i64) -> Result<(), String> {
-    if hidden % 64 != 0 || hidden > 128 {
-        return Err(format!("{name} --hidden must be 64 or 128, got {hidden}"));
-    }
-    if m % 128 != 0 {
-        return Err(format!("{name} --m must be a multiple of 128, got {m}"));
-    }
-    Ok(())
-}
-
 /// Parses and validates the options of kernel `name` and computes its
 /// canonical problem key, applying the same defaults and validity
 /// checks for every caller — without building the kernel.
@@ -173,16 +161,12 @@ pub fn resolve(name: &str, arch: Arch, opts: &HashMap<String, String>) -> Result
             let (m, n, k) = (dim("m", 1024)?, dim("n", 1024)?, dim("k", 1024)?);
             let epilogue = parse_epilogue(opts.get("epilogue").map(String::as_str))?;
             let cfg = GemmConfig::cublas_like(m, n, k);
-            if m % cfg.bm != 0 || n % cfg.bn != 0 || k % cfg.bk != 0 {
-                return Err(format!("gemm sizes must tile by {}x{}x{}", cfg.bm, cfg.bn, cfg.bk));
-            }
+            // The tiles are fixed, so only the sizes can break a rule.
+            cfg.validate(arch)
+                .map_err(|_| format!("gemm sizes must tile by {}x{}x{}", cfg.bm, cfg.bn, cfg.bk))?;
             let problem = format!("m{m}_n{n}_k{k}_{}", epilogue_label(epilogue));
             if name == "gemm-db" {
-                if arch != Arch::Sm86 {
-                    return Err(
-                        "the double-buffered GEMM schedule targets Ampere (use --arch sm86)".into(),
-                    );
-                }
+                cfg.validate_double_buffered(arch)?;
                 (problem, Spec::GemmDb(cfg, epilogue))
             } else {
                 (problem, Spec::Gemm(cfg, epilogue))
@@ -191,35 +175,25 @@ pub fn resolve(name: &str, arch: Arch, opts: &HashMap<String, String>) -> Result
         "mlp" => {
             let cfg = MlpConfig::paper(dim("m", 4096)?, dim("layers", 4)?);
             let cfg = MlpConfig { hidden: dim("hidden", 128)?, ..cfg };
-            check_fused_tiles(name, cfg.m, cfg.hidden)?;
+            cfg.validate(arch)?;
             (format!("m{}_hidden{}_layers{}", cfg.m, cfg.hidden, cfg.layers), Spec::Mlp(cfg))
         }
         "lstm" => {
             let cfg = LstmConfig::paper(dim("m", 4096)?);
             let cfg = LstmConfig { hidden: dim("hidden", 128)?, ..cfg };
-            check_fused_tiles(name, cfg.m, cfg.hidden)?;
+            cfg.validate(arch)?;
             (format!("m{}_hidden{}", cfg.m, cfg.hidden), Spec::Lstm(cfg))
         }
         "layernorm" => {
             let (rows, hidden) = (dim("rows", 4096)?, dim("hidden", 1024)?);
-            if hidden % 256 != 0 {
-                return Err(format!("layernorm --hidden must be a multiple of 256, got {hidden}"));
-            }
-            if rows % 4 != 0 {
-                return Err(format!("layernorm --rows must be a multiple of 4, got {rows}"));
-            }
             let cfg = LayernormConfig::new(rows, hidden);
+            cfg.validate(arch)?;
             (format!("rows{rows}_hidden{hidden}"), Spec::Layernorm(cfg))
         }
         "softmax" => {
             let (rows, cols) = (dim("rows", 4096)?, dim("cols", 1024)?);
-            if cols % 256 != 0 {
-                return Err(format!("softmax --cols must be a multiple of 256, got {cols}"));
-            }
-            if rows % 4 != 0 {
-                return Err(format!("softmax --rows must be a multiple of 4, got {rows}"));
-            }
             let cfg = SoftmaxConfig::new(rows, cols);
+            cfg.validate(arch)?;
             (format!("rows{rows}_cols{cols}"), Spec::Softmax(cfg))
         }
         "fmha" => {
@@ -416,10 +390,18 @@ mod tests {
             ("gemm", &[("m", "-128")], "--m must be a positive integer, got -128"),
             ("gemm-db", &[("k", "0")], "--k must be a positive integer, got 0"),
             ("mlp", &[("layers", "0")], "--layers must be a positive integer, got 0"),
-            ("mlp", &[("hidden", "32")], "mlp --hidden must be 64 or 128, got 32"),
+            (
+                "mlp",
+                &[("hidden", "32")],
+                "mlp --hidden 32: warp tiling: 128x32 block tile does not tile by 64x64 warp tiles",
+            ),
             ("mlp", &[("m", "100")], "mlp --m must be a multiple of 128, got 100"),
             ("lstm", &[("hidden", "0")], "--hidden must be a positive integer, got 0"),
-            ("lstm", &[("hidden", "256")], "lstm --hidden must be 64 or 128, got 256"),
+            (
+                "lstm",
+                &[("hidden", "256")],
+                "lstm --hidden must be a multiple of 16 and at most 128, got 256",
+            ),
             ("layernorm", &[("rows", "0")], "--rows must be a positive integer, got 0"),
             ("softmax", &[("cols", "-256")], "--cols must be a positive integer, got -256"),
             ("fmha", &[("heads", "0")], "--heads must be a positive integer, got 0"),
@@ -427,6 +409,13 @@ mod tests {
         for (name, o, want) in cases {
             assert_eq!(&resolve(name, Arch::Sm86, &opts(o)).unwrap_err(), want, "{name} {o:?}");
         }
+    }
+
+    #[test]
+    fn fmha_over_the_shared_memory_budget_is_refused() {
+        // The Q tile plus a 2048-row Kᵀ/V stage: 278,528 B of fp16.
+        let err = resolve("fmha", Arch::Sm86, &opts(&[("seq", "2048")])).unwrap_err();
+        assert_eq!(err, "shared-memory budget: 278528 B exceeds 102400 B");
     }
 
     #[test]

@@ -270,6 +270,24 @@ pub fn warp_allreduce(
     }
 }
 
+/// The rules of a one-warp-per-row schedule (layernorm, softmax):
+/// each of the 32 lanes loads 8-wide vectors of the `(field, width)`
+/// row, and blocks hold whole groups of `rows_per_block` rows.
+pub(crate) fn check_row_warps(
+    kernel: &str,
+    (field, width): (&str, i64),
+    rows: i64,
+    rows_per_block: i64,
+) -> Result<(), String> {
+    if width % 256 != 0 {
+        return Err(format!("{kernel} --{field} must be a multiple of 256, got {width}"));
+    }
+    if rows % rows_per_block != 0 {
+        return Err(format!("{kernel} --rows must be a multiple of {rows_per_block}, got {rows}"));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

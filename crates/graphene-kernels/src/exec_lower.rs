@@ -31,10 +31,10 @@
 
 use crate::fmha::FmhaConfig;
 use crate::gemm::{build_gemm, Epilogue, GemmConfig};
-use crate::graph::{Graph, Op};
+use crate::graph::{absorb_epilogue, Graph, Op};
 use crate::layernorm::{build_layernorm, LayernormConfig};
 use crate::pointwise::{build_bias_add, build_unary};
-use graphene_ir::{Arch, Kernel, UnaryOp};
+use graphene_ir::{Arch, Kernel};
 use graphene_sim::{ArgBinding, ExecGraph, ExecNode, GraphKey, KernelPlan};
 use std::sync::Arc;
 
@@ -163,32 +163,11 @@ pub fn lower_executable(
         match &ops[i] {
             Op::MatMul { n } => {
                 // Fused mode: absorb a following BiasAdd (+ReLU/GeLU)
-                // or bare ReLU into the epilogue, exactly like the
-                // timing lowering in `crate::graph`.
-                let mut epilogue = Epilogue::None;
-                let mut bias_op = None;
-                let mut consumed = 1;
-                if lowering == ExecLowering::Fused {
-                    if matches!(ops.get(i + 1), Some(Op::BiasAdd)) {
-                        epilogue = Epilogue::Bias;
-                        bias_op = Some(i + 1);
-                        consumed = 2;
-                        match ops.get(i + 2) {
-                            Some(Op::Activation(UnaryOp::Relu)) => {
-                                epilogue = Epilogue::BiasRelu;
-                                consumed = 3;
-                            }
-                            Some(Op::Activation(UnaryOp::Gelu)) => {
-                                epilogue = Epilogue::BiasGelu;
-                                consumed = 3;
-                            }
-                            _ => {}
-                        }
-                    } else if matches!(ops.get(i + 1), Some(Op::Activation(UnaryOp::Relu))) {
-                        epilogue = Epilogue::Relu;
-                        consumed = 2;
-                    }
-                }
+                // or bare ReLU into the epilogue.
+                let (epilogue, bias_op, consumed) = match lowering {
+                    ExecLowering::Fused => absorb_epilogue(ops, i),
+                    ExecLowering::Default => (Epilogue::None, None, 1),
+                };
                 let cfg = pick_gemm(rows, *n, cols, arch)?;
                 let kernel = build_gemm(arch, &cfg, epilogue);
                 let out = lw.temp((rows * n) as usize);
@@ -236,12 +215,9 @@ pub fn lower_executable(
                 i += 1;
             }
             Op::Layernorm => {
-                if cols % 256 != 0 || rows % 4 != 0 {
-                    return Err(format!(
-                        "op {i}: layernorm needs cols%256==0 and rows%4==0, got {rows}x{cols}"
-                    ));
-                }
-                let kernel = build_layernorm(arch, &LayernormConfig::new(rows, cols));
+                let cfg = LayernormConfig::new(rows, cols);
+                cfg.validate(arch).map_err(|e| format!("op {i}: {e}"))?;
+                let kernel = build_layernorm(arch, &cfg);
                 let out = lw.temp((rows * cols) as usize);
                 lw.push(
                     &kernel,
@@ -354,6 +330,13 @@ mod tests {
         let g = Graph::new(128, 32).op(Op::Attention { heads: 4, seq: 128 });
         let err = lower_executable(&g, Arch::Sm86, ExecLowering::Fused).unwrap_err();
         assert!(err.contains("op 0: fmha requires") && err.contains("d 8"), "{err}");
+    }
+
+    #[test]
+    fn attention_over_the_shared_memory_budget_is_an_error() {
+        let g = Graph::new(2048, 64).op(Op::Attention { heads: 1, seq: 2048 });
+        let err = lower_executable(&g, Arch::Sm86, ExecLowering::Fused).unwrap_err();
+        assert!(err.starts_with("op 0: shared-memory budget"), "{err}");
     }
 
     #[test]

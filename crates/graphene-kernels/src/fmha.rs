@@ -60,8 +60,11 @@ impl FmhaConfig {
     }
 
     /// Checks that the fused schedule can lower this configuration on
-    /// `arch`: Ampere only, whole query tiles and warp tiles, MMA-K
-    /// aligned `seq` and `d`, and whole activation rows of instances.
+    /// `arch`: Ampere only, whole query tiles, MMA-K aligned `seq` and
+    /// `d`, whole activation rows of instances, the warp-MMA rules
+    /// (whole warp tiles, 1..=8 warps), whole staging rounds for `Q`
+    /// and `Kᵀ`, and the shared-memory budget of the `Q` and `Kᵀ`/`V`
+    /// stages.
     ///
     /// # Errors
     ///
@@ -76,17 +79,27 @@ impl FmhaConfig {
                 self.bq, self.seq, self.d
             ));
         }
-        if self.bq % self.wm != 0 || self.wm % 16 != 0 {
-            return Err(format!(
-                "fmha requires bq % wm == 0 and wm % 16 == 0 (got bq {}, wm {})",
-                self.bq, self.wm
-            ));
-        }
         if self.heads % self.row_heads != 0 {
             return Err(format!(
                 "fmha requires heads % row_heads == 0 (got heads {}, row_heads {})",
                 self.heads, self.row_heads
             ));
+        }
+        self.geom_s().validate(arch)?;
+        let threads = self.threads();
+        if (self.bq * self.d) % threads != 0 {
+            return Err(format!("Q staging: {}x{} tile vs {threads} threads", self.bq, self.d));
+        }
+        if (self.seq * self.d) % (threads * 8) != 0 {
+            return Err(format!(
+                "transposed K staging: {}x{} vs {threads} threads x8 vectors",
+                self.seq, self.d
+            ));
+        }
+        let smem = ((self.bq + self.seq) * self.d * 2) as u64;
+        let limit = arch.smem_limit_bytes();
+        if smem > limit {
+            return Err(format!("shared-memory budget: {smem} B exceeds {limit} B"));
         }
         Ok(())
     }
@@ -510,8 +523,10 @@ mod tests {
         assert_eq!(ok.validate(Arch::Sm86), Ok(()));
         let err = |cfg: FmhaConfig| cfg.validate(Arch::Sm86).unwrap_err();
         assert!(err(FmhaConfig { row_heads: 3, ..ok }).contains("heads % row_heads"));
-        assert!(err(FmhaConfig { wm: 48, ..ok }).contains("bq % wm"));
+        assert!(err(FmhaConfig { wm: 48, ..ok }).contains("warp tiling"));
         assert!(err(FmhaConfig { d: 8, ..ok }).contains("d % 16"));
+        assert!(err(FmhaConfig { seq: 256, bq: 256, wm: 16, ..ok }).contains("warps per block"));
+        assert!(err(FmhaConfig { seq: 2048, ..ok }).contains("shared-memory budget"));
         assert!(ok.validate(Arch::Sm70).unwrap_err().contains("targets Ampere"));
     }
 

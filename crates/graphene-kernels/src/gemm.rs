@@ -103,14 +103,19 @@ impl GemmConfig {
         GemmConfig { m, n, k, bm: 32, bn: 32, bk: 16, wm: 32, wn: 32, swizzle: true }
     }
 
+    /// The warp-MMA geometry of one K step.
+    fn geom(&self) -> MmaGeom {
+        MmaGeom { bm: self.bm, bn: self.bn, wm: self.wm, wn: self.wn, k_cols: self.bk }
+    }
+
     /// Number of warps per block.
     pub fn warps(&self) -> i64 {
-        (self.bm / self.wm) * (self.bn / self.wn)
+        self.geom().warps()
     }
 
     /// Threads per block.
     pub fn threads(&self) -> i64 {
-        self.warps() * 32
+        self.geom().threads()
     }
 
     /// Grid blocks.
@@ -125,11 +130,11 @@ impl GemmConfig {
     }
 
     /// Checks every validity rule a GEMM schedule must satisfy on
-    /// `arch` — tiling divisibility, warp-tile vs tensor-instruction
-    /// shape, warp count, staging granularity, and the shared-memory
-    /// budget. This is the *single* source of truth shared by the
-    /// kernel builders (which panic on violation) and the tuner's
-    /// candidate filters (which skip the point).
+    /// `arch` — tiling divisibility, the warp-MMA rules of
+    /// [`MmaGeom::validate`], staging granularity, and the shared-memory
+    /// budget. This is the *single* source of truth: the catalog, the
+    /// lowerings and the tuner's candidate filter refuse what it
+    /// rejects, and the builders `expect` it to pass.
     ///
     /// # Errors
     ///
@@ -141,52 +146,18 @@ impl GemmConfig {
                 self.m, self.n, self.bm, self.bn
             ));
         }
-        if self.bm % self.wm != 0 || self.bn % self.wn != 0 {
-            return Err(format!(
-                "warp tiling: {}x{} block tile does not tile by {}x{} warp tiles",
-                self.bm, self.bn, self.wm, self.wn
-            ));
-        }
         if self.k % self.bk != 0 {
             return Err(format!("K tiling: k={} does not tile by bk={}", self.k, self.bk));
         }
-        match arch {
-            Arch::Sm86 => {
-                if self.bk % 16 != 0 {
-                    return Err(format!("K tiling (Ampere): bk={} not a multiple of 16", self.bk));
-                }
-                if self.wm % 16 != 0 || self.wn % 8 != 0 {
-                    return Err(format!(
-                        "warp tile {}x{} vs mma.m16n8k16 (wm%16, wn%8)",
-                        self.wm, self.wn
-                    ));
-                }
-            }
-            Arch::Sm70 => {
-                if self.bk % 4 != 0 {
-                    return Err(format!("K tiling (Volta): bk={} not a multiple of 4", self.bk));
-                }
-                if self.wm % 16 != 0 || self.wn % 16 != 0 {
-                    return Err(format!(
-                        "warp tile {}x{} vs quad-pairs (wm%16, wn%16)",
-                        self.wm, self.wn
-                    ));
-                }
-                // A is staged transposed, eight halves per thread per chunk.
-                let threads = self.threads();
-                if (self.bm * self.bk) % (threads * 8) != 0 {
-                    return Err(format!(
-                        "transposed A staging (Volta): {}x{} tile not divisible by {} threads x 8",
-                        self.bm, self.bk, threads
-                    ));
-                }
-            }
-        }
-        let warps = self.warps();
-        if !(1..=8).contains(&warps) {
-            return Err(format!("{warps} warps per block (1..=8 supported)"));
-        }
+        self.geom().validate(arch)?;
         let threads = self.threads();
+        // Volta stages A transposed, eight halves per thread per chunk.
+        if arch == Arch::Sm70 && (self.bm * self.bk) % (threads * 8) != 0 {
+            return Err(format!(
+                "transposed A staging (Volta): {}x{} tile not divisible by {} threads x 8",
+                self.bm, self.bk, threads
+            ));
+        }
         if (self.bm * self.bk) % threads != 0 || (self.bk * self.bn) % threads != 0 {
             return Err(format!(
                 "staging granularity: {}x{} / {}x{} tiles not divisible by {} threads",
@@ -198,6 +169,27 @@ impl GemmConfig {
             return Err(format!(
                 "shared-memory budget: {} B single-buffered stages exceed the {arch} limit {limit} B",
                 self.smem_bytes()
+            ));
+        }
+        Ok(())
+    }
+
+    /// [`Self::validate`] for [`build_gemm_double_buffered`], plus its
+    /// own rules: Ampere's `cp.async`, and two stages within the
+    /// shared-memory budget.
+    ///
+    /// # Errors
+    ///
+    /// The first violated rule.
+    pub fn validate_double_buffered(&self, arch: Arch) -> Result<(), String> {
+        self.validate(arch)?;
+        if arch != Arch::Sm86 {
+            return Err("the double-buffered GEMM schedule targets Ampere (use --arch sm86)".into());
+        }
+        let (need, limit) = (2 * self.smem_bytes(), arch.smem_limit_bytes());
+        if need > limit {
+            return Err(format!(
+                "shared-memory budget: {need} B double-buffered stages exceed {limit} B"
             ));
         }
         Ok(())
@@ -267,7 +259,6 @@ pub fn build_gemm_no_ldmatrix(cfg: &GemmConfig, epilogue: Epilogue) -> Kernel {
 ///
 /// Parameters: `A:[batch*m, k]`, `B:[batch*k, n]`, `C:[batch*m, n]`.
 pub fn build_batched_gemm(arch: Arch, cfg: &GemmConfig, batch: i64) -> Kernel {
-    cfg.validate(arch).unwrap_or_else(|e| panic!("invalid GEMM configuration: {e}"));
     assert!(batch >= 1, "batch must be positive");
     assert_eq!(arch, Arch::Sm86, "the batched schedule targets Ampere");
     let name = format!("graphene_batched_gemm_sm86_x{batch}");
@@ -384,8 +375,7 @@ impl GemmSchedule {
         let b_s: Vec<_> =
             (0..self.stages).map(|s| kb.alloc_shared(stage_name("Bs", s), b_ty.clone())).collect();
 
-        let geom = MmaGeom { bm: cfg.bm, bn: cfg.bn, wm: cfg.wm, wn: cfg.wn, k_cols: cfg.bk };
-        let mma = WarpMma::new(&mut kb, arch, block, geom, self.scalar_loads);
+        let mma = WarpMma::new(&mut kb, arch, block, cfg.geom(), self.scalar_loads);
         mma.zero(&mut kb, grid, block);
 
         let row_bound = self.row_bound.as_ref();

@@ -220,41 +220,20 @@ pub fn lower_fused(graph: &Graph, arch: Arch) -> Plan {
     let ops = &graph.ops;
 
     while i < ops.len() {
-        // Pattern: N >= 2 consecutive square MLP layers, hidden <= 128,
-        // on Ampere-or-Volta -> the fused multi-layer MLP kernel.
+        // Pattern: N >= 2 consecutive square MLP layers the paper's
+        // tiles cover -> the fused multi-layer MLP kernel.
         let mlp_layers = count_mlp_layers(ops, i, cols);
-        if mlp_layers >= 2 && cols <= 128 && rows % 128 == 0 && cols % 16 == 0 {
-            let cfg =
-                MlpConfig { m: rows, hidden: cols, layers: mlp_layers, bm: 128, wm: 64, wn: 64 };
-            kernels.push(Planned::Graphene(Box::new(build_fused_mlp(arch, &cfg))));
+        let mlp = MlpConfig { hidden: cols, ..MlpConfig::paper(rows, mlp_layers) };
+        if mlp_layers >= 2 && mlp.validate(arch).is_ok() {
+            kernels.push(Planned::Graphene(Box::new(build_fused_mlp(arch, &mlp))));
             i += 3 * mlp_layers as usize;
             continue;
         }
         match &ops[i] {
             Op::MatMul { n } => {
-                // Greedily absorb BiasAdd / activation into the epilogue.
-                let mut epilogue = Epilogue::None;
-                let mut consumed = 1;
-                if matches!(ops.get(i + 1), Some(Op::BiasAdd)) {
-                    epilogue = Epilogue::Bias;
-                    consumed = 2;
-                    match ops.get(i + 2) {
-                        Some(Op::Activation(UnaryOp::Relu)) => {
-                            epilogue = Epilogue::BiasRelu;
-                            consumed = 3;
-                        }
-                        Some(Op::Activation(UnaryOp::Gelu)) => {
-                            epilogue = Epilogue::BiasGelu;
-                            consumed = 3;
-                        }
-                        _ => {}
-                    }
-                } else if matches!(ops.get(i + 1), Some(Op::Activation(UnaryOp::Relu))) {
-                    epilogue = Epilogue::Relu;
-                    consumed = 2;
-                }
-                if rows % 128 == 0 && n % 128 == 0 && cols % 32 == 0 {
-                    let cfg = GemmConfig::cublas_like(rows, *n, cols);
+                let (epilogue, _, mut consumed) = absorb_epilogue(ops, i);
+                let cfg = GemmConfig::cublas_like(rows, *n, cols);
+                if cfg.validate(arch).is_ok() {
                     kernels.push(Planned::Graphene(Box::new(build_gemm(arch, &cfg, epilogue))));
                 } else {
                     // Shapes our schedule doesn't tile: library fallback.
@@ -273,8 +252,8 @@ pub fn lower_fused(graph: &Graph, arch: Arch) -> Plan {
                 i += 1;
             }
             Op::Layernorm => {
-                if cols % 256 == 0 && rows % 4 == 0 {
-                    let cfg = LayernormConfig::new(rows, cols);
+                let cfg = LayernormConfig::new(rows, cols);
+                if cfg.validate(arch).is_ok() {
                     kernels.push(Planned::Graphene(Box::new(build_layernorm(arch, &cfg))));
                 } else {
                     for k in pytorch_layernorm(rows, cols, LayernormImpl::Fused) {
@@ -351,6 +330,24 @@ pub fn encoder_global_scalars(layers: i64, batch: i64, seq: i64, hidden: i64, ff
         .into_iter()
         .fold(0u128, u128::saturating_add);
     m(rows, h).saturating_add(m(layers, per_layer))
+}
+
+/// The epilogue a `MatMul` at `i` absorbs from the ops after it (paper
+/// Figure 10): a `BiasAdd`, optionally followed by ReLU or GeLU, or a
+/// bare ReLU. Returns the epilogue, the index of the absorbed
+/// `BiasAdd`, and the ops consumed counting the `MatMul`.
+pub(crate) fn absorb_epilogue(ops: &[Op], i: usize) -> (Epilogue, Option<usize>, usize) {
+    match (ops.get(i + 1), ops.get(i + 2)) {
+        (Some(Op::BiasAdd), Some(Op::Activation(UnaryOp::Relu))) => {
+            (Epilogue::BiasRelu, Some(i + 1), 3)
+        }
+        (Some(Op::BiasAdd), Some(Op::Activation(UnaryOp::Gelu))) => {
+            (Epilogue::BiasGelu, Some(i + 1), 3)
+        }
+        (Some(Op::BiasAdd), _) => (Epilogue::Bias, Some(i + 1), 2),
+        (Some(Op::Activation(UnaryOp::Relu)), _) => (Epilogue::Relu, None, 2),
+        _ => (Epilogue::None, None, 1),
+    }
 }
 
 /// Counts consecutive `MatMul(h->h) + BiasAdd + ReLU` triples starting
@@ -443,6 +440,45 @@ mod tests {
         assert!(fused.kernels[0].describe().contains("fused_mlp_6l"));
         let unfused = lower_unfused(&g);
         assert_eq!(unfused.launches(), 18); // 3 kernels per layer
+    }
+
+    /// The fusing lowering picks the fused MLP only where the paper's
+    /// tiles (`bm = 128`, 64×64 warp tiles) validate; at every other
+    /// hidden size it falls back to library kernels instead of
+    /// panicking or building a kernel that skips columns.
+    #[test]
+    fn mlp_chains_fuse_exactly_where_the_paper_tiles_validate() {
+        for arch in [Arch::Sm86, Arch::Sm70] {
+            let mut fused = Vec::new();
+            for hidden in (16..=128).step_by(16) {
+                let plan = lower_fused(&mlp_graph(128, hidden, 2), arch);
+                let cfg = MlpConfig { hidden, ..MlpConfig::paper(128, 2) };
+                let kinds: Vec<_> = plan.kernels.iter().map(Planned::describe).collect();
+                match &plan.kernels[..] {
+                    [Planned::Graphene(kernel)] if cfg.validate(arch).is_ok() => {
+                        crate::mlp::tests::check_against_ref(arch, kernel, &cfg);
+                        fused.push(hidden);
+                    }
+                    _ => {
+                        assert!(
+                            cfg.validate(arch).is_err(),
+                            "hidden {hidden} on {arch}: {kinds:?}"
+                        );
+                        assert!(
+                            kinds.iter().all(|k| k.starts_with("library:")),
+                            "hidden {hidden} on {arch}: {kinds:?}"
+                        );
+                    }
+                }
+            }
+            assert_eq!(fused, [64, 128], "{arch}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "valid MLP config")]
+    fn fused_mlp_refuses_columns_its_warps_do_not_cover() {
+        build_fused_mlp(Arch::Sm86, &MlpConfig { hidden: 96, ..MlpConfig::paper(128, 2) });
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! specs, and normalises + stores in the same pass — one kernel, one
 //! read and one write of the activation.
 
-use crate::common::{reg_scalar, reg_vec, warp_allreduce};
+use crate::common::{check_row_warps, reg_scalar, reg_vec, warp_allreduce};
 use graphene_ir::builder::KernelBuilder;
 use graphene_ir::spec::SpecKind;
 use graphene_ir::{Arch, BinaryOp, Kernel, ReduceOp, ScalarType, UnaryOp};
@@ -43,6 +43,17 @@ impl LayernormConfig {
     pub fn blocks(&self) -> i64 {
         self.rows / self.rows_per_block
     }
+
+    /// Checks every rule [`build_layernorm`] relies on: 8-wide loads
+    /// across a row's 32 lanes (`hidden % 256 == 0`) and whole blocks of
+    /// rows. The schedule is the same on every `arch`.
+    ///
+    /// # Errors
+    ///
+    /// The first violated rule, naming the kernel and the field.
+    pub fn validate(&self, _arch: Arch) -> Result<(), String> {
+        check_row_warps("layernorm", ("hidden", self.hidden), self.rows, self.rows_per_block)
+    }
 }
 
 /// Builds the fused single-pass Layernorm kernel
@@ -54,9 +65,7 @@ impl LayernormConfig {
 /// The schedule is architecture-independent (no tensor instructions);
 /// `arch` only selects the atomic-spec registry used for validation.
 pub fn build_layernorm(arch: Arch, cfg: &LayernormConfig) -> Kernel {
-    let _ = arch;
-    assert_eq!(cfg.hidden % 256, 0, "hidden must be a multiple of 256");
-    assert_eq!(cfg.rows % cfg.rows_per_block, 0, "rows per block must divide rows");
+    cfg.validate(arch).expect("valid layernorm config");
     let per_thread = cfg.hidden / 32; // f32 values each thread owns
     let chunks = per_thread / 8;
 

@@ -10,6 +10,7 @@
 //! the bias + activation fold into the store.
 
 use crate::common::{smem_swizzle, stage_tile};
+use crate::mlp::check_resident_tiles;
 use crate::mma::{a_stage_type, stage_a, EpilogueOps, MmaGeom, StoreTarget, WarpMma};
 use graphene_ir::builder::KernelBuilder;
 use graphene_ir::tensor::TensorType;
@@ -50,6 +51,18 @@ impl LstmConfig {
     pub fn blocks(&self) -> i64 {
         self.m / self.bm
     }
+
+    /// Checks every rule [`build_fused_lstm`] relies on for `arch`: the
+    /// resident-activation rules of the fused MLP (see
+    /// `check_resident_tiles`), with one activation stage shared by both
+    /// GEMM passes.
+    ///
+    /// # Errors
+    ///
+    /// The first violated rule, naming the kernel and the field.
+    pub fn validate(&self, arch: Arch) -> Result<(), String> {
+        check_resident_tiles("lstm", arch, self.m, &self.geom(), 1)
+    }
 }
 
 /// Builds the fully fused LSTM-cell kernel
@@ -58,8 +71,7 @@ impl LstmConfig {
 /// Parameters: `X:[m,h]`, `Wx:[h,h]`, `H:[m,h]`, `Wh:[h,h]`, `bias:[h]`,
 /// `Out:[m,h]`, all fp16 with fp32 accumulation.
 pub fn build_fused_lstm(arch: Arch, cfg: &LstmConfig) -> Kernel {
-    assert!(cfg.hidden <= 128, "weight tiles must fit in shared memory");
-    assert_eq!(cfg.m % cfg.bm, 0, "row tiling");
+    cfg.validate(arch).expect("valid LSTM config");
     let geom = cfg.geom();
 
     let mut kb = KernelBuilder::new("graphene_fused_lstm", &[cfg.blocks()], &[cfg.threads()]);

@@ -57,6 +57,54 @@ impl MlpConfig {
     pub fn blocks(&self) -> i64 {
         self.m / self.bm
     }
+
+    /// Checks every rule [`build_fused_mlp`] relies on for `arch`: the
+    /// rules of a resident-activation kernel with the ping-pong pair of
+    /// activation stages (see `check_resident_tiles`).
+    ///
+    /// # Errors
+    ///
+    /// The first violated rule, naming the kernel and the field.
+    pub fn validate(&self, arch: Arch) -> Result<(), String> {
+        check_resident_tiles("mlp", arch, self.m, &self.geom(), 2)
+    }
+}
+
+/// The rules of a kernel that keeps `act_stages` `[bm, hidden]`
+/// activation tiles and one `[hidden, hidden]` weight tile in shared
+/// memory (the fused MLP and LSTM): the paper's fusibility condition
+/// `N = K ≤ 128`, whole row blocks, the warp-MMA rules, 8-wide
+/// staging of both tiles, and the shared-memory budget. `geom` is the
+/// `bm × hidden × hidden` MMA.
+pub(crate) fn check_resident_tiles(
+    kernel: &str,
+    arch: Arch,
+    m: i64,
+    geom: &MmaGeom,
+    act_stages: i64,
+) -> Result<(), String> {
+    let (bm, h, threads) = (geom.bm, geom.bn, geom.threads());
+    if h > 128 || h % 16 != 0 {
+        return Err(format!("{kernel} --hidden must be a multiple of 16 and at most 128, got {h}"));
+    }
+    if m % bm != 0 {
+        return Err(format!("{kernel} --m must be a multiple of {bm}, got {m}"));
+    }
+    let tiles = |rule: String| format!("{kernel} --hidden {h}: {rule}");
+    geom.validate(arch).map_err(tiles)?;
+    for (what, rows) in [("activation", bm), ("weight", h)] {
+        if (rows * h) % (threads * 8) != 0 {
+            return Err(tiles(format!(
+                "{what} staging: {rows}x{h} tile vs {threads} threads x8 vectors"
+            )));
+        }
+    }
+    let smem = ((act_stages * bm * h + h * h) * 2) as u64;
+    let limit = arch.smem_limit_bytes();
+    if smem > limit {
+        return Err(tiles(format!("shared-memory budget: {smem} B exceeds {limit} B")));
+    }
+    Ok(())
 }
 
 /// Builds the fused `L`-layer MLP kernel:
@@ -66,9 +114,7 @@ impl MlpConfig {
 /// Parameters: `X:[m,h]`, `W:[L*h,h]` (layer-major), `bias:[L*h]`,
 /// `Y:[m,h]`, all fp16.
 pub fn build_fused_mlp(arch: Arch, cfg: &MlpConfig) -> Kernel {
-    assert!(cfg.hidden <= 128, "fusibility requires N = K <= 128 (paper footnote 2)");
-    assert_eq!(cfg.m % cfg.bm, 0, "row tiling");
-    assert_eq!(cfg.hidden % 16, 0, "K tiling");
+    cfg.validate(arch).expect("valid MLP config");
     let geom = cfg.geom();
 
     let mut kb = KernelBuilder::new(
@@ -159,7 +205,7 @@ pub fn build_fused_mlp(arch: Arch, cfg: &MlpConfig) -> Kernel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use graphene_ir::validate::validate;
     use graphene_sim::host::{bias_add_ref, matmul_ref, relu_ref, HostTensor};
@@ -177,8 +223,13 @@ mod tests {
     }
 
     fn run(arch: Arch, cfg: &MlpConfig) {
-        let kernel = build_fused_mlp(arch, cfg);
-        validate(&kernel, arch).expect("validates");
+        check_against_ref(arch, &build_fused_mlp(arch, cfg), cfg);
+    }
+
+    /// Executes a fused-MLP `kernel` built for `cfg` on random inputs
+    /// and compares it with [`mlp_ref`].
+    pub(crate) fn check_against_ref(arch: Arch, kernel: &Kernel, cfg: &MlpConfig) {
+        validate(kernel, arch).expect("validates");
         let (m, h, l) = (cfg.m as usize, cfg.hidden as usize, cfg.layers as usize);
         let x = HostTensor::random(&[m, h], 31);
         let ws: Vec<HostTensor> =
@@ -204,7 +255,7 @@ mod tests {
         inputs.insert(kernel.params[0], x.as_slice().to_vec());
         inputs.insert(kernel.params[1], w_flat);
         inputs.insert(kernel.params[2], b_flat);
-        let out = graphene_sim::execute(&kernel, arch, &inputs).expect("execute");
+        let out = graphene_sim::execute(kernel, arch, &inputs).expect("execute");
 
         let expect = mlp_ref(&x, &ws, &biases);
         let got = HostTensor::from_vec(&[m, h], out.globals[&kernel.params[3]].clone());

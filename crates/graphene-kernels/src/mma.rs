@@ -54,6 +54,43 @@ impl MmaGeom {
     pub fn threads(&self) -> i64 {
         self.warps() * 32
     }
+
+    /// Checks the rules of the warp-MMA emitter on `arch`, which every
+    /// tensor-core config shares: whole warp tiles, a warp tile and K
+    /// extent the arch's instruction tiles, and 1..=8 warps per block.
+    ///
+    /// # Errors
+    ///
+    /// The first violated rule.
+    pub fn validate(&self, arch: Arch) -> Result<(), String> {
+        if self.bm % self.wm != 0 || self.bn % self.wn != 0 {
+            return Err(format!(
+                "warp tiling: {}x{} block tile does not tile by {}x{} warp tiles",
+                self.bm, self.bn, self.wm, self.wn
+            ));
+        }
+        let (k_step, wn_step, mma) = match arch {
+            Arch::Sm86 => (16, 8, "mma.m16n8k16"),
+            Arch::Sm70 => (4, 16, "quad-pairs"),
+        };
+        if self.k_cols % k_step != 0 {
+            return Err(format!(
+                "K tiling ({arch}): {} not a multiple of {k_step} ({mma})",
+                self.k_cols
+            ));
+        }
+        if self.wm % 16 != 0 || self.wn % wn_step != 0 {
+            return Err(format!(
+                "warp tile {}x{} vs {mma} (wm%16, wn%{wn_step})",
+                self.wm, self.wn
+            ));
+        }
+        let warps = self.warps();
+        if !(1..=8).contains(&warps) {
+            return Err(format!("{warps} warps per block (1..=8 supported)"));
+        }
+        Ok(())
+    }
 }
 
 /// Per-warp index expressions shared by the emitters.

@@ -7,7 +7,7 @@
 //! warp-wide through butterfly `Shfl` specs — the same pattern the fused
 //! FMHA kernel applies to register-resident fragments.
 
-use crate::common::{reg_scalar, reg_vec, warp_allreduce};
+use crate::common::{check_row_warps, reg_scalar, reg_vec, warp_allreduce};
 use graphene_ir::builder::KernelBuilder;
 use graphene_ir::spec::SpecKind;
 use graphene_ir::{Arch, BinaryOp, Kernel, ReduceOp, ScalarType, UnaryOp};
@@ -40,6 +40,17 @@ impl SoftmaxConfig {
     pub fn blocks(&self) -> i64 {
         self.rows / self.rows_per_block
     }
+
+    /// Checks every rule [`build_softmax`] relies on: 8-wide loads
+    /// across a row's 32 lanes (`cols % 256 == 0`) and whole blocks of
+    /// rows. The schedule is the same on every `arch`.
+    ///
+    /// # Errors
+    ///
+    /// The first violated rule, naming the kernel and the field.
+    pub fn validate(&self, _arch: Arch) -> Result<(), String> {
+        check_row_warps("softmax", ("cols", self.cols), self.rows, self.rows_per_block)
+    }
 }
 
 /// Builds the fused row-softmax kernel `Y[r] = softmax(X[r])`.
@@ -47,9 +58,7 @@ impl SoftmaxConfig {
 /// Parameters: `X:[rows,cols]`, `Y:[rows,cols]`, fp16 storage with fp32
 /// compute. Architecture-independent (validated on both).
 pub fn build_softmax(arch: Arch, cfg: &SoftmaxConfig) -> Kernel {
-    let _ = arch;
-    assert_eq!(cfg.cols % 256, 0, "cols must be a multiple of 256");
-    assert_eq!(cfg.rows % cfg.rows_per_block, 0, "row tiling");
+    cfg.validate(arch).expect("valid softmax config");
     let per_thread = cfg.cols / 32;
     let chunks = per_thread / 8;
 

@@ -13,10 +13,11 @@
 //! rows), [`LayernormSpace`] (rows per block), and [`MlpSpace`]
 //! (row tile and warp tiles of the fused layers).
 //!
-//! Constraints are *conservative*: every point they accept must build
-//! without panicking (the builders assert their own preconditions).
-//! They intentionally do **not** try to predict deeper legality —
-//! races, bank conflicts, shared-memory overflow of exotic variants —
+//! Every constraint is its config's own `validate` (the GEMM space
+//! picks the double-buffered variant's check for `stages = 2`): the
+//! same check the catalog, the lowerings and the builders use, so
+//! every accepted point builds without panicking. Constraints do
+//! **not** try to predict deeper legality — races and bank conflicts —
 //! that is the static-analysis pruning stage of
 //! [`crate::tuner`], which runs the full `graphene-analysis` pipeline
 //! over each built candidate.
@@ -244,20 +245,11 @@ impl SearchSpace for GemmSpace {
 
     fn constraint(&self, p: &Point) -> Result<(), String> {
         let cfg = self.config(p);
-        cfg.validate(self.arch)?;
         if self.get(p, "stages") == 2 {
-            if self.arch != Arch::Sm86 {
-                return Err("double-buffered pipeline requires cp.async (Ampere)".into());
-            }
-            let need = 2 * cfg.smem_bytes();
-            let limit = self.arch.smem_limit_bytes();
-            if need > limit {
-                return Err(format!(
-                    "shared-memory budget: {need} B double-buffered stages exceed {limit} B"
-                ));
-            }
+            cfg.validate_double_buffered(self.arch)
+        } else {
+            cfg.validate(self.arch)
         }
-        Ok(())
     }
 
     fn build(&self, p: &Point) -> Kernel {
@@ -342,28 +334,7 @@ impl SearchSpace for FmhaSpace {
     }
 
     fn constraint(&self, p: &Point) -> Result<(), String> {
-        let c = self.config(p);
-        c.validate(Arch::Sm86)?;
-        let warps = c.warps();
-        if !(1..=8).contains(&warps) {
-            return Err(format!("{warps} warps per block (1..=8 supported)"));
-        }
-        let threads = c.threads();
-        if (c.bq * self.d) % threads != 0 {
-            return Err(format!("Q staging: {}x{} tile vs {threads} threads", c.bq, self.d));
-        }
-        if (self.seq * self.d) % (threads * 8) != 0 {
-            return Err(format!(
-                "transposed K staging: {}x{} vs {threads} threads x8 vectors",
-                self.seq, self.d
-            ));
-        }
-        let smem = ((c.bq + self.seq) * self.d * 2) as u64;
-        let limit = Arch::Sm86.smem_limit_bytes();
-        if smem > limit {
-            return Err(format!("shared-memory budget: {smem} B exceeds {limit} B"));
-        }
-        Ok(())
+        self.config(p).validate(Arch::Sm86)
     }
 
     fn build(&self, p: &Point) -> Kernel {
@@ -423,20 +394,7 @@ impl SearchSpace for LayernormSpace {
     }
 
     fn constraint(&self, p: &Point) -> Result<(), String> {
-        let c = self.config(p);
-        if self.hidden % 256 != 0 {
-            return Err(format!(
-                "hidden={} not a multiple of 256 (32 lanes x8 vectors)",
-                self.hidden
-            ));
-        }
-        if self.rows % c.rows_per_block != 0 {
-            return Err(format!(
-                "row tiling: rows={} not divisible by rows_per_block={}",
-                self.rows, c.rows_per_block
-            ));
-        }
-        Ok(())
+        self.config(p).validate(self.arch)
     }
 
     fn build(&self, p: &Point) -> Kernel {
@@ -504,52 +462,7 @@ impl SearchSpace for MlpSpace {
     }
 
     fn constraint(&self, p: &Point) -> Result<(), String> {
-        let c = self.config(p);
-        if self.hidden > 128 || self.hidden % 16 != 0 {
-            return Err(format!("fusibility: hidden={} (N=K<=128, %16)", self.hidden));
-        }
-        if self.m % c.bm != 0 {
-            return Err(format!("row tiling: m={} not divisible by bm={}", self.m, c.bm));
-        }
-        if c.bm % c.wm != 0 || self.hidden % c.wn != 0 {
-            return Err(format!(
-                "warp tiling: {}x{} does not tile by {}x{}",
-                c.bm, self.hidden, c.wm, c.wn
-            ));
-        }
-        match self.arch {
-            Arch::Sm86 if c.wm % 16 != 0 || c.wn % 8 != 0 => {
-                return Err(format!("warp tile {}x{} vs mma.m16n8k16 (wm%16, wn%8)", c.wm, c.wn));
-            }
-            Arch::Sm70 if c.wm % 16 != 0 || c.wn % 16 != 0 => {
-                return Err(format!("warp tile {}x{} vs quad-pairs (wm%16, wn%16)", c.wm, c.wn));
-            }
-            _ => {}
-        }
-        let warps = (c.bm / c.wm) * (self.hidden / c.wn);
-        if !(1..=8).contains(&warps) {
-            return Err(format!("{warps} warps per block (1..=8 supported)"));
-        }
-        let threads = warps * 32;
-        if (c.bm * self.hidden) % (threads * 8) != 0 {
-            return Err(format!(
-                "activation staging: {}x{} tile vs {threads} threads x8 vectors",
-                c.bm, self.hidden
-            ));
-        }
-        if (self.hidden * self.hidden) % (threads * 8) != 0 {
-            return Err(format!(
-                "weight staging: {0}x{0} tile vs {threads} threads x8 vectors",
-                self.hidden
-            ));
-        }
-        // Ping-pong activations + the weight stage, fp16.
-        let smem = ((2 * c.bm * self.hidden + self.hidden * self.hidden) * 2) as u64;
-        let limit = self.arch.smem_limit_bytes();
-        if smem > limit {
-            return Err(format!("shared-memory budget: {smem} B exceeds {limit} B"));
-        }
-        Ok(())
+        self.config(p).validate(self.arch)
     }
 
     fn build(&self, p: &Point) -> Kernel {

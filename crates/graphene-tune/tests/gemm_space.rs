@@ -6,7 +6,10 @@
 use graphene_ir::Arch;
 use graphene_kernels::gemm::{build_gemm, Epilogue, GemmConfig};
 use graphene_sim::{analyze, machine_for, time_kernel};
-use graphene_tune::{tune, GemmSpace, Search, SearchSpace, TuneOptions};
+use graphene_tune::{
+    tune, FmhaSpace, GemmSpace, LayernormSpace, MlpSpace, Search, SearchSpace, TuneOptions,
+};
+use std::panic::AssertUnwindSafe;
 
 fn param_value(space: &GemmSpace, point: &graphene_tune::Point, name: &str) -> i64 {
     let idx = space.params().iter().position(|p| p.name == name).expect("param exists");
@@ -57,14 +60,31 @@ fn leaderboard_is_sorted_fastest_first() {
     }
 }
 
-/// Every point the Volta space admits must build: its constraint is
-/// `GemmConfig::validate`, which has to reject whatever the builder
-/// asserts on (for example Volta's transposed A staging), so the
-/// tuner's panic guard never fires.
+/// Every point each space admits must build: its constraint is its
+/// config's own `validate`, which has to reject whatever the builder
+/// relies on (for example Volta's transposed A staging), so the
+/// tuner's panic guard never fires. The admitted counts are pinned:
+/// moving the rules into the configs kept every space's point set.
 #[test]
-fn every_admitted_volta_point_builds() {
-    for (m, n, k) in [(1024, 256, 128), (1024, 1024, 512), (256, 256, 128)] {
-        let space = GemmSpace::new(Arch::Sm70, m, n, k, Epilogue::None);
+fn every_admitted_point_builds() {
+    let mut spaces: Vec<(Box<dyn SearchSpace>, usize)> = Vec::new();
+    for (arch, admitted) in [(Arch::Sm86, 378), (Arch::Sm70, 125)] {
+        for (m, n, k) in [(1024, 256, 128), (1024, 1024, 512), (256, 256, 128)] {
+            spaces.push((Box::new(GemmSpace::new(arch, m, n, k, Epilogue::None)), admitted));
+        }
+    }
+    spaces.push((Box::new(FmhaSpace::mlperf_bert()), 8));
+    spaces.push((Box::new(FmhaSpace::new(2, 128, 64)), 8));
+    for (rows, hidden) in [(4096, 1024), (512, 512), (1024, 256)] {
+        spaces.push((Box::new(LayernormSpace::new(Arch::Sm86, rows, hidden)), 5));
+    }
+    for arch in [Arch::Sm86, Arch::Sm70] {
+        for (m, hidden, layers) in [(256, 128, 2), (1024, 128, 4)] {
+            spaces.push((Box::new(MlpSpace::new(arch, m, hidden, layers)), 14));
+        }
+    }
+    for (space, want) in &spaces {
+        let what = format!("{} {:?} {}", space.name(), space.arch(), space.problem_key());
         let mut admitted = 0;
         for i in 0..space.total_points() {
             let p = space.point_at(i);
@@ -72,9 +92,9 @@ fn every_admitted_volta_point_builds() {
                 continue;
             }
             admitted += 1;
-            let built = std::panic::catch_unwind(|| space.build(&p));
-            assert!(built.is_ok(), "m{m} n{n} k{k}: admitted point {} panics", space.describe(&p));
+            let built = std::panic::catch_unwind(AssertUnwindSafe(|| space.build(&p)));
+            assert!(built.is_ok(), "{what}: admitted point {} panics", space.describe(&p));
         }
-        assert!(admitted > 0, "m{m} n{n} k{k}: nothing admitted");
+        assert_eq!(admitted, *want, "{what}: admitted count");
     }
 }
