@@ -339,7 +339,11 @@ impl GemmSchedule {
         // A predicated grid pads m up to whole row blocks; validate that shape.
         let checked =
             if self.row_bound.is_some() { GemmConfig { m: grid_m * cfg.bm, ..cfg } } else { cfg };
-        checked.validate(arch).unwrap_or_else(|e| panic!("invalid GEMM configuration: {e}"));
+        let valid = match self.stages {
+            2 => checked.validate_double_buffered(arch),
+            _ => checked.validate(arch),
+        };
+        valid.unwrap_or_else(|e| panic!("invalid GEMM configuration: {e}"));
         let threads = cfg.threads();
         let grid_dims: Vec<i64> = self.batch.into_iter().chain([grid_m, cfg.n / cfg.bn]).collect();
         let mut kb = KernelBuilder::new(self.name, &grid_dims, &[threads]);
@@ -894,5 +898,28 @@ mod double_buffer_tests {
         assert_eq!(cs.global_read_bytes, cd.global_read_bytes);
         assert_eq!(cs.smem_read_bytes, cd.smem_read_bytes);
         assert_eq!(cs.smem_write_bytes, cd.smem_write_bytes);
+    }
+
+    #[test]
+    fn double_buffered_builder_refuses_two_stages_over_budget() {
+        // One stage fits sm86's shared memory; two (131,072 B) do not.
+        let cfg = GemmConfig {
+            m: 256,
+            n: 256,
+            k: 64,
+            bm: 256,
+            bn: 256,
+            bk: 64,
+            wm: 64,
+            wn: 128,
+            swizzle: true,
+        };
+        assert_eq!(cfg.validate(Arch::Sm86), Ok(()));
+        let want = cfg.validate_double_buffered(Arch::Sm86).expect_err("two stages overflow");
+        assert!(want.contains("131072 B double-buffered"), "{want}");
+        let panic = std::panic::catch_unwind(|| build_gemm_double_buffered(&cfg, Epilogue::None))
+            .expect_err("the builder refuses the config");
+        let msg = panic.downcast_ref::<String>().expect("a formatted panic message");
+        assert_eq!(msg, &format!("invalid GEMM configuration: {want}"));
     }
 }

@@ -126,7 +126,7 @@ fn trace_opt_json(st: &OptStats) -> String {
         "{{\"coalesced_fraction\":{:.4},\"bytes_before\":{},\"bytes_after\":{},\
          \"steps_before\":{},\"steps_after\":{},\"dead_fills\":{},\"fused_steps\":{},\
          \"gather_addrs\":{},\"pattern_addrs\":{},\"folded_mmas\":{},\"mma_tiles\":{},\
-         \"row_copies\":{},\"row_copy_elems\":{}}}",
+         \"row_copies\":{},\"row_copy_elems\":{},\"recorded_blocks\":{}}}",
         st.coalesced_fraction(),
         st.bytes_before,
         st.bytes_after,
@@ -139,7 +139,8 @@ fn trace_opt_json(st: &OptStats) -> String {
         st.folded_mmas,
         st.mma_tiles,
         st.row_copies,
-        st.row_copy_elems
+        st.row_copy_elems,
+        st.recorded_blocks
     )
 }
 

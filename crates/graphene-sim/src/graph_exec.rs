@@ -366,6 +366,7 @@ impl GraphTrace {
             agg.mma_tiles += s.mma_tiles;
             agg.row_copies += s.row_copies;
             agg.row_copy_elems += s.row_copy_elems;
+            agg.recorded_blocks += s.recorded_blocks;
         }
         agg
     }

@@ -8,6 +8,10 @@
 //! Counters were captured at record time (they are input-independent)
 //! and are returned unchanged.
 //!
+//! A block-uniform trace stores one program for every block; replay
+//! moves each step's global spans by the block's offsets
+//! ([`OptTrace`]'s offset table) before running it.
+//!
 //! Independent CTAs replay concurrently through the same fan-out as
 //! the compiled executor ([`crate::run`]): each worker owns a private
 //! snapshot of the buffers and logs its global writes, and the logs
@@ -434,8 +438,11 @@ impl OptCta<'_> {
         let t = self.trace;
         let (start, end) = t.blocks[b];
         let g: &[u32] = &t.gather;
+        let off = t.block_offsets(b);
         for step in &t.steps[start as usize..end as usize] {
-            match *step {
+            // A block-uniform trace's one program, moved to block `b`.
+            let step = if off.is_empty() { *step } else { step.shifted(off) };
+            match step {
                 OTp::Fill { buf } => {
                     self.bufs[buf as usize].fill(0.0);
                     // Never a global (plans reject global allocs), so

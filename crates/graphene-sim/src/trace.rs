@@ -186,6 +186,9 @@ pub(crate) fn raw_resident_bytes(
 pub(crate) struct Recorder {
     pub(crate) steps: Vec<TOp>,
     pub(crate) addrs: Vec<u32>,
+    /// The lowest and highest address recorded into each global buffer,
+    /// `(u32::MAX, 0)` while it is untouched.
+    pub(crate) global_extents: Vec<(u32, u32)>,
     n_globals: usize,
     n_shared: usize,
 }
@@ -195,6 +198,7 @@ impl Recorder {
         Recorder {
             steps: Vec::new(),
             addrs: Vec::new(),
+            global_extents: vec![(u32::MAX, 0); plan.globals.len()],
             n_globals: plan.globals.len(),
             n_shared: plan.shared.len(),
         }
@@ -234,6 +238,12 @@ impl Recorder {
             for li in 0..lanes.len() {
                 self.addrs
                     .extend(scratch.addrs[s0 + li * n..s0 + li * n + k].iter().map(|&a| a as u32));
+            }
+        }
+        if buf.mem == graphene_ir::MemSpace::Global {
+            let (lo, hi) = &mut self.global_extents[buf.idx];
+            for &a in &self.addrs[start as usize..] {
+                (*lo, *hi) = ((*lo).min(a), (*hi).max(a));
             }
         }
         start
@@ -419,7 +429,7 @@ pub fn record_trace(
 ) -> Result<Trace, ExecError> {
     let mut blocks = Vec::with_capacity(plan.grid.max(0) as usize);
     let mut start = 0;
-    let (rec, counters) = record_blocks(plan, bindings, |rec| {
+    let (rec, counters) = record_blocks(plan, bindings, plan.grid as usize, |rec| {
         let end = u32::try_from(rec.steps.len()).expect("trace exceeds u32 steps");
         blocks.push((start, end));
         start = end;
@@ -436,20 +446,22 @@ pub fn record_trace(
     })
 }
 
-/// The recording run behind [`record_trace`]: runs every block of
-/// `plan` with a [`Recorder`] installed and hands it to `block_done`
-/// after each block. Steps the callback leaves in place accumulate; a
-/// streaming consumer drains them instead. Returns the recorder and the
-/// run's counters, or the first error of the run or the callback.
+/// The recording run behind [`record_trace`]: runs blocks
+/// `0..blocks` of `plan` with a [`Recorder`] installed and hands it to
+/// `block_done` after each block. Steps the callback leaves in place
+/// accumulate; a streaming consumer drains them instead. Returns the
+/// recorder and the counters of the blocks run, or the first error of
+/// the run or the callback.
 pub(crate) fn record_blocks(
     plan: &KernelPlan,
     bindings: &HashMap<String, i64>,
+    blocks: usize,
     mut block_done: impl FnMut(&mut Recorder) -> Result<(), ExecError>,
 ) -> Result<(Recorder, Counters), ExecError> {
     let init: Vec<Vec<f32>> = plan.globals.iter().map(|&(_, _, len)| vec![0.0; len]).collect();
     let mut runner = CtaRunner::new(plan, init, bindings);
     runner.rec = Some(Recorder::new(plan));
-    for b in 0..plan.grid as usize {
+    for b in 0..blocks {
         runner.run_block(b)?;
         block_done(runner.rec.as_mut().expect("recorder installed"))?;
     }

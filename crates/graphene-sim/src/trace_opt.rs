@@ -100,6 +100,22 @@ impl Span {
         }
     }
 
+    /// The span moved by `d`, a two's-complement offset added modulo
+    /// 2³²: every variant addresses `base` plus a base-free term.
+    #[inline]
+    pub(crate) fn shifted(self, d: u32) -> Span {
+        match self {
+            Span::Affine { base, stride } => Span::Affine { base: base.wrapping_add(d), stride },
+            Span::Lanes { base, lane, stride, per } => {
+                Span::Lanes { base: base.wrapping_add(d), lane, stride, per }
+            }
+            Span::Gather { base, start } => Span::Gather { base: base.wrapping_add(d), start },
+            Span::Rows { base, start, len } => {
+                Span::Rows { base: base.wrapping_add(d), start, len }
+            }
+        }
+    }
+
     /// Group `gi` of a span recorded as groups of `per` elements: the
     /// span of that group's own `per` addresses.
     #[inline]
@@ -199,6 +215,40 @@ pub(crate) enum OTp {
     },
 }
 
+impl OTp {
+    /// The step with every global operand span moved by its buffer's
+    /// entry in `off` (one per global buffer): block `b`'s step of a
+    /// block-uniform trace ([`OptTrace::block_offsets`]). Fills and
+    /// tile steps touch private buffers only.
+    #[inline]
+    pub(crate) fn shifted(&self, off: &[u32]) -> OTp {
+        let mv = |buf: u32, span: &mut Span| {
+            if let Some(&d) = off.get(buf as usize) {
+                *span = span.shifted(d);
+            }
+        };
+        let mut step = *self;
+        match &mut step {
+            OTp::Fill { .. } | OTp::MmaTile { .. } => {}
+            OTp::Copy { src, dst, sa, da, .. }
+            | OTp::Unary { src, dst, sa, da, .. }
+            | OTp::Reduce { src, dst, sa, da, .. }
+            | OTp::Shfl { src, dst, sa, da, .. } => {
+                mv(*src, sa);
+                mv(*dst, da);
+            }
+            OTp::Binary { a, b, dst: c, aa, ba, da: ca, .. }
+            | OTp::Fma { a, b, c, aa, ba, ca, .. } => {
+                mv(*a, aa);
+                mv(*b, ba);
+                mv(*c, ca);
+            }
+            OTp::Init { dst, da, .. } => mv(*dst, da),
+        }
+        step
+    }
+}
+
 /// What the optimizer did to one trace — surfaced in CLI replay output,
 /// the serve daemon's `stats`, and BENCH_PR10.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -233,6 +283,12 @@ pub struct OptStats {
     /// Elements those copies move. They still count in
     /// `gather_addrs`: the recording had no affine form for them.
     pub row_copy_elems: usize,
+    /// Blocks the recording ran: 1 when the plan proves the grid
+    /// block-uniform ([`crate::KernelPlan::block_uniform`]), else every
+    /// block. The other fields describe the whole grid either way,
+    /// except `steps_after` and `bytes_after`, which count what is
+    /// stored.
+    pub recorded_blocks: usize,
 }
 
 impl OptStats {
@@ -271,7 +327,14 @@ pub struct OptTrace {
     /// `[a, b, c]` operand bases of every folded MMA ([`OTp::MmaTile`]
     /// ranges index it).
     pub(crate) tiles: Vec<[u32; 3]>,
+    /// Per-block `(start, end)` step ranges. Every block of a
+    /// block-uniform trace holds the one program, `(0, steps)`.
     pub(crate) blocks: Vec<(u32, u32)>,
+    /// A block-uniform trace's global offsets: `n_globals` entries per
+    /// block, block-major, each `g(b) − g(0)` as a two's-complement
+    /// `u32` ([`Span::shifted`]). Empty when every block holds its own
+    /// program.
+    pub(crate) offsets: Vec<u32>,
     pub(crate) buf_lens: Vec<usize>,
     pub(crate) n_globals: usize,
     pub(crate) params: Vec<(TensorId, String, usize)>,
@@ -304,8 +367,20 @@ impl OptTrace {
         &self.stats
     }
 
-    /// Resident payload bytes: step list, pattern table, block table and
-    /// buffer metadata (length-based, so the figure is deterministic).
+    /// Block `b`'s global offsets, one per global buffer: empty when
+    /// the block holds its own program or moves no buffer.
+    #[inline]
+    pub(crate) fn block_offsets(&self, b: usize) -> &[u32] {
+        let n = self.n_globals;
+        match self.offsets.get(b * n..(b + 1) * n) {
+            Some(off) if off.iter().any(|&d| d != 0) => off,
+            _ => &[],
+        }
+    }
+
+    /// Resident payload bytes: step list, pattern table, block and
+    /// offset tables and buffer metadata (length-based, so the figure
+    /// is deterministic).
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
@@ -313,6 +388,7 @@ impl OptTrace {
             + self.gather.len() * std::mem::size_of::<u32>()
             + self.tiles.len() * std::mem::size_of::<[u32; 3]>()
             + self.blocks.len() * std::mem::size_of::<(u32, u32)>()
+            + self.offsets.len() * std::mem::size_of::<u32>()
             + self.buf_lens.len() * std::mem::size_of::<usize>()
             + self
                 .params
@@ -332,7 +408,8 @@ impl OptTrace {
     /// one exception is a copy between two buffers, which may decode to
     /// its recorded `(source, destination)` pairs in another order when
     /// no destination repeats ([`CopyOrders`]). Dead fills are the only
-    /// raw steps that may vanish.
+    /// raw steps that may vanish. A block-uniform trace decodes block
+    /// `b` through block `b`'s offsets, as replay runs it.
     ///
     /// # Errors
     ///
@@ -352,7 +429,9 @@ impl OptTrace {
         rename.check_bijection(&raw.buf_lens)?;
         for (b, (&(rs, re), &(os, oe))) in raw.blocks.iter().zip(&self.blocks).enumerate() {
             let mut pending = raw.steps[rs as usize..re as usize].iter().peekable();
+            let off = self.block_offsets(b);
             for (i, step) in self.steps[os as usize..oe as usize].iter().enumerate() {
+                let step = &step.shifted(off);
                 let at = |what: &str| format!("block {b} step {i} ({step:?}): {what}");
                 let fill = match *step {
                     OTp::Fill { buf } => Some(buf),
@@ -1364,13 +1443,15 @@ impl BlockOptimizer {
     }
 
     /// The optimized trace; `addrs_before` and `bytes_before` describe
-    /// the raw trace the blocks came from.
+    /// the raw trace of the whole grid. `offsets` is empty when every
+    /// block was pushed, else the offsets of the grid's blocks, which
+    /// all replay the one pushed block's program.
     fn finish(
         self,
-        addrs_before: usize,
-        bytes_before: usize,
+        (addrs_before, bytes_before): (usize, usize),
         params: Vec<(TensorId, String, usize)>,
         counters: Counters,
+        offsets: Vec<u32>,
     ) -> OptTrace {
         let BlockOptimizer {
             buf_lens,
@@ -1378,11 +1459,16 @@ impl BlockOptimizer {
             mut steps,
             patterns,
             mut tiles,
-            blocks,
+            mut blocks,
             mut stats,
             ..
         } = self;
         let mut gather = patterns.table;
+        stats.recorded_blocks = blocks.len();
+        if !offsets.is_empty() {
+            let grid = offsets.len() / n_globals;
+            blocks = vec![blocks[0]; grid];
+        }
         stats.addrs_before = addrs_before;
         stats.bytes_before = bytes_before;
         stats.steps_after = steps.len();
@@ -1392,8 +1478,18 @@ impl BlockOptimizer {
         steps.shrink_to_fit();
         gather.shrink_to_fit();
         tiles.shrink_to_fit();
-        let mut opt =
-            OptTrace { steps, gather, tiles, blocks, buf_lens, n_globals, params, counters, stats };
+        let mut opt = OptTrace {
+            steps,
+            gather,
+            tiles,
+            blocks,
+            offsets,
+            buf_lens,
+            n_globals,
+            params,
+            counters,
+            stats,
+        };
         opt.stats.bytes_after = opt.resident_bytes();
         opt
     }
@@ -1424,13 +1520,24 @@ pub(crate) fn try_optimize_trace(trace: &Trace) -> Result<OptTrace, ExecError> {
     for &(bs, be) in &trace.blocks {
         opt.push_block(&trace.steps[bs as usize..be as usize], &trace.addrs)?;
     }
-    let (addrs, bytes) = (trace.addrs.len(), trace.resident_bytes());
-    Ok(opt.finish(addrs, bytes, trace.params.clone(), trace.counters))
+    let before = (trace.addrs.len(), trace.resident_bytes());
+    Ok(opt.finish(before, trace.params.clone(), trace.counters, Vec::new()))
 }
 
 /// Records `plan` once and optimizes the trace in the same pass — the
 /// cache-facing entry point ([`crate::trace::TraceCache`] keeps only
 /// the optimized form resident).
+///
+/// When the plan proves the grid block-uniform
+/// ([`KernelPlan::block_uniform`]), only block 0 is recorded and
+/// optimized: every block replays its program with each global buffer
+/// moved by that block's offset. Counters are block 0's scaled by the
+/// grid, which is exact under the proof: every block runs the same
+/// groups over the same shared addresses, global traffic counts
+/// elements, and the unique footprint is static. Any other kernel, or
+/// one whose offsets would move some block's accesses out of a buffer,
+/// records every block, so an out-of-bounds kernel fails with the
+/// error [`crate::execute_plan`] reports.
 ///
 /// # Errors
 ///
@@ -1440,12 +1547,17 @@ pub fn record_opt_trace(
     plan: &KernelPlan,
     bindings: &HashMap<String, i64>,
 ) -> Result<OptTrace, ExecError> {
+    if let Some(offsets) = plan.block_offsets() {
+        if let Some(opt) = record_block_zero(plan, bindings, &offsets)? {
+            return Ok(opt);
+        }
+    }
     // Each block is optimized as soon as it is recorded and its raw
     // steps dropped, so the unoptimized trace — tens of times the
     // optimized size — is never held whole.
     let mut opt = BlockOptimizer::new(trace_buf_lens(plan), plan.globals.len());
     let (mut addrs, mut blocks) = (0, 0);
-    let (_, counters) = record_blocks(plan, bindings, |rec| {
+    let (_, counters) = record_blocks(plan, bindings, plan.grid as usize, |rec| {
         opt.push_block(&rec.steps, &rec.addrs)?;
         (addrs, blocks) = (addrs + rec.addrs.len(), blocks + 1);
         rec.steps.clear();
@@ -1454,7 +1566,61 @@ pub fn record_opt_trace(
     })?;
     let params = &plan.globals;
     let bytes = raw_resident_bytes(opt.stats.steps_before, addrs, blocks, &opt.buf_lens, params);
-    Ok(opt.finish(addrs, bytes, params.clone(), counters))
+    Ok(opt.finish((addrs, bytes), params.clone(), counters, Vec::new()))
+}
+
+/// The block-uniform recording of [`record_opt_trace`]: records and
+/// optimizes block 0 alone, given every block's global `offsets`
+/// ([`KernelPlan::block_offsets`]). `None` when some block's offsets
+/// would move one of block 0's accesses out of its buffer.
+fn record_block_zero(
+    plan: &KernelPlan,
+    bindings: &HashMap<String, i64>,
+    offsets: &[i64],
+) -> Result<Option<OptTrace>, ExecError> {
+    let (n, grid) = (plan.globals.len(), plan.grid as usize);
+    let mut opt = BlockOptimizer::new(trace_buf_lens(plan), n);
+    let (mut fits, mut addrs) = (false, 0);
+    let (_, counters) = record_blocks(plan, bindings, 1, |rec| {
+        let extents = rec.global_extents.iter().zip(&plan.globals);
+        fits = offsets.chunks_exact(n).all(|off| {
+            extents.clone().zip(off).all(|((&(lo, hi), (_, _, len)), &d)| {
+                lo > hi || (i64::from(lo) + d >= 0 && i64::from(hi) + d < *len as i64)
+            })
+        });
+        addrs = rec.addrs.len();
+        if fits {
+            opt.push_block(&rec.steps, &rec.addrs)?;
+        }
+        Ok(())
+    })?;
+    if !fits {
+        return Ok(None);
+    }
+    let st = &mut opt.stats;
+    for per_block in [
+        &mut st.steps_before,
+        &mut st.gather_addrs,
+        &mut st.dead_fills,
+        &mut st.fused_steps,
+        &mut st.folded_mmas,
+        &mut st.mma_tiles,
+        &mut st.row_copies,
+        &mut st.row_copy_elems,
+    ] {
+        *per_block *= grid;
+    }
+    let (params, addrs) = (&plan.globals, addrs * grid);
+    let bytes = raw_resident_bytes(opt.stats.steps_before, addrs, grid, &opt.buf_lens, params);
+    // Each offset is stored modulo 2³²: the bounds check above keeps
+    // every shifted address inside its buffer.
+    let offsets = offsets.iter().map(|&d| d as u32).collect();
+    let counters = Counters {
+        unique_global_read_bytes: plan.unique_read,
+        unique_global_write_bytes: plan.unique_written,
+        ..counters.scaled(grid as u64)
+    };
+    Ok(Some(opt.finish((addrs, bytes), params.clone(), counters, offsets)))
 }
 
 #[cfg(test)]

@@ -220,4 +220,11 @@ fn out_of_bounds_detected() {
             execute_with(&kernel, Arch::Sm86, &HashMap::new(), &HashMap::new(), mode).unwrap_err();
         assert_eq!(got, err, "{mode:?}");
     }
+    // The offsets split around `blockIdx.x`, so the kernel is proven
+    // block-uniform; moving block 0's accesses to block 2 leaves the
+    // buffer, so recording falls back to every block and fails with
+    // the same error.
+    let plan = KernelPlan::compile(&kernel, Arch::Sm86).unwrap();
+    assert!(plan.block_uniform());
+    assert_eq!(record_opt_trace(&plan, &HashMap::new()).unwrap_err(), err);
 }
