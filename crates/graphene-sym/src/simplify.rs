@@ -100,7 +100,7 @@ fn rewrite(op: BinOp, a: IntExpr, b: IntExpr) -> IntExpr {
 }
 
 /// Is `e` provably a multiple of `m` (syntactically)?
-fn multiple_of(e: &IntExpr, m: i64) -> bool {
+pub(crate) fn multiple_of(e: &IntExpr, m: i64) -> bool {
     match e {
         IntExpr::Const(v) => v % m == 0,
         IntExpr::Var(_) => false,
