@@ -19,7 +19,8 @@ use crate::reference::{
     cublaslt_gemm_epilogue, pytorch_layernorm, unfused_fmha, LayernormImpl, LibraryKernel,
 };
 use graphene_ir::Arch;
-use graphene_sim::{machine_for, time_sequence, KernelProfile, MachineDesc};
+use graphene_sim::{machine_for, time_sequence, Counters, KernelProfile, MachineDesc, Memo};
+use std::sync::LazyLock;
 
 /// A Transformer network configuration (HuggingFace encoder families).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,25 +179,15 @@ pub fn time_inference(
 }
 
 /// Profiles the Graphene fused FMHA kernel via static analysis of the
-/// real schedule (cached per configuration — building the IR for the
-/// MLPerf shape is not free).
+/// real schedule, memoized per configuration (building the IR for the
+/// MLPerf shape is not free; the figures use a handful of shapes).
 pub fn fused_fmha_profile(cfg: &FmhaConfig, machine: &MachineDesc) -> KernelProfile {
-    use std::collections::HashMap;
-    use std::sync::Mutex;
-    use std::sync::OnceLock;
-    static CACHE: OnceLock<Mutex<HashMap<FmhaConfig, graphene_sim::Counters>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let counters = {
-        let mut guard = cache.lock().expect("fmha profile cache");
-        if let Some(c) = guard.get(cfg) {
-            *c
-        } else {
-            let kernel = crate::fmha::build_fused_fmha(Arch::Sm86, cfg);
-            let c = graphene_sim::analyze(&kernel, Arch::Sm86).expect("fmha analyzes");
-            guard.insert(*cfg, c);
-            c
-        }
-    };
+    static PROFILES: LazyLock<Memo<FmhaConfig, Counters, 64>> = LazyLock::new(Memo::new);
+    let (counters, _) = PROFILES
+        .get_or_insert_with(cfg, || {
+            graphene_sim::analyze(&crate::fmha::build_fused_fmha(Arch::Sm86, cfg), Arch::Sm86)
+        })
+        .expect("fmha analyzes");
     graphene_sim::time_kernel(&counters, machine, cfg.blocks())
 }
 

@@ -16,7 +16,7 @@ use graphene_ir::Arch;
 use graphene_kernels::catalog::opt_arch;
 use graphene_sim::{
     execute_graph, execute_plan, execute_reference, record_graph, replay_graph, replay_opt,
-    ExecMode, HostTensor, OptStats, TraceKey,
+    ExecMode, HostTensor, Memo, OptStats, TraceKey,
 };
 use graphene_tune::{SearchSpace, TuneOptions, TuneProgress};
 use std::collections::HashMap;
@@ -488,10 +488,28 @@ fn cancel(state: &ServerState, req: &Request) -> Result<Obj, String> {
     Ok(Obj::new().num("job", id).str("was", was.label()).str("state", job.state().label()))
 }
 
-/// `stats`: per-cache hit/miss/eviction counters, request latency
+/// One cache's `stats` object: every [`Memo`] starts
+/// `{"hits":…,"recordings":…,"evictions":…,"entries":…`, and the two
+/// trace caches add `resident_bytes`.
+fn memo_json<K, V, const C: usize>(m: &Memo<K, V, C>, resident_bytes: Option<usize>) -> String {
+    let bytes = resident_bytes.map_or(String::new(), |b| format!(",\"resident_bytes\":{b}"));
+    format!(
+        "{{\"hits\":{},\"recordings\":{},\"evictions\":{},\"entries\":{}{bytes}}}",
+        m.hits(),
+        m.recordings(),
+        m.evictions(),
+        m.len()
+    )
+}
+
+/// `stats`: per-cache hit/recording/eviction counters, request latency
 /// histograms, and queue gauges.
+///
+/// `run-graph` records its nodes through the daemon's `traces` cache,
+/// so `graphs.resident_bytes` and `traces.resident_bytes` count the
+/// same node traces; a node trace evicted from `traces` stays resident
+/// under `graphs` for as long as its graph does.
 fn stats(state: &ServerState) -> Obj {
-    let (plan_hits, plan_misses, plan_len) = state.plan_stats();
     let (jobs_queued, jobs_running, jobs_finished) = state.jobs.counts();
     let m = &state.metrics;
     Obj::new()
@@ -499,44 +517,10 @@ fn stats(state: &ServerState) -> Obj {
         .raw(
             "caches",
             &Obj::new()
-                .raw(
-                    "plans",
-                    &format!(
-                        "{{\"hits\":{plan_hits},\"misses\":{plan_misses},\"entries\":{plan_len}}}"
-                    ),
-                )
-                .raw(
-                    "traces",
-                    &format!(
-                        "{{\"hits\":{},\"recordings\":{},\"evictions\":{},\"entries\":{},\
-                         \"resident_bytes\":{}}}",
-                        state.traces.hits(),
-                        state.traces.recordings(),
-                        state.traces.evictions(),
-                        state.traces.len(),
-                        state.traces.resident_bytes()
-                    ),
-                )
-                .raw(
-                    "graphs",
-                    &format!(
-                        "{{\"hits\":{},\"recordings\":{},\"evictions\":{},\"entries\":{},\
-                         \"resident_bytes\":{}}}",
-                        state.graphs.hits(),
-                        state.graphs.recordings(),
-                        state.graphs.evictions(),
-                        state.graphs.len(),
-                        state.graphs.resident_bytes()
-                    ),
-                )
-                .raw(
-                    "costs",
-                    &format!(
-                        "{{\"replays\":{},\"recordings\":{}}}",
-                        state.costs.replays(),
-                        state.costs.recordings()
-                    ),
-                )
+                .raw("plans", &memo_json(&state.plans, None))
+                .raw("traces", &memo_json(&state.traces, Some(state.traces.resident_bytes())))
+                .raw("graphs", &memo_json(&state.graphs, Some(state.graphs.resident_bytes())))
+                .raw("costs", &memo_json(&state.costs, None))
                 .raw(
                     "tune_db",
                     &format!(

@@ -14,7 +14,8 @@
 //!
 //! so the *second* request for any kernel is served from memory: a
 //! repeated `run` replays its trace without re-recording, and a
-//! repeated `tune` is a `db_hit` with zero simulations.
+//! repeated `tune` is a `db_hit` with zero simulations. Every cache but
+//! the tuning database is one bounded [`graphene_sim::Memo`].
 //!
 //! The wire protocol is newline-delimited JSON over TCP ([`proto`]),
 //! served std-only by a bounded worker pool ([`server`]) with explicit

@@ -17,11 +17,12 @@ use crate::jobs::JobQueue;
 use crate::metrics::Metrics;
 use crate::proto::Request;
 use graphene_ir::Arch;
-use graphene_sim::{GraphTraceCache, KernelPlan, TraceCache};
+use graphene_sim::trace::TRACE_CACHE_CAPACITY;
+use graphene_sim::{GraphTraceCache, KernelPlan, Memo, TraceCache};
 use graphene_tune::{CostCache, SharedTuneDb};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Key of the resident plan cache.
 pub type PlanKey = (String, String, Arch);
@@ -37,12 +38,13 @@ pub struct PlanEntry {
     pub problem: String,
 }
 
-/// Everything one daemon process keeps resident.
+/// Everything one daemon process keeps resident. Every cache is a
+/// [`Memo`]: bounded, LRU, filled outside its lock.
 pub struct ServerState {
-    plans: Mutex<HashMap<PlanKey, Arc<PlanEntry>>>,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
-    /// Kernel traces for `run --exec replay`, LRU-bounded.
+    /// Compiled plans for `run`, bounded like the trace cache: each
+    /// plan feeds at most one trace.
+    pub(crate) plans: Memo<PlanKey, PlanEntry, TRACE_CACHE_CAPACITY>,
+    /// Kernel traces for `run --exec replay`.
     pub traces: TraceCache,
     /// Whole-graph traces for `run-graph --exec replay`.
     pub graphs: GraphTraceCache,
@@ -73,9 +75,7 @@ impl ServerState {
     /// Fresh state; `cache` is the optional `tune-cache.json` path.
     pub fn new(cache: Option<&str>) -> ServerState {
         ServerState {
-            plans: Mutex::new(HashMap::new()),
-            plan_hits: AtomicU64::new(0),
-            plan_misses: AtomicU64::new(0),
+            plans: Memo::new(),
             traces: TraceCache::new(),
             graphs: GraphTraceCache::new(),
             costs: CostCache::new(),
@@ -90,12 +90,10 @@ impl ServerState {
 
     /// The compiled plan for `(kernel, problem, arch)`. The key comes
     /// from the options alone ([`graphene_kernels::catalog::resolve`]);
-    /// only a miss builds the kernel and compiles it. Building and
-    /// compiling happen outside the map lock, so a cold request never
-    /// blocks warm ones for other keys; two racing cold requests may
-    /// both compile, and the first insert wins. A problem whose global
-    /// buffers exceed [`crate::handlers::MAX_REQUEST_SCALARS`] is
-    /// refused before it is cached.
+    /// only a miss builds the kernel and compiles it, outside the
+    /// memo's lock. A problem whose global buffers exceed
+    /// [`crate::handlers::MAX_REQUEST_SCALARS`] is refused inside that
+    /// miss, so it leaves nothing cached or counted.
     ///
     /// # Errors
     ///
@@ -109,28 +107,17 @@ impl ServerState {
     ) -> Result<(Arc<PlanEntry>, bool), String> {
         let resolved = graphene_kernels::catalog::resolve(name, arch, opts)?;
         let key: PlanKey = (name.to_string(), resolved.problem.clone(), arch);
-        if let Some(entry) = self.plans.lock().expect("plan cache poisoned").get(&key) {
-            self.plan_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::clone(entry), true));
-        }
-        let kernel = resolved.build();
-        let plan = KernelPlan::compile(&kernel, arch).map_err(|e| e.to_string())?;
-        within_limit(plan.params().iter().map(|&(_, _, len)| len as u128).sum())?;
-        self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        let entry =
-            Arc::new(PlanEntry { plan, kernel_name: kernel.name, problem: resolved.problem });
-        let mut plans = self.plans.lock().expect("plan cache poisoned");
-        let entry = plans.entry(key).or_insert(entry);
-        Ok((Arc::clone(entry), false))
+        self.plans.get_or_insert_with(&key, || {
+            let kernel = resolved.build();
+            let plan = KernelPlan::compile(&kernel, arch).map_err(|e| e.to_string())?;
+            within_limit(plan.params().iter().map(|&(_, _, len)| len as u128).sum())?;
+            Ok(PlanEntry { plan, kernel_name: kernel.name, problem: resolved.problem })
+        })
     }
 
-    /// `(hits, misses, len)` of the plan cache.
+    /// `(hits, recordings, len)` of the plan cache.
     pub fn plan_stats(&self) -> (u64, u64, usize) {
-        (
-            self.plan_hits.load(Ordering::Relaxed),
-            self.plan_misses.load(Ordering::Relaxed),
-            self.plans.lock().expect("plan cache poisoned").len(),
-        )
+        (self.plans.hits(), self.plans.recordings(), self.plans.len())
     }
 
     /// Whether the daemon is draining.

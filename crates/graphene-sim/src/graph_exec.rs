@@ -26,7 +26,7 @@
 //! [`GraphTraceCache`] memoizes stitched [`GraphTrace`]s per
 //! (graph signature, problem, arch) — the whole-model capture that
 //! lets a serve loop replay an entire encoder without touching the
-//! plan engine — and is LRU-bounded like [`TraceCache`].
+//! plan engine — and is a [`Memo`] like [`TraceCache`].
 //!
 //! Both engines execute nodes in graph order over the same arena and
 //! the same f32 scalar semantics, so their outputs are bit-identical;
@@ -34,17 +34,17 @@
 
 use crate::counters::Counters;
 use crate::exec::ExecError;
+use crate::memo::Memo;
 use crate::plan::KernelPlan;
 use crate::replay::replay_opt_with;
 use crate::run::{execute_plan, ExecMode};
-use crate::trace::{LruMap, TraceCache, TraceKey};
+use crate::trace::{TraceCache, TraceKey};
 use crate::trace_opt::{OptStats, OptTrace};
 use crate::workspace::{plan_workspace, NodeUse, WorkspacePlan};
 use graphene_ir::tensor::TensorId;
 use graphene_ir::Arch;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// How one kernel parameter is bound when the graph runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -457,37 +457,12 @@ pub struct GraphKey {
 /// order of magnitude bigger than single-kernel ones.
 pub const GRAPH_TRACE_CACHE_CAPACITY: usize = 32;
 
-/// Memoizes stitched [`GraphTrace`]s per [`GraphKey`], LRU-bounded
-/// like [`TraceCache`]. The per-kernel `TraceCache` is passed per
-/// call, so graphs sharing kernels also share their recordings.
-#[derive(Debug)]
-pub struct GraphTraceCache {
-    traces: Mutex<LruMap<GraphKey, Arc<GraphTrace>>>,
-    hits: AtomicU64,
-    recordings: AtomicU64,
-}
-
-impl Default for GraphTraceCache {
-    fn default() -> Self {
-        Self::with_capacity(GRAPH_TRACE_CACHE_CAPACITY)
-    }
-}
+/// Memoizes stitched [`GraphTrace`]s per [`GraphKey`], a [`Memo`] like
+/// [`TraceCache`]. The per-kernel `TraceCache` is passed per call, so
+/// graphs sharing kernels also share their recordings.
+pub type GraphTraceCache = Memo<GraphKey, GraphTrace, GRAPH_TRACE_CACHE_CAPACITY>;
 
 impl GraphTraceCache {
-    /// An empty cache with the default capacity bound.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty cache holding at most `capacity` graph traces (min 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        GraphTraceCache {
-            traces: Mutex::new(LruMap::new(capacity)),
-            hits: AtomicU64::new(0),
-            recordings: AtomicU64::new(0),
-        }
-    }
-
     /// Returns the stitched trace for `g`, recording and stitching on
     /// first use. Callers holding only the front-end graph should use
     /// [`get_or_record_with`](Self::get_or_record_with) and lower on a
@@ -506,9 +481,7 @@ impl GraphTraceCache {
 
     /// Returns the stitched trace under `key` and whether it was a hit.
     /// Only a miss runs `record` — typically: lower the graph, then
-    /// [`record_graph`] — so a warm caller builds nothing. Recording
-    /// happens outside the map lock; when two misses race, the first
-    /// insert wins and both callers get that trace.
+    /// [`record_graph`] — so a warm caller builds nothing.
     ///
     /// # Errors
     ///
@@ -518,48 +491,12 @@ impl GraphTraceCache {
         key: &GraphKey,
         record: impl FnOnce() -> Result<GraphTrace, E>,
     ) -> Result<(Arc<GraphTrace>, bool), E> {
-        if let Some(t) = self.traces.lock().expect("graph-trace cache poisoned").get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((t, true));
-        }
-        let t = Arc::new(record()?);
-        self.recordings.fetch_add(1, Ordering::Relaxed);
-        Ok((self.traces.lock().expect("graph-trace cache poisoned").insert(key.clone(), t), false))
-    }
-
-    /// Replays served from an already-stitched graph trace.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Graph recordings performed (full stitch passes).
-    pub fn recordings(&self) -> u64 {
-        self.recordings.load(Ordering::Relaxed)
-    }
-
-    /// Graph traces evicted by the capacity bound.
-    pub fn evictions(&self) -> u64 {
-        self.traces.lock().expect("graph-trace cache poisoned").evicted()
-    }
-
-    /// Number of distinct graph traces held.
-    pub fn len(&self) -> usize {
-        self.traces.lock().expect("graph-trace cache poisoned").len()
+        self.get_or_insert_with(key, record)
     }
 
     /// Total resident payload bytes across all cached graph traces
     /// (each stitched chain counts its shared recordings once).
     pub fn resident_bytes(&self) -> usize {
-        self.traces
-            .lock()
-            .expect("graph-trace cache poisoned")
-            .values()
-            .map(|t| t.resident_bytes())
-            .sum()
-    }
-
-    /// Whether the cache holds no graph traces.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.sum_by(GraphTrace::resident_bytes)
     }
 }

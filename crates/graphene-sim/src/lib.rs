@@ -53,6 +53,7 @@ pub mod exec;
 pub mod graph_exec;
 pub mod host;
 pub mod machine;
+pub mod memo;
 pub mod plan;
 pub mod prove;
 pub mod replay;
@@ -78,6 +79,7 @@ pub use graph_exec::{
 };
 pub use host::HostTensor;
 pub use machine::{machine_for, MachineDesc, AMPERE_A6000, VOLTA_V100};
+pub use memo::Memo;
 pub use plan::{root_len, AddressPlan, BankTally, KernelPlan, PlanCache, RelOffsetsMemo};
 pub use prove::{
     grade_conflicts_cached, linear_site, prove_conflicts_enumerated, prove_conflicts_linear,

@@ -29,6 +29,7 @@
 
 use crate::counters::Counters;
 use crate::exec::ExecError;
+use crate::memo::Memo;
 use crate::plan::{BufRef, CSpec, KernelPlan};
 use crate::run::{AddrScratch, Cta, CtaRunner};
 use crate::trace_opt::{record_opt_trace, OptTrace};
@@ -37,8 +38,7 @@ use graphene_ir::ops::{BinaryOp, ReduceOp, UnaryOp};
 use graphene_ir::tensor::TensorId;
 use graphene_ir::Arch;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One recorded step of a straight-line trace.
 ///
@@ -499,132 +499,30 @@ pub struct TraceKey {
     pub arch: Arch,
 }
 
-/// A capacity-bounded map with least-recently-used eviction, shared by
-/// [`TraceCache`] and the graph-trace cache
-/// ([`crate::graph_exec::GraphTraceCache`]).
-///
-/// Recency is a monotone stamp bumped on every get/insert; eviction
-/// removes the minimum-stamp entry. The scan is O(len) per eviction,
-/// which is irrelevant at trace-cache capacities (tens to hundreds)
-/// against the cost of the recording run an eviction forces.
-#[derive(Debug)]
-pub(crate) struct LruMap<K, V> {
-    map: HashMap<K, (V, u64)>,
-    capacity: usize,
-    tick: u64,
-    evicted: u64,
-}
-
-impl<K: std::hash::Hash + Eq + Clone, V: Clone> LruMap<K, V> {
-    pub(crate) fn new(capacity: usize) -> Self {
-        LruMap { map: HashMap::new(), capacity: capacity.max(1), tick: 0, evicted: 0 }
-    }
-
-    /// Looks up `k`, marking it most-recently-used on a hit.
-    pub(crate) fn get(&mut self, k: &K) -> Option<V> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(k).map(|e| {
-            e.1 = tick;
-            e.0.clone()
-        })
-    }
-
-    /// Inserts `v` under `k`, evicting the least-recently-used entry
-    /// if the map is at capacity. First insert wins: if `k` is already
-    /// present (a racing caller beat us), the existing value is
-    /// returned and `v` is dropped.
-    pub(crate) fn insert(&mut self, k: K, v: V) -> V {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.map.get_mut(&k) {
-            e.1 = tick;
-            return e.0.clone();
-        }
-        if self.map.len() >= self.capacity {
-            if let Some(victim) = self.map.iter().min_by_key(|(_, e)| e.1).map(|(k, _)| k.clone()) {
-                self.map.remove(&victim);
-                self.evicted += 1;
-            }
-        }
-        self.map.insert(k, (v.clone(), tick));
-        v
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Iterates the resident values without touching recency.
-    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
-        self.map.values().map(|(v, _)| v)
-    }
-
-    pub(crate) fn evicted(&self) -> u64 {
-        self.evicted
-    }
-}
-
 /// Default [`TraceCache`] capacity. Each trace holds the unrolled step
 /// and address arenas of one kernel instance (megabytes at paper
 /// sizes), so the bound is what makes long-lived many-shape traffic —
 /// the serve-daemon pattern — safe.
 pub const TRACE_CACHE_CAPACITY: usize = 256;
 
-/// Memoizes recorded traces per [`TraceKey`], in
-/// [`crate::plan::PlanCache`] style: record on first request, share
-/// the [`Arc`]'d trace on every subsequent one. `Sync`, so one cache
-/// can serve the per-CTA parallel fan-out and concurrent tuner
-/// workers.
+/// Memoizes recorded traces per [`TraceKey`]: record on first request,
+/// share the [`Arc`]'d trace on every later one. A [`Memo`], so it is
+/// `Sync`, LRU-bounded ([`TRACE_CACHE_CAPACITY`] by default, or
+/// `with_capacity`), records outside its lock and lets the first
+/// insert win a race. An evicted key simply re-records on next request.
+/// `recordings` counts [`record_opt_trace`] runs; a block-uniform
+/// kernel's run interprets block 0 alone.
 ///
 /// What the cache keeps resident is the **optimized** form
 /// ([`OptTrace`]): recording runs the trace optimizer before insertion,
 /// so every cached trace replays on the coalesced fast path and the
 /// cache's memory footprint is the post-classification one (see
 /// [`resident_bytes`](Self::resident_bytes)).
-///
-/// The cache is bounded ([`TRACE_CACHE_CAPACITY`] by default, or
-/// [`TraceCache::with_capacity`]): inserting past capacity evicts the
-/// least-recently-used trace and bumps [`evictions`](Self::evictions).
-/// An evicted key simply re-records on next request.
-#[derive(Debug)]
-pub struct TraceCache {
-    traces: Mutex<LruMap<TraceKey, Arc<OptTrace>>>,
-    hits: AtomicU64,
-    recordings: AtomicU64,
-}
-
-impl Default for TraceCache {
-    fn default() -> Self {
-        Self::with_capacity(TRACE_CACHE_CAPACITY)
-    }
-}
+pub type TraceCache = Memo<TraceKey, OptTrace, TRACE_CACHE_CAPACITY>;
 
 impl TraceCache {
-    /// An empty cache with the default capacity bound.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty cache holding at most `capacity` traces (min 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        TraceCache {
-            traces: Mutex::new(LruMap::new(capacity)),
-            hits: AtomicU64::new(0),
-            recordings: AtomicU64::new(0),
-        }
-    }
-
-    /// Returns the cached trace for `key`, recording it on first use,
-    /// and whether this call was served from the cache — decided by
-    /// the lookup itself, so a concurrent recording or eviction can't
-    /// make the flag lie.
-    ///
-    /// Recording happens outside the map lock, so requests for
-    /// *different* keys never serialize on a recording. Two racing
-    /// requests for the same cold key may both record (both report a
-    /// miss); the first insert wins and both callers get identical
-    /// traces.
+    /// Returns the cached trace for `key`, recording it on first use
+    /// ([`record_opt_trace`]), and whether this call's lookup hit.
     ///
     /// # Errors
     ///
@@ -635,43 +533,12 @@ impl TraceCache {
         plan: &KernelPlan,
         bindings: &HashMap<String, i64>,
     ) -> Result<(Arc<OptTrace>, bool), ExecError> {
-        if let Some(t) = self.traces.lock().expect("trace cache poisoned").get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((t, true));
-        }
-        let t = Arc::new(record_opt_trace(plan, bindings)?);
-        self.recordings.fetch_add(1, Ordering::Relaxed);
-        Ok((self.traces.lock().expect("trace cache poisoned").insert(key.clone(), t), false))
-    }
-
-    /// Replays served from an already-recorded trace.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Recording runs performed (interpretations of the full kernel).
-    pub fn recordings(&self) -> u64 {
-        self.recordings.load(Ordering::Relaxed)
-    }
-
-    /// Traces evicted by the capacity bound.
-    pub fn evictions(&self) -> u64 {
-        self.traces.lock().expect("trace cache poisoned").evicted()
-    }
-
-    /// Number of distinct traces held.
-    pub fn len(&self) -> usize {
-        self.traces.lock().expect("trace cache poisoned").len()
+        self.get_or_insert_with(key, || record_opt_trace(plan, bindings))
     }
 
     /// Total resident payload bytes across all cached (optimized)
     /// traces: step lists plus gather pattern tables plus metadata.
     pub fn resident_bytes(&self) -> usize {
-        self.traces.lock().expect("trace cache poisoned").values().map(|t| t.resident_bytes()).sum()
-    }
-
-    /// Whether the cache holds no traces.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.sum_by(OptTrace::resident_bytes)
     }
 }

@@ -36,13 +36,15 @@
 
 use crate::space::{Point, SearchSpace};
 use graphene_analysis::{analyze_kernel_cached, error_count, Severity};
-use graphene_sim::{analyze_cached, machine_for, time_kernel, Counters, KernelProfile, PlanCache};
+use graphene_sim::{
+    analyze_cached, machine_for, time_kernel, Counters, KernelProfile, Memo, PlanCache,
+};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::{Arc, Mutex};
 
 /// A search strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,89 +224,39 @@ enum Outcome {
     Costed(Box<Candidate>),
 }
 
-/// What one recorded evaluation replays to. Mirrors the non-prune arms
-/// of `Outcome` (constraint prunes are pure arithmetic — cheaper to
-/// redo than to cache).
-#[derive(Clone)]
-enum CostRecord {
-    Rejected(String),
-    Costed { profile: KernelProfile, counters: Counters, conflict_warnings: usize },
-}
+/// What one recorded evaluation replays to: the costed candidate, or
+/// why static or counter analysis rejected it. Constraint prunes are
+/// pure arithmetic — cheaper to redo than to cache.
+pub type CostRecord = Result<Candidate, String>;
+
+/// Default [`CostCache`] capacity: a large multiple of GEMM's 864-point
+/// sm86 space, so no single search evicts its own points.
+pub const COST_CACHE_CAPACITY: usize = 65_536;
 
 /// Record-once/replay-many at the *costing* layer — the tuner-side
-/// analog of the simulator's trace cache. The first time a point
-/// survives its constraint gate, the full build → lint → counter →
-/// roofline pipeline runs and its outcome is recorded; every later
-/// evaluation of the same `(space, problem, arch, point)` replays the
-/// recording without constructing a kernel, compiling an address plan,
-/// or touching the simulator.
+/// analog of the simulator's trace cache, and the same [`Memo`]. The
+/// first time a point survives its constraint gate, the full build →
+/// lint → counter → roofline pipeline runs and its outcome is recorded;
+/// every later evaluation of the same `(space, problem, arch, point)`
+/// replays the recording without constructing a kernel, compiling an
+/// address plan, or touching the simulator.
 ///
 /// Keys include the space hash, so editing a space's parameter table
 /// invalidates its recordings by construction. The cache is `Sync`:
 /// batch workers consult it concurrently, and it can be shared across
 /// whole tuning runs (e.g. re-tuning after a database wipe, or
 /// overlapping beam/random searches of one space).
-#[derive(Default)]
-pub struct CostCache {
-    entries: Mutex<HashMap<String, CostRecord>>,
-    replays: AtomicU64,
-    recordings: AtomicU64,
-}
+pub type CostCache = Memo<String, CostRecord, COST_CACHE_CAPACITY>;
 
-impl CostCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        CostCache::default()
-    }
-
-    /// Evaluations served by replaying a recording.
-    #[must_use]
-    pub fn replays(&self) -> u64 {
-        self.replays.load(AtomicOrdering::Relaxed)
-    }
-
-    /// Pipeline runs recorded into the cache.
-    #[must_use]
-    pub fn recordings(&self) -> u64 {
-        self.recordings.load(AtomicOrdering::Relaxed)
-    }
-
-    /// Number of recorded points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn key(space: &dyn SearchSpace, point: &Point) -> String {
-        format!(
-            "{}|{}|{:?}|{:016x}|{:?}",
-            space.name(),
-            space.problem_key(),
-            space.arch(),
-            space.space_hash(),
-            point.0
-        )
-    }
-
-    fn lookup(&self, key: &str) -> Option<CostRecord> {
-        let rec = self.entries.lock().unwrap().get(key).cloned();
-        if rec.is_some() {
-            self.replays.fetch_add(1, AtomicOrdering::Relaxed);
-        }
-        rec
-    }
-
-    fn record(&self, key: String, rec: CostRecord) {
-        self.recordings.fetch_add(1, AtomicOrdering::Relaxed);
-        self.entries.lock().unwrap().insert(key, rec);
-    }
+fn cost_key(space: &dyn SearchSpace, point: &Point) -> String {
+    format!(
+        "{}|{}|{:?}|{:016x}|{:?}",
+        space.name(),
+        space.problem_key(),
+        space.arch(),
+        space.space_hash(),
+        point.0
+    )
 }
 
 /// Evaluates one point through the full pipeline. The boolean is true
@@ -313,29 +265,27 @@ fn evaluate(space: &dyn SearchSpace, point: &Point, costs: Option<&CostCache>) -
     if let Err(reason) = space.constraint(point) {
         return (Outcome::Pruned(reason), false);
     }
-    let key = costs.map(|_| CostCache::key(space, point));
-    if let (Some(cache), Some(key)) = (costs, key.as_deref()) {
-        if let Some(rec) = cache.lookup(key) {
-            let out = match rec {
-                CostRecord::Rejected(r) => Outcome::Rejected(r),
-                CostRecord::Costed { profile, counters, conflict_warnings } => {
-                    Outcome::Costed(Box::new(Candidate {
-                        point: point.clone(),
-                        profile,
-                        counters,
-                        conflict_warnings,
-                    }))
-                }
-            };
-            return (out, true);
-        }
-    }
-    let kernel = match catch_unwind(AssertUnwindSafe(|| space.build(point))) {
-        Ok(k) => k,
-        // A panic here means the space's constraint is not conservative
-        // enough; treat it as a prune so the search survives.
-        Err(_) => return (Outcome::Pruned("builder rejected the point (panic)".into()), false),
+    let recorded = match costs {
+        Some(cache) => cache.get_or_insert_with(&cost_key(space, point), || cost(space, point)),
+        None => cost(space, point).map(|rec| (Arc::new(rec), false)),
     };
+    match recorded {
+        Err(reason) => (Outcome::Pruned(reason), false),
+        Ok((rec, replayed)) => match &*rec {
+            Ok(c) => (Outcome::Costed(Box::new(c.clone())), replayed),
+            Err(r) => (Outcome::Rejected(r.clone()), replayed),
+        },
+    }
+}
+
+/// Builds, lints and costs a point that passed its constraint: the
+/// pipeline a [`CostCache`] records. `Err` is a builder panic, a prune
+/// that is never recorded.
+fn cost(space: &dyn SearchSpace, point: &Point) -> Result<CostRecord, String> {
+    // A panic here means the space's constraint is not conservative
+    // enough; treat it as a prune so the search survives.
+    let kernel = catch_unwind(AssertUnwindSafe(|| space.build(point)))
+        .map_err(|_| "builder rejected the point (panic)".to_string())?;
     let arch = space.arch();
     // One plan cache per candidate: analysis and costing reuse each
     // tensor's compiled address plan.
@@ -347,34 +297,16 @@ fn evaluate(space: &dyn SearchSpace, point: &Point, costs: Option<&CostCache>) -
             .find(|d| d.severity == Severity::Error)
             .map(|d| format!("{}: {}", d.code, d.message))
             .unwrap_or_default();
-        if let (Some(cache), Some(key)) = (costs, key) {
-            cache.record(key, CostRecord::Rejected(first.clone()));
-        }
-        return (Outcome::Rejected(first), false);
+        return Ok(Err(first));
     }
     let conflict_warnings = diags.iter().filter(|d| d.code == "GRA014").count();
-    match analyze_cached(&kernel, arch, &HashMap::new(), &mut plans) {
+    Ok(match analyze_cached(&kernel, arch, &HashMap::new(), &mut plans) {
         Ok(counters) => {
             let profile = time_kernel(&counters, machine_for(arch), kernel.grid_size());
-            if let (Some(cache), Some(key)) = (costs, key) {
-                cache.record(key, CostRecord::Costed { profile, counters, conflict_warnings });
-            }
-            let out = Outcome::Costed(Box::new(Candidate {
-                point: point.clone(),
-                profile,
-                counters,
-                conflict_warnings,
-            }));
-            (out, false)
+            Ok(Candidate { point: point.clone(), profile, counters, conflict_warnings })
         }
-        Err(e) => {
-            let reason = format!("counter analysis failed: {e:?}");
-            if let (Some(cache), Some(key)) = (costs, key) {
-                cache.record(key, CostRecord::Rejected(reason.clone()));
-            }
-            (Outcome::Rejected(reason), false)
-        }
-    }
+        Err(e) => Err(format!("counter analysis failed: {e:?}")),
+    })
 }
 
 /// Evaluates a batch in parallel, preserving input order.

@@ -207,12 +207,12 @@ fn second_search_replays_every_costing_from_the_cost_cache() {
     assert_eq!(cold.stats.cost_replayed, 0, "first search has nothing to replay");
     let built_cold = cold.stats.pruned_analysis + cold.stats.simulated;
     assert_eq!(costs.recordings() as usize, built_cold, "every pipeline run recorded");
-    assert_eq!(costs.replays(), 0);
+    assert_eq!(costs.hits(), 0);
 
     let warm = run_search_cached(&space, &opts, Some(&costs)).unwrap();
     assert_eq!(warm.stats.simulated, 0, "warm search must not simulate");
     assert_eq!(warm.stats.cost_replayed, built_cold, "every built point replays");
-    assert_eq!(costs.replays() as usize, built_cold);
+    assert_eq!(costs.hits() as usize, built_cold);
     assert_eq!(warm.best_point, cold.best_point);
     assert_eq!(warm.best_time_s, cold.best_time_s);
     assert_eq!(warm.stats.proposed, cold.stats.proposed);
