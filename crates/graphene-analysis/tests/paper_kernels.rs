@@ -17,8 +17,7 @@ use graphene_kernels::lstm::{build_fused_lstm, LstmConfig};
 use graphene_kernels::mlp::{build_fused_mlp, MlpConfig};
 use graphene_kernels::softmax::{build_softmax, SoftmaxConfig};
 use graphene_sim::{
-    execute_plan, execute_reference, record_opt_trace, ExecMode, ExecOutcome, HostTensor,
-    KernelPlan,
+    execute_plan, execute_reference, record_opt_trace, ExecMode, HostTensor, KernelPlan,
 };
 use std::collections::HashMap;
 
@@ -176,7 +175,8 @@ fn dropped_init_is_reported() {
 
 /// A GEMM whose first MMA site reads its A fragment from its own
 /// accumulator: `GRA016` reports exactly that site, trace recording
-/// refuses it, and both interpreters still run it bit-identically.
+/// refuses it, so plan execution (a recording replayed) refuses it with
+/// the same error, and the reference interpreter still runs it.
 #[test]
 fn aliased_accumulator_is_linted_and_refused_by_recording() {
     let mut kernel = build_gemm(Arch::Sm86, &GemmConfig::small(64, 64, 64), Epilogue::None);
@@ -210,15 +210,10 @@ fn aliased_accumulator_is_linted_and_refused_by_recording() {
         .enumerate()
         .map(|(i, (id, _, len))| (*id, HostTensor::random(&[*len], 7 + i as u64).into_vec()))
         .collect();
-    let bits = |o: &ExecOutcome| {
-        let mut g: Vec<_> = o.globals.iter().collect();
-        g.sort_by_key(|(id, _)| **id);
-        g.into_iter().flat_map(|(_, v)| v.iter().map(|x| x.to_bits())).collect::<Vec<_>>()
-    };
-    let planned = execute_plan(&plan, &inputs, &HashMap::new(), ExecMode::Sequential).unwrap();
-    let reference = execute_reference(&kernel, Arch::Sm86, &inputs).unwrap();
-    assert_eq!(bits(&planned), bits(&reference));
-    assert_eq!(planned.counters, reference.counters);
+    let planned = execute_plan(&plan, &inputs, &HashMap::new(), ExecMode::Sequential);
+    assert_eq!(planned.expect_err("plan execution records first"), err);
+    let reference = execute_reference(&kernel, Arch::Sm86, &inputs).expect("the oracle runs it");
+    assert!(reference.globals.values().flatten().any(|x| *x != 0.0), "no output written");
 }
 
 /// Staging without the paper's swizzle produces measurable bank

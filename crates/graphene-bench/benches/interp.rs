@@ -1,7 +1,8 @@
-//! Interpreter throughput benchmarks: reference statement-tree
-//! interpretation vs compiled-plan execution (sequential and parallel),
-//! plus the cost of plan compilation itself and execute-many reuse of
-//! one compiled plan.
+//! Interpreter throughput benchmarks over the reference oracle, one
+//! recorder and replay: reference statement-tree interpretation vs plan
+//! execution (the plan recorded, then replayed, sequential and
+//! parallel), plus the cost of plan compilation itself and
+//! execute-many reuse of one compiled plan.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use graphene_ir::{Arch, Kernel, TensorId};

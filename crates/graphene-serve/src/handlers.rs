@@ -510,7 +510,7 @@ fn memo_json<K, V, const C: usize>(m: &Memo<K, V, C>, resident_bytes: Option<usi
 /// same node traces; a node trace evicted from `traces` stays resident
 /// under `graphs` for as long as its graph does.
 fn stats(state: &ServerState) -> Obj {
-    let (jobs_queued, jobs_running, jobs_finished) = state.jobs.counts();
+    let (jobs_queued, jobs_running, jobs_finished, jobs_dropped) = state.jobs.counts();
     let m = &state.metrics;
     Obj::new()
         .raw("requests", &m.render_json())
@@ -536,7 +536,7 @@ fn stats(state: &ServerState) -> Obj {
             "jobs",
             &format!(
                 "{{\"queued\":{jobs_queued},\"running\":{jobs_running},\
-                 \"finished\":{jobs_finished}}}"
+                 \"finished\":{jobs_finished},\"dropped\":{jobs_dropped}}}"
             ),
         )
         .num("in_flight", m.in_flight.load(Ordering::Relaxed))
@@ -772,5 +772,31 @@ mod tests {
         assert!(get(&nope, &["error"]).as_str().unwrap().contains("unknown job"));
         let st = parse(&dispatch(&state, r#"{"cmd":"stats"}"#)).unwrap();
         assert_eq!(get(&st, &["malformed"]).as_i64(), Some(1));
+    }
+
+    #[test]
+    fn finished_jobs_past_the_bound_are_forgotten_oldest_first() {
+        use crate::jobs::MAX_FINISHED_JOBS;
+        let state = ServerState::new(None);
+        let submit = r#"{"cmd":"tune","kernel":"layernorm","rows":512,"hidden":512,"job":true}"#;
+        let cancelled: Vec<i64> = (0..=MAX_FINISHED_JOBS)
+            .map(|_| {
+                let id = get(&parse(&dispatch(&state, submit)).unwrap(), &["job"]).as_i64();
+                let id = id.unwrap();
+                dispatch(&state, &format!(r#"{{"cmd":"cancel","job":{id}}}"#));
+                id
+            })
+            .collect();
+        // A queued job outlives every terminal one.
+        let live = get(&parse(&dispatch(&state, submit)).unwrap(), &["job"]).as_i64().unwrap();
+        let poll = |id: i64| parse(&dispatch(&state, &format!(r#"{{"cmd":"poll","job":{id}}}"#)));
+        let oldest = poll(cancelled[0]).unwrap();
+        assert!(get(&oldest, &["error"]).as_str().unwrap().contains("unknown job id"));
+        assert_eq!(get(&poll(cancelled[1]).unwrap(), &["state"]).as_str(), Some("cancelled"));
+        assert_eq!(get(&poll(live).unwrap(), &["state"]).as_str(), Some("queued"));
+        let st = parse(&dispatch(&state, r#"{"cmd":"stats"}"#)).unwrap();
+        assert_eq!(get(&st, &["jobs", "dropped"]).as_i64(), Some(1));
+        assert_eq!(get(&st, &["jobs", "finished"]).as_i64(), Some(MAX_FINISHED_JOBS as i64));
+        assert_eq!(get(&st, &["jobs", "queued"]).as_i64(), Some(1));
     }
 }

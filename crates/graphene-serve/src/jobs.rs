@@ -103,6 +103,11 @@ impl Job {
     }
 }
 
+/// Finished, failed and cancelled jobs kept for `poll`; past this many
+/// the oldest is forgotten and then polls as an unknown id. Queued and
+/// running jobs are never dropped.
+pub(crate) const MAX_FINISHED_JOBS: usize = 1024;
+
 /// The queue itself, generic over the work payload (the server
 /// enqueues the parsed tune [`Request`](crate::proto::Request); tests
 /// enqueue whatever they like).
@@ -117,7 +122,25 @@ pub struct JobQueue<T> {
 struct Inner<T> {
     jobs: HashMap<u64, Arc<Job>>,
     queue: VecDeque<(Arc<Job>, T)>,
+    /// Ids of terminal jobs, oldest first.
+    finished: VecDeque<u64>,
+    /// Terminal jobs forgotten past [`MAX_FINISHED_JOBS`].
+    dropped: u64,
     closed: bool,
+}
+
+impl<T> Inner<T> {
+    /// Sets `job`'s terminal state `s` and forgets the oldest terminal
+    /// job past the bound.
+    fn retire(&mut self, job: &Job, s: JobState) {
+        job.set_state(s);
+        self.finished.push_back(job.id);
+        while self.finished.len() > MAX_FINISHED_JOBS {
+            let old = self.finished.pop_front().expect("over the bound");
+            self.jobs.remove(&old);
+            self.dropped += 1;
+        }
+    }
 }
 
 impl<T> Default for JobQueue<T> {
@@ -127,6 +150,8 @@ impl<T> Default for JobQueue<T> {
             inner: Mutex::new(Inner {
                 jobs: HashMap::new(),
                 queue: VecDeque::new(),
+                finished: VecDeque::new(),
+                dropped: 0,
                 closed: false,
             }),
             ready: Condvar::new(),
@@ -187,10 +212,11 @@ impl<T> JobQueue<T> {
     /// batch boundary. Returns the state observed at call time, or
     /// `None` for an unknown id.
     pub fn cancel(&self, id: u64) -> Option<JobState> {
-        let job = self.get(id)?;
+        let mut inner = self.inner.lock().expect("job queue poisoned");
+        let job = Arc::clone(inner.jobs.get(&id)?);
         let state = job.state();
         match state {
-            JobState::Queued => job.set_state(JobState::Cancelled),
+            JobState::Queued => inner.retire(&job, JobState::Cancelled),
             JobState::Running => job.progress.cancel.store(true, Ordering::Relaxed),
             _ => {}
         }
@@ -199,11 +225,12 @@ impl<T> JobQueue<T> {
 
     /// Marks a popped job finished.
     pub fn finish(&self, job: &Job, outcome: Result<String, String>) {
-        job.set_state(match outcome {
+        let state = match outcome {
             _ if job.progress.cancelled() => JobState::Cancelled,
             Ok(result) => JobState::Done(result),
             Err(e) => JobState::Failed(e),
-        });
+        };
+        self.inner.lock().expect("job queue poisoned").retire(job, state);
     }
 
     /// Closes the queue for draining: cancels everything still queued,
@@ -211,11 +238,12 @@ impl<T> JobQueue<T> {
     /// exit. Idempotent.
     pub fn close(&self) {
         let mut inner = self.inner.lock().expect("job queue poisoned");
-        for job in inner.jobs.values() {
+        let live: Vec<_> =
+            inner.jobs.values().filter(|j| !j.state().is_terminal()).cloned().collect();
+        for job in live {
             match job.state() {
-                JobState::Queued => job.set_state(JobState::Cancelled),
-                JobState::Running => job.progress.cancel.store(true, Ordering::Relaxed),
-                _ => {}
+                JobState::Queued => inner.retire(&job, JobState::Cancelled),
+                _ => job.progress.cancel.store(true, Ordering::Relaxed),
             }
         }
         inner.closed = true;
@@ -223,10 +251,12 @@ impl<T> JobQueue<T> {
         self.ready.notify_all();
     }
 
-    /// `(queued, running, terminal)` job counts, for `stats`.
-    pub fn counts(&self) -> (usize, usize, usize) {
+    /// `(queued, running, terminal, dropped)` job counts, for `stats`:
+    /// `dropped` counts the terminal jobs forgotten past the bound of
+    /// 1,024 kept for `poll`.
+    pub fn counts(&self) -> (usize, usize, usize, u64) {
         let inner = self.inner.lock().expect("job queue poisoned");
-        let mut c = (0, 0, 0);
+        let mut c = (0, 0, 0, inner.dropped);
         for job in inner.jobs.values() {
             match job.state() {
                 JobState::Queued => c.0 += 1,
@@ -247,7 +277,7 @@ mod tests {
         let q = JobQueue::new();
         let job = q.submit("work", 100);
         assert_eq!(job.state(), JobState::Queued);
-        assert_eq!(q.counts(), (1, 0, 0));
+        assert_eq!(q.counts(), (1, 0, 0, 0));
         let (popped, work) = q.pop().unwrap();
         assert_eq!(work, "work");
         assert_eq!(popped.id, job.id);
@@ -257,7 +287,7 @@ mod tests {
         q.finish(&popped, Ok("{}".into()));
         assert_eq!(job.state(), JobState::Done("{}".into()));
         assert_eq!(job.fraction(), 1.0);
-        assert_eq!(q.counts(), (0, 0, 1));
+        assert_eq!(q.counts(), (0, 0, 1, 0));
     }
 
     #[test]

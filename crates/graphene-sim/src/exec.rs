@@ -12,6 +12,12 @@
 //! Alongside the values, the interpreter accumulates [`Counters`]
 //! (bytes per memory level, shared-memory bank conflicts, FLOPs per
 //! pipe) which drive the timing model.
+//!
+//! Functional execution is the reference oracle ([`execute_reference`],
+//! this module's statement-tree interpreter), one recorder
+//! ([`crate::run`]) and replay ([`crate::replay`]). [`execute`] and its
+//! variants compile the kernel to a plan and run
+//! [`execute_plan`]: the plan recorded, then replayed.
 
 use crate::counters::Counters;
 use crate::plan::KernelPlan;
@@ -74,10 +80,10 @@ pub struct ExecOutcome {
 /// `inputs` maps kernel parameters to their physical buffers (row-major
 /// for row-major-layout params). Missing params are zero-initialised.
 ///
-/// The kernel is lowered to a [`crate::plan::KernelPlan`] and
-/// interpreted through the compiled engine, with independent CTAs
-/// executing concurrently ([`ExecMode::Parallel`]); results and
-/// counters are bit-identical to sequential execution.
+/// The kernel is lowered to a [`crate::plan::KernelPlan`], recorded and
+/// replayed ([`execute_plan`]), with independent CTAs replaying
+/// concurrently ([`ExecMode::Parallel`]); results and counters are
+/// bit-identical to sequential execution.
 ///
 /// # Errors
 ///
@@ -107,7 +113,7 @@ pub fn execute_bound(
 }
 
 /// Like [`execute_bound`], with an explicit [`ExecMode`] selecting
-/// sequential or parallel CTA interpretation.
+/// sequential or parallel CTA replay.
 ///
 /// # Errors
 ///

@@ -1,6 +1,6 @@
 //! Graph execution: run a lowered multi-kernel chain against one
-//! liveness-planned workspace arena, through either the compiled-plan
-//! engine or whole-graph trace replay.
+//! liveness-planned workspace arena, through either plan execution or
+//! whole-graph trace replay.
 //!
 //! [`ExecGraph`] is the execution form of a lowered graph: a node per
 //! kernel launch, each node's parameters bound positionally to either
@@ -10,11 +10,11 @@
 //! and [`GraphOutcome`] reports both peaks so callers can print
 //! planned vs naive bytes.
 //!
-//! Two engines run the same graph:
+//! Two paths run the same graph:
 //!
-//! - [`execute_graph`] drives each node through the compiled-plan
-//!   executor ([`crate::run::execute_plan`]), sequential or parallel
-//!   CTA mode — the baseline.
+//! - [`execute_graph`] drives each node through plan execution
+//!   ([`crate::run::execute_plan`]: the node recorded afresh, then
+//!   replayed), sequential or parallel CTA mode.
 //! - [`record_graph`] records each *distinct* (kernel, problem) once
 //!   via the shared [`TraceCache`] and stitches the per-kernel traces
 //!   with the node arg bindings and the workspace plan into a
@@ -25,12 +25,13 @@
 //!
 //! [`GraphTraceCache`] memoizes stitched [`GraphTrace`]s per
 //! (graph signature, problem, arch) — the whole-model capture that
-//! lets a serve loop replay an entire encoder without touching the
-//! plan engine — and is a [`Memo`] like [`TraceCache`].
+//! lets a serve loop replay an entire encoder without recording — and
+//! is a [`Memo`] like [`TraceCache`].
 //!
-//! Both engines execute nodes in graph order over the same arena and
-//! the same f32 scalar semantics, so their outputs are bit-identical;
-//! the equivalence suite asserts it.
+//! Both paths execute nodes in graph order over the same arena and
+//! replay the same recordings, so their outputs are bit-identical; the
+//! equivalence suite checks both against each node's every-block
+//! recording.
 
 use crate::counters::Counters;
 use crate::exec::ExecError;
@@ -206,7 +207,7 @@ fn externals<'a>(
     seen
 }
 
-/// The result of one graph execution (either engine).
+/// The result of one graph execution (either path).
 #[derive(Debug)]
 pub struct GraphOutcome {
     /// Final contents of each output temp, keyed by temp index.
@@ -276,8 +277,8 @@ fn gather_outputs(
     outputs.iter().map(|&t| (t, arena[ws.slice(t, temps[t])].to_vec())).collect()
 }
 
-/// Executes the graph through the compiled-plan engine, node by node
-/// over one planned arena.
+/// Executes the graph through plan execution, node by node over one
+/// planned arena.
 ///
 /// `mode` selects the per-kernel CTA schedule (sequential or
 /// parallel); nodes themselves always run in graph order, which the
@@ -414,9 +415,9 @@ pub fn record_graph(g: &ExecGraph, traces: &TraceCache) -> Result<GraphTrace, Ex
 /// Replays a stitched graph trace end-to-end against fresh inputs.
 ///
 /// Per-node data flow is identical to [`execute_graph`] — same arena,
-/// same slices, same node order — so outputs are bit-identical to the
-/// plan engine; only the per-kernel execution is the straight-line
-/// replay instead of the compiled-plan walk.
+/// same slices, same node order — so outputs are bit-identical to it;
+/// only the recordings come from the trace cache instead of being
+/// recorded per call.
 ///
 /// # Errors
 ///

@@ -20,30 +20,31 @@
 //!   evaluation sizes and produces the Nsight-Compute-style utilisation
 //!   percentages of Figure 9.
 //!
-//! Functional execution has three engines, bit-identical in outputs
-//! and counters:
+//! Functional execution is the reference oracle, one recorder and
+//! replay, bit-identical in outputs and counters:
 //!
 //! - **Reference** ([`execute_reference`]): the original statement-tree
 //!   interpreter, kept as the oracle every equivalence test compares
 //!   against.
-//! - **Compiled plan** ([`execute_plan`]): [`KernelPlan::compile`]
-//!   lowers a kernel once to slot-indexed address plans and
-//!   precomputed lane tables ([`plan`]), and the plan is interpreted
-//!   per execution ([`run`]).
-//! - **Optimized replay** ([`replay_opt`](replay_opt())): the CUDA-graph
-//!   analog. [`record_trace`] captures one instrumented plan run as a
-//!   flat straight-line program ([`trace`]), the trace optimizer
-//!   ([`optimize_trace`], [`trace_opt`]) lowers it into an [`OptTrace`]
-//!   whose address slices are compact affine descriptors, and replay
-//!   re-runs it against fresh inputs with no dispatch, no symbolic
-//!   environment and no address emission — contiguous steps at memcpy
-//!   speed. A [`TraceCache`] keeps one optimized trace resident per
-//!   (kernel, problem, arch).
+//! - **Recorder** ([`run`], [`trace`]): [`KernelPlan::compile`] lowers a
+//!   kernel once to slot-indexed address plans and precomputed lane
+//!   tables ([`plan`]); the recorder walks the plan, computes no
+//!   values, and captures every group's addresses, bounds-checked, as
+//!   a flat straight-line program. [`record_trace`] keeps every block;
+//!   [`record_opt_trace`] records block 0 alone when the plan is proven
+//!   block-uniform and runs the trace optimizer ([`optimize_trace`],
+//!   [`trace_opt`]), which lowers the program into an [`OptTrace`]
+//!   whose address slices are compact affine descriptors.
+//! - **Replay** ([`replay_opt`](replay_opt())): the CUDA-graph analog.
+//!   It re-runs an [`OptTrace`] against fresh inputs with no dispatch,
+//!   no symbolic environment and no address emission — contiguous
+//!   steps at memcpy speed. [`execute_plan`] is one recording replayed
+//!   once; a [`TraceCache`] keeps one optimized trace resident per
+//!   (kernel, problem, arch) for replaying many times.
 //!
-//! The two grid engines run independent CTAs concurrently under
-//! [`ExecMode::Parallel`] through one shared fan-out with a
-//! block-ordered write merge, so parallel runs stay bit-identical to
-//! sequential ones.
+//! Replay runs independent CTAs concurrently under
+//! [`ExecMode::Parallel`] with a block-ordered write merge, so parallel
+//! runs stay bit-identical to sequential ones.
 
 #![warn(missing_docs)]
 

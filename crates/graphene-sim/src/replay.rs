@@ -12,15 +12,19 @@
 //! moves each step's global spans by the block's offsets
 //! ([`OptTrace`]'s offset table) before running it.
 //!
-//! Independent CTAs replay concurrently through the same fan-out as
-//! the compiled executor ([`crate::run`]): each worker owns a private
-//! snapshot of the buffers and logs its global writes, and the logs
-//! merge **in ascending block order** — bit-identical to the sequential
-//! replay whenever no CTA reads another CTA's writes.
+//! Replay is the one engine that computes values besides the reference
+//! oracle ([`crate::exec`]): [`crate::execute_plan`] records a plan
+//! ([`crate::run`]) and replays it here.
+//!
+//! Independent CTAs replay concurrently under [`ExecMode::Parallel`]:
+//! each worker owns a private snapshot of the buffers and logs its
+//! global writes, and the logs merge **in ascending block order** —
+//! bit-identical to the sequential replay whenever no CTA reads
+//! another CTA's writes (the independence every Graphene grid
+//! decomposition expresses).
 
-use crate::counters::Counters;
 use crate::exec::{ExecError, ExecOutcome};
-use crate::run::{fan_out, initial_globals, Cta, ExecMode};
+use crate::run::{check_inputs, ExecMode};
 use crate::trace_opt::{OTp, OptTrace, Span};
 use graphene_ir::ops::{BinaryOp, UnaryOp};
 use std::collections::HashMap;
@@ -31,8 +35,8 @@ use graphene_ir::tensor::TensorId;
 /// coalesced fast path: contiguous copies run as `copy_from_slice`,
 /// contiguous element-wise steps as tight slice loops, strided/lane
 /// spans as stepped loops, warp-tile MMA steps as in-place kernels, and
-/// only residual gathers walk an address array. Bit-identical to
-/// compiled-plan execution of the recorded kernel.
+/// only residual gathers walk an address array. Bit-identical to the
+/// reference interpreter on the recorded kernel.
 ///
 /// `inputs` maps kernel parameters to their buffers, exactly as for
 /// [`crate::exec::execute`]; missing params are zero-initialised.
@@ -40,8 +44,7 @@ use graphene_ir::tensor::TensorId;
 /// # Errors
 ///
 /// [`ExecError::BadInput`] when an input buffer is mis-sized. Replay
-/// itself cannot fail: every address was bounds-validated when the
-/// recording run executed it.
+/// itself cannot fail: the recorder bounds-checked every address.
 pub fn replay_opt(
     trace: &OptTrace,
     inputs: &HashMap<TensorId, Vec<f32>>,
@@ -62,10 +65,13 @@ pub fn replay_opt_with(
     inputs: &HashMap<TensorId, Vec<f32>>,
     mode: ExecMode,
 ) -> Result<ExecOutcome, ExecError> {
-    let mut init = initial_globals(&trace.params, inputs)?;
-    init.extend(trace.buf_lens[trace.n_globals..].iter().map(|&len| vec![0.0; len]));
-    let (globals, _) =
-        fan_out(mode, trace.blocks.len(), init, |bufs| OptCta { trace, bufs, log: None })?;
+    check_inputs(&trace.params, inputs)?;
+    let init = trace
+        .params
+        .iter()
+        .map(|(p, _, len)| inputs.get(p).map_or_else(|| vec![0.0; *len], Clone::clone));
+    let init = init.chain(trace.buf_lens[trace.n_globals..].iter().map(|&len| vec![0.0; len]));
+    let globals = fan_out(mode, trace, init.collect());
     let globals = trace.params.iter().map(|(p, _, _)| *p).zip(globals).collect::<HashMap<_, _>>();
     Ok(ExecOutcome { globals, counters: trace.counters })
 }
@@ -343,22 +349,43 @@ fn copy_rows_of<const L: usize>(
 struct OptCta<'t> {
     trace: &'t OptTrace,
     bufs: Vec<Vec<f32>>,
+    /// When `Some`, global writes are logged for the ordered merge.
     log: Option<Vec<OWrite>>,
 }
 
-impl Cta for OptCta<'_> {
-    type Write = OWrite;
-
-    fn run_block(&mut self, b: usize) -> Result<(), ExecError> {
-        self.exec_block(b);
-        Ok(())
+/// Replays every block of `trace` from buffers `init` (globals first)
+/// and returns the final buffers, globals first.
+///
+/// One worker replays every block in place when `mode` (or the grid)
+/// offers no parallelism. Otherwise each worker thread takes a
+/// contiguous chunk of blocks on its own snapshot of `init` and logs
+/// each block's global writes; the logs are applied to `init` in
+/// ascending block order.
+fn fan_out(mode: ExecMode, trace: &OptTrace, init: Vec<Vec<f32>>) -> Vec<Vec<f32>> {
+    let grid = trace.blocks.len();
+    let workers = mode.workers(grid);
+    if workers == 1 {
+        let mut cta = OptCta { trace, bufs: init, log: None };
+        (0..grid).for_each(|b| cta.exec_block(b));
+        return cta.bufs;
     }
-
-    fn log(&mut self) -> &mut Option<Vec<OWrite>> {
-        &mut self.log
-    }
-
-    fn apply(w: &OWrite, globals: &mut [Vec<f32>]) {
+    let chunk = grid.div_ceil(workers);
+    let mut logs: Vec<Vec<OWrite>> = std::iter::repeat_with(Vec::new).take(grid).collect();
+    let init_ref = &init;
+    std::thread::scope(|s| {
+        for (w, slots) in logs.chunks_mut(chunk).enumerate() {
+            s.spawn(move || {
+                let mut cta = OptCta { trace, bufs: init_ref.clone(), log: None };
+                for (i, slot) in slots.iter_mut().enumerate() {
+                    cta.log = Some(Vec::new());
+                    cta.exec_block(w * chunk + i);
+                    *slot = cta.log.take().expect("log installed above");
+                }
+            });
+        }
+    });
+    let mut globals = init;
+    for w in logs.iter().flatten() {
         match w {
             OWrite::Run { buf, start, vals } => {
                 let s = *start as usize;
@@ -367,12 +394,7 @@ impl Cta for OptCta<'_> {
             OWrite::At { buf, addr, val } => globals[*buf as usize][*addr as usize] = *val,
         }
     }
-
-    /// Replay accumulates no counters: the trace carries the recording
-    /// run's.
-    fn finish(self) -> (Vec<Vec<f32>>, Counters) {
-        (self.bufs, Counters::default())
-    }
+    globals
 }
 
 impl OptCta<'_> {
@@ -430,7 +452,7 @@ impl OptCta<'_> {
     }
 
     // `assign_op_pattern`: FMA accumulates are written `acc = x*y + acc`
-    // (not `acc += x*y`) so the f32 addition keeps the plan
+    // (not `acc += x*y`) so the f32 addition keeps the reference
     // interpreter's operand order exactly — bit-identity is a hard
     // contract here.
     #[allow(clippy::too_many_lines, clippy::assign_op_pattern)]
@@ -556,7 +578,7 @@ impl OptCta<'_> {
                         && !((dst as usize) < t.n_globals && self.log.is_some())
                     {
                         // In-place accumulate: read/write the same
-                        // buffer in element order, like the plan
+                        // buffer in element order, like the reference
                         // interpreter.
                         let (bv, d) = self.pair(b, dst);
                         // Each element reads only itself: whole rows.
@@ -718,7 +740,7 @@ fn mma_tiles<const M: usize, const N: usize, const K: usize>(
 
 /// One `M×N×K` MMA on row-major `a[m][k]`, `b[k][n]` and `c[m][n]` at
 /// the start of each slice: every output takes a fresh
-/// `acc = Σ_k a·b` in `k` order, then `c += acc` — the plan
+/// `acc = Σ_k a·b` in `k` order, then `c += acc` — the reference
 /// interpreter's per-output op order, so bits match. Rust never
 /// contracts `x*y + z` into a fused multiply-add, and the `n` loop is
 /// independent per output, so the vectorizer may widen it freely.
@@ -757,11 +779,12 @@ fn mma_base<const M: usize, const N: usize, const K: usize>(a: &[f32], b: &[f32]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::Counters;
     use crate::trace::{TOp, Trace};
     use crate::trace_opt::optimize_trace;
     use graphene_ir::ops::ReduceOp;
 
-    /// The plan interpreter's MMA, scalar: per output a fresh `k`-order
+    /// The reference interpreter's MMA, scalar: per output a fresh `k`-order
     /// sum, then one add into `c`.
     fn reference<const M: usize, const N: usize, const K: usize>(
         a: &[f32],

@@ -1,22 +1,20 @@
-//! Trace capture: record one compiled-plan execution as a flat
+//! Trace capture: record one walk of a compiled plan as a flat
 //! straight-line program.
 //!
-//! The compiled executor ([`crate::run`]) already pays no hashing on
-//! the hot path, but every execution still walks the statement tree,
-//! re-evaluates guards and loop bounds, re-emits operand addresses per
-//! group, and dispatches on [`AtomicSemantics`]. This module is the
-//! CUDA-graph analog for the simulator: [`record_trace`] runs a kernel
-//! **once** per (kernel, problem, arch) through the instrumented
-//! compiled executor and captures everything that cannot change across
-//! runs — resolved branches and loops, precomputed operand address
+//! Walking a compiled plan means walking the statement tree,
+//! evaluating guards and loop bounds, emitting operand addresses per
+//! group, and dispatching on [`AtomicSemantics`]. This module is the
+//! CUDA-graph analog for the simulator: [`record_trace`] walks a plan
+//! **once** per (kernel, problem, arch) with the recorder
+//! ([`crate::run`]) and captures everything that cannot change across
+//! runs — resolved branches and loops, bounds-checked operand address
 //! segments, op kind and flat buffer operands per step — into a
 //! [`Trace`]. The trace optimizer ([`crate::trace_opt`]) compacts it,
-//! and the replay executor ([`crate::replay`]) then re-runs the
-//! straight-line program against fresh input buffers with no `CSpec`
-//! dispatch, no symbolic environment, and no per-group address
-//! emission.
+//! and replay ([`crate::replay`]) then runs the straight-line program
+//! against fresh input buffers with no `CSpec` dispatch, no symbolic
+//! environment, and no per-group address emission.
 //!
-//! **Why recording with zero-filled inputs is sound:** control flow in
+//! **Why recording without input values is sound:** control flow in
 //! this IR is purely *index-driven*. Guards compare index expressions
 //! over `blockIdx.x` / `threadIdx.x` / loop variables, and loop extents
 //! are static — no branch ever inspects a tensor *value*. The step
@@ -31,12 +29,12 @@ use crate::counters::Counters;
 use crate::exec::ExecError;
 use crate::memo::Memo;
 use crate::plan::{BufRef, CSpec, KernelPlan};
-use crate::run::{AddrScratch, Cta, CtaRunner};
+use crate::run::{AddrScratch, CtaRunner};
 use crate::trace_opt::{record_opt_trace, OptTrace};
 use graphene_ir::atomic::AtomicSemantics;
 use graphene_ir::ops::{BinaryOp, ReduceOp, UnaryOp};
 use graphene_ir::tensor::TensorId;
-use graphene_ir::Arch;
+use graphene_ir::{Arch, MemSpace};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -177,11 +175,9 @@ pub(crate) fn raw_resident_bytes(
             .sum::<usize>()
 }
 
-/// Captures [`TOp`]s during one instrumented [`CtaRunner`] pass.
-///
-/// Installed on the runner by [`record_blocks`]; the runner calls back
-/// after each `Alloc` and after each successfully executed group, so a
-/// failing execution never leaves a partial step in a published trace.
+/// Captures [`TOp`]s during one [`CtaRunner`] pass: the runner hands
+/// it each `Alloc` and each group. A failing recording is discarded
+/// whole, so no partial step reaches a published trace.
 #[derive(Debug, Default)]
 pub(crate) struct Recorder {
     pub(crate) steps: Vec<TOp>,
@@ -206,7 +202,6 @@ impl Recorder {
 
     /// Unified buffer-table index of a plan buffer reference.
     fn buf_id(&self, buf: BufRef) -> u32 {
-        use graphene_ir::MemSpace;
         (match buf.mem {
             MemSpace::Global => buf.idx,
             MemSpace::Shared => self.n_globals + buf.idx,
@@ -215,38 +210,35 @@ impl Recorder {
     }
 
     /// Appends `k` addresses per lane of one operand segment to the
-    /// arena, flattening register addresses to `thread * len + addr`.
-    /// Returns the arena start offset.
+    /// arena, flattening register addresses to `thread * len + addr`,
+    /// and returns the arena start offset. With `what`, each address is
+    /// first checked to lie in `buf`; the first that does not is an
+    /// [`ExecError::OutOfBounds`] naming the operand `what`.
     fn push_seg(
         &mut self,
         buf: BufRef,
         lanes: &[i64],
-        scratch: &AddrScratch,
+        sc: &AddrScratch,
         seg: (usize, usize),
         k: usize,
-    ) -> u32 {
+        what: Option<&str>,
+    ) -> Result<u32, ExecError> {
         let start = u32::try_from(self.addrs.len()).expect("trace address arena exceeds u32 range");
-        let (s0, n) = seg;
-        if buf.mem == graphene_ir::MemSpace::Register {
-            for (li, &t) in lanes.iter().enumerate() {
-                let base = t * buf.len as i64;
-                self.addrs.extend(
-                    scratch.addrs[s0 + li * n..s0 + li * n + k].iter().map(|&a| (base + a) as u32),
-                );
+        for (li, &t) in lanes.iter().enumerate() {
+            let seg = &sc.lane(seg, li)[..k];
+            if let Some(what) = what {
+                in_bounds(buf, seg, what)?;
             }
-        } else {
-            for li in 0..lanes.len() {
-                self.addrs
-                    .extend(scratch.addrs[s0 + li * n..s0 + li * n + k].iter().map(|&a| a as u32));
-            }
+            let base = if buf.mem == MemSpace::Register { t * buf.len as i64 } else { 0 };
+            self.addrs.extend(seg.iter().map(|&a| (base + a) as u32));
         }
-        if buf.mem == graphene_ir::MemSpace::Global {
+        if buf.mem == MemSpace::Global {
             let (lo, hi) = &mut self.global_extents[buf.idx];
             for &a in &self.addrs[start as usize..] {
                 (*lo, *hi) = ((*lo).min(a), (*hi).max(a));
             }
         }
-        start
+        Ok(start)
     }
 
     /// Records a zero-fill of an allocated buffer.
@@ -255,7 +247,12 @@ impl Recorder {
         self.steps.push(TOp::Fill { buf });
     }
 
-    /// Records one successfully executed warp/collective group.
+    /// Records one warp/collective group, after bounds-checking every
+    /// address its semantics touch: copy and unary zip each lane's
+    /// source and destination to the shorter segment, a reduce writes
+    /// one address per lane, and `ldmatrix` reads row addresses from
+    /// lanes `0..8·num` only. A group that fails leaves the recording
+    /// unusable; the caller discards it.
     ///
     /// Per-thread ops are flattened lane-major (the per-lane structure
     /// is irrelevant to their semantics); collective ops keep their
@@ -264,11 +261,12 @@ impl Recorder {
     ///
     /// # Errors
     ///
-    /// [`ExecError::BadInput`] for an `ldmatrix` whose source and destination
-    /// are one buffer, and for an MMA whose accumulator buffer is its A
-    /// or B buffer (lint reports that kernel as `GRA016`). Table 2
-    /// matches `ldmatrix` only from shared memory to registers, so no
-    /// kernel reaches the first.
+    /// [`ExecError::OutOfBounds`] naming the first operand with an
+    /// address outside its buffer. [`ExecError::BadInput`] for an
+    /// `ldmatrix` whose source and destination are one buffer, and for
+    /// an MMA whose accumulator buffer is its A or B buffer (lint
+    /// reports that kernel as `GRA016`). Table 2 matches `ldmatrix` only
+    /// from shared memory to registers, so no kernel reaches the first.
     pub(crate) fn record_group(
         &mut self,
         cs: &CSpec,
@@ -278,11 +276,12 @@ impl Recorder {
         let nl = lanes.len() as u32;
         let step = match cs.semantics {
             AtomicSemantics::CopyPerThread | AtomicSemantics::UnaryPerThread(_) => {
-                // The executor zips src/dst per lane, so the effective
-                // per-lane count is the shorter of the two segments.
                 let k = sc.ins[0].1.min(sc.outs[0].1);
-                let sa = self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], k);
-                let da = self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], k);
+                let unary = matches!(cs.semantics, AtomicSemantics::UnaryPerThread(_));
+                let (sw, dw) =
+                    if unary { ("unary src", "unary dst") } else { ("copy src", "copy dst") };
+                let sa = self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], k, Some(sw))?;
+                let da = self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], k, Some(dw))?;
                 let (src, dst) = (self.buf_id(cs.ins[0].buf), self.buf_id(cs.outs[0].buf));
                 let n = nl * k as u32;
                 match cs.semantics {
@@ -292,9 +291,12 @@ impl Recorder {
             }
             AtomicSemantics::BinaryPerThread(op) => {
                 let k = sc.ins[0].1;
-                let aa = self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], k);
-                let ba = self.push_seg(cs.ins[1].buf, lanes, sc, sc.ins[1], k);
-                let da = self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], k);
+                let aa =
+                    self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], k, Some("binary lhs"))?;
+                let ba =
+                    self.push_seg(cs.ins[1].buf, lanes, sc, sc.ins[1], k, Some("binary rhs"))?;
+                let da =
+                    self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], k, Some("binary dst"))?;
                 TOp::Binary {
                     op,
                     a: self.buf_id(cs.ins[0].buf),
@@ -308,9 +310,9 @@ impl Recorder {
             }
             AtomicSemantics::FmaPerThread => {
                 let k = sc.ins[0].1;
-                let aa = self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], k);
-                let ba = self.push_seg(cs.ins[1].buf, lanes, sc, sc.ins[1], k);
-                let ca = self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], k);
+                let aa = self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], k, Some("fma a"))?;
+                let ba = self.push_seg(cs.ins[1].buf, lanes, sc, sc.ins[1], k, Some("fma b"))?;
+                let ca = self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], k, Some("fma c"))?;
                 TOp::Fma {
                     a: self.buf_id(cs.ins[0].buf),
                     b: self.buf_id(cs.ins[1].buf),
@@ -323,7 +325,8 @@ impl Recorder {
             }
             AtomicSemantics::InitPerThread => {
                 let k = sc.outs[0].1;
-                let da = self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], k);
+                let da =
+                    self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], k, Some("init dst"))?;
                 TOp::Init {
                     value: cs.init_value,
                     dst: self.buf_id(cs.outs[0].buf),
@@ -333,8 +336,10 @@ impl Recorder {
             }
             AtomicSemantics::ReducePerThread(op) => {
                 let per = sc.ins[0].1;
-                let sa = self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], per);
-                let da = self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], 1);
+                let sa =
+                    self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], per, Some("reduce src"))?;
+                let da =
+                    self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], 1, Some("reduce dst"))?;
                 TOp::Reduce {
                     op,
                     src: self.buf_id(cs.ins[0].buf),
@@ -346,6 +351,21 @@ impl Recorder {
                 }
             }
             AtomicSemantics::LdMatrix { num, trans } => {
+                // Only lanes 0..8·num supply a row address, 8 elements
+                // each; the other lanes' sources are recorded unread.
+                for li in 0..8 * num as usize {
+                    in_bounds(cs.ins[0].buf, &sc.lane(sc.ins[0], li)[..8], "ldmatrix src")?;
+                }
+                let (sper, dper) = (sc.ins[0].1, sc.outs[0].1);
+                let sa = self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], sper, None)?;
+                let da = self.push_seg(
+                    cs.outs[0].buf,
+                    lanes,
+                    sc,
+                    sc.outs[0],
+                    dper,
+                    Some("ldmatrix dst"),
+                )?;
                 let (src, dst) = (self.buf_id(cs.ins[0].buf), self.buf_id(cs.outs[0].buf));
                 if src == dst {
                     return Err(ExecError::BadInput(
@@ -353,9 +373,6 @@ impl Recorder {
                             .into(),
                     ));
                 }
-                let (sper, dper) = (sc.ins[0].1, sc.outs[0].1);
-                let sa = self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], sper);
-                let da = self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], dper);
                 TOp::LdMatrix {
                     num,
                     trans,
@@ -369,6 +386,16 @@ impl Recorder {
                 }
             }
             AtomicSemantics::MmaAmpere16816 | AtomicSemantics::MmaVolta884 => {
+                let m16 = cs.semantics == AtomicSemantics::MmaAmpere16816;
+                let w = if m16 {
+                    ["mma a", "mma b", "mma c"]
+                } else {
+                    ["mma884 a", "mma884 b", "mma884 c"]
+                };
+                let (aper, bper, cper) = (sc.ins[0].1, sc.ins[1].1, sc.outs[0].1);
+                let aa = self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], aper, Some(w[0]))?;
+                let ba = self.push_seg(cs.ins[1].buf, lanes, sc, sc.ins[1], bper, Some(w[1]))?;
+                let ca = self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], cper, Some(w[2]))?;
                 let (a, b, c) = (
                     self.buf_id(cs.ins[0].buf),
                     self.buf_id(cs.ins[1].buf),
@@ -379,24 +406,24 @@ impl Recorder {
                         "mma whose accumulator is its A or B buffer cannot be traced".into(),
                     ));
                 }
-                let (aper, bper, cper) = (sc.ins[0].1, sc.ins[1].1, sc.outs[0].1);
                 TOp::Mma {
-                    m16: cs.semantics == AtomicSemantics::MmaAmpere16816,
+                    m16,
                     a,
                     b,
                     c,
-                    aa: self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], aper),
+                    aa,
                     aper: aper as u32,
-                    ba: self.push_seg(cs.ins[1].buf, lanes, sc, sc.ins[1], bper),
+                    ba,
                     bper: bper as u32,
-                    ca: self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], cper),
+                    ca,
                     cper: cper as u32,
                     lanes: nl,
                 }
             }
             AtomicSemantics::ShflBfly => {
-                let sa = self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], 1);
-                let da = self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], 1);
+                let sa = self.push_seg(cs.ins[0].buf, lanes, sc, sc.ins[0], 1, Some("shfl src"))?;
+                let da =
+                    self.push_seg(cs.outs[0].buf, lanes, sc, sc.outs[0], 1, Some("shfl dst"))?;
                 TOp::Shfl {
                     mask: cs.shfl_mask,
                     src: self.buf_id(cs.ins[0].buf),
@@ -412,13 +439,20 @@ impl Recorder {
     }
 }
 
+/// Checks that every address of `addrs` lies in `buf`.
+fn in_bounds(buf: BufRef, addrs: &[i64], what: &str) -> Result<(), ExecError> {
+    match addrs.iter().find(|&&a| a < 0 || a as usize >= buf.len) {
+        Some(&addr) => Err(ExecError::OutOfBounds { what: what.into(), addr, len: buf.len }),
+        None => Ok(()),
+    }
+}
+
 /// Records `plan` once into a [`Trace`].
 ///
-/// The recording run executes the full grid sequentially over
-/// zero-filled inputs through the instrumented compiled executor. This
-/// is sound because control flow in this IR is purely index-driven
-/// (see the module docs): the captured step sequence and addresses are
-/// valid for every input valuation.
+/// The recording walks the full grid in block order and reads no input
+/// values. This is sound because control flow in this IR is purely
+/// index-driven (see the module docs): the captured step sequence and
+/// addresses are valid for every input valuation.
 ///
 /// # Errors
 ///
@@ -458,17 +492,15 @@ pub(crate) fn record_blocks(
     blocks: usize,
     mut block_done: impl FnMut(&mut Recorder) -> Result<(), ExecError>,
 ) -> Result<(Recorder, Counters), ExecError> {
-    let init: Vec<Vec<f32>> = plan.globals.iter().map(|&(_, _, len)| vec![0.0; len]).collect();
-    let mut runner = CtaRunner::new(plan, init, bindings);
-    runner.rec = Some(Recorder::new(plan));
+    let mut runner = CtaRunner::new(plan, bindings);
     for b in 0..blocks {
         runner.run_block(b)?;
-        block_done(runner.rec.as_mut().expect("recorder installed"))?;
+        block_done(&mut runner.rec)?;
     }
     let mut counters = runner.counters;
     counters.unique_global_read_bytes = plan.unique_read;
     counters.unique_global_write_bytes = plan.unique_written;
-    Ok((runner.rec.take().expect("recorder installed"), counters))
+    Ok((runner.rec, counters))
 }
 
 /// Unified buffer-table lengths of `plan`'s traces: globals, then
@@ -511,7 +543,7 @@ pub const TRACE_CACHE_CAPACITY: usize = 256;
 /// `with_capacity`), records outside its lock and lets the first
 /// insert win a race. An evicted key simply re-records on next request.
 /// `recordings` counts [`record_opt_trace`] runs; a block-uniform
-/// kernel's run interprets block 0 alone.
+/// kernel's run records block 0 alone.
 ///
 /// What the cache keeps resident is the **optimized** form
 /// ([`OptTrace`]): recording runs the trace optimizer before insertion,

@@ -46,7 +46,7 @@
 //! loops, strided/lane spans as stepped loops with no arena traffic,
 //! residual gathers as `base` plus a pattern-table walk, and tile steps
 //! as in-place MMA kernels — with each output's `f32`/`f64` op sequence
-//! exactly the compiled-plan executor's and every reordering one no
+//! exactly the reference interpreter's and every reordering one no
 //! output can observe, so outputs are bit-identical.
 
 use crate::counters::Counters;
@@ -989,7 +989,7 @@ fn ldmatrix_copy(
 /// Composes an MMA's fragment shuffle into matrix-order `[A, B, C]`
 /// address vectors; an error when some matrix slot stays unwritten (a
 /// partial warp, which Table-2 matching on whole lane groups never
-/// yields). Slots are filled in the plan interpreter's lane-major load
+/// yields). Slots are filled in the reference interpreter's lane-major load
 /// order, so a hypothetical duplicate slot resolves to the same last
 /// writer.
 fn dense_addrs(

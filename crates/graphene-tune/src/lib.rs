@@ -26,20 +26,19 @@
 //!
 //! The serve daemon's `tune` command (and with it the `graphene tune`
 //! one-shot, which dispatches the same request in process) goes through
-//! [`tune_observed`]; [`tune`] is the single-threaded entry point over
-//! an exclusively owned [`TuneDb`].
+//! [`tune_observed`], the one entry point.
 //!
 //! ```
 //! use graphene_ir::Arch;
 //! use graphene_kernels::gemm::Epilogue;
-//! use graphene_tune::{tune, GemmSpace, Search, TuneOptions};
+//! use graphene_tune::{tune_observed, GemmSpace, Search, TuneOptions};
 //!
 //! let space = GemmSpace::new(Arch::Sm86, 512, 512, 256, Epilogue::None);
 //! let opts = TuneOptions {
 //!     search: Search::Random { seed: 0, samples: 20 },
 //!     ..TuneOptions::default()
 //! };
-//! let report = tune(&space, &opts, None).unwrap();
+//! let report = tune_observed(&space, &opts, None, None, None).unwrap();
 //! assert!(report.stats.simulated > 0);
 //! ```
 
@@ -59,37 +58,12 @@ pub use tuner::{
 };
 
 /// Tunes a space: consult the database (if given), otherwise run the
-/// search and record the winner back.
+/// search and record the winner back. A [`SharedTuneDb`], an optional
+/// [`CostCache`] and an optional [`TuneProgress`] observer may be given.
 ///
 /// On a database hit the returned report carries the stored point and
 /// time with `stats.db_hit = true` and **zero** simulations — the
-/// candidate pipeline never runs.
-///
-/// # Errors
-///
-/// [`TuneError::NoLegalCandidate`] when every proposed point is pruned;
-/// [`TuneError::Db`] when the winner cannot be persisted.
-pub fn tune(
-    space: &dyn SearchSpace,
-    opts: &TuneOptions,
-    db: Option<&mut TuneDb>,
-) -> Result<TuneReport, TuneError> {
-    if let Some(db) = db.as_deref() {
-        if let Some((point, entry)) = db.lookup(space) {
-            return Ok(db_hit_report(space, point, entry.time_s));
-        }
-    }
-    let report = tuner::run_search(space, opts)?;
-    if let Some(db) = db {
-        db.record(space, &report.best_point, report.best_time_s, report.stats.simulated);
-        db.save().map_err(|e| TuneError::Db(e.to_string()))?;
-    }
-    Ok(report)
-}
-
-/// [`tune`] against a [`SharedTuneDb`], with an optional [`CostCache`]
-/// and an optional [`TuneProgress`] observer — the serve daemon's entry
-/// point. Candidate outcomes recorded in `costs` by earlier searches
+/// candidate pipeline never runs. Candidate outcomes recorded in `costs` by earlier searches
 /// replay without re-building or re-simulating. The database lookup,
 /// the (observable, cancellable) search, and the merged write-back all
 /// go through the shared handle, so concurrent tunes from many request
@@ -97,8 +71,9 @@ pub fn tune(
 ///
 /// # Errors
 ///
-/// As [`tune`], plus [`TuneError::Cancelled`] when the observer
-/// cancelled the search.
+/// [`TuneError::NoLegalCandidate`] when every proposed point is pruned;
+/// [`TuneError::Db`] when the winner cannot be persisted;
+/// [`TuneError::Cancelled`] when the observer cancelled the search.
 pub fn tune_observed(
     space: &dyn SearchSpace,
     opts: &TuneOptions,

@@ -460,25 +460,6 @@ impl<'s> Session<'s> {
 /// busy, small enough that a budget overshoot stays bounded.
 const BATCH: usize = 64;
 
-/// Runs a search over a space. This is the strategy driver; the
-/// database-aware entry point is [`crate::tune`].
-pub fn run_search(space: &dyn SearchSpace, opts: &TuneOptions) -> Result<TuneReport, TuneError> {
-    run_search_cached(space, opts, None)
-}
-
-/// [`run_search`] with an optional [`CostCache`]: points already
-/// recorded in `costs` replay their outcomes instead of re-running the
-/// build/lint/cost pipeline, and fresh pipeline runs are recorded for
-/// the next search. Replays are reported in
-/// [`TuneStats::cost_replayed`] and are budget-free.
-pub fn run_search_cached(
-    space: &dyn SearchSpace,
-    opts: &TuneOptions,
-    costs: Option<&CostCache>,
-) -> Result<TuneReport, TuneError> {
-    run_search_observed(space, opts, costs, None)
-}
-
 /// The strategy's a-priori proposal count: exact for exhaustive and
 /// random searches, a round-count heuristic for beam search (whose
 /// actual length is data-dependent). Used for progress fractions.
@@ -496,13 +477,19 @@ pub fn planned_proposals(space: &dyn SearchSpace, search: &Search) -> usize {
     }
 }
 
-/// [`run_search_cached`] with an optional [`TuneProgress`] observer:
-/// batch-granular progress callbacks and cooperative cancellation.
+/// Runs a search over a space — the strategy driver; the
+/// database-aware entry point is [`crate::tune_observed`].
+///
+/// Points already recorded in `costs` replay their outcomes instead of
+/// re-running the build/lint/cost pipeline, and fresh pipeline runs are
+/// recorded for the next search. Replays are reported in
+/// [`TuneStats::cost_replayed`] and are budget-free. `progress` gets
+/// batch-granular callbacks and can cancel between batches.
 ///
 /// # Errors
 ///
-/// [`TuneError::Cancelled`] when the observer requested cancellation;
-/// otherwise as [`run_search`].
+/// [`TuneError::NoLegalCandidate`] when every proposed point is pruned;
+/// [`TuneError::Cancelled`] when the observer requested cancellation.
 pub fn run_search_observed(
     space: &dyn SearchSpace,
     opts: &TuneOptions,

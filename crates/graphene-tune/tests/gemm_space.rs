@@ -7,7 +7,7 @@ use graphene_ir::Arch;
 use graphene_kernels::gemm::{build_gemm, Epilogue, GemmConfig};
 use graphene_sim::{analyze, machine_for, time_kernel};
 use graphene_tune::{
-    tune, FmhaSpace, GemmSpace, LayernormSpace, MlpSpace, Search, SearchSpace, TuneOptions,
+    tune_observed, FmhaSpace, GemmSpace, LayernormSpace, MlpSpace, Search, SearchSpace, TuneOptions,
 };
 use std::panic::AssertUnwindSafe;
 
@@ -38,7 +38,7 @@ fn skinny_problem_prefers_narrow_tiles_and_beats_default() {
         top: 8,
         ..TuneOptions::default()
     };
-    let report = tune(&space, &opts, None).expect("search succeeds");
+    let report = tune_observed(&space, &opts, None, None, None).expect("search succeeds");
     assert!(report.stats.simulated > 0);
     assert!(param_value(&space, &report.best_point, "bn") <= 128);
     let default_t = config_time(&GemmConfig::cublas_like(m, n, k), Arch::Sm86);
@@ -53,7 +53,7 @@ fn leaderboard_is_sorted_fastest_first() {
         top: 16,
         ..TuneOptions::default()
     };
-    let report = tune(&space, &opts, None).expect("search succeeds");
+    let report = tune_observed(&space, &opts, None, None, None).expect("search succeeds");
     assert!(report.leaderboard.len() >= 2, "need a real leaderboard");
     for pair in report.leaderboard.windows(2) {
         assert!(pair[0].profile.time_s <= pair[1].profile.time_s);

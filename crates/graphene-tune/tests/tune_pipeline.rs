@@ -14,8 +14,8 @@ use graphene_ir::Arch;
 use graphene_kernels::gemm::Epilogue;
 use graphene_sim::{analyze, machine_for, record_opt_trace, time_kernel, KernelPlan};
 use graphene_tune::{
-    tune, tuner::run_search, tuner::run_search_cached, CostCache, FmhaSpace, GemmSpace,
-    LayernormSpace, MlpSpace, Point, Search, SearchSpace, TuneDb, TuneOptions,
+    tune_observed, tuner::run_search_observed, CostCache, FmhaSpace, GemmSpace, LayernormSpace,
+    MlpSpace, Point, Search, SearchSpace, SharedTuneDb, TuneDb, TuneOptions,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
@@ -28,7 +28,7 @@ fn default_time(space: &dyn SearchSpace) -> f64 {
 }
 
 fn assert_tuned_beats_default(space: &dyn SearchSpace, opts: &TuneOptions) {
-    let report = run_search(space, opts).expect("search finds a candidate");
+    let report = run_search_observed(space, opts, None, None).expect("search finds a candidate");
     let default_t = default_time(space);
     assert!(
         report.best_time_s <= default_t * (1.0 + 1e-9),
@@ -57,7 +57,7 @@ fn exhaustive_gemm_matches_or_beats_default_and_accounts_for_every_point() {
     // its budget (a budgeted run still evaluates the default first, so
     // the <= default guarantee is unaffected).
     let space = GemmSpace::new(Arch::Sm86, 512, 512, 256, Epilogue::None);
-    let report = run_search(&space, &TuneOptions::default()).unwrap();
+    let report = run_search_observed(&space, &TuneOptions::default(), None, None).unwrap();
 
     let default_t = default_time(&space);
     assert!(
@@ -137,7 +137,7 @@ fn beam_and_random_match_or_beat_default_too() {
 fn budget_caps_simulation_count() {
     let space = GemmSpace::new(Arch::Sm86, 512, 512, 256, Epilogue::None);
     let opts = TuneOptions { budget: Some(5), ..TuneOptions::default() };
-    let report = run_search(&space, &opts).unwrap();
+    let report = run_search_observed(&space, &opts, None, None).unwrap();
     // The budget is checked between batches of 64 proposals, so the
     // overshoot is bounded by one batch's worth of survivors.
     assert!(report.stats.simulated >= 5);
@@ -151,8 +151,8 @@ fn strategies_are_deterministic() {
         [Search::Random { seed: 3, samples: 30 }, Search::Beam { seed: 3, width: 3, patience: 1 }]
     {
         let opts = TuneOptions { search, budget: Some(16), ..TuneOptions::default() };
-        let a = run_search(&space, &opts).unwrap();
-        let b = run_search(&space, &opts).unwrap();
+        let a = run_search_observed(&space, &opts, None, None).unwrap();
+        let b = run_search_observed(&space, &opts, None, None).unwrap();
         assert_eq!(a.best_point, b.best_point, "{search:?}");
         assert_eq!(a.best_time_s, b.best_time_s, "{search:?}");
         assert_eq!(a.stats, b.stats, "{search:?}");
@@ -168,15 +168,15 @@ fn second_run_is_served_from_the_database_with_zero_simulations() {
     let space = LayernormSpace::new(Arch::Sm86, 512, 1024);
     let opts = TuneOptions::default();
 
-    let mut db = TuneDb::load(&path);
-    let cold = tune(&space, &opts, Some(&mut db)).unwrap();
+    let db = SharedTuneDb::load(&path);
+    let cold = tune_observed(&space, &opts, Some(&db), None, None).unwrap();
     assert!(!cold.stats.db_hit);
     assert!(cold.stats.simulated > 0);
 
     // Reload from disk — a genuinely separate process would do this.
-    let mut db2 = TuneDb::load(&path);
+    let db2 = SharedTuneDb::load(&path);
     assert_eq!(db2.len(), 1);
-    let warm = tune(&space, &opts, Some(&mut db2)).unwrap();
+    let warm = tune_observed(&space, &opts, Some(&db2), None, None).unwrap();
     assert!(warm.stats.db_hit);
     assert_eq!(warm.stats.simulated, 0, "warm run must not simulate");
     assert_eq!(warm.stats.proposed, 0, "warm run must not even propose");
@@ -185,8 +185,8 @@ fn second_run_is_served_from_the_database_with_zero_simulations() {
 
     // A different problem size under the same kernel misses the cache.
     let other = LayernormSpace::new(Arch::Sm86, 1024, 1024);
-    let mut db3 = TuneDb::load(&path);
-    let miss = tune(&other, &opts, Some(&mut db3)).unwrap();
+    let db3 = SharedTuneDb::load(&path);
+    let miss = tune_observed(&other, &opts, Some(&db3), None, None).unwrap();
     assert!(!miss.stats.db_hit);
     assert_eq!(TuneDb::load(&path).len(), 2);
 
@@ -202,14 +202,14 @@ fn second_search_replays_every_costing_from_the_cost_cache() {
     let opts = TuneOptions::default();
     let costs = CostCache::new();
 
-    let cold = run_search_cached(&space, &opts, Some(&costs)).unwrap();
+    let cold = run_search_observed(&space, &opts, Some(&costs), None).unwrap();
     assert!(cold.stats.simulated > 0);
     assert_eq!(cold.stats.cost_replayed, 0, "first search has nothing to replay");
     let built_cold = cold.stats.pruned_analysis + cold.stats.simulated;
     assert_eq!(costs.recordings() as usize, built_cold, "every pipeline run recorded");
     assert_eq!(costs.hits(), 0);
 
-    let warm = run_search_cached(&space, &opts, Some(&costs)).unwrap();
+    let warm = run_search_observed(&space, &opts, Some(&costs), None).unwrap();
     assert_eq!(warm.stats.simulated, 0, "warm search must not simulate");
     assert_eq!(warm.stats.cost_replayed, built_cold, "every built point replays");
     assert_eq!(costs.hits() as usize, built_cold);
@@ -227,7 +227,7 @@ fn second_search_replays_every_costing_from_the_cost_cache() {
 
     // A different problem size misses: keys fold in the problem.
     let other = GemmSpace::new(Arch::Sm86, 128, 128, 128, Epilogue::None);
-    let miss = run_search_cached(&other, &opts, Some(&costs)).unwrap();
+    let miss = run_search_observed(&other, &opts, Some(&costs), None).unwrap();
     assert_eq!(miss.stats.cost_replayed, 0, "other problem must not replay");
     assert!(miss.stats.simulated > 0);
 }
@@ -236,7 +236,7 @@ fn second_search_replays_every_costing_from_the_cost_cache() {
 fn impossible_problems_report_no_legal_candidate() {
     // A 17x17 GEMM tiles by nothing in the space.
     let space = GemmSpace::new(Arch::Sm86, 17, 17, 17, Epilogue::None);
-    let err = run_search(&space, &TuneOptions::default()).unwrap_err();
+    let err = run_search_observed(&space, &TuneOptions::default(), None, None).unwrap_err();
     match err {
         graphene_tune::TuneError::NoLegalCandidate { proposed, last_reason } => {
             assert!(proposed > 0);
@@ -253,12 +253,12 @@ fn beam_never_beats_an_unbudgeted_exhaustive_search() {
     let spaces: [&dyn SearchSpace; 2] =
         [&LayernormSpace::new(Arch::Sm86, 512, 1024), &FmhaSpace::new(2, 128, 64)];
     for space in spaces {
-        let exhaustive = run_search(space, &TuneOptions::default()).unwrap();
+        let exhaustive = run_search_observed(space, &TuneOptions::default(), None, None).unwrap();
         let beam = TuneOptions {
             search: Search::Beam { seed: 7, width: 2, patience: 1 },
             ..TuneOptions::default()
         };
-        let beam = run_search(space, &beam).unwrap();
+        let beam = run_search_observed(space, &beam, None, None).unwrap();
         assert!(
             exhaustive.best_time_s <= beam.best_time_s * (1.0 + 1e-9),
             "{}: beam {} ({}) beat exhaustive {} ({})",

@@ -16,10 +16,11 @@ use graphene::sim::{
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Runs `kernel` through every engine — sequential / parallel / forced
-/// 3-worker plan execution and optimized trace replay (sequential and
-/// forced 3-worker) — and asserts bit-identical globals and identical
-/// counters against the reference interpreter.
+/// Runs `kernel` through every engine — plan execution (its block-0
+/// recording replayed) sequential / parallel / forced 3-worker, and the
+/// every-block recording optimized and replayed sequential and forced
+/// 3-worker — and asserts bit-identical globals and identical counters
+/// against the reference interpreter.
 fn assert_equivalent(
     name: &str,
     kernel: &Kernel,
@@ -39,14 +40,14 @@ fn assert_equivalent(
     let reference = execute_reference(kernel, arch, inputs)
         .unwrap_or_else(|e| panic!("{name}: reference execution failed: {e}"));
 
-    // Optimized replay of one recording in both threading modes. The
-    // optimizer must be a pure representation change: every span
-    // decodes to the recorded addresses.
+    // Optimized replay of the every-block recording in both threading
+    // modes. The optimizer must be a pure representation change: every
+    // span decodes to the recorded addresses.
     let plan = KernelPlan::compile(kernel, arch).unwrap_or_else(|e| panic!("{name}: plan: {e}"));
     let raw = record_trace(&plan, &bindings).unwrap_or_else(|e| panic!("{name}: record: {e}"));
     let opt = optimize_trace(&raw);
     opt.check_addresses(&raw).unwrap_or_else(|e| panic!("{name}: {e}"));
-    // Recording straight into the optimizer records block 0 alone
+    // Plan execution records straight into the optimizer, block 0 alone
     // (every kernel here is block-uniform): every block must still
     // decode, through its offsets, to what the full recording holds.
     let streamed =
@@ -58,10 +59,6 @@ fn assert_equivalent(
         .unwrap_or_else(|e| panic!("{name}: opt replay failed: {e}"));
     let opt_par = replay_opt_with(&opt, inputs, ExecMode::Workers(3))
         .unwrap_or_else(|e| panic!("{name}: opt 3-worker replay failed: {e}"));
-    let one_seq = replay_opt_with(&streamed, inputs, ExecMode::Sequential)
-        .unwrap_or_else(|e| panic!("{name}: one-block replay failed: {e}"));
-    let one_par = replay_opt_with(&streamed, inputs, ExecMode::Workers(3))
-        .unwrap_or_else(|e| panic!("{name}: one-block 3-worker replay failed: {e}"));
 
     for (id, want) in &reference.globals {
         let pname = &kernel.module[*id].name;
@@ -71,8 +68,6 @@ fn assert_equivalent(
             ("3 workers", &forced.globals[id]),
             ("opt replay", &opt_seq.globals[id]),
             ("opt replay, 3 workers", &opt_par.globals[id]),
-            ("one-block replay", &one_seq.globals[id]),
-            ("one-block replay, 3 workers", &one_par.globals[id]),
         ] {
             assert_eq!(want.len(), got.len(), "{name}: %{pname} length ({mode})");
             for (i, (w, g)) in want.iter().zip(got).enumerate() {
@@ -89,8 +84,6 @@ fn assert_equivalent(
     assert_eq!(forced.counters, reference.counters, "{name}: 3-worker counters");
     assert_eq!(opt_seq.counters, reference.counters, "{name}: opt replay counters");
     assert_eq!(opt_par.counters, reference.counters, "{name}: opt 3-worker replay counters");
-    assert_eq!(one_seq.counters, reference.counters, "{name}: one-block replay counters");
-    assert_eq!(one_par.counters, reference.counters, "{name}: one-block 3-worker counters");
 }
 
 fn gemm_inputs(kernel: &Kernel, cfg: &GemmConfig) -> HashMap<graphene::ir::TensorId, Vec<f32>> {
@@ -386,19 +379,24 @@ fn plan_inputs(plan: &KernelPlan) -> HashMap<graphene::ir::TensorId, Vec<f32>> {
 }
 
 /// Records `plan` the way production does and checks the trace against
-/// every oracle: it replays bitwise equal to sequential compiled-plan
-/// execution, sequentially and on 3 workers, with equal counters; every
-/// block decodes, through the interned pattern table, to exactly the
-/// addresses the full recording holds, renamed, and so does the full
-/// recording optimized; and its optimizer stats are those of
-/// optimizing the full recording, except the two
+/// the every-block recording, the oracle when no kernel is at hand: it
+/// replays bitwise equal to the every-block recording optimized and
+/// replayed, sequentially and on 3 workers, with the every-block
+/// recording's counters; every block decodes, through the interned
+/// pattern table, to exactly the addresses the full recording holds,
+/// renamed, and so does the full recording optimized; and its optimizer
+/// stats are those of optimizing the full recording, except the two
 /// that count what is stored. Returns how many blocks it recorded, and
 /// the full recording optimized.
 fn assert_recording_exact(name: &str, plan: &KernelPlan) -> (usize, graphene::sim::OptTrace) {
     let bindings = HashMap::new();
     let inputs = plan_inputs(plan);
-    let want = execute_plan(plan, &inputs, &bindings, ExecMode::Sequential)
-        .unwrap_or_else(|e| panic!("{name}: plan: {e}"));
+    let raw = record_trace(plan, &bindings).unwrap_or_else(|e| panic!("{name}: record: {e}"));
+    let every = optimize_trace(&raw);
+    every.check_addresses(&raw).unwrap_or_else(|e| panic!("{name}: full recording: {e}"));
+    let want = replay_opt_with(&every, &inputs, ExecMode::Sequential)
+        .unwrap_or_else(|e| panic!("{name}: every-block replay: {e}"));
+    assert_eq!(&want.counters, raw.counters(), "{name}: every-block replay counters");
     let opt = record_opt_trace(plan, &bindings).unwrap_or_else(|e| panic!("{name}: record: {e}"));
     for mode in [ExecMode::Sequential, ExecMode::Workers(3)] {
         let got = replay_opt_with(&opt, &inputs, mode)
@@ -409,10 +407,7 @@ fn assert_recording_exact(name: &str, plan: &KernelPlan) -> (usize, graphene::si
             assert!(bits(w) == bits(&got.globals[id]), "{name}: {id:?} differs ({mode:?})");
         }
     }
-    let raw = record_trace(plan, &bindings).unwrap_or_else(|e| panic!("{name}: record: {e}"));
     opt.check_addresses(&raw).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let every = optimize_trace(&raw);
-    every.check_addresses(&raw).unwrap_or_else(|e| panic!("{name}: full recording: {e}"));
     let stored = |st: &graphene::sim::OptStats| graphene::sim::OptStats {
         steps_after: 0,
         bytes_after: 0,
@@ -490,7 +485,9 @@ fn benchmark_encoder_and_catalog_defaults_are_proven_block_uniform() {
 
 /// A GEMM predicated on `row < m` guards on `blockIdx`: the proof
 /// refuses it, so it records every block and builds exactly the trace
-/// optimizing the full recording builds.
+/// optimizing the full recording builds. It is the one kernel plan
+/// execution records every block of, so plan execution is checked here
+/// against the reference interpreter too.
 #[test]
 fn predicated_m_gemm_records_every_block() {
     use graphene::kernels::gemm::build_gemm_partial_m;
@@ -503,4 +500,14 @@ fn predicated_m_gemm_records_every_block() {
     let opt = record_opt_trace(&plan, &HashMap::new()).expect("record");
     let raw = record_trace(&plan, &HashMap::new()).expect("record");
     assert_eq!(format!("{opt:?}"), format!("{:?}", optimize_trace(&raw)), "streamed trace differs");
+    let inputs = gemm_inputs(&kernel, &cfg);
+    let reference = execute_reference(&kernel, Arch::Sm86, &inputs).expect("reference");
+    for mode in [ExecMode::Sequential, ExecMode::Workers(3)] {
+        let got = execute_plan(&plan, &inputs, &HashMap::new(), mode).expect("plan");
+        assert_eq!(got.counters, reference.counters, "counters ({mode:?})");
+        for (id, want) in &reference.globals {
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert!(bits(want) == bits(&got.globals[id]), "{id:?} differs ({mode:?})");
+        }
+    }
 }

@@ -2,8 +2,8 @@
 //!
 //! The contract under test: a full transformer encoder layer lowered
 //! two ways (fused epilogues vs one-kernel-per-node) executes
-//! **bit-identically**, the whole-graph trace replay engine matches
-//! the compiled-plan engine bit-for-bit (outputs *and* counters), the
+//! **bit-identically**, both graph engines match the every-block
+//! recording of each node bit-for-bit (outputs *and* counters), the
 //! liveness-planned arena beats naive per-kernel allocation by the
 //! margin the PR requires, and both trace caches evict LRU under a
 //! capacity bound.
@@ -13,7 +13,8 @@ use graphene_kernels::exec_lower::{graph_key, lower_executable, ExecLowering};
 use graphene_kernels::graph::encoder_graph;
 use graphene_sim::run::ExecMode;
 use graphene_sim::{
-    execute_graph, record_graph, replay_graph, ExecGraph, GraphTraceCache, HostTensor, TraceCache,
+    execute_graph, optimize_trace, record_graph, record_trace, replay_graph, replay_opt_with,
+    ArgBinding, Counters, ExecGraph, GraphTraceCache, HostTensor, OptTrace, TraceCache,
 };
 use std::collections::HashMap;
 
@@ -63,21 +64,64 @@ fn fused_and_default_lowerings_execute_bit_identically() {
     assert!(out.iter().any(|x| *x != 0.0));
 }
 
+/// The graph oracle: each node's every-block recording
+/// (`optimize_trace(&record_trace(..))`, kept per distinct kernel
+/// instance in `recorded`) replayed in graph order, every temp in a
+/// buffer of its own instead of the planned arena. Returns the outputs
+/// and the full recordings' summed counters.
+fn oracle(
+    g: &ExecGraph,
+    inputs: &HashMap<String, Vec<f32>>,
+    recorded: &mut HashMap<(String, String), (OptTrace, Counters)>,
+) -> (HashMap<usize, Vec<f32>>, Counters) {
+    let mut temps: HashMap<usize, Vec<f32>> = HashMap::new();
+    let mut counters = Counters::default();
+    for node in &g.nodes {
+        let (trace, c) =
+            recorded.entry((node.kernel.clone(), node.problem.clone())).or_insert_with(|| {
+                let raw = record_trace(&node.plan, &HashMap::new()).expect("records every block");
+                (optimize_trace(&raw), *raw.counters())
+            });
+        let params = node.plan.params().iter().zip(&node.args);
+        let kin = params
+            .clone()
+            .filter_map(|((id, _, _), arg)| match arg {
+                ArgBinding::External(name) => inputs.get(name).map(|v| (*id, v.clone())),
+                ArgBinding::TempIn(t) => Some((*id, temps[t].clone())),
+                ArgBinding::TempOut(_) => None,
+            })
+            .collect();
+        let out = replay_opt_with(trace, &kin, ExecMode::Sequential).expect("replays");
+        counters.merge(c);
+        for ((id, _, _), arg) in params {
+            if let ArgBinding::TempOut(t) = arg {
+                temps.insert(*t, out.globals[id].clone());
+            }
+        }
+    }
+    (g.outputs.iter().map(|t| (*t, temps[t].clone())).collect(), counters)
+}
+
 #[test]
 fn graph_replay_matches_plan_execution_bitwise() {
-    // One and two layers, both lowerings: replay equals the plan engine
-    // on every output bit and every counter.
+    // One and two layers, both lowerings: plan execution and graph
+    // replay equal the every-block oracle on every output bit and every
+    // counter.
+    let mut recorded = HashMap::new();
     for g in [test_encoder(), encoder_graph(2, 1, 64, 256, 4, 256)] {
         for lowering in [ExecLowering::Fused, ExecLowering::Default] {
             let eg = lower_executable(&g, Arch::Sm86, lowering).expect("lowers");
             let inputs = random_inputs(&eg);
+            let (want, want_counters) = oracle(&eg, &inputs, &mut recorded);
             let plan_out = execute_graph(&eg, &inputs, ExecMode::Sequential).expect("plan engine");
             let gt = record_graph(&eg, &TraceCache::new()).expect("records");
             let replay_out =
                 replay_graph(&gt, &inputs, ExecMode::Sequential).expect("replay engine");
             let what = format!("{} ops, {lowering:?}", g.ops.len());
-            assert_eq!(bits(&plan_out.outputs), bits(&replay_out.outputs), "{what}: diverged");
-            assert_eq!(plan_out.counters, replay_out.counters, "{what}: counters");
+            for (engine, out) in [("plan", &plan_out), ("replay", &replay_out)] {
+                assert_eq!(bits(&want), bits(&out.outputs), "{what}: {engine} diverged");
+                assert_eq!(want_counters, out.counters, "{what}: {engine} counters");
+            }
         }
     }
 
